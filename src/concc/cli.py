@@ -123,8 +123,9 @@ def _emit(doc: dict, out: str | None) -> None:
         print(text)
 
 
-def _run(argv: list[str], args, checks: list[dict], artifacts: dict, seed=None,
-         started: float = 0.0) -> int:
+def _run(argv: list[str], args, checks: list[dict], artifacts: dict, *,
+         started: float, seed=None) -> int:
+    """Emit the run report; ``started`` is the subcommand's ``perf_counter``."""
     doc = {
         "version": REPORT_VERSION,
         "kind": "run-report",
@@ -132,7 +133,7 @@ def _run(argv: list[str], args, checks: list[dict], artifacts: dict, seed=None,
         "seed": seed,
         "checks": checks,
         "artifacts": artifacts,
-        "timing": {"elapsed_seconds": round(time.time() - started, 3)},
+        "timing": {"elapsed_seconds": round(time.perf_counter() - started, 3)},
     }
     _emit(doc, args.out)
     if args.out:
@@ -145,7 +146,7 @@ def _run(argv: list[str], args, checks: list[dict], artifacts: dict, seed=None,
 
 
 def _cmd_hyp_spec_gen(argv, args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.scale < 1:
         raise SystemExit(USAGE_EXIT)
     rep = smallcanc.verify_hyp_spec_gen(args.scale)
@@ -183,7 +184,7 @@ def _ncc_config(classes: int, stages: int) -> towers.TowerConfig:
 
 
 def _cmd_tower_build(argv, args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.stages < 0:
         raise SystemExit(USAGE_EXIT)
     if args.mode == "coset":
@@ -249,14 +250,14 @@ def _cmd_tower_build(argv, args) -> int:
         "seed": None,
         "checks": checks,
         "artifacts": artifacts,
-        "timing": {"elapsed_seconds": round(time.time() - t0, 3)},
+        "timing": {"elapsed_seconds": round(time.perf_counter() - t0, 3)},
     }
     print(json.dumps(doc, indent=2))
     return _exit_code(checks)
 
 
 def _cmd_tower_verify(argv, args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         with open(args.certificate) as fh:
             doc = json.load(fh)
@@ -280,7 +281,7 @@ def _cmd_tower_verify(argv, args) -> int:
 
 
 def _cmd_klein_bottle(argv, args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     pres = parse_presentation("< a , t | t a t^-1 a >")
     spec = KillSpec(pres, frozenset({"a"}))
     A = pres.alphabet
@@ -320,7 +321,7 @@ def _cmd_klein_bottle(argv, args) -> int:
 
 
 def _cmd_bs12(argv, args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     pres = parse_presentation("< a , t | t a t^-1 a^-2 >")
     spec = KillSpec(pres, frozenset({"a"}))
     A = pres.alphabet
@@ -371,7 +372,7 @@ def _audit_ctx() -> fp.FreeProductCtx:
 
 
 def _cmd_relpaths_audit(argv, args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.instances < 1:
         raise SystemExit(USAGE_EXIT)
     ctx = _audit_ctx()
@@ -424,7 +425,7 @@ def _abbrev(text: str, limit: int = 60) -> str:
 
 
 def _cmd_smallcanc_pieces(argv, args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.scale < 1:
         raise SystemExit(USAGE_EXIT)
     A = Alphabet(["a", "b"])

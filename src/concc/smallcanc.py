@@ -9,10 +9,16 @@ closure has six figures of members.
 
 Piece = common initial segment of two distinct closure members.  The index
 finds, for every member, the longest piece it starts with: a suffix array
-over the concatenated doubled necklaces plus range-minimum sweeps to the
-nearest member of each necklace.  Sweeping per necklace matters: with mixed
-relator lengths the best partner of a suffix need not be adjacent in suffix
-order once lengths cap the usable prefix.
+over the concatenated doubled necklaces gives the members in suffix order
+and the longest common prefix of each adjacent pair; the common prefix of
+any two members is the minimum over the pairs between them, capped at
+both lengths.  Members of one length class share their cap, so among the
+class members on one side of a member the nearest in suffix order shares
+the longest capped prefix with it.  One sweep per length class and
+direction, a segmented running minimum in numpy, therefore finds every
+member's longest piece.  A single sweep over all members would not: with
+mixed relator lengths the nearest member may be a short one whose cap
+hides a longer piece shared with a member further away.
 
 Dehn's algorithm runs off per-necklace suffix automata: one matching-
 statistics pass per round locates the longest subword exceeding half of a
@@ -24,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .substrings import SuffixAutomaton, lcp_array, suffix_array
 from .words import (
@@ -76,9 +84,16 @@ def word_family_w(k: int, n: int, x: Word, y: Word) -> Word:
 class SymmetrizedSet:
     """Closure of a relator set under cyclic permutation and inversion."""
 
-    def __init__(self, origins: Sequence[Word], necklaces: Sequence[CyclicWord]):
+    def __init__(
+        self,
+        origins: Sequence[Word],
+        necklaces: Sequence[CyclicWord],
+        origin_necklaces: Sequence[tuple[int, int]],
+    ):
         self.origins = tuple(origins)
         self.necklaces = tuple(necklaces)
+        # indices of the necklaces of each origin relator and of its inverse
+        self.origin_necklaces = tuple(origin_necklaces)
         self._index: _PieceIndex | None = None
         self._automata: list[SuffixAutomaton] | None = None
 
@@ -124,6 +139,7 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
         raise SmallCancellationError("need at least one relator")
     alphabet = relators[0].alphabet
     necklaces: dict[tuple, CyclicWord] = {}
+    keys: list[tuple[tuple, tuple]] = []
     for r in relators:
         if r.alphabet != alphabet:
             raise SmallCancellationError("relators over different alphabets")
@@ -137,96 +153,112 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
                 f"relator {r} is a proper power (exponent {e}); "
                 "the metric conditions exclude proper powers"
             )
-        for w in (r, r.inverse()):
-            c = CyclicWord(w)
+        pair = (CyclicWord(r), CyclicWord(r.inverse()))
+        for c in pair:
             necklaces[c.letters] = c
+        keys.append((pair[0].letters, pair[1].letters))
     ordered = sorted(
         necklaces.values(), key=lambda c: (len(c), [letter_code(l) for l in c.letters])
     )
-    return SymmetrizedSet(relators, ordered)
+    position = {c.letters: k for k, c in enumerate(ordered)}
+    return SymmetrizedSet(
+        relators, ordered, [(position[a], position[b]) for a, b in keys]
+    )
 
 
 class _PieceIndex:
-    """Per-member longest-piece table over the doubled-necklace text."""
+    """Per-member longest-piece table over the doubled-necklace text.
+
+    Members are numbered necklace by necklace: member ``starts[k] + off`` is
+    rotation ``off`` of necklace ``k``.  The per-member arrays are int32 and
+    run in suffix order: ``order[i]`` is the i-th member, ``flcp[i]`` the
+    longest common prefix of the suffixes of members i and i+1, ``best[i]``
+    the longest piece member i starts with and ``partner[i]`` a member it
+    shares that piece with.
+    """
 
     def __init__(self, S: SymmetrizedSet):
         self.S = S
-        necks = S.necklaces
-        text: list[int] = []
-        starts: list[tuple[int, int, int]] = []  # (text position, necklace, offset)
-        for k, n in enumerate(necks):
-            base = len(text)
-            codes = [letter_code(l) + 1 for l in n.letters]
-            text.extend(codes)
-            text.extend(codes)
-            text.append(-(k + 1))  # unique separator blocks cross-necklace runs
-            for off in range(len(n)):
-                starts.append((base + off, k, off))
-        sa = suffix_array(text)
-        lcp = lcp_array(text, sa)
-        member_starts = {pos: (k, off) for pos, k, off in starts}
-        # members in suffix order; flcp[i] = min LCP between member i and i+1,
-        # i.e. the longest common prefix of their full suffixes
-        order: list[tuple[int, int]] = []
-        flcp: list[int] = []
-        run = 0
-        seen = False
-        for r in range(len(text)):
-            pos = int(sa[r])
-            if pos in member_starts:
-                if seen:
-                    flcp.append(run)
-                order.append(member_starts[pos])
-                seen = True
-                run = int(lcp[r]) if r < len(lcp) else 0
-            elif seen and r < len(lcp):
-                run = min(run, int(lcp[r]))
-        self.order = order
-        self.flcp = flcp
-        self.lengths = [len(n) for n in necks]
-        self.member_len = [self.lengths[k] for k, _ in order]
-        self.best, self.partner = self._sweep()
-
-    def _sweep(self) -> tuple[list[int], list[int]]:
-        """For each member i: longest piece prefixing it, and the partner member."""
-        order, flcp, lengths = self.order, self.flcp, self.lengths
-        m = len(order)
-        best = [0] * m
-        partner = [-1] * m
-        for k, cap in enumerate(lengths):
-            # towards smaller suffix ranks
-            last = -1
-            run = 0
-            for i in range(m):
-                if i > 0:
-                    run = min(run, flcp[i - 1]) if last != -1 else 0
-                if last != -1:
-                    val = min(run, cap, self.member_len[i])
-                    if val > best[i]:
-                        best[i] = val
-                        partner[i] = last
-                if order[i][0] == k:
-                    last = i
-                    run = self.member_len[i]  # reset; capped later anyway
-            # towards larger suffix ranks
-            last = -1
-            run = 0
-            for i in range(m - 1, -1, -1):
-                if i < m - 1:
-                    run = min(run, flcp[i]) if last != -1 else 0
-                if last != -1:
-                    val = min(run, cap, self.member_len[i])
-                    if val > best[i]:
-                        best[i] = val
-                        partner[i] = last
-                if order[i][0] == k:
-                    last = i
-                    run = self.member_len[i]
-        return best, partner
+        self.lengths = np.array([len(n) for n in S.necklaces], dtype=np.int32)
+        self.starts = np.concatenate(([0], np.cumsum(self.lengths, dtype=np.int64)))
+        self.order, self.flcp = _member_order(S.necklaces, self.starts)
+        neck = np.searchsorted(self.starts, self.order, side="right") - 1
+        self.member_len = self.lengths[neck]
+        self.best, self.partner = _sweep(self.flcp, self.member_len)
 
     def member_word(self, i: int) -> Word:
-        k, off = self.order[i]
-        return self.S.member(k, off)
+        g = int(self.order[i])
+        k = int(np.searchsorted(self.starts, g, side="right")) - 1
+        return self.S.member(k, g - int(self.starts[k]))
+
+
+def _member_order(necks: Sequence[CyclicWord], starts: np.ndarray):
+    """Members in suffix order of the text, and the LCP of each adjacent pair.
+
+    The text holds each necklace twice, so every rotation is read in full
+    from its first copy, followed by a separator of its own that stops
+    common prefixes from running into the next necklace.
+    """
+    parts = []
+    for k, n in enumerate(necks):
+        ls = np.array(n.letters, dtype=np.int64)
+        codes = 2 * np.abs(ls) - 1 + (ls < 0)  # letter_code + 1, so 0 never occurs
+        parts += [codes, codes, [-(k + 1)]]
+    text = np.concatenate(parts)
+    # necklace k opens the text at 2 * starts[k] + k
+    m = int(starts[-1])
+    member = np.full(len(text), -1, dtype=np.int32)
+    ids = np.arange(m, dtype=np.int64)
+    neck = np.repeat(np.arange(len(necks)), np.diff(starts))
+    member[ids + starts[neck] + neck] = ids
+    sa = suffix_array(text)
+    lcp = lcp_array(text, sa)
+    by_rank = member[sa]
+    ranks = np.flatnonzero(by_rank >= 0)
+    # a closure holds r and r^-1, never conjugate, so there are two members at least
+    flcp = np.minimum.reduceat(lcp[: ranks[-1]], ranks[:-1])
+    return by_rank[ranks], flcp.astype(np.int32)
+
+
+def _sweep(flcp: np.ndarray, member_len: np.ndarray):
+    """For each member: longest piece it starts with, and a partner member.
+
+    One pass per length class and direction; the nearest class member on
+    each side is the only candidate of that class worth checking.
+    """
+    m = len(member_len)
+    best = np.zeros(m, dtype=np.int32)
+    partner = np.full(m, -1, dtype=np.int32)
+    for cap in np.unique(member_len).tolist():
+        in_class = member_len == cap
+        before = _nearest_before(flcp, in_class, cap)
+        val, src = _nearest_before(flcp[::-1], in_class[::-1], cap)
+        after = val[::-1], np.where(src >= 0, m - 1 - src, -1)[::-1]
+        for val, src in (before, after):
+            val = np.minimum(val, member_len)
+            better = val > best
+            best[better] = val[better]
+            partner[better] = src[better]
+    return best, partner
+
+
+def _nearest_before(flcp: np.ndarray, in_class: np.ndarray, cap: int):
+    """Common prefix, capped at cap, of each member with the nearest class
+    member before it, and that member's index; 0 and -1 where there is none.
+
+    A running minimum of flcp that restarts at every class member: lowering
+    each segment below everything before it turns it into one global
+    running minimum.
+    """
+    m = len(in_class)
+    val = np.zeros(m, dtype=np.int64)
+    src = np.full(m, -1, dtype=np.int64)
+    seg = np.cumsum(in_class[:-1], dtype=np.int64)
+    lift = seg * (cap + 1)
+    run = np.minimum.accumulate(np.minimum(flcp, cap) - lift) + lift
+    val[1:] = np.where(seg > 0, run, 0)
+    src[1:] = np.maximum.accumulate(np.where(in_class, np.arange(m), -1))[:-1]
+    return val, src
 
 
 @dataclass(frozen=True)
@@ -257,23 +289,20 @@ class PieceReport:
 def max_pieces(S: SymmetrizedSet) -> PieceReport:
     """Exact maximum piece length with a re-checkable witness."""
     idx = S.index()
-    best_i = max(range(len(idx.best)), key=lambda i: idx.best[i], default=-1)
+    best_i = int(np.argmax(idx.best))
+    max_len = int(idx.best[best_i])
     witness = None
-    max_len = 0
-    if best_i >= 0 and idx.best[best_i] > 0:
-        max_len = idx.best[best_i]
+    if max_len > 0:
         u = idx.member_word(best_i)
-        v = idx.member_word(idx.partner[best_i])
+        v = idx.member_word(int(idx.partner[best_i]))
         witness = PieceWitness(Word(S.alphabet, u.letters[:max_len]), u, v)
     # fold per-necklace maxima back onto the origin relators
-    neck_max: dict[int, int] = {}
-    for i, (k, _) in enumerate(idx.order):
-        neck_max[k] = max(neck_max.get(k, 0), idx.best[i])
-    neck_of = {n.letters: j for j, n in enumerate(S.necklaces)}
+    by_member = np.empty_like(idx.best)
+    by_member[idx.order] = idx.best
+    neck_max = np.maximum.reduceat(by_member, idx.starts[:-1])
     rows = []
-    for r in S.origins:
-        ks = {neck_of[CyclicWord(r).letters], neck_of[CyclicWord(r.inverse()).letters]}
-        m = max(neck_max.get(k, 0) for k in ks)
+    for r, ks in zip(S.origins, S.origin_necklaces):
+        m = int(neck_max[list(ks)].max())
         rows.append(
             {
                 "relator": str(r),
@@ -299,14 +328,19 @@ def check_metric(S: SymmetrizedSet, bound: Fraction) -> MetricCheck:
     if not 0 < bound <= 1:
         raise SmallCancellationError(f"bound must lie in (0, 1], got {bound}")
     idx = S.index()
-    for i, b in enumerate(idx.best):
-        L = idx.member_len[i]
-        if b * bound.denominator >= bound.numerator * L:
-            u = idx.member_word(i)
-            v = idx.member_word(idx.partner[i])
-            w = PieceWitness(Word(S.alphabet, u.letters[:b]), u, v)
-            return MetricCheck(False, bound, witness=w, carrier_length=L)
-    return MetricCheck(True, bound)
+    # |p| >= bound * L  <=>  |p| >= ceil(bound * L), exact per length class
+    fails = np.zeros(len(idx.best), dtype=bool)
+    for L in set(idx.lengths.tolist()):
+        least = -(-bound.numerator * L // bound.denominator)
+        fails |= (idx.member_len == L) & (idx.best >= least)
+    if not fails.any():
+        return MetricCheck(True, bound)
+    i = int(np.argmax(fails))
+    b = int(idx.best[i])
+    u = idx.member_word(i)
+    v = idx.member_word(int(idx.partner[i]))
+    w = PieceWitness(Word(S.alphabet, u.letters[:b]), u, v)
+    return MetricCheck(False, bound, witness=w, carrier_length=int(idx.member_len[i]))
 
 
 @dataclass(frozen=True)

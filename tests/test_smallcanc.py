@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from concc.smallcanc import (
+    PieceWitness,
     SmallCancellationError,
     check_metric,
     dehn_reduce,
@@ -18,7 +19,7 @@ from concc.smallcanc import (
     verify_hyp_spec_gen,
     word_family_w,
 )
-from concc.words import Alphabet, CyclicWord, Word
+from concc.words import Alphabet, CyclicWord, Word, cyclic_reduce, primitive_root
 
 from oracles import bfs_trivial_set, brute_max_piece, brute_piece_ratios
 
@@ -164,6 +165,49 @@ class TestPieces:
             trials += 1
             members = [m.letters for m in S.members()]
             assert max_pieces(S).max_piece_length == brute_max_piece(members)
+
+
+def mixed_length_set(raw):
+    """Closure of the cyclic cores of raw, proper powers dropped; needs two
+    necklace lengths, so the index sweeps more than one length class."""
+    relators = []
+    for letters in raw:
+        core, _ = cyclic_reduce(AB.word(letters))
+        if not core.is_identity and primitive_root(core)[1] == 1:
+            relators.append(core)
+    assume(relators)
+    S = symmetrize(relators)
+    assume(len({len(n) for n in S.necklaces}) >= 2)
+    return S
+
+
+class TestMixedLengthIndex:
+    """The per-length-class sweep against the all-pairs oracle."""
+
+    @settings(max_examples=150)
+    @given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=10),
+                    min_size=2, max_size=4))
+    def test_index_matches_brute(self, raw):
+        S = mixed_length_set(raw)
+        ratios = brute_piece_ratios([m.letters for m in S.members()])
+        idx = S.index()
+        for i in range(len(idx.best)):
+            u = idx.member_word(i)
+            b = int(idx.best[i])
+            assert b == ratios[u.letters] * len(u)
+            if b:
+                v = idx.member_word(int(idx.partner[i]))
+                assert PieceWitness(Word(AB, u.letters[:b]), u, v).verify(S)
+        rep = max_pieces(S)
+        assert rep.max_piece_length == max(r * len(m) for m, r in ratios.items())
+        assert (rep.witness is None) == (rep.max_piece_length == 0)
+        assert rep.witness is None or rep.witness.verify(S)
+        for bound in (Fraction(1, 6), Fraction(1, 8)):
+            chk = check_metric(S, bound)
+            assert chk.ok == all(r < bound for r in ratios.values())
+            if not chk.ok:
+                assert chk.witness.verify(S)
+                assert len(chk.witness.piece) >= bound * chk.carrier_length
 
 
 class TestMetric:

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from concc.substrings import SuffixAutomaton, lcp_array, suffix_array
@@ -38,6 +39,53 @@ def test_lcp_matches_naive(seq):
 def test_negative_separators_supported():
     seq = [3, 1, -1, 3, 1, -2, 1]
     assert list(suffix_array(seq)) == naive_sa(seq)
+
+
+def _fibonacci_word(n):
+    a, b = [1], [1, 2]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _doubled_necklaces():
+    # the piece index's text shape: each word twice, then its own separator
+    rng = random.Random(11)
+    seq = []
+    for k, size in enumerate((180, 240, 240, 310)):
+        word = [rng.choice((1, 2, 3)) for _ in range(size)]
+        seq += word + word + [-(k + 1)]
+    return seq
+
+
+def _relator_runs(s):
+    # x y^{s+1} x^2 y^{s+2} ... doubled, as in the scaled relator family
+    word = []
+    for i in range(1, s + 1):
+        word += [1] * i + [3] * (s + i)
+    return word + word + [-1] + [4] * 40 + word[:300] + [-2]
+
+
+DEEP_CASES = {
+    "one-letter": [2] * 600,
+    "period-3": ([1, 3, 2] * 400)[:1100],
+    "period-7-with-separators": ([1, 2, 1, 1, 2, 1, 2] * 130) + [-1] + [1, 2, 1] * 200 + [-2],
+    "fibonacci": _fibonacci_word(1597),
+    "doubled-necklaces": _doubled_necklaces(),
+    "relator-runs": _relator_runs(12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_CASES))
+def test_deep_doubling_matches_naive(name):
+    # long common prefixes need many doubling rounds and lifting levels
+    seq = DEEP_CASES[name]
+    assert 500 <= len(seq) <= 2000
+    sa = suffix_array(seq)
+    assert list(sa) == naive_sa(seq)
+    lcp = lcp_array(seq, sa)
+    assert list(lcp) == naive_lcp(seq, list(sa))
+    assert max(lcp) >= 128
 
 
 def naive_matching_statistics(text, query):
