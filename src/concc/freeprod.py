@@ -644,11 +644,6 @@ def hyperbolicity_report(g: Element, ctx: FreeProductCtx) -> HyperbolicityReport
     return HyperbolicityReport(True, True, core, conj)
 
 
-def is_hyperbolic(g: Element, ctx: FreeProductCtx) -> bool:
-    """True iff no conjugate of g lies inside a single factor."""
-    return hyperbolicity_report(g, ctx).hyperbolic
-
-
 # -- exact conjugacy -------------------------------------------------------
 
 

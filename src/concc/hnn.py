@@ -20,7 +20,6 @@ the exhausted bound attached, never as a silent wrong answer.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -478,11 +477,3 @@ def bs12_tower() -> Tower:
     """F(a) with t a t^-1 = a^2, the Baumslag-Solitar group BS(1,2)."""
     a = Alphabet(["a"])
     return Tower(a, [CyclicAssociation("t", a.gen("a"), a.gen("a") ** 2)])
-
-
-def tower_word_to_json(w: TowerWord) -> str:
-    return str(w)
-
-
-def tower_to_json_str(t: Tower) -> str:
-    return json.dumps(t.to_json(), indent=2, sort_keys=True)

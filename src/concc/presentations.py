@@ -225,9 +225,6 @@ class KillSpec:
             out.append(tgt.letter(name, 1 if l > 0 else -1))
         return tgt.word(out)
 
-    def image_str(self, w: Word) -> str:
-        return str(self.image(w))
-
     def images_equal(self, u: Word, v: Word) -> bool:
         return self.image(u) == self.image(v)
 
@@ -283,9 +280,6 @@ class CyclicSpec:
             name = w.alphabet.names[abs(l) - 1]
             total += self.residues[name] if l > 0 else -self.residues[name]
         return total % self.modulus
-
-    def image_str(self, w: Word) -> str:
-        return str(self.image(w))
 
     def images_equal(self, u: Word, v: Word) -> bool:
         return self.image(u) == self.image(v)

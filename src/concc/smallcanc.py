@@ -20,9 +20,22 @@ member's longest piece.  A single sweep over all members would not: with
 mixed relator lengths the nearest member may be a short one whose cap
 hides a longer piece shared with a member further away.
 
-Dehn's algorithm runs off per-necklace suffix automata: one matching-
-statistics pass per round locates the longest subword exceeding half of a
-relator, which is then replaced by the shorter complement.
+Dehn's algorithm replaces a subword that is more than half of a member by
+the inverse of the rest of that member.  Against a member of length L only
+a match of M = L//2 + 1 letters or more can fire, which is what makes a
+small index enough.  Per length class, the q-grams (q = ceil(M/2)) of each
+necklace are indexed at every d-th offset, d = M - q + 1: about four per
+necklace.  A match of M letters or more that starts at member offset o
+covers the whole q-grams starting at o .. o + d - 1, and any d cyclically
+consecutive offsets hold one of the anchors, so every match that can fire
+contains an anchored q-gram.  One round fingerprints all n cyclic q-grams
+of the word (Karp-Rabin, prefix sums in numpy), looks them up among the
+anchors, checks each hit letter by letter and extends it both ways, up to
+min(L, n) letters in all.  The fingerprints only choose which alignments
+to compare; a collision costs a comparison, never an answer.  The longest
+match wins, then the smallest cyclic start, necklace and offset.  The
+anchors of a length class are built when a Dehn round first needs them;
+the piece scans never build them.
 """
 
 from __future__ import annotations
@@ -33,17 +46,23 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .substrings import SuffixAutomaton, lcp_array, suffix_array
+from .substrings import lcp_array, suffix_array, window_hashes
 from .words import (
     Alphabet,
     CyclicWord,
     Word,
-    cyclic_reduce,
-    free_reduce,
     is_cyclically_reduced,
     letter_code,
     primitive_root,
 )
+
+# Karp-Rabin fingerprints of the Dehn matcher: a prime below 2^31 and a unit
+# mod it.  Fingerprints only pick candidates; every one is checked letter by
+# letter, so the modulus bears on speed, never on answers.
+_HASH_MODULUS = 2_147_483_647
+_HASH_BASE = 1_000_003
+# most letter comparisons one batch of Dehn hits may hold at once
+_PAIR_BUDGET = 1 << 16
 
 
 class SmallCancellationError(ValueError):
@@ -95,7 +114,7 @@ class SymmetrizedSet:
         # indices of the necklaces of each origin relator and of its inverse
         self.origin_necklaces = tuple(origin_necklaces)
         self._index: _PieceIndex | None = None
-        self._automata: list[SuffixAutomaton] | None = None
+        self._anchors: dict[int, _AnchorIndex] = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -124,13 +143,11 @@ class SymmetrizedSet:
             self._index = _PieceIndex(self)
         return self._index
 
-    def automata(self) -> list[SuffixAutomaton]:
-        if self._automata is None:
-            self._automata = [
-                SuffixAutomaton([letter_code(l) for l in n.letters * 2])
-                for n in self.necklaces
-            ]
-        return self._automata
+    def anchors(self, L: int) -> "_AnchorIndex":
+        """Dehn matcher of length class L, built on first use."""
+        if L not in self._anchors:
+            self._anchors[L] = _AnchorIndex(self, L)
+        return self._anchors[L]
 
 
 def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
@@ -387,46 +404,122 @@ def dehn_reduce_traced(
             )
     if w.alphabet != S.alphabet:
         raise SmallCancellationError("word and relator set use different alphabets")
-    automata = S.automata()
-    lengths = [len(n) for n in S.necklaces]
+    classes = sorted({len(n) for n in S.necklaces})
     out = DehnReduction(w)
-    while True:
-        w, _ = cyclic_reduce(w)
-        out.word = w
-        if w.is_identity:
-            return out
-        n = len(w)
-        doubled = [letter_code(l) for l in w.letters] * 2
-        best = None  # (matched, start, necklace, end-in-doubled-relator)
-        for k, sam in enumerate(automata):
-            L = lengths[k]
-            for end, l, state in sam.matching_statistics(doubled):
-                used = min(l, L, n)
-                if 2 * used <= L:
-                    continue
-                start = end - used
-                if start >= n:
-                    continue  # same cyclic position as an earlier start
-                cand = (used, start, k)
-                if (
-                    best is None
-                    or cand[0] > best[0]
-                    or (cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2]))
-                ):
-                    occ_end = sam.occurrence_end(state)
-                    best = (used, start, k, occ_end)
-        if best is None:
-            return out
-        used, start, k, occ_end = best
-        L = lengths[k]
-        off = (occ_end - used) % L
-        member = S.member(k, off).letters
-        rotated = w.letters[start:] + w.letters[:start]
-        assert member[:used] == rotated[:used], "index reported a phantom match"
-        tail = member[used:]
-        repl = tuple(-l for l in reversed(tail))
-        w = Word(S.alphabet, free_reduce(repl + rotated[used:]))
+    word = _cyclic_core(np.array(w.letters, dtype=np.int64))
+    while len(word):
+        n = len(word)
+        tripled = np.concatenate((word, word, word))
+        found = [S.anchors(L).runs(tripled, n) for L in classes if n > L // 2]
+        found = [c for c in found if c is not None]
+        if not found:
+            break
+        used, start, neck, off = (np.concatenate(col) for col in zip(*found))
+        # longest match, then smallest start, necklace and offset
+        i = np.lexsort((off, neck, start, -used))[0]
+        used, start, k, off = int(used[i]), int(start[i]), int(neck[i]), int(off[i])
+        member = S.anchors(len(S.necklaces[k])).member(k, off)
+        rotated = tripled[start : start + n]
+        assert np.array_equal(member[:used], rotated[:used]), "index reported a phantom match"
+        repl, rest = -member[used:][::-1], rotated[used:]
+        c = _cancelled(repl, rest, min(len(repl), len(rest)))
+        word = _cyclic_core(np.concatenate((repl[: len(repl) - c], rest[c:])))
         out.steps.append(DehnStep(start, used, k, off))
+    out.word = Word(S.alphabet, tuple(word.tolist()))
+    return out
+
+
+def _cancelled(left: np.ndarray, right: np.ndarray, most: int) -> int:
+    """Letters that cancel, up to most, where left ends and right begins."""
+    inverse = left[::-1][:most] == -right[:most]
+    return int(np.logical_and.accumulate(inverse).sum())
+
+
+def _cyclic_core(word: np.ndarray) -> np.ndarray:
+    """The cyclically reduced core of a freely reduced word."""
+    c = _cancelled(word, word, len(word) // 2)
+    return word[c : len(word) - c]
+
+
+class _AnchorIndex:
+    """Anchored q-grams of the necklaces of one length class L (see the
+    module docstring for why they catch every match that can fire).
+
+    ``rows`` holds each necklace of the class three times over, so a
+    stretch of up to L letters either side of any offset is a slice.
+    Anchors are kept sorted by fingerprint, each with its start in the
+    flattened rows.
+    """
+
+    def __init__(self, S: SymmetrizedSet, L: int):
+        self.L = L
+        self.least = L // 2 + 1
+        self.q = q = (self.least + 1) // 2
+        d = self.least - q + 1
+        self.necks = np.array([k for k, n in enumerate(S.necklaces) if len(n) == L])
+        self.row_of = {k: r for r, k in enumerate(self.necks.tolist())}
+        once = np.array([S.necklaces[k].letters for k in self.necks], dtype=np.int64)
+        self.rows = np.tile(once, 3)
+        offsets = np.arange(0, L, d)
+        at = (np.arange(len(self.necks))[:, None] * 3 * L + offsets).ravel()
+        grams = self.rows[:, offsets[:, None] + np.arange(q)].ravel()
+        hashes = window_hashes(grams, q, _HASH_MODULUS, _HASH_BASE)[::q]
+        order = np.argsort(hashes, kind="stable")
+        self.hashes, self.anchor_starts = hashes[order], at[order]
+
+    def member(self, k: int, off: int) -> np.ndarray:
+        return self.rows[self.row_of[k], off : off + self.L]
+
+    def runs(self, tripled: np.ndarray, n: int):
+        """Best match per verified anchor hit of the cyclic word tripled[:n].
+
+        Returns arrays (used, start, necklace, offset) over the hits whose
+        run, capped at min(L, n), is long enough for a Dehn step, or None
+        if there is none; start is the smallest cyclic start of such a
+        window, and offset that window's rotation of the necklace.
+        """
+        L, q = self.L, self.q
+        h = window_hashes(tripled[: n + q - 1], q, _HASH_MODULUS, _HASH_BASE)
+        lo = np.searchsorted(self.hashes, h, side="left")
+        count = np.searchsorted(self.hashes, h, side="right") - lo
+        pos = np.flatnonzero(count)
+        if not len(pos):
+            return None
+        # every (word position, anchor) pair with equal fingerprints
+        count = count[pos]
+        pair = np.repeat(lo[pos] - np.cumsum(count) + count, count) + np.arange(int(count.sum()))
+        hit, anchor = np.repeat(pos, count), self.anchor_starts[pair]
+        # compare up to cap - q letters either side of each hit's q-gram
+        cap = min(L, n)
+        side = cap - q
+        t = np.arange(-side, cap)
+        flat = self.rows.ravel()
+        found = []
+        step = max(1, _PAIR_BUDGET // len(t))
+        for s in range(0, len(hit), step):
+            i, a = hit[s : s + step], anchor[s : s + step]
+            same = tripled[(i + n)[:, None] + t] == flat[(a + L)[:, None] + t]
+            left = _leading(same[:, :side][:, ::-1])
+            right = _leading(same[:, side + q :])
+            used = np.minimum(left + q + right, cap)
+            # a fingerprint match counts only once its q-gram is equal letter by letter
+            keep = same[:, side : side + q].all(axis=1) & (used >= self.least)
+            i, a, used, left = i[keep], a[keep], used[keep], left[keep]
+            # windows of the capped length start at first .. first + slack;
+            # when that range passes a multiple of n, start 0 is the smallest
+            first = i - left
+            slack = left + q + right[keep] - used
+            wrap = np.mod(first, n) + slack >= n
+            begin = np.where(wrap, first + n - np.mod(first, n), first)
+            row, off = np.divmod(a, 3 * L)
+            found.append((used, np.mod(begin, n), self.necks[row], np.mod(off + begin - i, L)))
+        cols = [np.concatenate(col) for col in zip(*found)]
+        return cols if len(cols[0]) else None
+
+
+def _leading(eq: np.ndarray) -> np.ndarray:
+    """Length of the run of True that opens each row."""
+    return np.logical_and.accumulate(eq, axis=1).sum(axis=1)
 
 
 @dataclass

@@ -10,9 +10,14 @@ family is a 962 k-symbol text; on a 2-core AMD EPYC its suffix array takes
 about 0.4 s and its LCP array about 0.25 s, with 17 class levels held as
 int32 (65 MB) while the LCP array is built.
 
+``window_hashes`` fingerprints every window of one length at once
+(Karp-Rabin by prefix sums); Dehn reduction uses it to pick the alignments
+it then compares letter by letter.
+
 The suffix automaton is the usual online construction, kept per string,
 with the earliest end position of each state retained so matches can be
-located, not just measured.  Dehn reduction matches against it.
+located, not just measured.  It no longer backs Dehn reduction, and
+nothing in concc builds it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,38 @@ def suffix_array(seq) -> np.ndarray:
         if rank[order[-1]] == n - 1:
             return order
         k *= 2
+
+
+def window_hashes(seq, q: int, modulus: int, base: int) -> np.ndarray:
+    """Karp-Rabin fingerprint of every length-q window of seq, by start.
+
+    The fingerprint of x_0..x_{q-1} is sum(x_t * base^t) mod modulus, with
+    each x_t taken mod modulus.  A prime modulus below 2^31 keeps every
+    product of two residues, and every prefix sum of up to 2^32 of them,
+    inside int64; base must be a unit mod modulus.  Equal windows have
+    equal fingerprints; the converse is only likely.
+    """
+    seq = np.asarray(seq, dtype=np.int64)
+    n = len(seq)
+    if q < 1 or q > n:
+        return np.empty(0, dtype=np.int64)
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.mod(seq, modulus) * _powers(base, n, modulus) % modulus, out=prefix[1:])
+    # window i holds base^i times its fingerprint; divide that factor out
+    unscale = _powers(pow(base, -1, modulus), n - q + 1, modulus)
+    return (prefix[q:] - prefix[:-q]) % modulus * unscale % modulus
+
+
+def _powers(x: int, count: int, modulus: int) -> np.ndarray:
+    """x^0 .. x^(count-1) mod modulus, doubling the filled prefix each pass."""
+    out = np.empty(count, dtype=np.int64)
+    out[:1] = 1
+    filled = 1
+    while filled < count:
+        m = min(filled, count - filled)
+        out[filled : filled + m] = out[:m] * pow(x, filled, modulus) % modulus
+        filled += m
+    return out
 
 
 def lcp_array(seq, sa: np.ndarray) -> np.ndarray:

@@ -191,13 +191,8 @@ class Word:
         return Word(self.alphabet, tuple(-l for l in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word(self.alphabet, ())
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        return Word(self.alphabet, free_reduce(base.letters * abs(n)))
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g * self * g^-1."""

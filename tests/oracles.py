@@ -148,6 +148,48 @@ def bfs_trivial_set(
     return seen
 
 
+def brute_dehn(
+    letters: tuple[int, ...], necklaces: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], list[tuple[int, int, int, int]]]:
+    """Greedy Dehn reduction by enumerating every start against every member.
+
+    Each round cyclically reduces the word, then compares the word read
+    cyclically from every start with every rotation of every necklace.  A
+    common prefix of more than half a necklace fires; the longest one wins,
+    then the smallest start, necklace and offset.  It is replaced by the
+    inverse of the rest of its member.  Returns the final word and the
+    (start, length, necklace, offset) of every step.
+    """
+    w = cyclic_core(free_reduce(letters))
+    steps = []
+    while w:
+        n = len(w)
+        best = None
+        for s in range(n):
+            rotated = w[s:] + w[:s]
+            for k, neck in enumerate(necklaces):
+                for off in range(len(neck)):
+                    member = neck[off:] + neck[:off]
+                    used = 0
+                    for x, y in zip(rotated, member):
+                        if x != y:
+                            break
+                        used += 1
+                    if 2 * used > len(neck):
+                        key = (-used, s, k, off)
+                        if best is None or key < best:
+                            best = key
+        if best is None:
+            break
+        used, s, k, off = -best[0], best[1], best[2], best[3]
+        neck = necklaces[k]
+        member = neck[off:] + neck[:off]
+        rest = (w[s:] + w[:s])[used:]
+        w = cyclic_core(free_reduce(reduce_inverse(member[used:]) + rest))
+        steps.append((s, used, k, off))
+    return w, steps
+
+
 # -- faithful models of the two worked HNN groups --------------------------
 
 

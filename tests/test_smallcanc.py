@@ -21,7 +21,8 @@ from concc.smallcanc import (
 )
 from concc.words import Alphabet, CyclicWord, Word, cyclic_reduce, primitive_root
 
-from oracles import bfs_trivial_set, brute_max_piece, brute_piece_ratios
+from concc import smallcanc
+from oracles import bfs_trivial_set, brute_dehn, brute_max_piece, brute_piece_ratios
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -316,6 +317,76 @@ class TestDehn:
         # Words this short cannot contain half of a length-8 relator
         # after free reduction unless they cancel entirely on their own.
         assert (red.letters == ()) == (word.letters == ())
+
+
+@st.composite
+def dehn_cases(draw):
+    """A relator set over two or three generators, with no metric promise,
+    and a product of conjugates of its members and member prefixes."""
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    letter = st.sampled_from([g * e for g in range(1, alphabet.size + 1) for e in (1, -1)])
+    relators = []
+    for letters in draw(st.lists(st.lists(letter, min_size=1, max_size=12), min_size=1, max_size=3)):
+        core, _ = cyclic_reduce(alphabet.word(letters))
+        if not core.is_identity and primitive_root(core)[1] == 1:
+            relators.append(core)
+    assume(relators)
+    S = symmetrize(relators)
+    word = []
+    for _ in range(draw(st.integers(0, 5))):
+        neck = S.necklaces[draw(st.integers(0, len(S.necklaces) - 1))].letters
+        off = draw(st.integers(0, len(neck) - 1))
+        member = neck[off:] + neck[:off]
+        g = draw(st.lists(letter, max_size=4))
+        word += g + list(member[: draw(st.integers(1, len(neck)))]) + [-l for l in reversed(g)]
+    return S, alphabet.word(word)
+
+
+def assert_matches_brute(S, word):
+    red = dehn_reduce_traced(word, S)
+    want, steps = brute_dehn(word.letters, [n.letters for n in S.necklaces])
+    assert red.word.letters == want
+    assert [(s.position, s.matched, s.necklace, s.offset) for s in red.steps] == steps
+
+
+class TestDehnOracle:
+    """The anchored matcher against plain enumeration, step by step."""
+
+    @settings(max_examples=300)
+    @given(dehn_cases())
+    def test_matches_brute_dehn(self, case):
+        assert_matches_brute(*case)
+
+    @settings(max_examples=100)
+    @given(dehn_cases())
+    def test_fingerprint_collisions_change_nothing(self, case):
+        # modulo 3 nearly every window collides with some anchor, so each
+        # candidate must be settled by comparing letters
+        S, word = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smallcanc, "_HASH_MODULUS", 3)
+            assert_matches_brute(symmetrize(S.origins), word)
+
+    def test_ties_go_to_the_smallest_offset(self):
+        # a a a opens the rotations at offsets 0 and 1 of a^4 b alike
+        S = symmetrize([w("a a a a b")])
+        red = dehn_reduce_traced(w("a a a"), S)
+        assert [(s.position, s.matched, s.necklace, s.offset) for s in red.steps] == [(0, 3, 0, 0)]
+        assert str(red.word) == "b^-1 a^-1"
+        assert_matches_brute(S, w("a a a"))
+
+    def test_scale_twenty_products(self):
+        S = symmetrize(trio(20))
+        rng = random.Random(5)
+        word = []
+        for _ in range(6):
+            r = rng.choice(S.origins)
+            g = [rng.choice([1, -1, 2, -2]) for _ in range(5)]
+            word += g + list(r.letters if rng.random() < 0.5 else r.inverse().letters)
+            word += [-l for l in reversed(g)]
+        red = dehn_reduce_traced(AB.word(word), S)
+        assert red.is_empty
+        assert all(2 * s.matched > 820 for s in red.steps)
 
 
 class TestGeneratorReport:

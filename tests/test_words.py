@@ -55,6 +55,12 @@ class TestReduction:
         assert (u * v) * v.inverse() == u
         assert (u * u.inverse()).is_identity
 
+    @given(letters, st.integers(-6, 6))
+    def test_pow_matches_oracle(self, ls, k):
+        # words that are not cyclically reduced cancel across every seam
+        u = Word(AB, free_reduce(tuple(ls)))
+        assert (u ** k).letters == oracles.letters_pow(u.letters, k)
+
     def test_letter_order_codes(self):
         # a < a^-1 < b < b^-1
         assert [letter_code(l) for l in (1, -1, 2, -2)] == [0, 1, 2, 3]
