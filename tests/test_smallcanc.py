@@ -386,7 +386,11 @@ class TestDehnOracle:
             word += [-l for l in reversed(g)]
         red = dehn_reduce_traced(AB.word(word), S)
         assert red.is_empty
-        assert all(2 * s.matched > 820 for s in red.steps)
+        # one whole-relator step per conjugate
+        assert [(s.position, s.matched, s.necklace, s.offset) for s in red.steps] == [
+            (4, 820, 1, 1), (818, 820, 3, 39), (3, 820, 0, 40),
+            (4, 820, 5, 60), (822, 820, 2, 781), (0, 820, 5, 60),
+        ]
 
 
 class TestGeneratorReport:
