@@ -15,6 +15,12 @@ question we ask decidable:
 The only bounded search left is comparing against powers of a target that
 itself carries stable letters; those answers surface as ``unknown`` with
 the exhausted bound attached, never as a silent wrong answer.
+
+Towers grow one stage at a time, so ``Tower`` is an append-only chain
+(see its docstring): extending the newest tower is O(1) and validates
+only the new association.  Tower words stay normalised (chunk, letter,
+chunk, ...), so a product merges only the two chunks at its junction and
+an inverse needs no renormalising.
 """
 
 from __future__ import annotations
@@ -55,50 +61,82 @@ class Tower:
     Extension order matters: stable letter ``k`` may be pinched only across
     chunks written in the sub-tower below it, which is what the recursive
     reducer enforces.
+
+    Towers are an append-only chain.  The towers of one chain share a
+    single association list and stable-letter index, and each knows only
+    the first ``height`` entries: a letter stored at or above its height is
+    unknown to it.  ``extend`` on the tip of a chain appends in place, so a
+    build of n stages does O(n) work; extending an older tower copies its
+    prefix into a new chain, leaving every existing tower as it was.
+    ``_add`` is the one place an association is validated, and it checks
+    only the new one (alphabet, duplicate stable letter, collision with a
+    base generator), because everything below it was checked when it was
+    added.  Since a chain's list only ever grows, two towers on one chain
+    agree on their common prefix, so equality and ``extends`` compare
+    heights; only towers built on separate chains compare associations.
     """
 
-    __slots__ = ("base", "assocs", "_stable_index")
+    __slots__ = ("base", "height", "_assocs", "_index")
 
     def __init__(self, base: Alphabet, assocs: Sequence[CyclicAssociation] = ()):
         self.base = base
-        self.assocs = tuple(assocs)
-        idx: dict[str, int] = {}
-        for i, a in enumerate(self.assocs):
-            if a.source.alphabet != base:
-                raise HnnError(f"association {a.stable!r} is not over the tower base")
-            if a.stable in idx:
-                raise HnnError(f"duplicate stable letter {a.stable!r}")
-            if a.stable in base:
-                raise HnnError(f"stable letter {a.stable!r} collides with a base generator")
-            idx[a.stable] = i
-        self._stable_index = idx
+        self.height = 0
+        self._assocs: list[CyclicAssociation] = []
+        self._index: dict[str, int] = {}
+        for a in assocs:
+            self._add(a)
+
+    def _add(self, a: CyclicAssociation) -> None:
+        """Validate a and put it on top; self must be the tip of its chain."""
+        if a.source.alphabet != self.base:
+            raise HnnError(f"association {a.stable!r} is not over the tower base")
+        if a.stable in self._index:
+            raise HnnError(f"duplicate stable letter {a.stable!r}")
+        if a.stable in self.base:
+            raise HnnError(f"stable letter {a.stable!r} collides with a base generator")
+        self._index[a.stable] = self.height
+        self._assocs.append(a)
+        self.height += 1
 
     @property
-    def height(self) -> int:
-        return len(self.assocs)
+    def assocs(self) -> tuple[CyclicAssociation, ...]:
+        return tuple(self._assocs[: self.height])
+
+    def _same_prefix(self, other: "Tower", n: int) -> bool:
+        """The first n associations agree; both towers have at least n."""
+        if self._assocs is other._assocs:
+            return True
+        return self.base == other.base and self._assocs[:n] == other._assocs[:n]
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Tower)
-            and self.base == other.base
-            and self.assocs == other.assocs
+            and self.height == other.height
+            and self._same_prefix(other, self.height)
         )
 
     def __hash__(self) -> int:
-        return hash((self.base, self.assocs))
+        return hash((self.base, self.height))
 
     def __repr__(self) -> str:
         return f"Tower(base={self.base!r}, height={self.height})"
 
     def extend(self, assoc: CyclicAssociation) -> "Tower":
-        return Tower(self.base, self.assocs + (assoc,))
+        out = Tower.__new__(Tower)
+        out.base, out.height = self.base, self.height
+        if self.height == len(self._assocs):
+            out._assocs, out._index = self._assocs, self._index
+        else:
+            out._assocs = self._assocs[: self.height]
+            out._index = {s: i for s, i in self._index.items() if i < self.height}
+        out._add(assoc)
+        return out
 
     def extends(self, other: "Tower") -> bool:
         """True when self is the same tower with possibly more stages on top."""
-        return (
-            self.base == other.base
-            and self.assocs[: other.height] == other.assocs
-        )
+        return self.height >= other.height and self._same_prefix(other, other.height)
 
     def identity(self) -> "TowerWord":
         return TowerWord(self, (self.base.identity(),))
@@ -108,39 +146,44 @@ class Tower:
             raise HnnError("cannot embed a word over a different alphabet")
         return TowerWord(self, (w,))
 
-    def stable(self, name: str, eps: int = 1) -> "TowerWord":
-        if name not in self._stable_index:
+    def _position(self, name: str) -> int:
+        i = self._index.get(name, self.height)
+        if i >= self.height:
             raise HnnError(f"unknown stable letter {name!r}")
+        return i
+
+    def stable(self, name: str, eps: int = 1) -> "TowerWord":
+        i = self._position(name)
         if eps not in (1, -1):
             raise HnnError("stable letter exponent must be +1 or -1")
-        i = self._stable_index[name]
         e = self.base.identity()
         return TowerWord(self, (e, (i, eps), e))
 
     def assoc_of(self, name: str) -> CyclicAssociation:
-        return self.assocs[self._stable_index[name]]
+        return self._assocs[self._position(name)]
 
     def parse(self, text: str) -> "TowerWord":
         """Parse a whitespace-separated product of base and stable tokens."""
         text = text.replace("*", " ").strip()
-        out = self.identity()
         if text in ("", "1"):
-            return out
+            return self.identity()
+        raw: list[Item] = []
         for tok in text.split():
             name, _, exp_s = tok.partition("^")
             try:
                 exp = int(exp_s) if exp_s else 1
             except ValueError:
                 raise HnnError(f"bad exponent in token {tok!r}") from None
-            if name in self._stable_index:
-                unit = self.stable(name, 1 if exp > 0 else -1)
-                for _ in range(abs(exp)):
-                    out = out * unit
+            i = self._index.get(name, self.height)
+            if i < self.height:
+                raw.extend([(i, 1 if exp > 0 else -1)] * abs(exp))
             elif name in self.base:
-                out = out * self.embed(self.base.parse_word(tok))
+                # one letter to a power is already reduced
+                letter = self.base.letter(name, 1 if exp > 0 else -1)
+                raw.append(Word(self.base, (letter,) * abs(exp)))
             else:
                 raise HnnError(f"unknown token {name!r} (neither base generator nor stable letter)")
-        return out
+        return TowerWord.make(self, raw)
 
     def to_json(self) -> dict:
         return {
@@ -168,15 +211,28 @@ def _is_letter(it: Item) -> bool:
     return isinstance(it, tuple)
 
 
+def _chunk(base: Alphabet, ws: list[Word]) -> Word:
+    """Product of consecutive base words, freely reduced once."""
+    for w in ws:
+        if w.alphabet is not base and w.alphabet != base:
+            raise WordError("cannot multiply words over different alphabets")
+    if len(ws) == 1:
+        return ws[0]
+    return Word(base, W.free_reduce(itertools.chain.from_iterable(w.letters for w in ws)))
+
+
 def _normalize(tower: Tower, raw: Iterable[Item]) -> tuple[Item, ...]:
     """Alternate words and stable letters, starting and ending with a word."""
-    out: list[Item] = [tower.base.identity()]
+    out: list[Item] = []
+    ws: list[Word] = []
     for it in raw:
         if _is_letter(it):
+            out.append(_chunk(tower.base, ws))
             out.append(it)
-            out.append(tower.base.identity())
+            ws = []
         else:
-            out[-1] = out[-1] * it
+            ws.append(it)
+    out.append(_chunk(tower.base, ws))
     return tuple(out)
 
 
@@ -184,7 +240,9 @@ class TowerWord:
     """A word in the tower as written: base chunks split by stable letters.
 
     Data equality only; group-level questions go through ``britton`` /
-    ``is_trivial``.  Instances are immutable.
+    ``is_trivial``.  Instances are immutable, and ``items`` is always in
+    the ``_normalize`` form, so a product only has to merge the two chunks
+    that meet at the junction.
     """
 
     __slots__ = ("tower", "items")
@@ -198,31 +256,27 @@ class TowerWord:
         return cls(tower, _normalize(tower, raw))
 
     def __mul__(self, other: "TowerWord") -> "TowerWord":
-        if self.tower != other.tower:
+        if self.tower is not other.tower and self.tower != other.tower:
             if other.tower.extends(self.tower):
                 return self.lift_to(other.tower) * other
             if self.tower.extends(other.tower):
                 return self * other.lift_to(self.tower)
             raise HnnError("cannot multiply words from unrelated towers")
-        return TowerWord.make(self.tower, self.items + other.items)
+        a, b = self.items, other.items
+        return TowerWord(self.tower, a[:-1] + (a[-1] * b[0],) + b[1:])
 
     def inverse(self) -> "TowerWord":
-        inv: list[Item] = []
-        for it in reversed(self.items):
-            if _is_letter(it):
-                inv.append((it[0], -it[1]))
-            else:
-                inv.append(it.inverse())
-        return TowerWord.make(self.tower, inv)
+        return TowerWord(
+            self.tower,
+            tuple(
+                (it[0], -it[1]) if _is_letter(it) else it.inverse()
+                for it in reversed(self.items)
+            ),
+        )
 
     def __pow__(self, n: int) -> "TowerWord":
-        if n == 0:
-            return self.tower.identity()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        return TowerWord.make(self.tower, base.items * abs(n))
 
     def conjugated_by(self, g: "TowerWord") -> "TowerWord":
         return g * self * g.inverse()
@@ -248,9 +302,8 @@ class TowerWord:
 
     def signature(self) -> tuple[tuple[str, int], ...]:
         """Stable letters in order of occurrence, as (name, exponent) pairs."""
-        return tuple(
-            (self.tower.assocs[it[0]].stable, it[1]) for it in self.items if _is_letter(it)
-        )
+        assocs = self.tower._assocs
+        return tuple((assocs[it[0]].stable, it[1]) for it in self.items if _is_letter(it))
 
     def letter_count(self) -> int:
         return sum(1 for it in self.items if _is_letter(it))
@@ -261,10 +314,11 @@ class TowerWord:
         return self.items[0]
 
     def __str__(self) -> str:
+        assocs = self.tower._assocs
         parts: list[str] = []
         for it in self.items:
             if _is_letter(it):
-                name = self.tower.assocs[it[0]].stable
+                name = assocs[it[0]].stable
                 parts.append(name if it[1] > 0 else name + "^-1")
             elif not it.is_identity:
                 parts.append(str(it))
@@ -300,7 +354,7 @@ def _britton_items(tower: Tower, items: tuple[Item, ...], strategy: str) -> tupl
     red = [
         list(_britton_items(tower, _normalize(tower, s), strategy)) for s in segs
     ]
-    assoc = tower.assocs[top]
+    assoc = tower._assocs[top]
     while tops:
         order = range(len(tops) - 1)
         if strategy == "rightmost":
@@ -360,7 +414,7 @@ def find_pinch(w: TowerWord) -> tuple[int, int] | None:
                 if eb == -ea:
                     chunk = TowerWord.make(w.tower, w.items[pos[a] + 1 : pos[b]])
                     chunk = britton_reduce(chunk)
-                    assoc = w.tower.assocs[ia]
+                    assoc = w.tower._assocs[ia]
                     c = assoc.source if ea > 0 else assoc.target
                     if not chunk.has_stable_letters and W.is_power_of(chunk.base_word(), c) is not None:
                         return (a, b)

@@ -66,16 +66,30 @@ def window_hashes(seq, q: int, modulus: int, base: int) -> np.ndarray:
     return (prefix[q:] - prefix[:-q]) % modulus * unscale % modulus
 
 
+# (x, modulus) -> x^0, x^1, ... mod modulus; read-only, only ever grows
+_POWER_TABLES: dict[tuple[int, int], np.ndarray] = {}
+
+
 def _powers(x: int, count: int, modulus: int) -> np.ndarray:
-    """x^0 .. x^(count-1) mod modulus, doubling the filled prefix each pass."""
-    out = np.empty(count, dtype=np.int64)
-    out[:1] = 1
-    filled = 1
-    while filled < count:
-        m = min(filled, count - filled)
-        out[filled : filled + m] = out[:m] * pow(x, filled, modulus) % modulus
-        filled += m
-    return out
+    """x^0 .. x^(count-1) mod modulus, sliced from a grow-only table.
+
+    Dehn reduction hashes a word that only shrinks, round after round, so
+    a table grows only when a longer word arrives and is otherwise only
+    read.  It grows to exactly the length asked for, filling its new part
+    by doubling the filled prefix.
+    """
+    table = _POWER_TABLES.get((x, modulus))
+    if table is None or len(table) < count:
+        filled = 1 if table is None else len(table)
+        out = np.empty(max(count, 1), dtype=np.int64)
+        out[:filled] = 1 if table is None else table
+        while filled < count:
+            m = min(filled, count - filled)
+            out[filled : filled + m] = out[:m] * pow(x, filled, modulus) % modulus
+            filled += m
+        out.flags.writeable = False
+        _POWER_TABLES[(x, modulus)] = table = out
+    return table[:count]
 
 
 def lcp_array(seq, sa: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import hnn, words as W
 from .hnn import CyclicAssociation, HnnError, Tower, TowerWord
@@ -119,7 +119,6 @@ class TowerConfig:
     classes: int = 2
     representatives: tuple[Word, ...] = ()
     stages: int = 50
-    enumeration: str = "shortlex"
     mode: str = "ncc"
     skip_rule: bool = True
     class_seeds: Mapping[int, tuple[Word, ...]] = field(default_factory=dict)
@@ -131,8 +130,6 @@ class TowerConfig:
             raise TowerBuildError(
                 "tower base must be a free presentation; relators are not supported"
             )
-        if self.enumeration != "shortlex":
-            raise TowerBuildError(f"unknown enumeration order {self.enumeration!r}")
         if self.stages < 0:
             raise TowerBuildError("stages must be nonnegative")
         if self.mode == "ncc":
@@ -333,10 +330,6 @@ class TowerBuild:
         return facts
 
 
-def _enumerate_elements(alphabet) -> Iterator[Word]:
-    return W.shortlex_words(alphabet)
-
-
 def build_tower(config: TowerConfig) -> TowerBuild:
     """Run the stagewise construction; exact, deterministic, and logged."""
     config.validate()
@@ -353,7 +346,7 @@ def _build_ncc(config: TowerConfig) -> TowerBuild:
     for ci, seeds in config.class_seeds.items():
         for s in seeds:
             b._set_label(s, ci)
-    stream = _enumerate_elements(config.base.alphabet)
+    stream = W.shortlex_words(config.base.alphabet)
     for idx in range(1, config.stages + 1):
         g = next(stream)
         if config.skip_rule:
@@ -398,7 +391,7 @@ def _build_coset(config: TowerConfig) -> TowerBuild:
     invariant_image = isinstance(spec, CyclicSpec)
     for i, z in enumerate(config.rep_set, start=1):
         b._remember_witness(z, i, b.tower.identity())
-    stream = _enumerate_elements(config.base.alphabet)
+    stream = W.shortlex_words(config.base.alphabet)
     for idx in range(1, config.stages + 1):
         g = next(stream)
         img = str(spec.image(g))
@@ -467,19 +460,51 @@ class ReverifyReport:
             self.failures.append(f"{name}: {detail}" if detail else name)
 
 
-def _rebuild_tower(base, stages: Sequence[Mapping]) -> Tower:
+class _Malformed(ValueError):
+    """A certificate field is missing or unreadable; the message says where."""
+
+
+def _field(rec: Mapping, key: str, where: str):
+    if not isinstance(rec, Mapping):
+        raise _Malformed(f"{where}: not a JSON object")
+    if key not in rec:
+        raise _Malformed(f"{where}: missing {key!r}")
+    return rec[key]
+
+
+def _text(rec: Mapping, key: str, where: str) -> str:
+    value = _field(rec, key, where)
+    if not isinstance(value, str):
+        raise _Malformed(f"{where}: {key!r} is not a string")
+    return value
+
+
+def _word(base: W.Alphabet, rec: Mapping, key: str, where: str) -> Word:
+    try:
+        return base.parse_word(_text(rec, key, where))
+    except WordError as e:
+        raise _Malformed(f"{where}: {e}") from None
+
+
+def _rebuild_tower(base: W.Alphabet, stages: Sequence[Mapping]) -> Tower:
     tower = Tower(base)
     for s in stages:
-        if s["action"] == "attach":
-            tower = tower.extend(
-                CyclicAssociation(
-                    s["stable"], base.parse_word(s["element"]), base.parse_word(s["target"])
+        at = f"stage {s['stage']}"
+        if _field(s, "action", at) == "attach":
+            try:
+                tower = tower.extend(
+                    CyclicAssociation(
+                        _text(s, "stable", at),
+                        _word(base, s, "element", at),
+                        _word(base, s, "target", at),
+                    )
                 )
-            )
+            except HnnError as e:
+                raise _Malformed(f"{at}: {e}") from None
     return tower
 
 
-def reverify_certificate(doc: Mapping) -> ReverifyReport:
+def reverify_certificate(doc) -> ReverifyReport:
     """Replay a tower certificate without trusting the builder that wrote it.
 
     Checks, in order: structural integrity (stage numbering against the
@@ -487,15 +512,29 @@ def reverify_certificate(doc: Mapping) -> ReverifyReport:
     replay of every attach (a fresh element may only open class 1 unless it
     was seeded; a labelled element must match its recorded class), and
     every recorded conjugator by Britton reduction over the rebuilt tower.
-    Any failure names the stage it happened at.
+    Any failure names the stage it happened at.  Shape errors are reported,
+    not raised: a document that is not a JSON object, lacks a field the
+    replay reads, or names a generator it does not declare fails
+    ``well-formed`` (at its stage, where there is one), and a witness
+    naming an undeclared stable letter fails the replay at its stage.
     """
     rep = ReverifyReport(ok=True)
     try:
-        base = W.Alphabet(doc["base"])
-    except WordError as e:
+        _reverify(doc, rep)
+    except _Malformed as e:
+        rep.add("well-formed", False, str(e))
+    return rep
+
+
+def _reverify(doc, rep: ReverifyReport) -> ReverifyReport:
+    try:
+        base = W.Alphabet(_field(doc, "base", "certificate"))
+    except (WordError, TypeError) as e:
         rep.add("base-alphabet", False, str(e))
         return rep
-    stages = doc.get("stages", [])
+    stages = _field(doc, "stages", "certificate")
+    if not isinstance(stages, list) or not all(isinstance(s, Mapping) for s in stages):
+        raise _Malformed("certificate: 'stages' is not a list of objects")
     declared = doc.get("stage_count")
     if declared != len(stages):
         rep.add(
@@ -518,14 +557,14 @@ def reverify_certificate(doc: Mapping) -> ReverifyReport:
             int(ci): [base.parse_word(s) for s in ws]
             for ci, ws in doc.get("seeds", {}).items()
         }
-    except (WordError, KeyError, ValueError) as e:
+    except (WordError, KeyError, ValueError, TypeError, AttributeError) as e:
         rep.add("representatives", False, str(e))
         return rep
 
     facts_ok = True
     for f in doc.get("base_facts", []):
-        u, v = base.parse_word(f["left"]), base.parse_word(f["right"])
-        if W.commensurable(u, v).related != f["related"]:
+        u, v = _word(base, f, "left", "base fact"), _word(base, f, "right", "base fact")
+        if W.commensurable(u, v).related != _field(f, "related", "base fact"):
             facts_ok = False
             rep.add(
                 "base-facts",
@@ -560,9 +599,9 @@ def reverify_certificate(doc: Mapping) -> ReverifyReport:
     replay_ok = True
     for s in stages:
         at = f"stage {s['stage']}"
-        g = base.parse_word(s["element"])
+        g = _word(base, s, "element", at)
         if s["action"] == "attach":
-            ci = s["class"]
+            ci = _field(s, "class", at)
             root = uf.find(W.commensurability_key(g))
             have = labels.get(root)
             case = s.get("case")
@@ -592,7 +631,7 @@ def reverify_certificate(doc: Mapping) -> ReverifyReport:
                     )
                     replay_ok = False
                     break
-            target = base.parse_word(s["target"])
+            target = _word(base, s, "target", at)
             if not set_label(g, ci, at):
                 replay_ok = False
                 break
@@ -605,15 +644,14 @@ def reverify_certificate(doc: Mapping) -> ReverifyReport:
             merged = uf.union(uf.find(W.commensurability_key(g)), root_t)
             labels[merged] = ci
         else:
-            witness_text = s.get("witness")
             if s.get("reason") == "conjugator-to-representative-known":
-                if witness_text is None:
+                if s.get("witness") is None:
                     rep.add("replay", False, f"{at}: skip record lacks its conjugator")
                     replay_ok = False
                     break
-                target = base.parse_word(s["target"])
-                wtw = tower.parse(witness_text)
+                target = _word(base, s, "target", at)
                 try:
+                    wtw = tower.parse(_text(s, "witness", at))
                     good = hnn.verify_conjugator(wtw, tower.embed(g), tower.embed(target))
                 except HnnError as e:
                     rep.add("replay", False, f"{at}: {e}")
@@ -644,20 +682,20 @@ def _reverify_coset(doc, base, stages, rep: ReverifyReport) -> ReverifyReport:
     try:
         spec = quotient_spec_from_json(free_pres, doc["quotient"])
         zs = [base.parse_word(z) for z in doc["representatives"]]
-    except (PresentationError, WordError, KeyError) as e:
+    except (PresentationError, WordError, KeyError, ValueError, TypeError, AttributeError) as e:
         rep.add("quotient", False, str(e))
         return rep
     rep.add("quotient", True, spec.describe())
     tower = _rebuild_tower(base, stages)
     for s in stages:
         at = f"stage {s['stage']}"
-        g = base.parse_word(s["element"])
+        g = _word(base, s, "element", at)
         img = str(spec.image(g))
         if s.get("image") is not None and s["image"] != img:
             rep.add("images", False, f"{at}: recorded image {s['image']}, recomputed {img}")
             return rep
         if s["action"] == "attach":
-            z = base.parse_word(s["target"])
+            z = _word(base, s, "target", at)
             if str(spec.image(z)) != img:
                 rep.add(
                     "images",
@@ -670,9 +708,15 @@ def _reverify_coset(doc, base, stages, rep: ReverifyReport) -> ReverifyReport:
                 rep.add("stage-relations", False, f"{at}: stable letter fails its own relation")
                 return rep
         elif s.get("witness") is not None:
-            z = base.parse_word(s["target"])
-            wtw = tower.parse(s["witness"])
-            if not hnn.verify_conjugator(wtw, tower.embed(g), tower.embed(z)):
+            z = _word(base, s, "target", at)
+            try:
+                good = hnn.verify_conjugator(
+                    tower.parse(_text(s, "witness", at)), tower.embed(g), tower.embed(z)
+                )
+            except HnnError as e:
+                rep.add("stage-relations", False, f"{at}: {e}")
+                return rep
+            if not good:
                 rep.add("stage-relations", False, f"{at}: recorded conjugator fails")
                 return rep
     rep.add("images", True)

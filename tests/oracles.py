@@ -235,3 +235,23 @@ def flatten_one_level(tw) -> tuple[int, ...]:
         else:
             out.extend(item.letters)
     return free_reduce(tuple(out))
+
+
+def tower_normal_form(symbols) -> tuple:
+    """A tower word as written, from its symbols in order.
+
+    Base letters are ints and stable letters (index, eps) pairs.  The
+    result alternates letter tuples and stable pairs, chunk first and
+    last: each maximal run of base letters, freely reduced.
+    """
+    out: list = []
+    run: list[int] = []
+    for s in symbols:
+        if isinstance(s, tuple):
+            out.append(free_reduce(run))
+            out.append(s)
+            run = []
+        else:
+            run.append(s)
+    out.append(free_reduce(run))
+    return tuple(out)

@@ -27,6 +27,16 @@ def scrub(doc):
     return clone
 
 
+def _drop(doc, key, stage=None):
+    del (doc if stage is None else doc["stages"][stage])[key]
+    return doc
+
+
+def _set(doc, key, value, stage):
+    doc["stages"][stage][key] = value
+    return doc
+
+
 class TestReportShape:
     def test_versioned_envelope(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -152,6 +162,43 @@ class TestTowerCommands:
         code, rep, _ = run(capsys, ["tower", "verify", str(tmp_path / "missing.json")])
         assert code == 2
         assert rep["checks"][0]["name"] == "certificate-readable"
+
+    @pytest.mark.parametrize(
+        "mutate, check, needle",
+        [
+            (lambda doc, at: [1, 2], "well-formed", "not a JSON object"),
+            (lambda doc, at: {}, "well-formed", "missing 'base'"),
+            (lambda doc, at: _drop(doc, "stages"), "well-formed", "missing 'stages'"),
+            (lambda doc, at: _drop(doc, "element", at["attach"]), "well-formed", "attach"),
+            (lambda doc, at: _drop(doc, "stable", at["attach"]), "well-formed", "attach"),
+            (lambda doc, at: _drop(doc, "target", at["attach"]), "well-formed", "attach"),
+            (lambda doc, at: _set(doc, "element", "x1 x9", at["skip"]), "well-formed", "skip"),
+            (lambda doc, at: _set(doc, "witness", "t99", at["skip"]), "replay", "skip"),
+        ],
+        ids=[
+            "list", "empty", "no-stages", "no-element", "no-stable", "no-target",
+            "unknown-generator", "unknown-stable-letter",
+        ],
+    )
+    def test_verify_reports_malformed_documents(
+        self, capsys, tmp_path, monkeypatch, mutate, check, needle
+    ):
+        monkeypatch.chdir(tmp_path)
+        cert = tmp_path / "cert.json"
+        run(capsys, ["tower", "build", "--stages", "30", "--out", str(cert)])
+        doc = json.loads(cert.read_text())
+        # index of the first attach record and of the first skip with a witness
+        at = {}
+        for i, rec in enumerate(doc["stages"]):
+            at.setdefault("skip" if rec.get("witness") else rec["action"], i)
+        if needle in at:
+            needle = f"stage {at[needle] + 1}:"
+        cert.write_text(json.dumps(mutate(doc, at)))
+        code, rep, _ = run(capsys, ["tower", "verify", str(cert)])
+        assert code == 2
+        failed = [c for c in rep["checks"] if c["status"] == "fail"]
+        assert [c["name"] for c in failed] == [check]
+        assert needle in failed[0]["detail"]
 
     def test_coset_build_includes_quotient_check(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

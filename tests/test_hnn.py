@@ -205,3 +205,112 @@ def test_klein_normal_forms_multiply(p, q):
     np_, nq = oracles.klein_pair(oracles.flatten_one_level(prod))
     expect = (p + (1 if q % 2 == 0 else -1), q + 1)
     assert (np_, nq) == expect
+
+
+def two_level_tower():
+    A = Alphabet(["a", "b"])
+    a, b = A.gen("a"), A.gen("b")
+    return Tower(A, [CyclicAssociation("t", a, b), CyclicAssociation("s", a * b, b**2)])
+
+
+TOKENS = st.lists(
+    st.tuples(st.sampled_from("abts"), st.integers(min_value=-3, max_value=3)), max_size=10
+)
+
+
+def tokens_text(tokens):
+    return " ".join(f"{name}^{e}" for name, e in tokens) or "1"
+
+
+def tokens_symbols(tokens):
+    """Oracle symbols of a token list: base letters as ints, stable letters as pairs."""
+    out = []
+    for name, e in tokens:
+        sign = 1 if e > 0 else -1
+        sym = sign * {"a": 1, "b": 2}[name] if name in "ab" else ({"t": 0, "s": 1}[name], sign)
+        out.extend([sym] * abs(e))
+    return out
+
+
+def inverse_symbols(symbols):
+    return [(s[0], -s[1]) if isinstance(s, tuple) else -s for s in reversed(symbols)]
+
+
+def plain(w):
+    return tuple(it if isinstance(it, tuple) else it.letters for it in w.items)
+
+
+class TestJunctionArithmetic:
+    """parse, products, inverses and powers against the plain normaliser."""
+
+    @given(TOKENS, TOKENS)
+    def test_parse_and_mul(self, u, v):
+        T = two_level_tower()
+        x, y = T.parse(tokens_text(u)), T.parse(tokens_text(v))
+        assert plain(x) == oracles.tower_normal_form(tokens_symbols(u))
+        assert plain(x * y) == oracles.tower_normal_form(tokens_symbols(u) + tokens_symbols(v))
+
+    @given(TOKENS, st.integers(min_value=-4, max_value=4))
+    def test_inverse_and_pow(self, u, k):
+        x = two_level_tower().parse(tokens_text(u))
+        syms = tokens_symbols(u)
+        inv = inverse_symbols(syms)
+        assert plain(x.inverse()) == oracles.tower_normal_form(inv)
+        assert plain(x**k) == oracles.tower_normal_form((syms if k >= 0 else inv) * abs(k))
+
+
+class TestAppendOnlyChain:
+    def setup_method(self):
+        A = Alphabet(["a"])
+        a = A.gen("a")
+        self.A = A
+        self.t = CyclicAssociation("t", a, a**2)
+        self.s = CyclicAssociation("s", a, a**3)
+        self.u = CyclicAssociation("u", a**2, a)
+
+    def test_branching_leaves_sibling_alone(self):
+        root = Tower(self.A).extend(self.t)
+        left = root.extend(self.s)  # the tip of root's chain
+        before = (left.height, left.assocs, left.stable("s").items, hash(left))
+        right = root.extend(self.u)  # no longer the tip
+        deeper = left.extend(self.u)
+        assert (left.height, left.assocs, left.stable("s").items, hash(left)) == before
+        assert left == Tower(self.A, [self.t, self.s]) and left != right
+        assert right.assocs == (self.t, self.u) and right.stable("u").items[1] == (1, 1)
+        assert deeper.assocs == (self.t, self.s, self.u) and deeper.stable("u").items[1] == (2, 1)
+        with pytest.raises(HnnError):
+            left.stable("u")
+        with pytest.raises(HnnError):
+            right.stable("s")
+        assert left.extends(root) and right.extends(root) and deeper.extends(left)
+        assert not right.extends(left) and not deeper.extends(right) and not root.extends(left)
+        with pytest.raises(HnnError):
+            left.stable("s") * right.stable("u")
+        w = root.parse("t a t^-1")
+        assert (w * right.stable("u")).tower == right
+        assert equal_in_group(w.lift_to(deeper), deeper.parse("a^2")).is_yes
+
+    def test_separate_chains_compare_by_associations(self):
+        one = Tower(self.A, [self.t, self.s])
+        two = Tower(self.A).extend(self.t).extend(self.s)
+        assert one == two and hash(one) == hash(two) and one.extends(two)
+        assert (one.stable("s") * two.stable("t")).tower == one
+        assert Tower(self.A, [self.t]) != Tower(self.A, [self.s])
+        assert Tower(self.A) != Tower(Alphabet(["b"]))
+
+    def test_rejected_extension_changes_nothing(self):
+        root = Tower(self.A).extend(self.t)
+        tip = root.extend(self.s)
+        with pytest.raises(HnnError):
+            tip.extend(CyclicAssociation("s", self.A.gen("a"), self.A.gen("a")))
+        with pytest.raises(HnnError):
+            root.extend(self.t)
+        assert tip.assocs == (self.t, self.s) and tip.extend(self.u).height == 3
+
+    def test_letters_above_the_height_are_unknown(self):
+        root = Tower(self.A).extend(self.t)
+        root.extend(self.s)
+        for lookup in (root.stable, root.parse, root.assoc_of):
+            with pytest.raises(HnnError):
+                lookup("s")
+        assert root.assoc_of("t") == self.t

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -74,6 +75,20 @@ class TestNccBuild:
         a = certificate_to_json_str(build_tower(ncc_config()))
         b = certificate_to_json_str(build_tower(ncc_config()))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (ncc_config(stages=2000), "a1a8ef3a3b23b2def58547aa5a86383d15881eb4f775f81797c1a9be421aabbe"),
+            (klein_coset_config(40), "34bbd3677aaa294ba44d8a8a8af1deec7d3e464e09ef17ee5a58b25ca360861b"),
+        ],
+        ids=["ncc-2000", "coset-40"],
+    )
+    def test_certificate_bytes_are_pinned(self, config, digest):
+        # sha256 of the file ``tower build`` writes for this config; a new
+        # digest means the certificate format changed, not just the code
+        text = certificate_to_json_str(build_tower(config)) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_classes_stay_within_bound(self):
         build = build_tower(ncc_config())
