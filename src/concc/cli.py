@@ -40,12 +40,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("--out", metavar="FILE", help="write the JSON report here")
-    p.add_argument(
-        "--seedless",
-        action="store_true",
-        help="confirm no wall-clock seeding; seeds are always explicit, "
-        "so this flag only documents intent",
-    )
 
 
 def build_parser() -> _Parser:
@@ -67,7 +61,11 @@ def build_parser() -> _Parser:
     tb.add_argument("--classes", type=int, default=3, metavar="N")
     tb.add_argument("--stages", type=int, default=50, metavar="M")
     tb.add_argument("--mode", default="ncc", choices=["ncc", "coset"])
-    _add_common(tb)
+    tb.add_argument(
+        "--out",
+        metavar="FILE",
+        help="write the certificate here (default tower-cert.json); the report goes to stdout",
+    )
     tv = tsub.add_parser("verify", help="replay a certificate file")
     tv.add_argument("certificate", metavar="FILE")
     _add_common(tv)
@@ -96,10 +94,10 @@ def build_parser() -> _Parser:
 # -- report plumbing -------------------------------------------------------
 
 
-def _status(ok: bool | None) -> str:
-    if ok is None:
-        return "unknown"
-    return "pass" if ok else "fail"
+def _check(name: str, ok: bool | None, detail: str) -> dict:
+    """One report check; ``ok`` None means the check ended unknown."""
+    status = "unknown" if ok is None else "pass" if ok else "fail"
+    return {"name": name, "status": status, "detail": detail}
 
 
 def _exit_code(checks: list[dict]) -> int:
@@ -120,9 +118,10 @@ def _emit(doc: dict, out: str | None) -> None:
         print(text)
 
 
-def _run(argv: list[str], args, checks: list[dict], artifacts: dict, *,
+def _run(argv: list[str], out: str | None, checks: list[dict], artifacts: dict, *,
          started: float, seed=None) -> int:
-    """Emit the run report; ``started`` is the subcommand's ``perf_counter``."""
+    """Emit the run report to ``out`` or stdout; ``started`` is the
+    subcommand's ``perf_counter``."""
     doc = {
         "version": REPORT_VERSION,
         "kind": "run-report",
@@ -132,8 +131,8 @@ def _run(argv: list[str], args, checks: list[dict], artifacts: dict, *,
         "artifacts": artifacts,
         "timing": {"elapsed_seconds": round(time.perf_counter() - started, 3)},
     }
-    _emit(doc, args.out)
-    if args.out:
+    _emit(doc, out)
+    if out:
         for c in checks:
             print(f"{c['status']:7s} {c['name']}")
     return _exit_code(checks)
@@ -147,9 +146,7 @@ def _cmd_hyp_spec_gen(argv, args) -> int:
     if args.scale < 1:
         raise SystemExit(USAGE_EXIT)
     rep = smallcanc.verify_hyp_spec_gen(args.scale)
-    checks = [
-        {"name": c.name, "status": _status(c.ok), "detail": c.detail} for c in rep.checks
-    ]
+    checks = [_check(c.name, c.ok, c.detail) for c in rep.checks]
     artifacts = {
         "scale": rep.scale,
         "relator_length": rep.relator_length,
@@ -157,7 +154,7 @@ def _cmd_hyp_spec_gen(argv, args) -> int:
         "max_piece": rep.max_piece,
         "bound": str(rep.bound),
     }
-    return _run(argv, args, checks, artifacts, started=t0)
+    return _run(argv, args.out, checks, artifacts, started=t0)
 
 
 def _ncc_config(classes: int, stages: int) -> towers.TowerConfig:
@@ -191,34 +188,29 @@ def _cmd_tower_build(argv, args) -> int:
     build = towers.build_tower(config)
     out_path = args.out or "tower-cert.json"
 
-    checks = []
-    checks.append(
-        {
-            "name": "build-completed",
-            "status": _status(len(build.records) == args.stages),
-            "detail": f"{len(build.records)} stages recorded",
-        }
-    )
+    checks = [
+        _check(
+            "build-completed",
+            len(build.records) == args.stages,
+            f"{len(build.records)} stages recorded",
+        )
+    ]
     used = sorted(
         {r.class_index for r in build.records if r.class_index and r.action == "attach"}
     )
     # coset mode has no identity class: every coset is a real class
     limit = config.classes - 1 if args.mode == "ncc" else config.classes
     checks.append(
-        {
-            "name": "nonidentity-classes-bound",
-            "status": _status(len(used) <= limit),
-            "detail": f"classes touched by attachments: {used}",
-        }
+        _check(
+            "nonidentity-classes-bound",
+            len(used) <= limit,
+            f"classes touched by attachments: {used}",
+        )
     )
     if args.mode == "coset":
         q = towers.quotient_check(build)
         checks.append(
-            {
-                "name": "quotient-check",
-                "status": _status(q.ok),
-                "detail": f"{len(q.rows)} attached relations compatible",
-            }
+            _check("quotient-check", q.ok, f"{len(q.rows)} attached relations compatible")
         )
     # the self-replay reads back exactly the text that goes into the file
     text = towers.certificate_to_json_str(build)
@@ -226,11 +218,11 @@ def _cmd_tower_build(argv, args) -> int:
         fh.write(text + "\n")
     replay = towers.reverify_certificate(json.loads(text))
     checks.append(
-        {
-            "name": "self-reverify",
-            "status": _status(replay.ok),
-            "detail": "; ".join(replay.failures) or f"{len(replay.checks)} checks replayed",
-        }
+        _check(
+            "self-reverify",
+            replay.ok,
+            "; ".join(replay.failures) or f"{len(replay.checks)} checks replayed",
+        )
     )
     artifacts = {
         "certificate_file": out_path,
@@ -240,17 +232,8 @@ def _cmd_tower_build(argv, args) -> int:
         "attachments": sum(1 for r in build.records if r.action == "attach"),
         "skips": sum(1 for r in build.records if r.action == "skip"),
     }
-    doc = {
-        "version": REPORT_VERSION,
-        "kind": "run-report",
-        "command": argv,
-        "seed": None,
-        "checks": checks,
-        "artifacts": artifacts,
-        "timing": {"elapsed_seconds": round(time.perf_counter() - t0, 3)},
-    }
-    print(json.dumps(doc, indent=2))
-    return _exit_code(checks)
+    # --out named the certificate, so the report goes to stdout
+    return _run(argv, None, checks, artifacts, started=t0)
 
 
 def _cmd_tower_verify(argv, args) -> int:
@@ -259,20 +242,15 @@ def _cmd_tower_verify(argv, args) -> int:
         with open(args.certificate) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        checks = [
-            {"name": "certificate-readable", "status": "fail", "detail": str(e)}
-        ]
-        return _run(argv, args, checks, {"certificate_file": args.certificate}, started=t0)
+        checks = [_check("certificate-readable", False, str(e))]
+        return _run(argv, args.out, checks, {"certificate_file": args.certificate}, started=t0)
     rep = towers.reverify_certificate(doc)
-    checks = [
-        {"name": c["name"], "status": _status(c["ok"]), "detail": c["detail"]}
-        for c in rep.checks
-    ]
+    checks = [_check(c["name"], c["ok"], c["detail"]) for c in rep.checks]
     artifacts = {
         "certificate_file": args.certificate,
         "failures": rep.failures,
     }
-    return _run(argv, args, checks, artifacts, started=t0)
+    return _run(argv, args.out, checks, artifacts, started=t0)
 
 
 def _cmd_klein_bottle(argv, args) -> int:
@@ -285,34 +263,34 @@ def _cmd_klein_bottle(argv, args) -> int:
     checks = []
     if cert is None:
         checks.append(
-            {
-                "name": "certified-non-conjugacy t vs t^-1",
-                "status": "unknown",
-                "detail": "retraction images are conjugate; no obstruction",
-            }
+            _check(
+                "certified-non-conjugacy t vs t^-1",
+                None,
+                "retraction images are conjugate; no obstruction",
+            )
         )
         cert_json = None
     else:
         checks.append(
-            {
-                "name": "certified-non-conjugacy t vs t^-1",
-                "status": _status(cert.verify()),
-                "detail": f"kill-{{a}} images {cert.u_image!r} vs {cert.v_image!r}",
-            }
+            _check(
+                "certified-non-conjugacy t vs t^-1",
+                cert.verify(),
+                f"kill-{{a}} images {cert.u_image!r} vs {cert.v_image!r}",
+            )
         )
         cert_json = json.loads(cert.to_json())
     tower = hnn.klein_bottle_tower()
     rel = tower.parse("t a t^-1 a")
     verdict = hnn.is_trivial(rel)
     checks.append(
-        {
-            "name": "relation t a t^-1 a = 1",
-            "status": _status(verdict.is_yes),
-            "detail": "Britton reduction empties the defining relation",
-        }
+        _check(
+            "relation t a t^-1 a = 1",
+            verdict.is_yes,
+            "Britton reduction empties the defining relation",
+        )
     )
     artifacts = {"certificate": cert_json}
-    return _run(argv, args, checks, artifacts, started=t0)
+    return _run(argv, args.out, checks, artifacts, started=t0)
 
 
 def _cmd_bs12(argv, args) -> int:
@@ -327,32 +305,20 @@ def _cmd_bs12(argv, args) -> int:
         cert = conjugacy_obstruction(pres, spec, t**i, t**j)
         ok = cert is not None and cert.verify()
         checks.append(
-            {
-                "name": f"certified-non-conjugacy t^{i} vs t^{j}",
-                "status": _status(ok),
-                "detail": f"kill-{{a}} images differ as cyclic words" if ok else "no obstruction found",
-            }
+            _check(
+                f"certified-non-conjugacy t^{i} vs t^{j}",
+                ok,
+                "kill-{a} images differ as cyclic words" if ok else "no obstruction found",
+            )
         )
         if cert is not None:
             certs.append(json.loads(cert.to_json()))
     tower = hnn.bs12_tower()
     up = hnn.equal_in_group(tower.parse("t a t^-1"), tower.parse("a^2"))
     down = hnn.equal_in_group(tower.parse("t^-1 a^2 t"), tower.parse("a"))
-    checks.append(
-        {
-            "name": "relation t a t^-1 = a^2",
-            "status": _status(up.is_yes),
-            "detail": "Britton reduction",
-        }
-    )
-    checks.append(
-        {
-            "name": "relation t^-1 a^2 t = a",
-            "status": _status(down.is_yes),
-            "detail": "Britton reduction",
-        }
-    )
-    return _run(argv, args, checks, {"certificates": certs}, started=t0)
+    checks.append(_check("relation t a t^-1 = a^2", up.is_yes, "Britton reduction"))
+    checks.append(_check("relation t^-1 a^2 t = a", down.is_yes, "Britton reduction"))
+    return _run(argv, args.out, checks, {"certificates": certs}, started=t0)
 
 
 def _audit_ctx() -> fp.FreeProductCtx:
@@ -379,11 +345,11 @@ def _cmd_relpaths_audit(argv, args) -> int:
         path = fp.random_trivial_cycle(ctx, rng, size=rng.randint(4, 16))
         isolated += fp.connectivity(path).isolated_count
     checks = [
-        {
-            "name": "trivial-cycles-no-isolated",
-            "status": _status(isolated == 0),
-            "detail": f"{n_trivial} random trivial cycles, {isolated} isolated components",
-        }
+        _check(
+            "trivial-cycles-no-isolated",
+            isolated == 0,
+            f"{n_trivial} random trivial cycles, {isolated} isolated components",
+        )
     ]
 
     n_reg = max(1000, args.instances // 10)
@@ -394,25 +360,25 @@ def _cmd_relpaths_audit(argv, args) -> int:
         irregular += rep.irregular_count
         violations += rep.pair_violations
     checks.append(
-        {
-            "name": "regularity-c-le-1",
-            "status": _status(irregular == 0),
-            "detail": f"{n_reg} mirrored instances, {irregular} irregular middle components",
-        }
+        _check(
+            "regularity-c-le-1",
+            irregular == 0,
+            f"{n_reg} mirrored instances, {irregular} irregular middle components",
+        )
     )
     checks.append(
-        {
-            "name": "pairing-no-violations",
-            "status": _status(violations == 0),
-            "detail": f"{violations} classes pairing one side twice",
-        }
+        _check(
+            "pairing-no-violations",
+            violations == 0,
+            f"{violations} classes pairing one side twice",
+        )
     )
     artifacts = {
         "trivial_instances": n_trivial,
         "regularity_instances": n_reg,
         "factors": [f.label for f in ctx.factors],
     }
-    return _run(argv, args, checks, artifacts, seed=args.seed, started=t0)
+    return _run(argv, args.out, checks, artifacts, seed=args.seed, started=t0)
 
 
 def _abbrev(text: str, limit: int = 60) -> str:
@@ -434,16 +400,14 @@ def _cmd_smallcanc_pieces(argv, args) -> int:
     pieces = smallcanc.max_pieces(S)
     metric = smallcanc.check_metric(S, Fraction(1, 8))
     checks = [
-        {
-            "name": "metric-c-prime-1-8",
-            "status": _status(metric.ok),
-            "detail": (
-                "all pieces strictly below an eighth"
-                if metric.ok
-                else f"piece of length {pieces.max_piece_length} inside a "
-                f"relator of length {metric.carrier_length}"
-            ),
-        }
+        _check(
+            "metric-c-prime-1-8",
+            metric.ok,
+            "all pieces strictly below an eighth"
+            if metric.ok
+            else f"piece of length {pieces.max_piece_length} inside a "
+            f"relator of length {metric.carrier_length}",
+        )
     ]
     artifacts = {
         "scale": args.scale,
@@ -459,7 +423,7 @@ def _cmd_smallcanc_pieces(argv, args) -> int:
             for row in pieces.per_relator
         ],
     }
-    return _run(argv, args, checks, artifacts, started=t0)
+    return _run(argv, args.out, checks, artifacts, started=t0)
 
 
 _HANDLERS = {

@@ -8,13 +8,15 @@ takes the next nontrivial base element in shortlex order and either
 - records an already-derivable conjugator instead (skip rule), so the tower
   does not grow for elements whose class is settled.
 
-Class bookkeeping is a union-find over exact commensurability keys of base
-words.  The point of the key choice: attaching ``t g t^-1 = x`` can merge
-the classes of elements commensurable with ``g`` or ``x`` but nothing else,
-so replaying the merges proves which representatives stay in distinct
-classes.  That replay is packaged as a JSON certificate whose verification
-does not trust the builder: it recomputes every key, every merge, and every
-claimed conjugator from scratch.
+Class bookkeeping is one ledger, ``_ClassLedger``: a union-find over exact
+commensurability keys of base words with a class label on each root.  The
+point of the key choice: attaching ``t g t^-1 = x`` can merge the classes
+of elements commensurable with ``g`` or ``x`` but nothing else, so
+replaying the merges proves which representatives stay in distinct
+classes.  The build is packaged as a JSON certificate whose replay does not
+trust the builder: the same ledger, fed only by the document, recomputes
+the enumeration, every key, every merge and every claimed conjugator from
+scratch, and the replay report stops at its first failing check.
 
 A second mode drives the same machinery by cosets of a quotient map instead
 of commensurability: each element is conjugated onto the fixed
@@ -26,15 +28,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import hnn, words as W
 from .hnn import CyclicAssociation, HnnError, Tower, TowerWord
 from .presentations import (
     CyclicSpec,
     FinitePresentation,
-    KillSpec,
-    PresentationError,
     QuotientSpec,
     quotient_spec_from_json,
 )
@@ -45,32 +45,12 @@ class TowerBuildError(ValueError):
     """Configuration or replay failure; message names the offending stage."""
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        p = self.parent
-        if x not in p:
-            p[x] = x
-            return x
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-        return rb
-
-
 def _conjugacy_class_key(w: Word) -> tuple:
     """Canonical cyclic form: equal exactly for conjugate base words."""
     return W.CyclicWord.of(w).letters
+
+
+_KNOWN_CONJUGATOR = "conjugator-to-representative-known"  # the skip reason of the skip rule
 
 
 @dataclass(frozen=True)
@@ -186,6 +166,54 @@ class TowerConfig:
             raise TowerBuildError(f"unknown mode {self.mode!r}")
 
 
+class _ClassLedger:
+    """Class bookkeeping shared by build and replay.
+
+    A union-find over ``W.commensurability_key`` of base words, plus the
+    class label of each root.  It starts with every representative and
+    seed labelled by its class; ``attach(g, target, ci)`` records the
+    relation ``t g t^-1 = target`` by joining the two classes under label
+    ci.  A label that contradicts the one a class already carries raises
+    ``TowerBuildError``.
+    """
+
+    def __init__(self, config: TowerConfig):
+        self.parent: dict = {}
+        self.labels: dict = {}
+        for i, r in enumerate(config.representatives, start=1):
+            self.label(r, i)
+        for ci, seeds in config.class_seeds.items():
+            for s in seeds:
+                self.label(s, ci)
+
+    def _root(self, w: Word):
+        p = self.parent
+        x = W.commensurability_key(w)
+        root = p.setdefault(x, x)
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def _claim(self, root, w: Word, ci: int) -> None:
+        old = self.labels.setdefault(root, ci)
+        if old != ci:
+            raise TowerBuildError(f"{w} already belongs to class {old}, not {ci}")
+
+    def label_of(self, w: Word) -> int | None:
+        return self.labels.get(self._root(w))
+
+    def label(self, w: Word, ci: int) -> None:
+        self._claim(self._root(w), w, ci)
+
+    def attach(self, g: Word, target: Word, ci: int) -> None:
+        rg, rt = self._root(g), self._root(target)
+        self._claim(rg, g, ci)
+        self._claim(rt, target, ci)
+        self.parent[rg] = rt
+
+
 @dataclass(frozen=True)
 class ConjugatorAnswer:
     """Result of asking for a conjugator onto a representative."""
@@ -230,35 +258,11 @@ class TowerBuild:
         self.config = config
         self.tower = Tower(config.base.alphabet)
         self.records: list[StageRecord] = []
-        self.uf = _UnionFind()
-        self.labels: dict = {}
         # conjugacy-class key -> (class index, stored element, witness onto rep)
         self.witnesses: dict[tuple, tuple[int, Word, TowerWord]] = {}
         self.attach_count = 0
 
-    # -- class bookkeeping -------------------------------------------------
-
-    def _label_of(self, w: Word) -> int | None:
-        return self.labels.get(self.uf.find(W.commensurability_key(w)))
-
-    def _set_label(self, w: Word, ci: int) -> None:
-        root = self.uf.find(W.commensurability_key(w))
-        old = self.labels.get(root)
-        if old is not None and old != ci:
-            raise TowerBuildError(
-                f"class collision: {w} would carry labels {old} and {ci}"
-            )
-        self.labels[root] = ci
-
-    def _merge(self, u: Word, v: Word) -> None:
-        ru, rv = self.uf.find(W.commensurability_key(u)), self.uf.find(W.commensurability_key(v))
-        lu, lv = self.labels.get(ru), self.labels.get(rv)
-        if lu is not None and lv is not None and lu != lv:
-            raise TowerBuildError(f"merge of {u} and {v} would join classes {lu} and {lv}")
-        root = self.uf.union(ru, rv)
-        keep = lu if lu is not None else lv
-        if keep is not None:
-            self.labels[root] = keep
+    # -- conjugator witnesses ---------------------------------------------
 
     def _remember_witness(self, g: Word, ci: int, witness: TowerWord) -> None:
         self.witnesses.setdefault(_conjugacy_class_key(g), (ci, g, witness))
@@ -340,12 +344,9 @@ def build_tower(config: TowerConfig) -> TowerBuild:
 
 def _build_ncc(config: TowerConfig) -> TowerBuild:
     b = TowerBuild(config)
+    ledger = _ClassLedger(config)
     for i, rep in enumerate(config.representatives, start=1):
-        b._set_label(rep, i)
         b._remember_witness(rep, i, b.tower.identity())
-    for ci, seeds in config.class_seeds.items():
-        for s in seeds:
-            b._set_label(s, ci)
     stream = W.shortlex_words(config.base.alphabet)
     for idx in range(1, config.stages + 1):
         g = next(stream)
@@ -358,13 +359,13 @@ def _build_ncc(config: TowerConfig) -> TowerBuild:
                         g,
                         "skip",
                         class_index=ans.class_index,
-                        reason="conjugator-to-representative-known",
+                        reason=_KNOWN_CONJUGATOR,
                         target=ans.target,
                         witness=ans.witness,
                     )
                 )
                 continue
-        ci = b._label_of(g)
+        ci = ledger.label_of(g)
         case = "same-class" if ci is not None else "fresh"
         if ci is None:
             ci = 1
@@ -372,8 +373,7 @@ def _build_ncc(config: TowerConfig) -> TowerBuild:
         b.attach_count += 1
         stable = f"t{b.attach_count}"
         b.tower = b.tower.extend(CyclicAssociation(stable, g, target))
-        b._merge(g, target)
-        b._set_label(g, ci)
+        ledger.attach(g, target, ci)
         b._remember_witness(g, ci, b.tower.stable(stable))
         b.records.append(
             StageRecord(idx, g, "attach", class_index=ci, case=case, stable=stable, target=target)
@@ -425,7 +425,7 @@ def _build_coset(config: TowerConfig) -> TowerBuild:
                         g,
                         "skip",
                         class_index=ans.class_index,
-                        reason="conjugator-to-representative-known",
+                        reason=_KNOWN_CONJUGATOR,
                         target=ans.target,
                         witness=ans.witness,
                         image=img,
@@ -460,22 +460,22 @@ class ReverifyReport:
             self.failures.append(f"{name}: {detail}" if detail else name)
 
 
-class _Malformed(ValueError):
-    """A certificate field is missing or unreadable; the message says where."""
+class _Failed(Exception):
+    """``_Failed(check, detail)``: replay stops at this failing check."""
 
 
 def _field(rec: Mapping, key: str, where: str):
     if not isinstance(rec, Mapping):
-        raise _Malformed(f"{where}: not a JSON object")
+        raise _Failed("well-formed", f"{where}: not a JSON object")
     if key not in rec:
-        raise _Malformed(f"{where}: missing {key!r}")
+        raise _Failed("well-formed", f"{where}: missing {key!r}")
     return rec[key]
 
 
 def _text(rec: Mapping, key: str, where: str) -> str:
     value = _field(rec, key, where)
     if not isinstance(value, str):
-        raise _Malformed(f"{where}: {key!r} is not a string")
+        raise _Failed("well-formed", f"{where}: {key!r} is not a string")
     return value
 
 
@@ -483,247 +483,198 @@ def _word(base: W.Alphabet, rec: Mapping, key: str, where: str) -> Word:
     try:
         return base.parse_word(_text(rec, key, where))
     except WordError as e:
-        raise _Malformed(f"{where}: {e}") from None
+        raise _Failed("well-formed", f"{where}: {e}") from None
 
 
-def _rebuild_tower(base: W.Alphabet, stages: Sequence[Mapping]) -> Tower:
-    tower = Tower(base)
-    for s in stages:
-        at = f"stage {s['stage']}"
-        if _field(s, "action", at) == "attach":
-            try:
-                tower = tower.extend(
-                    CyclicAssociation(
-                        _text(s, "stable", at),
-                        _word(base, s, "element", at),
-                        _word(base, s, "target", at),
-                    )
-                )
-            except HnnError as e:
-                raise _Malformed(f"{at}: {e}") from None
-    return tower
+def _extend(tower: Tower, s: Mapping, g: Word, target: Word, at: str) -> Tower:
+    try:
+        return tower.extend(CyclicAssociation(_text(s, "stable", at), g, target))
+    except HnnError as e:
+        raise _Failed("well-formed", f"{at}: {e}") from None
+
+
+def _check_witness(tower: Tower, s: Mapping, g: Word, target: Word, at: str, check: str) -> None:
+    """The stage's recorded conjugator takes g onto target in the tower built so far."""
+    try:
+        good = hnn.verify_conjugator(
+            tower.parse(_text(s, "witness", at)), tower.embed(g), tower.embed(target)
+        )
+    except HnnError as e:
+        raise _Failed(check, f"{at}: {e}") from None
+    if not good:
+        raise _Failed(check, f"{at}: recorded conjugator does not take {g} to {target}")
 
 
 def reverify_certificate(doc) -> ReverifyReport:
     """Replay a tower certificate without trusting the builder that wrote it.
 
-    Checks, in order: structural integrity (stage numbering against the
-    declared count), the base non-commensurability facts, the union-find
-    replay of every attach (a fresh element may only open class 1 unless it
-    was seeded; a labelled element must match its recorded class), and
-    every recorded conjugator by Britton reduction over the rebuilt tower.
-    Any failure names the stage it happened at.  Shape errors are reported,
-    not raised: a document that is not a JSON object, lacks a field the
-    replay reads, or names a generator it does not declare fails
-    ``well-formed`` (at its stage, where there is one), and a witness
-    naming an undeclared stable letter fails the replay at its stage.
+    Replay reads only the document and stops at its first failing check,
+    which ends the report and names its stage where there is one.  In order:
+    ``structure`` (stage count and numbering, and stage i is an attach or a
+    skip of the i-th word of ``W.shortlex_words(base)``, the stream both
+    builders enumerate); the representatives, through the builder's own
+    config validation; then, in ncc mode, ``base-facts`` recomputed and a
+    ``replay`` of every stage through the same ``_ClassLedger`` the builder
+    used (an attach carries the case and class the ledger gives it, the only
+    skip is a conjugator, and both target their class representative), and
+    ``independence``; in coset mode, ``quotient``, ``images`` (each stage's
+    image and the choice it forces, including the skip reason and the
+    attach target) and ``stage-relations``.  Every recorded conjugator is
+    verified by Britton reduction in the tower extended up to its stage.  A
+    document that is not a JSON object, lacks a field the replay reads or
+    names an undeclared generator fails ``well-formed``.
     """
     rep = ReverifyReport(ok=True)
     try:
         _reverify(doc, rep)
-    except _Malformed as e:
-        rep.add("well-formed", False, str(e))
+    except _Failed as e:
+        check, detail = e.args
+        rep.add(check, False, detail)
     return rep
 
 
-def _reverify(doc, rep: ReverifyReport) -> ReverifyReport:
+def _reverify(doc, rep: ReverifyReport) -> None:
     try:
         base = W.Alphabet(_field(doc, "base", "certificate"))
     except (WordError, TypeError) as e:
-        rep.add("base-alphabet", False, str(e))
-        return rep
+        raise _Failed("base-alphabet", str(e)) from None
     stages = _field(doc, "stages", "certificate")
     if not isinstance(stages, list) or not all(isinstance(s, Mapping) for s in stages):
-        raise _Malformed("certificate: 'stages' is not a list of objects")
-    declared = doc.get("stage_count")
-    if declared != len(stages):
-        rep.add(
+        raise _Failed("well-formed", "certificate: 'stages' is not a list of objects")
+    if doc.get("stage_count") != len(stages):
+        raise _Failed(
             "structure",
-            False,
-            f"certificate truncated or padded: declares {declared} stages, carries {len(stages)}",
+            f"certificate truncated or padded: declares {doc.get('stage_count')} stages, "
+            f"carries {len(stages)}",
         )
-        return rep
-    numbering_ok = all(s.get("stage") == i for i, s in enumerate(stages, start=1))
-    rep.add("structure", numbering_ok, "" if numbering_ok else "stage numbering is not contiguous")
-    if not numbering_ok:
-        return rep
+    if doc.get("mode") not in ("ncc", "coset"):
+        raise _Failed("structure", f"unknown mode {doc.get('mode')!r}")
+    elements = []
+    for i, (s, want) in enumerate(zip(stages, W.shortlex_words(base)), start=1):
+        at = f"stage {i}"
+        if s.get("stage") != i:
+            raise _Failed("structure", f"stage numbering is not contiguous at {at}")
+        g = _word(base, s, "element", at)
+        if g != want:
+            raise _Failed("structure", f"{at}: element {g} is not shortlex word {i}, {want}")
+        if _field(s, "action", at) not in ("attach", "skip"):
+            raise _Failed("structure", f"{at}: unknown action {s['action']!r}")
+        elements.append(g)
+    rep.add("structure", True)
+    replay = _replay_coset if doc["mode"] == "coset" else _replay_ncc
+    replay(doc, base, stages, elements, rep)
 
-    if doc.get("mode") == "coset":
-        return _reverify_coset(doc, base, stages, rep)
 
+def _replay_ncc(doc, base: W.Alphabet, stages: list, elements: list[Word], rep) -> None:
     try:
-        reps = [base.parse_word(r) for r in doc["representatives"]]
-        seeds = {
-            int(ci): [base.parse_word(s) for s in ws]
-            for ci, ws in doc.get("seeds", {}).items()
-        }
-    except (WordError, KeyError, ValueError, TypeError, AttributeError) as e:
-        rep.add("representatives", False, str(e))
-        return rep
+        reps = tuple(base.parse_word(r) for r in doc["representatives"])
+        config = TowerConfig(
+            base=FinitePresentation(base, ()),
+            classes=len(reps) + 1,
+            representatives=reps,
+            class_seeds={
+                int(ci): tuple(base.parse_word(s) for s in ws)
+                for ci, ws in doc.get("seeds", {}).items()
+            },
+        )
+        config.validate()
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise _Failed("representatives", str(e)) from None
 
-    facts_ok = True
-    for f in doc.get("base_facts", []):
+    facts = doc.get("base_facts", [])
+    if not isinstance(facts, list):
+        raise _Failed("well-formed", "certificate: 'base_facts' is not a list")
+    for f in facts:
         u, v = _word(base, f, "left", "base fact"), _word(base, f, "right", "base fact")
-        if W.commensurable(u, v).related != _field(f, "related", "base fact"):
-            facts_ok = False
-            rep.add(
+        try:
+            related = W.commensurable(u, v).related
+        except WordError as e:
+            raise _Failed("base-facts", f"base fact on {u} and {v}: {e}") from None
+        if related != _field(f, "related", "base fact"):
+            raise _Failed(
                 "base-facts",
-                False,
                 f"recomputed commensurability of {u} and {v} contradicts the certificate",
             )
-            break
-    if facts_ok:
-        rep.add("base-facts", True)
+    rep.add("base-facts", True)
 
-    uf = _UnionFind()
-    labels: dict = {}
-
-    def set_label(w: Word, ci: int, where: str) -> bool:
-        root = uf.find(W.commensurability_key(w))
-        old = labels.get(root)
-        if old is not None and old != ci:
-            rep.add("replay", False, f"{where}: {w} already belongs to class {old}, not {ci}")
-            return False
-        labels[root] = ci
-        return True
-
-    for i, r in enumerate(reps, start=1):
-        if not set_label(r, i, f"representative {i}"):
-            return rep
-    for ci, ws in seeds.items():
-        for s in ws:
-            if not set_label(s, ci, f"seed of class {ci}"):
-                return rep
-
-    tower = _rebuild_tower(base, stages)
-    replay_ok = True
-    for s in stages:
-        at = f"stage {s['stage']}"
-        g = _word(base, s, "element", at)
-        if s["action"] == "attach":
-            ci = _field(s, "class", at)
-            root = uf.find(W.commensurability_key(g))
-            have = labels.get(root)
-            case = s.get("case")
-            if case == "fresh":
-                if have is not None:
-                    rep.add(
-                        "replay",
-                        False,
-                        f"{at}: element {g} recorded as fresh but its class is already {have}",
-                    )
-                    replay_ok = False
-                    break
-                if ci != 1:
-                    rep.add(
-                        "replay",
-                        False,
-                        f"{at}: fresh unlabelled element must open class 1, certificate says {ci}",
-                    )
-                    replay_ok = False
-                    break
-            else:
-                if have != ci:
-                    rep.add(
-                        "replay",
-                        False,
-                        f"{at}: element {g} belongs to class {have}, certificate says {ci}",
-                    )
-                    replay_ok = False
-                    break
-            target = _word(base, s, "target", at)
-            if not set_label(g, ci, at):
-                replay_ok = False
-                break
-            root_t = uf.find(W.commensurability_key(target))
-            lt = labels.get(root_t)
-            if lt is not None and lt != ci:
-                rep.add("replay", False, f"{at}: target {target} belongs to class {lt}, not {ci}")
-                replay_ok = False
-                break
-            merged = uf.union(uf.find(W.commensurability_key(g)), root_t)
-            labels[merged] = ci
+    ledger = _ClassLedger(config)
+    tower = Tower(base)
+    for i, (s, g) in enumerate(zip(stages, elements), start=1):
+        at = f"stage {i}"
+        ci = _field(s, "class", at)
+        attach = s["action"] == "attach"
+        if attach:
+            have = ledger.label_of(g)
+            want = ("fresh", 1) if have is None else ("same-class", have)
+            if (s.get("case"), ci) != want:
+                raise _Failed(
+                    "replay",
+                    f"{at}: element {g} is {want[0]} in class {want[1]}, "
+                    f"certificate says {s.get('case')} in class {ci}",
+                )
+        elif s.get("reason") != _KNOWN_CONJUGATOR:
+            raise _Failed("replay", f"{at}: skip reason {s.get('reason')!r} is not a conjugator")
+        target = _word(base, s, "target", at)
+        if type(ci) is not int or not 1 <= ci <= len(reps) or target != reps[ci - 1]:
+            raise _Failed(
+                "replay", f"{at}: target {target} is not the representative of class {ci}"
+            )
+        if attach:
+            tower = _extend(tower, s, g, target, at)
+            ledger.attach(g, target, ci)
         else:
-            if s.get("reason") == "conjugator-to-representative-known":
-                if s.get("witness") is None:
-                    rep.add("replay", False, f"{at}: skip record lacks its conjugator")
-                    replay_ok = False
-                    break
-                target = _word(base, s, "target", at)
-                try:
-                    wtw = tower.parse(_text(s, "witness", at))
-                    good = hnn.verify_conjugator(wtw, tower.embed(g), tower.embed(target))
-                except HnnError as e:
-                    rep.add("replay", False, f"{at}: {e}")
-                    replay_ok = False
-                    break
-                if not good:
-                    rep.add(
-                        "replay",
-                        False,
-                        f"{at}: recorded conjugator does not take {g} to {target}",
-                    )
-                    replay_ok = False
-                    break
-    if replay_ok:
-        rep.add("replay", True)
-        roots = {ci: uf.find(W.commensurability_key(r)) for ci, r in enumerate(reps, start=1)}
-        distinct = len(set(roots.values())) == len(roots)
-        rep.add(
-            "independence",
-            distinct,
-            "" if distinct else "representative classes merged during replay",
-        )
-    return rep
+            _check_witness(tower, s, g, target, at, "replay")
+    rep.add("replay", True)
+    if any(ledger.label_of(r) != i for i, r in enumerate(reps, start=1)):
+        raise _Failed("independence", "representative classes merged during replay")
+    rep.add("independence", True)
 
 
-def _reverify_coset(doc, base, stages, rep: ReverifyReport) -> ReverifyReport:
-    free_pres = FinitePresentation(base, ())
+def _replay_coset(doc, base: W.Alphabet, stages: list, elements: list[Word], rep) -> None:
+    free = FinitePresentation(base, ())
     try:
-        spec = quotient_spec_from_json(free_pres, doc["quotient"])
-        zs = [base.parse_word(z) for z in doc["representatives"]]
-    except (PresentationError, WordError, KeyError, ValueError, TypeError, AttributeError) as e:
-        rep.add("quotient", False, str(e))
-        return rep
+        spec = quotient_spec_from_json(free, doc["quotient"])
+        zs = tuple(base.parse_word(z) for z in doc["representatives"])
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise _Failed("quotient", str(e)) from None
     rep.add("quotient", True, spec.describe())
-    tower = _rebuild_tower(base, stages)
-    for s in stages:
-        at = f"stage {s['stage']}"
-        g = _word(base, s, "element", at)
+    try:
+        TowerConfig(base=free, mode="coset", classes=len(zs), quotient=spec, rep_set=zs).validate()
+    except TowerBuildError as e:
+        raise _Failed("representatives", str(e)) from None
+    rep_by_image = {str(spec.image(z)): z for z in zs}
+
+    tower = Tower(base)
+    for i, (s, g) in enumerate(zip(stages, elements), start=1):
+        at = f"stage {i}"
         img = str(spec.image(g))
         if s.get("image") is not None and s["image"] != img:
-            rep.add("images", False, f"{at}: recorded image {s['image']}, recomputed {img}")
-            return rep
-        if s["action"] == "attach":
-            z = _word(base, s, "target", at)
-            if str(spec.image(z)) != img:
-                rep.add(
-                    "images",
-                    False,
-                    f"{at}: element and target have different images ({img} vs {spec.image(z)})",
-                )
-                return rep
-            t = tower.stable(s["stable"])
-            if not hnn.verify_conjugator(t, tower.embed(g), tower.embed(z)):
-                rep.add("stage-relations", False, f"{at}: stable letter fails its own relation")
-                return rep
-        elif s.get("witness") is not None:
-            z = _word(base, s, "target", at)
-            try:
-                good = hnn.verify_conjugator(
-                    tower.parse(_text(s, "witness", at)), tower.embed(g), tower.embed(z)
-                )
-            except HnnError as e:
-                rep.add("stage-relations", False, f"{at}: {e}")
-                return rep
-            if not good:
-                rep.add("stage-relations", False, f"{at}: recorded conjugator fails")
-                return rep
+            raise _Failed("images", f"{at}: recorded image {s['image']}, recomputed {img}")
+        z = rep_by_image.get(img)
+        # the builder's choice, recomputed: the image decides it unless the
+        # element attaches or has a known conjugator onto its representative
+        if z is None:
+            allowed = ("no-representative-for-image",)
+        elif g == z:
+            allowed = ("element-is-representative",)
+        else:
+            allowed = ("attach", _KNOWN_CONJUGATOR)
+        kind = s["action"] if s["action"] == "attach" else s.get("reason")
+        if kind not in allowed:
+            raise _Failed("images", f"{at}: image {img} allows {' or '.join(allowed)}, not {kind}")
+        if z is None:
+            continue
+        target = _word(base, s, "target", at)
+        if target != z:
+            raise _Failed("images", f"{at}: target {target} is not {z}, the representative")
+        if kind == "attach":
+            tower = _extend(tower, s, g, z, at)
+        else:
+            _check_witness(tower, s, g, z, at, "stage-relations")
     rep.add("images", True)
     rep.add("stage-relations", True)
-    reps_seen = [z for z in zs if not z.is_identity]
-    rep.add("representatives", len(reps_seen) == len(zs))
-    return rep
+    # validated before the stage loop, which reads rep_by_image; reported last
+    rep.add("representatives", True)
 
 
 @dataclass

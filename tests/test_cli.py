@@ -32,8 +32,8 @@ def _drop(doc, key, stage=None):
     return doc
 
 
-def _set(doc, key, value, stage):
-    doc["stages"][stage][key] = value
+def _set(doc, key, value, stage=None):
+    (doc if stage is None else doc["stages"][stage])[key] = value
     return doc
 
 
@@ -174,10 +174,27 @@ class TestTowerCommands:
             (lambda doc, at: _drop(doc, "target", at["attach"]), "well-formed", "attach"),
             (lambda doc, at: _set(doc, "element", "x1 x9", at["skip"]), "well-formed", "skip"),
             (lambda doc, at: _set(doc, "witness", "t99", at["skip"]), "replay", "skip"),
+            (
+                lambda doc, at: _set(doc, "base_facts", [dict(doc["base_facts"][0], left="1")]),
+                "base-facts",
+                "base fact on 1 and x2",
+            ),
+            (
+                lambda doc, at: _set(doc, "representatives", ["1", "x2"]),
+                "representatives",
+                "representative 1 is the identity",
+            ),
+            (
+                lambda doc, at: _set(doc, "seeds", {"1": ["1"]}),
+                "representatives",
+                "seed for class 1 is the identity",
+            ),
+            (lambda doc, at: _set(doc, "base_facts", 5), "well-formed", "not a list"),
         ],
         ids=[
             "list", "empty", "no-stages", "no-element", "no-stable", "no-target",
-            "unknown-generator", "unknown-stable-letter",
+            "unknown-generator", "unknown-stable-letter", "identity-base-fact",
+            "identity-representative", "identity-seed", "base-facts-not-a-list",
         ],
     )
     def test_verify_reports_malformed_documents(

@@ -1,10 +1,13 @@
 import copy
+import functools
 import hashlib
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from concc import hnn, towers
+from concc import hnn, towers, words
 from concc.presentations import parse_presentation
 from concc.towers import (
     TowerBuildError,
@@ -172,6 +175,119 @@ class TestReverify:
         build = build_tower(ncc_config())
         doc = json.loads(certificate_to_json_str(build))
         assert reverify_certificate(doc).ok
+
+    # each document below is accepted by a replay that does not recompute
+    # the enumeration, the skip reasons and the attach targets
+
+    def test_unknown_action_fails_structure(self):
+        doc = valid_certificate("ncc")
+        doc["stages"][1]["action"] = "frob"
+        rep = reverify_certificate(doc)
+        assert [c["name"] for c in rep.checks if not c["ok"]] == ["structure"]
+        assert rep.failures[0].startswith("structure: stage 2:")
+
+    def test_ncc_skip_needs_a_known_conjugator(self):
+        doc = valid_certificate("ncc")
+        victim = next(s for s in doc["stages"] if s["action"] == "skip")
+        victim["reason"] = "whatever"
+        del victim["witness"]
+        rep = reverify_certificate(doc)
+        assert rep.failures == [
+            f"replay: stage {victim['stage']}: skip reason 'whatever' is not a conjugator"
+        ]
+
+    def test_dropped_skips_break_the_enumeration(self):
+        doc = valid_certificate("ncc")
+        kept = [s for s in doc["stages"] if s["action"] == "attach"]
+        for i, s in enumerate(kept, start=1):
+            s["stage"] = i
+        doc["stages"], doc["stage_count"] = kept, len(kept)
+        rep = reverify_certificate(doc)
+        assert rep.failures[0].startswith("structure: stage 1: element x1^-1 is not shortlex")
+
+    def test_attach_must_target_its_class_representative(self):
+        doc = valid_certificate("ncc")
+        # stage 28 attaches x1^-1 x1^-1 x2^-1 onto x1; x1 x1 lies in the same
+        # class, and no later witness uses the letter of stage 28
+        victim = doc["stages"][27]
+        assert (victim["action"], victim["target"]) == ("attach", "x1")
+        victim["target"] = "x1 x1"
+        rep = reverify_certificate(doc)
+        assert rep.failures[0].startswith("replay: stage 28: target x1 x1 is not the representative")
+
+    @pytest.mark.parametrize("reason", ["no-representative-for-image", "element-is-representative"])
+    def test_coset_skip_reasons_are_recomputed(self, reason):
+        doc = valid_certificate("coset")
+        victim = next(s for s in doc["stages"] if s.get("witness", "1") != "1")
+        victim["reason"] = reason
+        if reason == "no-representative-for-image":
+            del victim["target"], victim["witness"]
+        rep = reverify_certificate(doc)
+        assert rep.failures[0].startswith(f"images: stage {victim['stage']}:")
+
+
+@functools.cache
+def _valid_certificate_text(mode):
+    config = ncc_config(stages=30) if mode == "ncc" else klein_coset_config(40)
+    return certificate_to_json_str(build_tower(config))
+
+
+def valid_certificate(mode):
+    """A fresh copy of the 30-stage ncc or the 40-stage coset certificate."""
+    return json.loads(_valid_certificate_text(mode))
+
+
+CHECK_NAMES = {
+    "base-alphabet", "well-formed", "structure", "representatives", "base-facts",
+    "replay", "independence", "quotient", "images", "stage-relations",
+}
+MUTANT_VALUES = ["1", "", "x9", -1, None, [], {}, 3.5]
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    return [slot for k, v in items for slot in [(node, k), *_slots(v)]]
+
+
+class TestReplayMutations:
+    @settings(max_examples=400)
+    @given(st.sampled_from(["ncc", "coset"]), st.data())
+    def test_mutants_get_a_report(self, mode, data):
+        doc = valid_certificate(mode)
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            stages = doc.get("stages")
+            ops = ["delete", "set"]
+            if isinstance(stages, list) and len(stages) > 1:
+                ops.append("swap")
+            op = data.draw(st.sampled_from(ops), label="op")
+            if op == "swap":
+                i, j = data.draw(
+                    st.lists(st.integers(0, len(stages) - 1), min_size=2, max_size=2, unique=True),
+                    label="stages",
+                )
+                stages[i], stages[j] = stages[j], stages[i]
+                continue
+            node, key = data.draw(st.sampled_from(_slots(doc)), label="slot")
+            if op == "delete":
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(data.draw(st.sampled_from(MUTANT_VALUES), label="value"))
+
+        rep = reverify_certificate(doc)
+        # replay stops at its first failing check, which ends the report
+        assert rep.failures == ([] if rep.ok else [rep.failures[0]])
+        assert all(c["ok"] for c in rep.checks[:-1])
+        assert rep.checks[-1]["ok"] == rep.ok and rep.checks[-1]["name"] in CHECK_NAMES
+        if rep.ok:
+            A = words.Alphabet(doc["base"])
+            wanted = itertools.islice(words.shortlex_words(A), len(doc["stages"]))
+            assert [A.parse_word(s["element"]) for s in doc["stages"]] == list(wanted)
 
 
 class TestCosetMode:
