@@ -20,41 +20,18 @@ from concc import freeprod as fp
 from concc.words import Alphabet
 
 
-def audit_ctx():
-    return fp.FreeProductCtx(
-        [fp.FreeAbelianFactor("A", 1), fp.CyclicFactor("B", 5),
-         fp.KleinBottleFactor("K")],
-        Alphabet(["x1", "x2"]),
-    )
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=int, default=10000)
     ap.add_argument("--seed", type=int, default=20260405)
     args = ap.parse_args()
 
-    ctx = audit_ctx()
-    rng = random.Random(args.seed)
-
     t0 = time.perf_counter()
-    isolated = 0
-    for _ in range(args.instances):
-        path = fp.random_trivial_cycle(ctx, rng, size=rng.randint(4, 16))
-        isolated += fp.connectivity(path).isolated_count
-    print(f"trivial cycles: {args.instances} instances,"
-          f" {isolated} isolated components ({time.perf_counter()-t0:.1f}s)")
-
-    n_audits = max(1000, args.instances // 10)
-    t0 = time.perf_counter()
-    irregular = violations = 0
-    for _ in range(n_audits):
-        r, q, rp, qp = fp.mirrored_instance(ctx, rng)
-        rep = fp.regularity_audit(ctx, r, q, rp, qp)
-        irregular += rep.irregular_count
-        violations += rep.pair_violations
-    print(f"regularity audits: {n_audits} instances, {irregular} irregular,"
-          f" {violations} pairing violations ({time.perf_counter()-t0:.1f}s)")
+    audit = fp.path_audit(fp.audit_ctx(), random.Random(args.seed), args.instances)
+    isolated, irregular, violations = audit.isolated, audit.irregular, audit.pair_violations
+    print(f"trivial cycles: {audit.trivial_instances} instances, {isolated} isolated components")
+    print(f"regularity audits: {audit.regularity_instances} instances, {irregular} irregular,"
+          f" {violations} pairing violations ({time.perf_counter()-t0:.1f}s for both)")
 
     X = Alphabet(["x1", "x2"])
     ctx1 = fp.FreeProductCtx([fp.FreeAbelianFactor("A", 1)], X)

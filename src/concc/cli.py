@@ -241,7 +241,9 @@ def _cmd_tower_verify(argv, args) -> int:
     try:
         with open(args.certificate) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
+        # ValueError covers bad JSON, bad UTF-8 and over-long integer literals;
+        # RecursionError covers nesting deeper than the decoder allows
         checks = [_check("certificate-readable", False, str(e))]
         return _run(argv, args.out, checks, {"certificate_file": args.certificate}, started=t0)
     rep = towers.reverify_certificate(doc)
@@ -321,61 +323,34 @@ def _cmd_bs12(argv, args) -> int:
     return _run(argv, args.out, checks, {"certificates": certs}, started=t0)
 
 
-def _audit_ctx() -> fp.FreeProductCtx:
-    return fp.FreeProductCtx(
-        [
-            fp.FreeAbelianFactor("A", 1),
-            fp.CyclicFactor("B", 5),
-            fp.KleinBottleFactor("K"),
-        ],
-        Alphabet(["x1", "x2"]),
-    )
-
-
 def _cmd_relpaths_audit(argv, args) -> int:
     t0 = time.perf_counter()
     if args.instances < 1:
         raise SystemExit(USAGE_EXIT)
-    ctx = _audit_ctx()
-    rng = random.Random(args.seed)
-
-    n_trivial = args.instances
-    isolated = 0
-    for _ in range(n_trivial):
-        path = fp.random_trivial_cycle(ctx, rng, size=rng.randint(4, 16))
-        isolated += fp.connectivity(path).isolated_count
+    ctx = fp.audit_ctx()
+    audit = fp.path_audit(ctx, random.Random(args.seed), args.instances)
     checks = [
         _check(
             "trivial-cycles-no-isolated",
-            isolated == 0,
-            f"{n_trivial} random trivial cycles, {isolated} isolated components",
-        )
-    ]
-
-    n_reg = max(1000, args.instances // 10)
-    irregular = violations = 0
-    for _ in range(n_reg):
-        r, q, rp, qp = fp.mirrored_instance(ctx, rng)
-        rep = fp.regularity_audit(ctx, r, q, rp, qp)
-        irregular += rep.irregular_count
-        violations += rep.pair_violations
-    checks.append(
+            audit.isolated == 0,
+            f"{audit.trivial_instances} random trivial cycles, "
+            f"{audit.isolated} isolated components",
+        ),
         _check(
             "regularity-c-le-1",
-            irregular == 0,
-            f"{n_reg} mirrored instances, {irregular} irregular middle components",
-        )
-    )
-    checks.append(
+            audit.irregular == 0,
+            f"{audit.regularity_instances} mirrored instances, "
+            f"{audit.irregular} irregular middle components",
+        ),
         _check(
             "pairing-no-violations",
-            violations == 0,
-            f"{violations} classes pairing one side twice",
-        )
-    )
+            audit.pair_violations == 0,
+            f"{audit.pair_violations} classes pairing one side twice",
+        ),
+    ]
     artifacts = {
-        "trivial_instances": n_trivial,
-        "regularity_instances": n_reg,
+        "trivial_instances": audit.trivial_instances,
+        "regularity_instances": audit.regularity_instances,
         "factors": [f.label for f in ctx.factors],
     }
     return _run(argv, args.out, checks, artifacts, seed=args.seed, started=t0)

@@ -2,9 +2,10 @@
 
 Elements are alternating syllable tuples ``(label, payload)``; ``label`` is
 a factor's name or None for a chunk of the free part, and payloads are
-whatever the factor oracle works with (ints, vectors, free-group words,
-Klein bottle normal forms).  Multiplication is the usual stack merge, so a
-tuple IS the normal form and equality is tuple equality.
+whatever the factor oracle works with (ints, vectors, Klein bottle normal
+forms).  Multiplication is the usual stack merge, done by the one routine
+``FreeProductCtx.merge``, so a tuple IS the normal form and equality is
+tuple equality.
 
 Paths are sequences of letters, each a free-part generator or a nonidentity
 factor element.  The objects of interest are a path's components (maximal
@@ -12,16 +13,22 @@ same-factor letter runs), which components of a closed path land in a
 common coset of their factor, and which stay isolated.  Coset membership is
 read off normal forms exactly, so the audits in this module test the
 combinatorial statements rather than assume them.
+
+The audits read each path once, left to right: the running vertex is kept
+as a syllable stack that changes only at its top, and each component's
+coset key is taken from that stack as the component starts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from . import hnn
-from .words import Alphabet, Word, WordError, free_reduce
+from .words import Alphabet, Word, free_reduce
 
 Payload = object
 Syllable = tuple  # (label: str | None, payload)
@@ -31,6 +38,18 @@ Letter = tuple  # ('x', signed index) | ('h', label, payload)
 
 class FreeProductError(ValueError):
     """Malformed elements, letters, paths, or factor lookups."""
+
+
+def _square_and_multiply(multiply, one, base, n: int):
+    """base^n for n >= 0 in O(log n) multiplications."""
+    out = one
+    while n:
+        if n & 1:
+            out = multiply(out, base)
+        n >>= 1
+        if n:
+            base = multiply(base, base)
+    return out
 
 
 class Factor:
@@ -51,11 +70,9 @@ class Factor:
         raise NotImplementedError
 
     def power(self, p: Payload, n: int) -> Payload:
-        out = self.identity()
-        base = p if n >= 0 else self.inverse(p)
-        for _ in range(abs(n)):
-            out = self.multiply(out, base)
-        return out
+        return _square_and_multiply(
+            self.multiply, self.identity(), p if n >= 0 else self.inverse(p), abs(n)
+        )
 
     def equal(self, p: Payload, q: Payload) -> bool:
         return self.is_identity(self.multiply(p, self.inverse(q)))
@@ -74,6 +91,7 @@ class Factor:
         raise NotImplementedError
 
     def sample(self, rng: random.Random) -> Payload:
+        """A random nonidentity element."""
         raise NotImplementedError
 
 
@@ -133,7 +151,7 @@ class FreeAbelianFactor(Factor):
         return tuple(-a for a in p)
 
     def is_identity(self, p):
-        return all(a == 0 for a in p)
+        return not any(p)
 
     def has_finite_order(self, p):
         return self.is_identity(p)
@@ -152,52 +170,9 @@ class FreeAbelianFactor(Factor):
 
     def sample(self, rng):
         while True:
-            p = tuple(rng.randint(-3, 3) for _ in range(self.rank))
+            p = tuple([rng.randint(-3, 3) for _ in range(self.rank)])
             if not self.is_identity(p):
                 return p
-
-
-class FreeFactor(Factor):
-    """Free group on its own alphabet; payloads are reduced Words."""
-
-    def __init__(self, label: str, alphabet: Alphabet):
-        self.label = label
-        self.alphabet = alphabet
-
-    def identity(self):
-        return self.alphabet.identity()
-
-    def multiply(self, p: Word, q: Word):
-        return p * q
-
-    def inverse(self, p: Word):
-        return p.inverse()
-
-    def is_identity(self, p: Word):
-        return p.is_identity
-
-    def has_finite_order(self, p):
-        return self.is_identity(p)
-
-    def conjugating(self, p, q):
-        from .words import conjugacy_witness
-
-        return conjugacy_witness(p, q)
-
-    def format(self, p: Word):
-        return str(p)
-
-    def parse(self, text):
-        return self.alphabet.parse_word(text)
-
-    def sample(self, rng):
-        letters = []
-        for _ in range(rng.randint(1, 2)):
-            l = rng.choice(self.alphabet.letters_in_order())
-            if letters and l == -letters[-1]:
-                l = -l
-            letters.append(l)
-        return self.alphabet.word(letters)
 
 
 class KleinBottleFactor(Factor):
@@ -323,24 +298,28 @@ class FreeProductCtx:
             w = self.free_alphabet.word(letters)
         return ((None, w.letters),) if w.letters else ()
 
+    def merge(self, out: list, label: str | None, payload) -> None:
+        """Multiply the normal form in ``out`` by one syllable, changing only its top.
+
+        A free-part payload may be any letter tuple; a factor payload is not 1."""
+        if label is None:
+            if out and out[-1][0] is None:
+                payload = out.pop()[1] + payload
+            payload = free_reduce(payload)
+            if payload:
+                out.append((None, payload))
+        elif out and out[-1][0] == label:
+            f = self.by_label[label]
+            payload = f.multiply(out.pop()[1], payload)
+            if not f.is_identity(payload):
+                out.append((label, payload))
+        else:
+            out.append((label, payload))
+
     def mul(self, a: Element, b: Element) -> Element:
         out = list(a)
-        for syl in b:
-            if out and out[-1][0] == syl[0]:
-                lab = syl[0]
-                if lab is None:
-                    comb = free_reduce(out[-1][1] + syl[1])
-                    out.pop()
-                    if comb:
-                        out.append((None, comb))
-                else:
-                    f = self.by_label[lab]
-                    comb = f.multiply(out[-1][1], syl[1])
-                    out.pop()
-                    if not f.is_identity(comb):
-                        out.append((lab, comb))
-            else:
-                out.append(syl)
+        for lab, payload in b:
+            self.merge(out, lab, payload)
         return tuple(out)
 
     def product(self, parts: Iterable[Element]) -> Element:
@@ -359,11 +338,7 @@ class FreeProductCtx:
         return tuple(out)
 
     def pow(self, a: Element, n: int) -> Element:
-        out: Element = ()
-        base = a if n >= 0 else self.inv(a)
-        for _ in range(abs(n)):
-            out = self.mul(out, base)
-        return out
+        return _square_and_multiply(self.mul, (), a if n >= 0 else self.inv(a), abs(n))
 
     def conj(self, g: Element, a: Element) -> Element:
         """g a g^-1."""
@@ -415,14 +390,13 @@ class FreeProductCtx:
 
 @dataclass(frozen=True)
 class SyllablePath:
-    """Edge path: a letter sequence read from a base vertex."""
+    """Edge path: a letter sequence read from the identity vertex."""
 
     ctx: FreeProductCtx
     letters: tuple[Letter, ...]
-    base: Element = ()
 
     def vertices(self) -> list[Element]:
-        vs = [self.base]
+        vs: list[Element] = [()]
         for letter in self.letters:
             vs.append(self.ctx.mul(vs[-1], self.ctx.letter_element(letter)))
         return vs
@@ -437,7 +411,7 @@ class SyllablePath:
         return " ".join(self.ctx.format_letter(l) for l in self.letters) or "1"
 
 
-def parse_path(ctx: FreeProductCtx, text: str, base: Element = ()) -> SyllablePath:
+def parse_path(ctx: FreeProductCtx, text: str) -> SyllablePath:
     """Parse ``x1 [A: 2] x2^-1 [K: a t]`` style path labels."""
     letters: list[Letter] = []
     i = 0
@@ -472,10 +446,10 @@ def parse_path(ctx: FreeProductCtx, text: str, base: Element = ()) -> SyllablePa
         for _ in range(abs(exp)):
             letters.append(ctx.x_letter(name, 1 if exp > 0 else -1))
         i = j
-    return SyllablePath(ctx, tuple(letters), base)
+    return SyllablePath(ctx, tuple(letters))
 
 
-@dataclass
+@dataclass(slots=True)
 class Component:
     """Maximal run of same-factor letters; label is the run's product."""
 
@@ -487,34 +461,46 @@ class Component:
     coset_key: Element | None = None
 
 
+def _walk(
+    ctx: FreeProductCtx, segments: Iterable[tuple[str, Sequence[Letter]]]
+) -> tuple[list[Component], Element]:
+    """Read the segments' letters once, left to right: (components, end vertex).
+
+    The running vertex is a syllable stack merged only at its top.  Each
+    component (a maximal same-factor run inside one segment) gets its payload
+    and coset key as it starts: the stack less a trailing own-factor syllable.
+    """
+    stack: list[Syllable] = []
+    comps: list[Component] = []
+    pos = 0
+    for name, letters in segments:
+        for lab, run in groupby(letters, lambda l: l[1] if l[0] == "h" else None):
+            if lab is None:
+                run = tuple([l for _, l in run])
+                ctx.merge(stack, None, run)
+                pos += len(run)
+                continue
+            f = ctx.factor(lab)
+            key = tuple(_coset_key(ctx, stack, lab))
+            ps = [l[2] for l in run]
+            payload = reduce(f.multiply, ps)
+            if f.is_identity(payload):
+                raise FreeProductError(
+                    f"letters {pos}..{pos + len(ps) - 1} in factor {lab!r} multiply "
+                    "to the identity; the path is ill-formed"
+                )
+            comps.append(Component(lab, pos, pos + len(ps), payload, name, key))
+            ctx.merge(stack, lab, payload)
+            pos += len(ps)
+    return comps, tuple(stack)
+
+
 def path_components(path: SyllablePath, segment: str = "") -> list[Component]:
     """Maximal same-factor runs; identity run products are ill-formed."""
-    ctx = path.ctx
-    comps: list[Component] = []
-    i = 0
-    ls = path.letters
-    while i < len(ls):
-        if ls[i][0] != "h":
-            i += 1
-            continue
-        lab = ls[i][1]
-        j = i
-        f = ctx.factor(lab)
-        payload = f.identity()
-        while j < len(ls) and ls[j][0] == "h" and ls[j][1] == lab:
-            payload = f.multiply(payload, ls[j][2])
-            j += 1
-        if f.is_identity(payload):
-            raise FreeProductError(
-                f"letters {i}..{j - 1} in factor {lab!r} multiply to the identity; "
-                "the path is ill-formed"
-            )
-        comps.append(Component(lab, i, j, payload, segment))
-        i = j
-    return comps
+    return _walk(path.ctx, ((segment, path.letters),))[0]
 
 
-def _coset_key(ctx: FreeProductCtx, vertex: Element, label: str) -> Element:
+def _coset_key(ctx: FreeProductCtx, vertex: Sequence, label: str) -> Sequence:
     """Canonical representative of vertex * H_label: drop a trailing label syllable."""
     if vertex and vertex[-1][0] == label:
         return vertex[:-1]
@@ -524,9 +510,8 @@ def _coset_key(ctx: FreeProductCtx, vertex: Element, label: str) -> Element:
 @dataclass
 class ConnectivityReport:
     components: list[Component]
-    classes: list[list[int]]  # index lists into components
+    classes: list[list[int]]  # index lists into components, by first member
     isolated: list[int]
-    class_witness: list[str]
 
     @property
     def isolated_count(self) -> int:
@@ -539,30 +524,25 @@ def connectivity(path: SyllablePath) -> ConnectivityReport:
     Two components of factor H are connected exactly when their start
     vertices differ by right multiplication inside H; that is a normal-form
     comparison after stripping a trailing H-syllable, no search involved.
+    One left-to-right walk records each component's coset key as it starts
+    and reads closure off the empty final stack.
     """
-    if not path.is_cycle():
+    comps, end = _walk(path.ctx, (("", path.letters),))
+    if end:
         raise FreeProductError(
             f"connectivity needs a closed path; this one ends at "
-            f"{path.ctx.format_element(path.product())}"
+            f"{path.ctx.format_element(end)}"
         )
-    return _connectivity_of(path, path_components(path))
+    return _classes_of(comps)
 
 
-def _connectivity_of(path: SyllablePath, comps: list[Component]) -> ConnectivityReport:
-    ctx = path.ctx
-    vs = path.vertices()
+def _classes_of(comps: list[Component]) -> ConnectivityReport:
     groups: dict[tuple, list[int]] = {}
     for idx, c in enumerate(comps):
-        key = _coset_key(ctx, vs[c.start], c.factor_label)
-        c.coset_key = key
-        groups.setdefault((c.factor_label, key), []).append(idx)
-    classes = sorted(groups.values(), key=lambda g: g[0])
-    isolated = [g[0] for g in classes if len(g) == 1]
-    witness = [
-        ctx.format_element(comps[g[0]].coset_key) + f" * H_{comps[g[0]].factor_label}"
-        for g in classes
-    ]
-    return ConnectivityReport(comps, classes, isolated, witness)
+        groups.setdefault((c.factor_label, c.coset_key), []).append(idx)
+    # dicts keep insertion order, so the classes come sorted by first member
+    classes = list(groups.values())
+    return ConnectivityReport(comps, classes, [g[0] for g in classes if len(g) == 1])
 
 
 def check_W_membership(path: SyllablePath, m: int = 0) -> bool:
@@ -577,17 +557,16 @@ def check_W_membership(path: SyllablePath, m: int = 0) -> bool:
     """
     if m < 0:
         raise FreeProductError("radius must be nonnegative")
-    ls = path.letters
-    for i, letter in enumerate(ls):
-        if letter[0] == "h" and path.ctx.factor(letter[1]).is_identity(letter[2]):
+    prev = None
+    for letter in path.letters:
+        if letter[0] == "h":
+            if path.ctx.factor(letter[1]).is_identity(letter[2]):
+                return False
+            if prev is not None and prev[0] == "h" and prev[1] == letter[1]:
+                return False
+        elif prev is not None and prev[0] == "x":
             return False
-        if i == 0:
-            continue
-        prev = ls[i - 1]
-        if letter[0] == "x" and prev[0] == "x":
-            return False
-        if letter[0] == "h" and prev[0] == "h" and letter[1] == prev[1]:
-            return False
+        prev = letter
     return True
 
 
@@ -738,54 +717,39 @@ def regularity_audit(
     times the longer boundary segment.
     """
     for name, seg in (("q", q), ("q'", qp)):
-        if require_membership and not check_W_membership(
-            SyllablePath(ctx, tuple(seg)), m
-        ):
+        if require_membership and not check_W_membership(SyllablePath(ctx, tuple(seg)), m):
             raise FreeProductError(f"segment {name} is not an admissible word")
-    letters = tuple(r) + tuple(q) + tuple(rp) + tuple(qp)
-    path = SyllablePath(ctx, letters)
-    if not path.is_cycle():
-        end = ctx.format_element(path.product())
+    segments = (("r", r), ("q", q), ("r'", rp), ("q'", qp))
+    comps, end = _walk(ctx, segments)
+    if end:
+        end = ctx.format_element(end)
         if not r and not rp and not qp:
             raise FreeProductError(
                 "a nonempty admissible word alone cannot close up: its label "
                 f"{end} is nontrivial in the free product"
             )
         raise FreeProductError(f"cycle does not close; total label {end}")
-    bounds = {}
-    off = 0
-    for name, seg in (("r", r), ("q", q), ("r'", rp), ("q'", qp)):
+    bounds, off = {}, 0
+    for name, seg in segments:
         bounds[name] = (off, off + len(seg))
         off += len(seg)
+    rep = _classes_of(comps)
 
-    comps: list[Component] = []
-    for name in ("r", "q", "r'", "q'"):
-        lo, hi = bounds[name]
-        sub = SyllablePath(ctx, letters[lo:hi])
-        for c in path_components(sub):
-            comps.append(
-                Component(c.factor_label, c.start + lo, c.end + lo, c.payload, name)
-            )
-    comps.sort(key=lambda c: c.start)
-    rep = _connectivity_of(path, comps)
-
-    irregular = [
-        idx
-        for cls in rep.classes
-        if len(cls) == 1
-        for idx in cls
-        if comps[idx].segment in ("q", "q'")
-    ]
-    constant = max(len(r), len(rp))
+    irregular: list[int] = []
     violations = 0
     matched: list[tuple[int, int]] = []
     for cls in rep.classes:
+        if len(cls) == 1:
+            if comps[cls[0]].segment in ("q", "q'"):
+                irregular.append(cls[0])
+            continue
         qs = [i for i in cls if comps[i].segment == "q"]
         qps = [i for i in cls if comps[i].segment == "q'"]
         if (len(qs) >= 2 and qps) or (len(qps) >= 2 and qs):
             violations += 1
         elif len(qs) == 1 and len(qps) == 1 and len(cls) == 2:
             matched.append((qs[0], qps[0]))
+    constant = max(len(r), len(rp))
     return RegularityReport(
         segments=bounds,
         constant=constant,
@@ -823,65 +787,71 @@ def matched_run_lengths(report: RegularityReport) -> list[int]:
 # -- randomized audit instances -------------------------------------------
 
 
-def random_trivial_cycle(
-    ctx: FreeProductCtx, rng: random.Random, size: int = 12
-) -> SyllablePath:
+def random_trivial_cycle(ctx: FreeProductCtx, rng: random.Random, size: int = 12) -> SyllablePath:
     """Random closed path whose letter product is the identity.
 
     Built from nested conjugated cancelling pairs and concatenations, then
-    scrubbed: any same-factor letter run multiplying to the identity is
-    deleted (the product is unchanged) until the path is well formed.
+    scrubbed in one stack pass: same-factor letter runs multiplying to the
+    identity are deleted (the product is unchanged) until the path is well
+    formed.  The builder draws from ``rng`` in a fixed order, so a seed
+    fixes the whole sequence of cycles.
     """
+    free, factors = ctx.free_alphabet, ctx.factors
 
-    def rand_letter() -> Letter:
-        if ctx.free_alphabet is not None and (not ctx.factors or rng.random() < 0.4):
-            name = rng.choice(ctx.free_alphabet.names)
-            return ctx.x_letter(name, rng.choice((1, -1)))
-        f = rng.choice(ctx.factors)
-        return ctx.h_letter(f.label, f.sample(rng))
+    def rand_pair() -> tuple[Letter, Letter]:  # a random letter and its inverse
+        if free is not None and (not factors or rng.random() < 0.4):
+            x = free.letter(rng.choice(free.names), rng.choice((1, -1)))
+            return ("x", x), ("x", -x)
+        f = rng.choice(factors)
+        p = f.sample(rng)
+        return ("h", f.label, p), ("h", f.label, f.inverse(p))
 
-    def build(budget: int) -> list[Letter]:
-        if budget <= 0:
-            return []
-        if budget >= 2 and rng.random() < 0.55:
-            l = rand_letter()
-            inner = build(budget - 2)
-            return [l] + inner + [ctx.letter_inverse(l)]
-        if budget >= 2 and rng.random() < 0.5:
+    def build(budget: int, out: list[Letter]) -> None:
+        # a budget below 2 draws nothing and adds nothing
+        while budget >= 2:
+            if rng.random() < 0.55:
+                l, l_inv = rand_pair()
+                out.append(l)
+                build(budget - 2, out)
+                out.append(l_inv)
+                return
+            if rng.random() >= 0.5:
+                return
             cut = rng.randint(1, budget - 1)
-            return build(cut) + build(budget - cut)
-        return []
+            build(cut, out)
+            budget -= cut
 
     for _ in range(200):
-        letters = build(size)
-        letters = _scrub_identity_runs(ctx, letters)
-        if letters:
-            return SyllablePath(ctx, tuple(letters))
+        letters: list[Letter] = []
+        build(size, letters)
+        # the scrub empties a trivial word exactly when it has no free letter
+        if any(l[0] == "x" for l in letters):
+            return SyllablePath(ctx, tuple(_scrub_identity_runs(ctx, letters)))
     raise FreeProductError("could not generate a nonempty trivial cycle")
 
 
-def _scrub_identity_runs(ctx: FreeProductCtx, letters: list[Letter]) -> list[Letter]:
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(letters):
-            if letters[i][0] != "h":
-                i += 1
-                continue
-            lab = letters[i][1]
-            f = ctx.factor(lab)
-            j = i
-            payload = f.identity()
-            while j < len(letters) and letters[j][0] == "h" and letters[j][1] == lab:
-                payload = f.multiply(payload, letters[j][2])
-                j += 1
-            if f.is_identity(payload):
-                del letters[i:j]
-                changed = True
-            else:
-                i = j
-    return letters
+def _scrub_identity_runs(ctx: FreeProductCtx, letters: Iterable[Letter]) -> list[Letter]:
+    """Delete same-factor runs whose product is the identity, in one stack pass.
+
+    A run is deleted when it closes with the identity product, and the run
+    below it reopens if the next letter has its label; the product is kept.
+    """
+    by_label = ctx.by_label
+    out: list[Letter] = []
+    runs: list[list] = []  # [label, start in out, product], one per factor run of out
+    for letter in [*letters, ("x", 0)]:  # the sentinel closes the last run
+        lab = letter[1] if letter[0] == "h" else None
+        top = runs[-1] if out and out[-1][0] == "h" else None  # the open run
+        if top is not None and top[0] != lab and by_label[top[0]].is_identity(top[2]):
+            del out[runs.pop()[1]:]
+            top = runs[-1] if out and out[-1][0] == "h" else None
+        if top is not None and top[0] == lab:
+            top[2] = by_label[lab].multiply(top[2], letter[2])
+        elif lab is not None:
+            runs.append([lab, len(out), letter[2]])
+        out.append(letter)
+    out.pop()
+    return out
 
 
 def random_admissible_word(
@@ -938,13 +908,42 @@ def mirrored_instance(
 
     r = boundary()
     rp = boundary()
-    q_inv = tuple(ctx.letter_inverse(l) for l in reversed(q.letters))
-    qp = (
-        tuple(ctx.letter_inverse(l) for l in rp)
-        + q_inv
-        + tuple(ctx.letter_inverse(l) for l in r)
-    )
+    qp = tuple(ctx.letter_inverse(l) for l in reversed(r + q.letters + rp))
     return r, q.letters, rp, qp
+
+
+def audit_ctx() -> FreeProductCtx:
+    """Z * Z/5 * K with free part {x1, x2}: the product the path audits run over."""
+    return FreeProductCtx(
+        [FreeAbelianFactor("A", 1), CyclicFactor("B", 5), KleinBottleFactor("K")],
+        Alphabet(["x1", "x2"]),
+    )
+
+
+@dataclass(frozen=True)
+class PathAudit:
+    trivial_instances: int
+    isolated: int
+    regularity_instances: int
+    irregular: int
+    pair_violations: int
+
+
+def path_audit(ctx: FreeProductCtx, rng: random.Random, instances: int) -> PathAudit:
+    """``instances`` random trivial cycles, where no component should be
+    isolated, then max(1000, instances // 10) mirrored r q r' q' cycles,
+    where no middle component should be irregular or pair one side twice."""
+    isolated = 0
+    for _ in range(instances):
+        path = random_trivial_cycle(ctx, rng, size=rng.randint(4, 16))
+        isolated += connectivity(path).isolated_count
+    n_reg = max(1000, instances // 10)
+    irregular = violations = 0
+    for _ in range(n_reg):
+        rep = regularity_audit(ctx, *mirrored_instance(ctx, rng))
+        irregular += rep.irregular_count
+        violations += rep.pair_violations
+    return PathAudit(instances, isolated, n_reg, irregular, violations)
 
 
 # -- commensuration probe --------------------------------------------------

@@ -255,3 +255,42 @@ def tower_normal_form(symbols) -> tuple:
             run.append(s)
     out.append(free_reduce(run))
     return tuple(out)
+
+
+def brute_connectivity(ctx, letters, cuts=()):
+    """Components, coset keys, classes and isolated indices by the definition.
+
+    Every prefix of the path is multiplied out with one ``ctx.mul`` per
+    letter.  A component is a maximal same-factor letter run that does not
+    cross an index in ``cuts``; its coset key is its start vertex with a
+    trailing syllable of its own factor stripped.  Returns the components as
+    (label, start, end, payload, key) tuples, the classes, the isolated
+    component indices and the end vertex.
+    """
+    vertices = [()]
+    for l in letters:
+        step = ((None, (l[1],)),) if l[0] == "x" else ((l[1], l[2]),)
+        vertices.append(ctx.mul(vertices[-1], step))
+    comps = []
+    i = 0
+    while i < len(letters):
+        if letters[i][0] != "h":
+            i += 1
+            continue
+        lab = letters[i][1]
+        f = ctx.factor(lab)
+        payload = letters[i][2]
+        j = i + 1
+        while j < len(letters) and j not in cuts and letters[j][0] == "h" and letters[j][1] == lab:
+            payload = f.multiply(payload, letters[j][2])
+            j += 1
+        v = vertices[i]
+        key = v[:-1] if v and v[-1][0] == lab else v
+        comps.append((lab, i, j, payload, key))
+        i = j
+    groups = {}
+    for idx, c in enumerate(comps):
+        groups.setdefault((c[0], c[4]), []).append(idx)
+    classes = sorted(groups.values())
+    isolated = [g[0] for g in classes if len(g) == 1]
+    return comps, classes, isolated, vertices[-1]

@@ -1,6 +1,10 @@
 """End-to-end checks of the command-line reports and exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -164,6 +168,27 @@ class TestTowerCommands:
         assert rep["checks"][0]["name"] == "certificate-readable"
 
     @pytest.mark.parametrize(
+        "content, needle",
+        [
+            (b"[" * 200_000, "recursion"),
+            (b"\xff\xfe{}", "decode"),
+            (b"9" * 5000, "digits"),
+        ],
+        ids=["deep-nesting", "bad-utf8", "long-integer"],
+    )
+    def test_verify_reports_unreadable_content(
+        self, capsys, tmp_path, monkeypatch, content, needle
+    ):
+        monkeypatch.chdir(tmp_path)
+        cert = tmp_path / "cert.json"
+        cert.write_bytes(content)
+        code, rep, _ = run(capsys, ["tower", "verify", str(cert)])
+        assert code == 2
+        assert [c["name"] for c in rep["checks"]] == ["certificate-readable"]
+        assert rep["checks"][0]["status"] == "fail"
+        assert needle in rep["checks"][0]["detail"]
+
+    @pytest.mark.parametrize(
         "mutate, check, needle",
         [
             (lambda doc, at: [1, 2], "well-formed", "not a JSON object"),
@@ -273,3 +298,14 @@ class TestRelpathAudit:
         assert "trivial-cycles-no-isolated" in names
         assert "regularity-c-le-1" in names
         assert doc["seed"] == 20260405
+
+    def test_script_runs(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "relpath_audits.py"), "--instances", "200"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "200 instances, 0 isolated components" in done.stdout
+        assert "1000 instances, 0 irregular, 0 pairing violations" in done.stdout

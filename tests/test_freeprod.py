@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
+from oracles import brute_connectivity
 
 from concc import freeprod as fp
 from concc import hnn
@@ -28,6 +30,22 @@ def rand_elem(ctx, rng, n=5):
             f = rng.choice(factors)
             e = ctx.mul(e, ctx.syllable(f.label, f.sample(rng)))
     return e
+
+
+def abelian_setup():
+    ctx = fp.FreeProductCtx([fp.FreeAbelianFactor("A", 1)], X)
+    t = ctx.free_word([1])
+    gamma, beta = (2,), (3,)
+    u = ctx.product([ctx.syllable("A", gamma), t, ctx.syllable("A", beta)])
+    return ctx, t, u, fp.TwistSpec(gamma=gamma, beta=beta, xi=1, eps=1)
+
+
+def klein_setup():
+    ctx = fp.FreeProductCtx([fp.KleinBottleFactor("K")], X)
+    t = ctx.free_word([1])
+    gamma = beta = (0, 1)
+    u = ctx.product([ctx.syllable("K", gamma), t, ctx.syllable("K", beta)])
+    return ctx, t, u, fp.TwistSpec(gamma=gamma, beta=beta, xi=1, eps=-1)
 
 
 class TestFactors:
@@ -341,42 +359,28 @@ class TestRegularity:
 
 
 class TestPowerProbe:
-    def abelian_setup(self):
-        ctx = fp.FreeProductCtx([fp.FreeAbelianFactor("A", 1)], X)
-        t = ctx.free_word([1])
-        gamma, beta = (2,), (3,)
-        u = ctx.product([ctx.syllable("A", gamma), t, ctx.syllable("A", beta)])
-        return ctx, t, u, fp.TwistSpec(gamma=gamma, beta=beta, xi=1, eps=1)
-
-    def klein_setup(self):
-        ctx = fp.FreeProductCtx([fp.KleinBottleFactor("K")], X)
-        t = ctx.free_word([1])
-        gamma = beta = (0, 1)
-        u = ctx.product([ctx.syllable("K", gamma), t, ctx.syllable("K", beta)])
-        return ctx, t, u, fp.TwistSpec(gamma=gamma, beta=beta, xi=1, eps=-1)
-
     def test_abelian_straight_twist(self):
-        ctx, t, u, tw = self.abelian_setup()
+        ctx, t, u, tw = abelian_setup()
         rep = fp.commensuration_probe(ctx, "A", (1,), t, u, range(1, 9), twist=tw)
         assert rep.all_found and rep.all_verified
         assert all(r.exponents == (1, 1) for r in rep.rows)
         assert all(r.predicted_eta == 1 for r in rep.rows)
 
     def test_klein_flip_twist(self):
-        ctx, t, u, tw = self.klein_setup()
+        ctx, t, u, tw = klein_setup()
         rep = fp.commensuration_probe(ctx, "K", (1, 0), t, u, range(1, 9), twist=tw)
         assert rep.all_found and rep.all_verified
         assert all(r.predicted_eta == -1 for r in rep.rows)
 
     def test_inverse_letter_variants(self):
-        ctx, t, _, _ = self.abelian_setup()
+        ctx, t, _, _ = abelian_setup()
         gamma, beta = (2,), (3,)
         u = ctx.product([ctx.syllable("A", gamma), ctx.inv(t), ctx.syllable("A", beta)])
         tw = fp.TwistSpec(gamma=gamma, beta=beta, xi=-1, eps=1)
         rep = fp.commensuration_probe(ctx, "A", (1,), t, u, range(1, 6), twist=tw)
         assert rep.all_found and rep.all_verified
 
-        ctxk, tk, _, _ = self.klein_setup()
+        ctxk, tk, _, _ = klein_setup()
         gk = (0, 1)
         uk = ctxk.product([ctxk.syllable("K", gk), ctxk.inv(tk), ctxk.syllable("K", gk)])
         twk = fp.TwistSpec(gamma=gk, beta=gk, xi=-1, eps=-1)
@@ -384,7 +388,7 @@ class TestPowerProbe:
         assert repk.all_found and repk.all_verified
 
     def test_unrelated_element_reports_nothing(self):
-        ctx, t, _, _ = self.abelian_setup()
+        ctx, t, _, _ = abelian_setup()
         u_bad = ctx.product([ctx.syllable("A", (1,)), ctx.free_word([2]),
                              ctx.syllable("A", (1,)), ctx.free_word([1])])
         rep = fp.commensuration_probe(ctx, "A", (1,), t, u_bad, range(1, 4), exp_bound=3)
@@ -392,14 +396,14 @@ class TestPowerProbe:
         assert not rep.all_found
 
     def test_dishonest_twist_rejected(self):
-        ctx, t, u, _ = self.abelian_setup()
+        ctx, t, u, _ = abelian_setup()
         with pytest.raises(fp.FreeProductError):
             fp.commensuration_probe(ctx, "A", (1,), t, u, [1],
                                     twist=fp.TwistSpec((9,), (3,), 1, 1))
 
     def test_aligned_runs_are_mirror_monotone(self):
-        for setup, lab, a in ((self.abelian_setup, "A", (1,)),
-                              (self.klein_setup, "K", (1, 0))):
+        for setup, lab, a in ((abelian_setup, "A", (1,)),
+                              (klein_setup, "K", (1, 0))):
             ctx, t, u, _ = setup()
             for k, l in ((2, 2), (3, 3)):
                 r, q, rp, qp = fp.aligned_power_instance(ctx, lab, a, t, u, k, l)
@@ -409,3 +413,119 @@ class TestPowerProbe:
                 assert len(pairs) >= 2
                 assert all(pairs[i + 1][1] < pairs[i][1] for i in range(len(pairs) - 1))
                 assert max(runs) >= 2
+
+
+CTX = make_ctx()
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_walk_matches_brute(ctx, report, letters, cuts=()):
+    comps, classes, isolated, end = brute_connectivity(ctx, letters, cuts)
+    assert end == ()
+    assert [
+        (c.factor_label, c.start, c.end, c.payload, c.coset_key) for c in report.components
+    ] == comps
+    assert report.classes == classes
+    assert report.isolated == isolated
+
+
+class TestWalkAgainstBrute:
+    """The one-pass walk against prefix products taken letter by letter."""
+
+    @given(SEEDS, st.integers(4, 24))
+    def test_trivial_cycles(self, seed, size):
+        path = fp.random_trivial_cycle(CTX, random.Random(seed), size=size)
+        assert_walk_matches_brute(CTX, fp.connectivity(path), path.letters)
+
+    def _check_regularity(self, ctx, r, q, rp, qp):
+        rep = fp.regularity_audit(ctx, r, q, rp, qp)
+        letters = tuple(r) + tuple(q) + tuple(rp) + tuple(qp)
+        cuts = {hi for lo, hi in rep.segments.values()}
+        assert_walk_matches_brute(ctx, rep.report, letters, cuts)
+        for c in rep.report.components:
+            lo, hi = rep.segments[c.segment]
+            assert lo <= c.start < c.end <= hi
+        comps = rep.report.components
+        assert rep.irregular == [
+            i for i in rep.report.isolated if comps[i].segment in ("q", "q'")
+        ]
+
+    @given(SEEDS)
+    def test_mirrored_instances(self, seed):
+        self._check_regularity(CTX, *fp.mirrored_instance(CTX, random.Random(seed)))
+
+    @given(st.booleans(), st.integers(1, 4), st.integers(1, 4))
+    def test_aligned_power_cycles(self, klein, k, power):
+        ctx, t, u, _ = klein_setup() if klein else abelian_setup()
+        lab, a = ("K", (1, 0)) if klein else ("A", (1,))
+        self._check_regularity(ctx, *fp.aligned_power_instance(ctx, lab, a, t, u, k, power))
+
+
+LETTERS = [CTX.x_letter(n, e) for n in ("x1", "x2") for e in (1, -1)] + [
+    CTX.h_letter(lab, p)
+    for lab, ps in (
+        ("A", [(1,), (-1,), (2,), (-2,)]),
+        ("B", [1, 2, 3, 4]),
+        ("K", [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)]),
+    )
+    for p in ps
+]
+WORDS = st.lists(st.sampled_from(LETTERS), max_size=14)
+
+
+def product(letters):
+    return fp.SyllablePath(CTX, tuple(letters)).product()
+
+
+class TestScrub:
+    @given(WORDS)
+    def test_scrub_leaves_no_identity_run_and_keeps_the_product(self, letters):
+        out = fp._scrub_identity_runs(CTX, list(letters))
+        fp.path_components(fp.SyllablePath(CTX, tuple(out)))  # raises on an identity run
+        assert product(out) == product(letters)
+        has_free = any(l[0] == "x" for l in letters)
+        assert (not out) == (not has_free and product(letters) == ())
+
+    @given(WORDS, WORDS)
+    def test_trivial_words_empty_exactly_without_free_letters(self, u, v):
+        letters = u + v + [CTX.letter_inverse(l) for l in reversed(u + v)]
+        out = fp._scrub_identity_runs(CTX, letters)
+        assert (not out) == (not any(l[0] == "x" for l in letters))
+
+    def test_generation_draws_are_pinned(self):
+        # the builder's draw order is part of the report contract: a fixed
+        # seed must leave the generator in this state after 1000 cycles
+        ctx, rng = fp.audit_ctx(), random.Random(20260405)
+        for _ in range(1000):
+            fp.random_trivial_cycle(ctx, rng, size=rng.randint(4, 16))
+        assert rng.random() == 0.3198593663151076
+
+
+class TestPowers:
+    def test_factor_power_matches_repeated_multiplication(self):
+        rng = random.Random(43)
+        for f in CTX.factors:
+            p = f.sample(rng)
+            for n in range(-20, 21):
+                base = p if n >= 0 else f.inverse(p)
+                want = f.identity()
+                for _ in range(abs(n)):
+                    want = f.multiply(want, base)
+                assert f.power(p, n) == want
+
+    def test_element_pow_matches_repeated_mul(self):
+        rng = random.Random(47)
+        for _ in range(10):
+            g = rand_elem(CTX, rng)
+            for n in range(-20, 21):
+                base = g if n >= 0 else CTX.inv(g)
+                want = ()
+                for _ in range(abs(n)):
+                    want = CTX.mul(want, base)
+                assert CTX.pow(g, n) == want
+
+    def test_cyclic_power_of_a_huge_exponent(self):
+        f = fp.CyclicFactor("C", 7)
+        n = 10**12
+        for p in range(7):
+            assert f.power(p, n) == p * n % 7
