@@ -20,13 +20,19 @@ Towers grow one stage at a time, so ``Tower`` is an append-only chain
 (see its docstring): extending the newest tower is O(1) and validates
 only the new association.  Tower words stay normalised (chunk, letter,
 chunk, ...), so a product merges only the two chunks at its junction and
-an inverse needs no renormalising.
+an inverse needs no renormalising.  Britton reduction keeps that form
+throughout: a segment cut between two stable letters is already normal,
+so it is reduced as it stands; a pinch merges only the three chunks that
+meet at it, and the search for the next pinch resumes beside it instead of
+rescanning pairs that cannot fire; and the reduced segments join into a
+normal word with no final pass.  Each association's primitive roots are computed once, when
+it is made, not at every pinch.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import words as W
@@ -44,12 +50,17 @@ class CyclicAssociation:
     stable: str
     source: Word
     target: Word
+    # W.primitive_root of source and target, for the pinch test
+    source_root: tuple[Word, int] = field(init=False, repr=False, compare=False)
+    target_root: tuple[Word, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source.alphabet != self.target.alphabet:
             raise HnnError("association source and target live over different alphabets")
         if self.source.is_identity or self.target.is_identity:
             raise HnnError(f"association at {self.stable!r} must join nontrivial elements")
+        object.__setattr__(self, "source_root", W.primitive_root(self.source))
+        object.__setattr__(self, "target_root", W.primitive_root(self.target))
 
     def __str__(self) -> str:
         return f"{self.stable}: {self.source} -> {self.target}"
@@ -69,9 +80,11 @@ class Tower:
     build of n stages does O(n) work; extending an older tower copies its
     prefix into a new chain, leaving every existing tower as it was.
     ``_add`` is the one place an association is validated, and it checks
-    only the new one (alphabet, duplicate stable letter, collision with a
-    base generator), because everything below it was checked when it was
-    added.  Since a chain's list only ever grows, two towers on one chain
+    only the new one (alphabet, name, duplicate stable letter, collision
+    with a base generator), because everything below it was checked when it
+    was added.  Stable-letter names obey the rule for generator names
+    (``W.name_problem``), so every tower word prints as text that parses
+    back to it.  Since a chain's list only ever grows, two towers on one chain
     agree on their common prefix, so equality and ``extends`` compare
     heights; only towers built on separate chains compare associations.
     """
@@ -90,6 +103,9 @@ class Tower:
         """Validate a and put it on top; self must be the tip of its chain."""
         if a.source.alphabet != self.base:
             raise HnnError(f"association {a.stable!r} is not over the tower base")
+        problem = W.name_problem(a.stable)
+        if problem:
+            raise HnnError(f"stable letter name {a.stable!r} {problem}")
         if a.stable in self._index:
             raise HnnError(f"duplicate stable letter {a.stable!r}")
         if a.stable in self.base:
@@ -167,23 +183,30 @@ class Tower:
         text = text.replace("*", " ").strip()
         if text in ("", "1"):
             return self.identity()
-        raw: list[Item] = []
+        base, index, height = self.base, self._index, self.height
+        # built alternating as it is read: each run of base letters is
+        # freely reduced once, when a stable letter or the end closes it
+        items: list[Item] = []
+        run: list[int] = []
         for tok in text.split():
             name, _, exp_s = tok.partition("^")
             try:
                 exp = int(exp_s) if exp_s else 1
             except ValueError:
                 raise HnnError(f"bad exponent in token {tok!r}") from None
-            i = self._index.get(name, self.height)
-            if i < self.height:
-                raw.extend([(i, 1 if exp > 0 else -1)] * abs(exp))
-            elif name in self.base:
-                # one letter to a power is already reduced
-                letter = self.base.letter(name, 1 if exp > 0 else -1)
-                raw.append(Word(self.base, (letter,) * abs(exp)))
+            i = index.get(name, height)
+            if i < height:
+                letter = (i, 1 if exp > 0 else -1)
+                for _ in range(abs(exp)):
+                    items.append(Word(base, W.free_reduce(run)))
+                    items.append(letter)
+                    run = []
+            elif name in base:
+                run.extend([base.letter(name, 1 if exp > 0 else -1)] * abs(exp))
             else:
                 raise HnnError(f"unknown token {name!r} (neither base generator nor stable letter)")
-        return TowerWord.make(self, raw)
+        items.append(Word(base, W.free_reduce(run)))
+        return TowerWord(self, tuple(items))
 
     def to_json(self) -> dict:
         return {
@@ -208,7 +231,7 @@ Item = object  # Word or (index, eps) pair
 
 
 def _is_letter(it: Item) -> bool:
-    return isinstance(it, tuple)
+    return type(it) is tuple
 
 
 def _chunk(base: Alphabet, ws: list[Word]) -> Word:
@@ -306,7 +329,7 @@ class TowerWord:
         return tuple((assocs[it[0]].stable, it[1]) for it in self.items if _is_letter(it))
 
     def letter_count(self) -> int:
-        return sum(1 for it in self.items if _is_letter(it))
+        return len(self.items) // 2
 
     def base_word(self) -> Word:
         if self.has_stable_letters:
@@ -328,59 +351,51 @@ class TowerWord:
         return f"TowerWord({self})"
 
 
-def _segment_power(seg: tuple[Item, ...], c: Word) -> int | None:
-    """Exponent m with seg = c^m, for an already reduced segment; else None."""
-    if len(seg) > 1:
-        return None
-    return W.is_power_of(seg[0], c)
-
-
 def _britton_items(tower: Tower, items: tuple[Item, ...], strategy: str) -> tuple[Item, ...]:
-    letters = [it for it in items if _is_letter(it)]
-    if not letters:
+    """Reduce normal items (chunk, letter, ..., chunk); the result is normal too."""
+    if len(items) == 1:
         return items
-    top = max(it[0] for it in letters)
-    segs: list[list[Item]] = []
+    top = max(items[1::2])[0]
+    # cut at the top letter: every segment is a normal word of lower letters
+    segs: list[tuple[Item, ...]] = []
     tops: list[tuple[int, int]] = []
-    cur: list[Item] = []
-    for it in items:
-        if _is_letter(it) and it[0] == top:
-            segs.append(cur)
-            tops.append(it)
-            cur = []
-        else:
-            cur.append(it)
-    segs.append(cur)
-    red = [
-        list(_britton_items(tower, _normalize(tower, s), strategy)) for s in segs
-    ]
+    start = 0
+    for k in range(1, len(items), 2):
+        if items[k][0] == top:
+            segs.append(items[start:k])
+            tops.append(items[k])
+            start = k + 1
+    segs.append(items[start:])
+    red = [_britton_items(tower, s, strategy) for s in segs]
     assoc = tower._assocs[top]
-    while tops:
-        order = range(len(tops) - 1)
-        if strategy == "rightmost":
-            order = reversed(order)
-        hit = None
-        for p in order:
-            e1, e2 = tops[p][1], tops[p + 1][1]
-            if e1 != -e2:
-                continue
-            inner = tuple(red[p + 1])
-            c, d = (assoc.source, assoc.target) if e1 > 0 else (assoc.target, assoc.source)
-            m = _segment_power(inner, c)
+    # scan the pairs tops[p], tops[p + 1] in strategy order; a pinch at p
+    # leaves one new pair, the one around the merged chunk at p - 1, and
+    # every pair the scan has passed still cannot fire, so it resumes there
+    leftmost = strategy == "leftmost"
+    p = 0 if leftmost else len(tops) - 2
+    while 0 <= p < len(tops) - 1:
+        e = tops[p][1]
+        if e == -tops[p + 1][1] and len(red[p + 1]) == 1:
+            inner = red[p + 1][0]
+            if e > 0:
+                m = W.is_power_of(inner, assoc.source, assoc.source_root)
+                d = assoc.target
+            else:
+                m = W.is_power_of(inner, assoc.target, assoc.target_root)
+                d = assoc.source
             if m is not None:
-                hit = (p, d ** m)
-                break
-        if hit is None:
-            break
-        p, repl = hit
-        merged = _normalize(tower, red[p] + [repl] + red[p + 2])
-        merged = list(_britton_items(tower, merged, strategy))
-        red[p : p + 3] = [merged]
-        del tops[p : p + 2]
+                left, right = red[p], red[p + 2]
+                merged = left[:-1] + (left[-1] * d**m * right[0],) + right[1:]
+                red[p : p + 3] = [_britton_items(tower, merged, strategy)]
+                del tops[p : p + 2]
+                p = max(p - 1, 0) if leftmost else min(p - 1, len(tops) - 2)
+                continue
+        p += 1 if leftmost else -1
     out: list[Item] = list(red[0])
-    for i, t in enumerate(tops):
-        out.extend([t] + red[i + 1])
-    return _normalize(tower, out)
+    for t, seg in zip(tops, red[1:]):
+        out.append(t)
+        out.extend(seg)
+    return tuple(out)
 
 
 def britton_reduce(w: TowerWord, strategy: str = "leftmost") -> TowerWord:

@@ -171,24 +171,27 @@ class _ClassLedger:
 
     A union-find over ``W.commensurability_key`` of base words, plus the
     class label of each root.  It starts with every representative and
-    seed labelled by its class; ``attach(g, target, ci)`` records the
-    relation ``t g t^-1 = target`` by joining the two classes under label
-    ci.  A label that contradicts the one a class already carries raises
-    ``TowerBuildError``.
+    seed labelled by its class, and keeps the representatives' keys.  A
+    stage computes its element's key once and hands it to ``label_of`` and
+    then to ``attach(g, key, ci)``, which records the relation
+    ``t g t^-1 = rep_ci`` by joining g's class to that of representative ci
+    under label ci.  A label that contradicts the one a class already
+    carries raises ``TowerBuildError``.
     """
 
     def __init__(self, config: TowerConfig):
         self.parent: dict = {}
         self.labels: dict = {}
-        for i, r in enumerate(config.representatives, start=1):
-            self.label(r, i)
+        self.reps = config.representatives
+        self.rep_keys = tuple(W.commensurability_key(r) for r in self.reps)
+        for i, (r, key) in enumerate(zip(self.reps, self.rep_keys), start=1):
+            self._claim(self._root(key), r, i)
         for ci, seeds in config.class_seeds.items():
             for s in seeds:
-                self.label(s, ci)
+                self._claim(self._root(W.commensurability_key(s)), s, ci)
 
-    def _root(self, w: Word):
+    def _root(self, x):
         p = self.parent
-        x = W.commensurability_key(w)
         root = p.setdefault(x, x)
         while p[root] != root:
             root = p[root]
@@ -201,16 +204,13 @@ class _ClassLedger:
         if old != ci:
             raise TowerBuildError(f"{w} already belongs to class {old}, not {ci}")
 
-    def label_of(self, w: Word) -> int | None:
-        return self.labels.get(self._root(w))
+    def label_of(self, key) -> int | None:
+        return self.labels.get(self._root(key))
 
-    def label(self, w: Word, ci: int) -> None:
-        self._claim(self._root(w), w, ci)
-
-    def attach(self, g: Word, target: Word, ci: int) -> None:
-        rg, rt = self._root(g), self._root(target)
+    def attach(self, g: Word, key, ci: int) -> None:
+        rg, rt = self._root(key), self._root(self.rep_keys[ci - 1])
         self._claim(rg, g, ci)
-        self._claim(rt, target, ci)
+        self._claim(rt, self.reps[ci - 1], ci)
         self.parent[rg] = rt
 
 
@@ -365,7 +365,8 @@ def _build_ncc(config: TowerConfig) -> TowerBuild:
                     )
                 )
                 continue
-        ci = ledger.label_of(g)
+        key = W.commensurability_key(g)
+        ci = ledger.label_of(key)
         case = "same-class" if ci is not None else "fresh"
         if ci is None:
             ci = 1
@@ -373,7 +374,7 @@ def _build_ncc(config: TowerConfig) -> TowerBuild:
         b.attach_count += 1
         stable = f"t{b.attach_count}"
         b.tower = b.tower.extend(CyclicAssociation(stable, g, target))
-        ledger.attach(g, target, ci)
+        ledger.attach(g, key, ci)
         b._remember_witness(g, ci, b.tower.stable(stable))
         b.records.append(
             StageRecord(idx, g, "attach", class_index=ci, case=case, stable=stable, target=target)
@@ -464,36 +465,37 @@ class _Failed(Exception):
     """``_Failed(check, detail)``: replay stops at this failing check."""
 
 
-def _field(rec: Mapping, key: str, where: str):
-    if not isinstance(rec, Mapping):
+def _field(rec: dict, key: str, where: str):
+    # the document comes from json.load, which makes every JSON object a dict
+    if not isinstance(rec, dict):
         raise _Failed("well-formed", f"{where}: not a JSON object")
     if key not in rec:
         raise _Failed("well-formed", f"{where}: missing {key!r}")
     return rec[key]
 
 
-def _text(rec: Mapping, key: str, where: str) -> str:
+def _text(rec: dict, key: str, where: str) -> str:
     value = _field(rec, key, where)
     if not isinstance(value, str):
         raise _Failed("well-formed", f"{where}: {key!r} is not a string")
     return value
 
 
-def _word(base: W.Alphabet, rec: Mapping, key: str, where: str) -> Word:
+def _word(base: W.Alphabet, rec: dict, key: str, where: str) -> Word:
     try:
         return base.parse_word(_text(rec, key, where))
     except WordError as e:
         raise _Failed("well-formed", f"{where}: {e}") from None
 
 
-def _extend(tower: Tower, s: Mapping, g: Word, target: Word, at: str) -> Tower:
+def _extend(tower: Tower, s: dict, g: Word, target: Word, at: str) -> Tower:
     try:
         return tower.extend(CyclicAssociation(_text(s, "stable", at), g, target))
     except HnnError as e:
         raise _Failed("well-formed", f"{at}: {e}") from None
 
 
-def _check_witness(tower: Tower, s: Mapping, g: Word, target: Word, at: str, check: str) -> None:
+def _check_witness(tower: Tower, s: dict, g: Word, target: Word, at: str, check: str) -> None:
     """The stage's recorded conjugator takes g onto target in the tower built so far."""
     try:
         good = hnn.verify_conjugator(
@@ -539,7 +541,7 @@ def _reverify(doc, rep: ReverifyReport) -> None:
     except (WordError, TypeError) as e:
         raise _Failed("base-alphabet", str(e)) from None
     stages = _field(doc, "stages", "certificate")
-    if not isinstance(stages, list) or not all(isinstance(s, Mapping) for s in stages):
+    if not isinstance(stages, list) or not all(isinstance(s, dict) for s in stages):
         raise _Failed("well-formed", "certificate: 'stages' is not a list of objects")
     if doc.get("stage_count") != len(stages):
         raise _Failed(
@@ -604,7 +606,8 @@ def _replay_ncc(doc, base: W.Alphabet, stages: list, elements: list[Word], rep) 
         ci = _field(s, "class", at)
         attach = s["action"] == "attach"
         if attach:
-            have = ledger.label_of(g)
+            key = W.commensurability_key(g)
+            have = ledger.label_of(key)
             want = ("fresh", 1) if have is None else ("same-class", have)
             if (s.get("case"), ci) != want:
                 raise _Failed(
@@ -621,11 +624,11 @@ def _replay_ncc(doc, base: W.Alphabet, stages: list, elements: list[Word], rep) 
             )
         if attach:
             tower = _extend(tower, s, g, target, at)
-            ledger.attach(g, target, ci)
+            ledger.attach(g, key, ci)
         else:
             _check_witness(tower, s, g, target, at, "replay")
     rep.add("replay", True)
-    if any(ledger.label_of(r) != i for i, r in enumerate(reps, start=1)):
+    if any(ledger.label_of(key) != i for i, key in enumerate(ledger.rep_keys, start=1)):
         raise _Failed("independence", "representative classes merged during replay")
     rep.add("independence", True)
 

@@ -6,6 +6,12 @@ words are kept in a canonical rotation, and every answer that claims a
 relation (conjugacy, commensurability) carries an explicit witness that can
 be re-multiplied and checked.
 
+Because words are kept reduced, arithmetic re-reduces nothing: a product
+cancels only at the junction (the suffix of the left factor that mirrors
+the prefix of the right one), and a power repeats the cyclically reduced
+core between the conjugating prefix and its inverse.  A word's hash is
+computed the first time it is asked for, not at construction.
+
 The letter order used everywhere is
 
     g1 < g1^-1 < g2 < g2^-1 < ...
@@ -44,6 +50,22 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def name_problem(name: object) -> str | None:
+    """Why ``name`` cannot name a generator or a stable letter; None if it can.
+
+    A name must read back as itself from the printed word: the parsers split
+    tokens at whitespace and ``*``, read ``^`` as the exponent mark and a
+    bare ``1`` as the identity, and presentations use ``,|<>[]:``.
+    """
+    if not isinstance(name, str) or not name:
+        return "is not a nonempty string"
+    if name == "1":
+        return "is the identity literal"
+    if any(ch in " ^,|<>[]:*" or ch.isspace() for ch in name):
+        return "contains reserved characters"
+    return None
+
+
 class Alphabet:
     """Ordered finite set of generator names.
 
@@ -59,10 +81,9 @@ class Alphabet:
         if not names:
             raise WordError("alphabet needs at least one generator")
         for n in names:
-            if not n or not isinstance(n, str):
-                raise WordError(f"bad generator name {n!r}")
-            if any(ch in n for ch in " ^,|<>[]:"):
-                raise WordError(f"generator name {n!r} contains reserved characters")
+            problem = name_problem(n)
+            if problem:
+                raise WordError(f"generator name {n!r} {problem}")
         if len(set(names)) != len(names):
             raise WordError(f"duplicate generator names in {names}")
         self.names = names
@@ -131,10 +152,11 @@ class Alphabet:
         text = text.replace("*", " ").strip()
         if text in ("", "1"):
             return self.identity()
+        index = self._index
         letters: list[int] = []
         for tok in text.split():
             name, _, exp_s = tok.partition("^")
-            if name not in self._index:
+            if name not in index:
                 raise WordError(f"unknown generator {name!r} in word {text!r}")
             if exp_s == "":
                 exp = 1
@@ -143,12 +165,9 @@ class Alphabet:
                     exp = int(exp_s)
                 except ValueError:
                     raise WordError(f"bad exponent {exp_s!r} in token {tok!r}") from None
-            base = self._index[name]
-            if exp >= 0:
-                letters.extend([base] * exp)
-            else:
-                letters.extend([-base] * (-exp))
-        return self.word(letters)
+            letters.extend([index[name] if exp >= 0 else -index[name]] * abs(exp))
+        # every letter came from the index, so only free reduction is left
+        return Word(self, free_reduce(letters))
 
 
 class Word:
@@ -160,7 +179,7 @@ class Word:
         # letters are trusted to be reduced; go through Alphabet.word otherwise
         self.alphabet = alphabet
         self.letters = letters
-        self._hash = hash((alphabet.names, letters))
+        self._hash = None
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -180,19 +199,33 @@ class Word:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.alphabet.names, self.letters))
         return self._hash
 
     def __mul__(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise WordError("cannot multiply words over different alphabets")
-        return Word(self.alphabet, free_reduce(self.letters + other.letters))
+        a, b = self.letters, other.letters
+        # both factors are reduced: only a suffix of a can cancel a prefix of b
+        n, k, m = len(a), 0, min(len(a), len(b))
+        while k < m and a[n - 1 - k] == -b[k]:
+            k += 1
+        return Word(self.alphabet, a[: n - k] + b[k:] if k else a + b)
 
     def inverse(self) -> "Word":
         return Word(self.alphabet, tuple(-l for l in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
-        return Word(self.alphabet, free_reduce(base.letters * abs(n)))
+        ls = base.letters
+        if n == 0 or not ls:
+            return Word(self.alphabet, ())
+        # base = p core p^-1 with core cyclically reduced, so the power
+        # p core^|n| p^-1 is reduced as written
+        core, p = cyclic_reduce(base)
+        k = len(p)
+        return Word(self.alphabet, ls[:k] + core.letters * abs(n) + ls[len(ls) - k :])
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g * self * g^-1."""
@@ -265,7 +298,7 @@ class CyclicWord:
             ls = ls[k:] + ls[:k]
         self.alphabet = word.alphabet
         self.letters = ls
-        self._hash = hash((word.alphabet.names, ls))
+        self._hash = None
 
     @classmethod
     def of(cls, w: Word) -> "CyclicWord":
@@ -283,6 +316,8 @@ class CyclicWord:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.alphabet.names, self.letters))
         return self._hash
 
     def word(self) -> Word:
@@ -407,14 +442,17 @@ def commensurable(u: Word, v: Word) -> Commensuration:
     return Commensuration(False, u, v)
 
 
-def is_power_of(w: Word, c: Word) -> int | None:
-    """m with w = c^m, or None.  w identity gives 0; c must be nontrivial."""
+def is_power_of(w: Word, c: Word, c_root: tuple[Word, int] | None = None) -> int | None:
+    """m with w = c^m, or None.  w identity gives 0; c must be nontrivial.
+
+    ``c_root`` is ``primitive_root(c)`` when the caller already has it.
+    """
     if c.is_identity:
         raise WordError("powers of the identity are degenerate")
     if w.is_identity:
         return 0
     rw, ew = primitive_root(w)
-    rc, ec = primitive_root(c)
+    rc, ec = c_root if c_root is not None else primitive_root(c)
     if rw == rc:
         m, rem = divmod(ew, ec)
         return m if rem == 0 and c ** m == w else None

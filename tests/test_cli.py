@@ -309,3 +309,21 @@ class TestRelpathAudit:
         assert done.returncode == 0, done.stderr
         assert "200 instances, 0 isolated components" in done.stdout
         assert "1000 instances, 0 irregular, 0 pairing violations" in done.stdout
+
+
+class TestTowerDemo:
+    def test_script_runs(self, tmp_path):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "tower_demo.py"),
+             "--stages", "60", "--outdir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        replays = [l for l in done.stdout.splitlines() if l.startswith("replay ")]
+        assert [l.split(":")[0] for l in replays] == [
+            "replay tower-ncc.json", "replay tower-coset.json"
+        ]
+        assert all(l.endswith(", ok") for l in replays), done.stdout
+        assert "quotient-check=ok" in done.stdout

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -133,6 +134,22 @@ class TestTowers:
         with pytest.raises(HnnError):
             Tower(A).extend(CyclicAssociation("a", a, a))
 
+    @pytest.mark.parametrize("name", ["t^2", "t s", "", "*", "1", "t\ts", "s,t", 7])
+    def test_stable_names_that_cannot_round_trip_rejected(self, name):
+        A = Alphabet(["a"])
+        a = A.gen("a")
+        with pytest.raises(HnnError, match="stable letter name"):
+            Tower(A).extend(CyclicAssociation(name, a, a**2))
+        with pytest.raises(HnnError, match="stable letter name"):
+            Tower(A, [CyclicAssociation(name, a, a**2)])
+
+    @pytest.mark.parametrize("name", ["t", "t2", "T_1", "s'", "x-1"])
+    def test_accepted_stable_names_round_trip(self, name):
+        A = Alphabet(["a", "b"])
+        T = Tower(A, [CyclicAssociation(name, A.gen("a"), A.gen("b"))])
+        w = T.stable(name) * T.embed(A.parse_word("a b^-1")) * T.stable(name, -1)
+        assert T.parse(str(w)) == w
+
     def test_json_round_trip(self):
         t = bs12_tower()
         doc = t.to_json()
@@ -213,9 +230,8 @@ def two_level_tower():
     return Tower(A, [CyclicAssociation("t", a, b), CyclicAssociation("s", a * b, b**2)])
 
 
-TOKENS = st.lists(
-    st.tuples(st.sampled_from("abts"), st.integers(min_value=-3, max_value=3)), max_size=10
-)
+TOKEN = st.tuples(st.sampled_from("abts"), st.integers(min_value=-3, max_value=3))
+TOKENS = st.lists(TOKEN, max_size=10)
 
 
 def tokens_text(tokens):
@@ -238,6 +254,65 @@ def inverse_symbols(symbols):
 
 def plain(w):
     return tuple(it if isinstance(it, tuple) else it.letters for it in w.items)
+
+
+def item_symbols(w):
+    """Oracle symbols of a tower word as it is stored."""
+    return [s for it in w.items for s in ((it,) if isinstance(it, tuple) else it.letters)]
+
+
+# plain tokens mixed with snippets that pinch in two_level_tower()
+PINCHY = st.lists(
+    st.one_of(
+        TOKEN.map(lambda t: tokens_text([t])),
+        st.sampled_from(
+            [
+                "t a^2 t^-1",
+                "t^-1 b^-3 t",
+                "s a b s^-1",
+                "s^-1 b^4 s",
+                "s t a t^-1 b s^-1",
+                "t^-1 s a b s^-1 t",
+            ]
+        ),
+    ),
+    max_size=8,
+).map(lambda parts: " ".join(parts) or "1")
+
+
+class TestBrittonNormalForm:
+    """Britton reduction returns a normal word with no pinch left."""
+
+    @given(PINCHY, st.sampled_from(["leftmost", "rightmost"]))
+    def test_output_is_normal_and_pinch_free(self, text, strategy):
+        r = britton_reduce(two_level_tower().parse(text), strategy=strategy)
+        assert plain(r) == oracles.tower_normal_form(item_symbols(r))
+        assert find_pinch(r) is None
+
+    @given(PINCHY)
+    def test_strategies_agree(self, text):
+        w = two_level_tower().parse(text)
+        left = britton_reduce(w, strategy="leftmost")
+        right = britton_reduce(w, strategy="rightmost")
+        assert left.letter_count() == right.letter_count()
+        assert is_trivial(left).is_yes == is_trivial(right).is_yes == is_trivial(w).is_yes
+
+    def test_long_pinch_chain_is_not_rescanned(self):
+        # t^k a t^-k pinches k times, each at the pair inside the last one;
+        # rescanning from the start after every pinch is quadratic in k
+        T = klein_bottle_tower()
+        w = T.parse("t^20000 a t^-20000")
+        start = time.perf_counter()
+        for strategy in ("leftmost", "rightmost"):
+            assert britton_reduce(w, strategy=strategy) == T.parse("a")
+        assert time.perf_counter() - start < 10
+
+    def test_nested_pinches_fire(self):
+        T = two_level_tower()
+        # t a t^-1 = b, then s a b s^-1 = b^2: both levels pinch away
+        assert plain(britton_reduce(T.parse("s a t a t^-1 s^-1 b^-2"))) == ((),)
+        # s a b s^-1 = b^2 leaves t^-1 b^2 t = a^2 behind the pinch
+        assert plain(britton_reduce(T.parse("t^-1 s a b s^-1 t a^-2"))) == ((),)
 
 
 class TestJunctionArithmetic:

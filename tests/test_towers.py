@@ -215,6 +215,33 @@ class TestReverify:
         rep = reverify_certificate(doc)
         assert rep.failures[0].startswith("replay: stage 28: target x1 x1 is not the representative")
 
+    @pytest.mark.parametrize(
+        "name, problem",
+        [
+            ("t^2", "contains reserved characters"),
+            ("t s", "contains reserved characters"),
+            ("*", "contains reserved characters"),
+            ("", "is not a nonempty string"),
+            ("1", "is the identity literal"),
+        ],
+    )
+    def test_unprintable_stable_name_fails_at_its_attach(self, name, problem):
+        doc = valid_certificate("ncc")
+        # stage 4 attaches t2, and the witness of stage 24 uses it
+        victim = doc["stages"][3]
+        old = victim["stable"]
+        assert old == "t2" and doc["stages"][23]["witness"] == "t2 x1^-1"
+        # rename the letter everywhere, so only the name itself is wrong
+        victim["stable"] = name
+        for s in doc["stages"]:
+            if "witness" in s:
+                toks = [t.partition("^") for t in s["witness"].split()]
+                s["witness"] = " ".join(
+                    (name if n == old else n) + sep + e for n, sep, e in toks
+                )
+        rep = reverify_certificate(doc)
+        assert rep.failures == [f"well-formed: stage 4: stable letter name {name!r} {problem}"]
+
     @pytest.mark.parametrize("reason", ["no-representative-for-image", "element-is-representative"])
     def test_coset_skip_reasons_are_recomputed(self, reason):
         doc = valid_certificate("coset")

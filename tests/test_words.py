@@ -61,6 +61,27 @@ class TestReduction:
         u = Word(AB, free_reduce(tuple(ls)))
         assert (u ** k).letters == oracles.letters_pow(u.letters, k)
 
+    @given(letters, letters, letters)
+    def test_mul_is_letter_exact(self, us, vs, xs):
+        # products cancel only at the junction; the full reducer is the oracle
+        u, v, x = AB.word(us), AB.word(vs), AB.word(xs)
+        assert (u * v).letters == free_reduce(u.letters + v.letters)
+        rest = u.inverse() * x  # u cancels completely against it
+        assert (u * rest).letters == free_reduce(u.letters + rest.letters) == x.letters
+        assert (rest.inverse() * u.inverse()).letters == x.inverse().letters
+
+    @given(letters, st.integers(0, 12), letters)
+    def test_lazy_hashes_agree_across_constructions(self, ls, cut, gs):
+        u = AB.word(ls)
+        v = AB.word(ls[:cut]) * AB.word(ls[cut:])
+        p = AB.parse_word(str(u))
+        assert u == v == p and hash(v) == hash(u) == hash(p)
+        assert {u: "u"}[v] == "u" and len({p, v, u}) == 1
+        cu = CyclicWord.of(u)
+        cg = CyclicWord.of(v.conjugated_by(AB.word(gs)))
+        assert cg == cu and hash(cg) == hash(cu)
+        assert {cg: "c"}[cu] == "c" and len({cu, cg}) == 1
+
     def test_letter_order_codes(self):
         # a < a^-1 < b < b^-1
         assert [letter_code(l) for l in (1, -1, 2, -2)] == [0, 1, 2, 3]
