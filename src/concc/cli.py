@@ -198,12 +198,10 @@ def _cmd_tower_build(argv, args) -> int:
     used = sorted(
         {r.class_index for r in build.records if r.class_index and r.action == "attach"}
     )
-    # coset mode has no identity class: every coset is a real class
-    limit = config.classes - 1 if args.mode == "ncc" else config.classes
     checks.append(
         _check(
             "nonidentity-classes-bound",
-            len(used) <= limit,
+            len(used) <= len(config.representatives),
             f"classes touched by attachments: {used}",
         )
     )

@@ -545,18 +545,16 @@ def _classes_of(comps: list[Component]) -> ConnectivityReport:
     return ConnectivityReport(comps, classes, [g[0] for g in classes if len(g) == 1])
 
 
-def check_W_membership(path: SyllablePath, m: int = 0) -> bool:
+def check_W_membership(path: SyllablePath) -> bool:
     """Alternation test for the admissible-word family.
 
     A member interleaves at most one free-part letter between factor
     letters, never puts two free-part letters side by side, and separates
-    equal-factor neighbours by a free-part letter.  The radius parameter m
-    controls the forbidden-label ball in the general theory; over a free
-    product that ball is just the identity, which letter validity already
-    guarantees, so m does not change the outcome here.
+    equal-factor neighbours by a free-part letter.  The general theory also
+    forbids labels in a ball of some radius; over a free product that ball
+    is just the identity, which letter validity already guarantees, so
+    there is no radius to choose here.
     """
-    if m < 0:
-        raise FreeProductError("radius must be nonnegative")
     prev = None
     for letter in path.letters:
         if letter[0] == "h":
@@ -706,8 +704,6 @@ def regularity_audit(
     q: Sequence[Letter],
     rp: Sequence[Letter],
     qp: Sequence[Letter],
-    m: int = 0,
-    require_membership: bool = True,
 ) -> RegularityReport:
     """Audit which q/q' components of the cycle r q r' q' stay unmatched.
 
@@ -717,7 +713,7 @@ def regularity_audit(
     times the longer boundary segment.
     """
     for name, seg in (("q", q), ("q'", qp)):
-        if require_membership and not check_W_membership(SyllablePath(ctx, tuple(seg)), m):
+        if not check_W_membership(SyllablePath(ctx, tuple(seg))):
             raise FreeProductError(f"segment {name} is not an admissible word")
     segments = (("r", r), ("q", q), ("r'", rp), ("q'", qp))
     comps, end = _walk(ctx, segments)
@@ -888,20 +884,18 @@ def random_admissible_word(
     return SyllablePath(ctx, tuple(letters))
 
 
-def mirrored_instance(
-    ctx: FreeProductCtx, rng: random.Random, allow_empty_boundary: bool = True
-) -> tuple[tuple[Letter, ...], ...]:
+def mirrored_instance(ctx: FreeProductCtx, rng: random.Random) -> tuple[tuple[Letter, ...], ...]:
     """(r, q, r', q') with single-letter boundaries and a mirrored q'.
 
     q is sampled admissible with free-part letters at both ends, so
     q' = r'^-1 q^-1 r^-1 is again admissible and the cycle closes by
     construction.  Boundary segments are single factor letters, or empty
-    when allowed, keeping the constant at most 1.
+    a quarter of the time, keeping the constant at most 1.
     """
     q = random_admissible_word(ctx, rng, blocks=rng.randint(2, 5), x_ends=True)
 
     def boundary() -> tuple[Letter, ...]:
-        if allow_empty_boundary and rng.random() < 0.25:
+        if rng.random() < 0.25:
             return ()
         f = rng.choice(ctx.factors)
         return (ctx.h_letter(f.label, f.sample(rng)),)

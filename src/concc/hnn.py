@@ -18,25 +18,28 @@ the exhausted bound attached, never as a silent wrong answer.
 
 Towers grow one stage at a time, so ``Tower`` is an append-only chain
 (see its docstring): extending the newest tower is O(1) and validates
-only the new association.  Tower words stay normalised (chunk, letter,
-chunk, ...), so a product merges only the two chunks at its junction and
-an inverse needs no renormalising.  Britton reduction keeps that form
-throughout: a segment cut between two stable letters is already normal,
-so it is reduced as it stands; a pinch merges only the three chunks that
-meet at it, and the search for the next pinch resumes beside it instead of
-rescanning pairs that cannot fire; and the reduced segments join into a
-normal word with no final pass.  Each association's primitive roots are computed once, when
-it is made, not at every pinch.
+only the new association.  Tower words have one normal form (chunk,
+letter, chunk, ..., chunk, with every chunk freely reduced), and every
+operation keeps it by merging only the chunks at a junction: a product
+merges two, a power one per seam, and an inverse needs none.  Britton
+reduction keeps that form too.  It cuts a word at its top stable letter;
+each segment is already normal, so it is reduced as it stands.  One pass
+then reads the segments left to right with the kept letters on a stack:
+a pinch can only close on the letter just read, and when it fires the
+three chunks that meet at it merge and the kept segment below reopens.
+The kept segments join into a normal word with no final pass.  Each
+association's primitive roots are computed once, when it is made, not at
+every pinch.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import words as W
-from .words import Alphabet, Word, WordError
+from .words import Alphabet, Word
 
 
 class HnnError(ValueError):
@@ -234,38 +237,14 @@ def _is_letter(it: Item) -> bool:
     return type(it) is tuple
 
 
-def _chunk(base: Alphabet, ws: list[Word]) -> Word:
-    """Product of consecutive base words, freely reduced once."""
-    for w in ws:
-        if w.alphabet is not base and w.alphabet != base:
-            raise WordError("cannot multiply words over different alphabets")
-    if len(ws) == 1:
-        return ws[0]
-    return Word(base, W.free_reduce(itertools.chain.from_iterable(w.letters for w in ws)))
-
-
-def _normalize(tower: Tower, raw: Iterable[Item]) -> tuple[Item, ...]:
-    """Alternate words and stable letters, starting and ending with a word."""
-    out: list[Item] = []
-    ws: list[Word] = []
-    for it in raw:
-        if _is_letter(it):
-            out.append(_chunk(tower.base, ws))
-            out.append(it)
-            ws = []
-        else:
-            ws.append(it)
-    out.append(_chunk(tower.base, ws))
-    return tuple(out)
-
-
 class TowerWord:
     """A word in the tower as written: base chunks split by stable letters.
 
     Data equality only; group-level questions go through ``britton`` /
-    ``is_trivial``.  Instances are immutable, and ``items`` is always in
-    the ``_normalize`` form, so a product only has to merge the two chunks
-    that meet at the junction.
+    ``is_trivial``.  Instances are immutable, and ``items`` is always
+    normal: freely reduced base chunks alternating with stable letters,
+    starting and ending with a chunk.  Every operation keeps that form by
+    merging only the chunks that meet at a junction.
     """
 
     __slots__ = ("tower", "items")
@@ -273,10 +252,6 @@ class TowerWord:
     def __init__(self, tower: Tower, items: tuple[Item, ...]):
         self.tower = tower
         self.items = items
-
-    @classmethod
-    def make(cls, tower: Tower, raw: Iterable[Item]) -> "TowerWord":
-        return cls(tower, _normalize(tower, raw))
 
     def __mul__(self, other: "TowerWord") -> "TowerWord":
         if self.tower is not other.tower and self.tower != other.tower:
@@ -298,8 +273,13 @@ class TowerWord:
         )
 
     def __pow__(self, n: int) -> "TowerWord":
-        base = self if n >= 0 else self.inverse()
-        return TowerWord.make(self.tower, base.items * abs(n))
+        items = (self if n >= 0 else self.inverse()).items
+        n = abs(n)
+        if n == 0 or len(items) == 1:
+            return TowerWord(self.tower, (items[0] ** n,))
+        # c0 L ... L ck repeated: each seam merges ck with c0 once
+        seam = (items[-1] * items[0],) + items[1:-1]
+        return TowerWord(self.tower, items[:-1] + seam * (n - 1) + items[-1:])
 
     def conjugated_by(self, g: "TowerWord") -> "TowerWord":
         return g * self * g.inverse()
@@ -351,63 +331,55 @@ class TowerWord:
         return f"TowerWord({self})"
 
 
-def _britton_items(tower: Tower, items: tuple[Item, ...], strategy: str) -> tuple[Item, ...]:
+def _britton_items(tower: Tower, items: tuple[Item, ...]) -> tuple[Item, ...]:
     """Reduce normal items (chunk, letter, ..., chunk); the result is normal too."""
     if len(items) == 1:
         return items
     top = max(items[1::2])[0]
-    # cut at the top letter: every segment is a normal word of lower letters
+    assoc = tower._assocs[top]
+    cuts = [k for k in range(1, len(items), 2) if items[k][0] == top]
+    # one pass, left to right, over the segments cut at the top letter: the
+    # kept top letters and the reduced segments before them form a stack,
+    # and a pinch can only close on the letter just read, around the open
+    # segment; when it fires, the kept segment below reopens and joins the
+    # next one
     segs: list[tuple[Item, ...]] = []
     tops: list[tuple[int, int]] = []
-    start = 0
-    for k in range(1, len(items), 2):
-        if items[k][0] == top:
-            segs.append(items[start:k])
-            tops.append(items[k])
-            start = k + 1
-    segs.append(items[start:])
-    red = [_britton_items(tower, s, strategy) for s in segs]
-    assoc = tower._assocs[top]
-    # scan the pairs tops[p], tops[p + 1] in strategy order; a pinch at p
-    # leaves one new pair, the one around the merged chunk at p - 1, and
-    # every pair the scan has passed still cannot fire, so it resumes there
-    leftmost = strategy == "leftmost"
-    p = 0 if leftmost else len(tops) - 2
-    while 0 <= p < len(tops) - 1:
-        e = tops[p][1]
-        if e == -tops[p + 1][1] and len(red[p + 1]) == 1:
-            inner = red[p + 1][0]
-            if e > 0:
-                m = W.is_power_of(inner, assoc.source, assoc.source_root)
+    seg = items[: cuts[0]]
+    for k, end in zip(cuts, cuts[1:] + [len(items)]):
+        red = _britton_items(tower, seg)
+        nxt = items[k + 1 : end]
+        if tops and tops[-1][1] == -items[k][1] and len(red) == 1:
+            if tops[-1][1] > 0:
+                m = W.is_power_of(red[0], assoc.source, assoc.source_root)
                 d = assoc.target
             else:
-                m = W.is_power_of(inner, assoc.target, assoc.target_root)
+                m = W.is_power_of(red[0], assoc.target, assoc.target_root)
                 d = assoc.source
             if m is not None:
-                left, right = red[p], red[p + 2]
-                merged = left[:-1] + (left[-1] * d**m * right[0],) + right[1:]
-                red[p : p + 3] = [_britton_items(tower, merged, strategy)]
-                del tops[p : p + 2]
-                p = max(p - 1, 0) if leftmost else min(p - 1, len(tops) - 2)
+                tops.pop()
+                left = segs.pop()
+                seg = left[:-1] + (left[-1] * d**m * nxt[0],) + nxt[1:]
                 continue
-        p += 1 if leftmost else -1
-    out: list[Item] = list(red[0])
-    for t, seg in zip(tops, red[1:]):
+        segs.append(red)
+        tops.append(items[k])
+        seg = nxt
+    out: list[Item] = []
+    for s, t in zip(segs, tops):
+        out.extend(s)
         out.append(t)
-        out.extend(seg)
+    out.extend(_britton_items(tower, seg))
     return tuple(out)
 
 
-def britton_reduce(w: TowerWord, strategy: str = "leftmost") -> TowerWord:
+def britton_reduce(w: TowerWord) -> TowerWord:
     """Remove every pinch ``t^e (c or d)^m t^-e``; exact and terminating.
 
-    ``strategy`` picks which pinch fires first when several are available
-    ("leftmost" or "rightmost"); the surviving stable-letter signature does
-    not depend on it, which the test suite checks rather than assumes.
+    The surviving stable-letter signature does not depend on the order in
+    which pinches fire; the test suite checks this by reducing a word and
+    its inverse, which meets the pinches in the opposite order.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise HnnError(f"unknown reduction strategy {strategy!r}")
-    return TowerWord(w.tower, _britton_items(w.tower, w.items, strategy))
+    return TowerWord(w.tower, _britton_items(w.tower, w.items))
 
 
 def find_pinch(w: TowerWord) -> tuple[int, int] | None:
@@ -427,8 +399,7 @@ def find_pinch(w: TowerWord) -> tuple[int, int] | None:
                 break
             if ib == ia:
                 if eb == -ea:
-                    chunk = TowerWord.make(w.tower, w.items[pos[a] + 1 : pos[b]])
-                    chunk = britton_reduce(chunk)
+                    chunk = britton_reduce(TowerWord(w.tower, w.items[pos[a] + 1 : pos[b]]))
                     assoc = w.tower._assocs[ia]
                     c = assoc.source if ea > 0 else assoc.target
                     if not chunk.has_stable_letters and W.is_power_of(chunk.base_word(), c) is not None:

@@ -91,8 +91,12 @@ class TowerConfig:
 
     ``mode`` is "ncc" (class collapse towards fixed representatives) or
     "coset" (collapse towards representatives matched by quotient image).
-    ``class_seeds`` pre-assigns extra base words to a representative's
-    class; they are honoured when their turn comes up in the enumeration.
+    ``representatives`` holds the fixed representative of each class, in
+    class order: ``classes - 1`` of them in ncc mode, where the identity is
+    a class of its own, and ``classes`` in coset mode, one per image.
+    ``class_seeds`` (ncc mode) pre-assigns extra base words to a
+    representative's class; they are honoured when their turn comes up in
+    the enumeration.
     """
 
     base: FinitePresentation
@@ -100,10 +104,15 @@ class TowerConfig:
     representatives: tuple[Word, ...] = ()
     stages: int = 50
     mode: str = "ncc"
-    skip_rule: bool = True
     class_seeds: Mapping[int, tuple[Word, ...]] = field(default_factory=dict)
     quotient: QuotientSpec | None = None
-    rep_set: tuple[Word, ...] = ()
+
+    def _tagged(self) -> list[tuple[int, Word]]:
+        """(class, word) for every representative, then every seed by class."""
+        tagged = list(enumerate(self.representatives, start=1))
+        for ci, seeds in sorted(self.class_seeds.items()):
+            tagged.extend((ci, s) for s in seeds)
+        return tagged
 
     def validate(self) -> None:
         if not self.base.is_free:
@@ -112,6 +121,13 @@ class TowerConfig:
             )
         if self.stages < 0:
             raise TowerBuildError("stages must be nonnegative")
+        if self.mode not in ("ncc", "coset"):
+            raise TowerBuildError(f"unknown mode {self.mode!r}")
+        for i, r in enumerate(self.representatives, start=1):
+            if r.is_identity:
+                raise TowerBuildError(f"representative {i} is the identity")
+            if r.alphabet != self.base.alphabet:
+                raise TowerBuildError(f"representative {r} is not over the base alphabet")
         if self.mode == "ncc":
             if self.classes < 2:
                 raise TowerBuildError("need at least 2 conjugacy classes (identity plus one)")
@@ -120,50 +136,35 @@ class TowerConfig:
                     f"{self.classes} classes need {self.classes - 1} representatives, "
                     f"got {len(self.representatives)}"
                 )
-            tagged: list[tuple[int, Word]] = []
-            for i, r in enumerate(self.representatives, start=1):
-                if r.is_identity:
-                    raise TowerBuildError(f"representative {i} is the identity")
-                if r.alphabet != self.base.alphabet:
-                    raise TowerBuildError(f"representative {r} is not over the base alphabet")
-                tagged.append((i, r))
             for ci, seeds in self.class_seeds.items():
                 if not 1 <= ci <= self.classes - 1:
                     raise TowerBuildError(f"seed class {ci} out of range")
-                for s in seeds:
-                    if s.is_identity:
-                        raise TowerBuildError(f"seed for class {ci} is the identity")
-                    tagged.append((ci, s))
-            for (ci, u), (cj, v) in itertools.combinations(tagged, 2):
+                if any(s.is_identity for s in seeds):
+                    raise TowerBuildError(f"seed for class {ci} is the identity")
+            for (ci, u), (cj, v) in itertools.combinations(self._tagged(), 2):
                 if ci != cj and W.commensurable(u, v).related:
                     raise TowerBuildError(
                         f"class {ci} word {u} and class {cj} word {v} are commensurable; "
                         "their classes could not stay distinct"
                     )
-        elif self.mode == "coset":
-            if self.quotient is None:
-                raise TowerBuildError("coset mode needs a quotient spec")
-            if self.quotient.presentation != self.base:
-                raise TowerBuildError("quotient spec was built against a different presentation")
-            if not self.rep_set:
-                raise TowerBuildError("coset mode needs a nonempty representative set")
-            if self.classes != len(self.rep_set):
-                raise TowerBuildError(
-                    f"coset mode counts one class per representative: "
-                    f"classes={self.classes} vs {len(self.rep_set)} representatives"
-                )
-            seen: dict[str, Word] = {}
-            for z in self.rep_set:
-                if z.is_identity:
-                    raise TowerBuildError("the identity cannot act as a coset representative")
-                img = str(self.quotient.image(z))
-                if img in seen:
-                    raise TowerBuildError(
-                        f"representatives {seen[img]} and {z} share the image {img}"
-                    )
-                seen[img] = z
-        else:
-            raise TowerBuildError(f"unknown mode {self.mode!r}")
+            return
+        if self.quotient is None:
+            raise TowerBuildError("coset mode needs a quotient spec")
+        if self.quotient.presentation != self.base:
+            raise TowerBuildError("quotient spec was built against a different presentation")
+        if not self.representatives:
+            raise TowerBuildError("coset mode needs a nonempty representative set")
+        if self.classes != len(self.representatives):
+            raise TowerBuildError(
+                f"coset mode counts one class per representative: "
+                f"classes={self.classes} vs {len(self.representatives)} representatives"
+            )
+        seen: dict[str, Word] = {}
+        for z in self.representatives:
+            img = str(self.quotient.image(z))
+            if img in seen:
+                raise TowerBuildError(f"representatives {seen[img]} and {z} share the image {img}")
+            seen[img] = z
 
 
 class _ClassLedger:
@@ -184,11 +185,8 @@ class _ClassLedger:
         self.labels: dict = {}
         self.reps = config.representatives
         self.rep_keys = tuple(W.commensurability_key(r) for r in self.reps)
-        for i, (r, key) in enumerate(zip(self.reps, self.rep_keys), start=1):
-            self._claim(self._root(key), r, i)
-        for ci, seeds in config.class_seeds.items():
-            for s in seeds:
-                self._claim(self._root(W.commensurability_key(s)), s, ci)
+        for ci, w in config._tagged():
+            self._claim(self._root(W.commensurability_key(w)), w, ci)
 
     def _root(self, x):
         p = self.parent
@@ -283,15 +281,10 @@ class TowerBuild:
         h = W.conjugacy_witness(g, g0)
         assert h is not None  # same conjugacy-class key
         full = w0.lift_to(self.tower) * self.tower.embed(h)
-        target = self._rep_of(ci)
+        target = self.config.representatives[ci - 1]
         if not hnn.verify_conjugator(full, self.tower.embed(g), self.tower.embed(target)):
             raise TowerBuildError(f"stored conjugator for {g} failed verification")
         return ConjugatorAnswer("yes", class_index=ci, target=target, witness=full)
-
-    def _rep_of(self, ci: int) -> Word:
-        if self.config.mode == "ncc":
-            return self.config.representatives[ci - 1]
-        return self.config.rep_set[ci - 1]
 
     # -- serialization -----------------------------------------------------
 
@@ -302,122 +295,73 @@ class TowerBuild:
             "kind": "tower-certificate",
             "mode": cfg.mode,
             "base": list(cfg.base.alphabet.names),
+            "representatives": [str(r) for r in cfg.representatives],
             "stage_count": len(self.records),
             "stages": [r.to_json() for r in self.records],
         }
         if cfg.mode == "ncc":
             doc["classes"] = cfg.classes
-            doc["representatives"] = [str(r) for r in cfg.representatives]
             doc["seeds"] = {
                 str(ci): [str(s) for s in seeds] for ci, seeds in sorted(cfg.class_seeds.items())
             }
-            doc["base_facts"] = self._base_facts()
+            doc["base_facts"] = [
+                {"left": str(u), "right": str(v), "classes": [ci, cj], "related": False}
+                for (ci, u), (cj, v) in itertools.combinations(cfg._tagged(), 2)
+                if ci != cj
+            ]
         else:
             assert cfg.quotient is not None
             doc["quotient"] = cfg.quotient.to_json()
-            doc["representatives"] = [str(z) for z in cfg.rep_set]
         return doc
-
-    def _base_facts(self) -> list[dict]:
-        cfg = self.config
-        tagged: list[tuple[int, Word]] = [
-            (i, r) for i, r in enumerate(cfg.representatives, start=1)
-        ]
-        for ci, seeds in sorted(cfg.class_seeds.items()):
-            tagged.extend((ci, s) for s in seeds)
-        facts = []
-        for (ci, u), (cj, v) in itertools.combinations(tagged, 2):
-            if ci != cj:
-                facts.append(
-                    {"left": str(u), "right": str(v), "classes": [ci, cj], "related": False}
-                )
-        return facts
 
 
 def build_tower(config: TowerConfig) -> TowerBuild:
-    """Run the stagewise construction; exact, deterministic, and logged."""
+    """Run the stagewise construction; exact, deterministic, and logged.
+
+    One loop serves both modes.  Coset mode lets the element's image decide
+    first, and reuses known conjugators only when the image is invariant
+    under conjugation (``CyclicSpec``); ncc mode always reuses them, and its
+    ledger gives the class an attach joins (class 1 when the element is fresh).
+    """
     config.validate()
-    if config.mode == "ncc":
-        return _build_ncc(config)
-    return _build_coset(config)
-
-
-def _build_ncc(config: TowerConfig) -> TowerBuild:
     b = TowerBuild(config)
-    ledger = _ClassLedger(config)
-    for i, rep in enumerate(config.representatives, start=1):
-        b._remember_witness(rep, i, b.tower.identity())
+    reps = config.representatives
+    spec = config.quotient if config.mode == "coset" else None
+    if spec is None:
+        ledger = _ClassLedger(config)
+    else:
+        ledger = None
+        class_of_image = {str(spec.image(z)): i for i, z in enumerate(reps, start=1)}
+    reuse = spec is None or isinstance(spec, CyclicSpec)
+    for i, r in enumerate(reps, start=1):
+        b._remember_witness(r, i, b.tower.identity())
     stream = W.shortlex_words(config.base.alphabet)
     for idx in range(1, config.stages + 1):
         g = next(stream)
-        if config.skip_rule:
-            ans = b.conjugator_witness(g)
-            if ans.status == "yes":
+        img, case = None, ""
+        if spec is not None:
+            img = str(spec.image(g))
+            ci = class_of_image.get(img)
+            if ci is None:
+                b.records.append(
+                    StageRecord(idx, g, "skip", reason="no-representative-for-image", image=img)
+                )
+                continue
+            if g == reps[ci - 1]:
                 b.records.append(
                     StageRecord(
                         idx,
                         g,
                         "skip",
-                        class_index=ans.class_index,
-                        reason=_KNOWN_CONJUGATOR,
-                        target=ans.target,
-                        witness=ans.witness,
+                        class_index=ci,
+                        reason="element-is-representative",
+                        target=g,
+                        witness=b.tower.identity(),
+                        image=img,
                     )
                 )
                 continue
-        key = W.commensurability_key(g)
-        ci = ledger.label_of(key)
-        case = "same-class" if ci is not None else "fresh"
-        if ci is None:
-            ci = 1
-        target = b._rep_of(ci)
-        b.attach_count += 1
-        stable = f"t{b.attach_count}"
-        b.tower = b.tower.extend(CyclicAssociation(stable, g, target))
-        ledger.attach(g, key, ci)
-        b._remember_witness(g, ci, b.tower.stable(stable))
-        b.records.append(
-            StageRecord(idx, g, "attach", class_index=ci, case=case, stable=stable, target=target)
-        )
-    return b
-
-
-def _build_coset(config: TowerConfig) -> TowerBuild:
-    spec = config.quotient
-    assert spec is not None
-    b = TowerBuild(config)
-    rep_by_image = {str(spec.image(z)): (i, z) for i, z in enumerate(config.rep_set, start=1)}
-    # conjugacy-invariant images let the skip rule reuse free conjugators;
-    # a free-group image is only conjugation-covariant, so no skipping there
-    invariant_image = isinstance(spec, CyclicSpec)
-    for i, z in enumerate(config.rep_set, start=1):
-        b._remember_witness(z, i, b.tower.identity())
-    stream = W.shortlex_words(config.base.alphabet)
-    for idx in range(1, config.stages + 1):
-        g = next(stream)
-        img = str(spec.image(g))
-        hit = rep_by_image.get(img)
-        if hit is None:
-            b.records.append(
-                StageRecord(idx, g, "skip", reason="no-representative-for-image", image=img)
-            )
-            continue
-        ci, z = hit
-        if g == z:
-            b.records.append(
-                StageRecord(
-                    idx,
-                    g,
-                    "skip",
-                    class_index=ci,
-                    reason="element-is-representative",
-                    target=z,
-                    witness=b.tower.identity(),
-                    image=img,
-                )
-            )
-            continue
-        if config.skip_rule and invariant_image:
+        if reuse:
             ans = b.conjugator_witness(g)
             if ans.status == "yes":
                 b.records.append(
@@ -433,13 +377,28 @@ def _build_coset(config: TowerConfig) -> TowerBuild:
                     )
                 )
                 continue
+        if ledger is not None:
+            key = W.commensurability_key(g)
+            ci = ledger.label_of(key)
+            case = "same-class" if ci is not None else "fresh"
+            if ci is None:
+                ci = 1
+            ledger.attach(g, key, ci)
+        target = reps[ci - 1]
         b.attach_count += 1
         stable = f"t{b.attach_count}"
-        b.tower = b.tower.extend(CyclicAssociation(stable, g, z))
+        b.tower = b.tower.extend(CyclicAssociation(stable, g, target))
         b._remember_witness(g, ci, b.tower.stable(stable))
         b.records.append(
             StageRecord(
-                idx, g, "attach", class_index=ci, stable=stable, target=z, image=img
+                idx,
+                g,
+                "attach",
+                class_index=ci,
+                case=case,
+                stable=stable,
+                target=target,
+                image=img,
             )
         )
     return b
@@ -513,15 +472,15 @@ def reverify_certificate(doc) -> ReverifyReport:
     Replay reads only the document and stops at its first failing check,
     which ends the report and names its stage where there is one.  In order:
     ``structure`` (stage count and numbering, and stage i is an attach or a
-    skip of the i-th word of ``W.shortlex_words(base)``, the stream both
-    builders enumerate); the representatives, through the builder's own
+    skip of the i-th word of ``W.shortlex_words(base)``, the stream the
+    builder enumerates); the representatives, through the builder's own
     config validation; then, in ncc mode, ``base-facts`` recomputed and a
     ``replay`` of every stage through the same ``_ClassLedger`` the builder
     used (an attach carries the case and class the ledger gives it, the only
     skip is a conjugator, and both target their class representative), and
     ``independence``; in coset mode, ``quotient``, ``images`` (each stage's
-    image and the choice it forces, including the skip reason and the
-    attach target) and ``stage-relations``.  Every recorded conjugator is
+    image and the choice it forces: the skip reason, the class and the
+    target) and ``stage-relations``.  Every recorded conjugator is
     verified by Britton reduction in the tower extended up to its stage.  A
     document that is not a JSON object, lacks a field the replay reads or
     names an undeclared generator fails ``well-formed``.
@@ -642,10 +601,12 @@ def _replay_coset(doc, base: W.Alphabet, stages: list, elements: list[Word], rep
         raise _Failed("quotient", str(e)) from None
     rep.add("quotient", True, spec.describe())
     try:
-        TowerConfig(base=free, mode="coset", classes=len(zs), quotient=spec, rep_set=zs).validate()
+        TowerConfig(
+            base=free, mode="coset", classes=len(zs), quotient=spec, representatives=zs
+        ).validate()
     except TowerBuildError as e:
         raise _Failed("representatives", str(e)) from None
-    rep_by_image = {str(spec.image(z)): z for z in zs}
+    class_of_image = {str(spec.image(z)): i for i, z in enumerate(zs, start=1)}
 
     tower = Tower(base)
     for i, (s, g) in enumerate(zip(stages, elements), start=1):
@@ -653,7 +614,10 @@ def _replay_coset(doc, base: W.Alphabet, stages: list, elements: list[Word], rep
         img = str(spec.image(g))
         if s.get("image") is not None and s["image"] != img:
             raise _Failed("images", f"{at}: recorded image {s['image']}, recomputed {img}")
-        z = rep_by_image.get(img)
+        ci, got = class_of_image.get(img), s.get("class")
+        if type(got) is not type(ci) or got != ci:
+            raise _Failed("images", f"{at}: recorded class {got}, image {img} has class {ci}")
+        z = None if ci is None else zs[ci - 1]
         # the builder's choice, recomputed: the image decides it unless the
         # element attaches or has a known conjugator onto its representative
         if z is None:
@@ -676,7 +640,7 @@ def _replay_coset(doc, base: W.Alphabet, stages: list, elements: list[Word], rep
             _check_witness(tower, s, g, z, at, "stage-relations")
     rep.add("images", True)
     rep.add("stage-relations", True)
-    # validated before the stage loop, which reads rep_by_image; reported last
+    # validated before the stage loop, which reads class_of_image; reported last
     rep.add("representatives", True)
 
 
@@ -817,5 +781,5 @@ def klein_coset_config(stages: int = 40) -> TowerConfig:
         classes=3,
         stages=stages,
         quotient=spec,
-        rep_set=(A.gen("a"), A.gen("t"), A.gen("t") ** 2),
+        representatives=(A.gen("a"), A.gen("t"), A.gen("t") ** 2),
     )

@@ -207,6 +207,10 @@ class Word:
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise WordError("cannot multiply words over different alphabets")
         a, b = self.letters, other.letters
+        if not a:
+            return other
+        if not b:
+            return self
         # both factors are reduced: only a suffix of a can cancel a prefix of b
         n, k, m = len(a), 0, min(len(a), len(b))
         while k < m and a[n - 1 - k] == -b[k]:
@@ -217,7 +221,11 @@ class Word:
         return Word(self.alphabet, tuple(-l for l in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
+        if n == 1:
+            return self
         base = self if n >= 0 else self.inverse()
+        if n == -1:
+            return base
         ls = base.letters
         if n == 0 or not ls:
             return Word(self.alphabet, ())

@@ -85,15 +85,19 @@ class TestBritton:
             w = britton_reduce(rand_tower_word(tower, rng))
             assert find_pinch(w) is None
 
-    def test_strategies_agree_on_triviality(self):
+    def test_word_and_inverse_agree_on_triviality(self):
+        # reducing w^-1 meets the pinches of w from the right
         tower = klein_bottle_tower()
         rng = random.Random(6)
         for _ in range(200):
             w = rand_tower_word(tower, rng)
-            left = britton_reduce(w, strategy="leftmost")
-            right = britton_reduce(w, strategy="rightmost")
-            assert left.letter_count() == right.letter_count()
-            assert is_trivial(left).is_yes == is_trivial(right).is_yes
+            r, r_inv = britton_reduce(w), britton_reduce(w.inverse())
+            assert r.letter_count() == r_inv.letter_count()
+            trivial = oracles.klein_pair(oracles.flatten_one_level(w)) == (0, 0)
+            assert is_trivial(r).is_yes == is_trivial(r_inv).is_yes == trivial
+            for x in (r, r_inv):
+                assert plain(x) == oracles.tower_normal_form(item_symbols(x))
+                assert find_pinch(x) is None
 
     def test_pinch_example(self):
         tower = bs12_tower()
@@ -283,19 +287,23 @@ PINCHY = st.lists(
 class TestBrittonNormalForm:
     """Britton reduction returns a normal word with no pinch left."""
 
-    @given(PINCHY, st.sampled_from(["leftmost", "rightmost"]))
-    def test_output_is_normal_and_pinch_free(self, text, strategy):
-        r = britton_reduce(two_level_tower().parse(text), strategy=strategy)
-        assert plain(r) == oracles.tower_normal_form(item_symbols(r))
-        assert find_pinch(r) is None
+    @given(PINCHY)
+    def test_output_is_normal_and_pinch_free(self, text):
+        w = two_level_tower().parse(text)
+        for r in (britton_reduce(w), britton_reduce(w.inverse())):
+            assert plain(r) == oracles.tower_normal_form(item_symbols(r))
+            assert find_pinch(r) is None
 
     @given(PINCHY)
-    def test_strategies_agree(self, text):
+    def test_word_and_inverse_agree(self, text):
+        # w^-1 meets the pinches of w from the right; both reductions must
+        # leave the same stable letters and the same element
         w = two_level_tower().parse(text)
-        left = britton_reduce(w, strategy="leftmost")
-        right = britton_reduce(w, strategy="rightmost")
-        assert left.letter_count() == right.letter_count()
-        assert is_trivial(left).is_yes == is_trivial(right).is_yes == is_trivial(w).is_yes
+        r, r_inv = britton_reduce(w), britton_reduce(w.inverse())
+        assert r.letter_count() == r_inv.letter_count()
+        assert r.signature() == r_inv.inverse().signature()
+        assert equal_in_group(r, r_inv.inverse()).is_yes
+        assert is_trivial(r).is_yes == is_trivial(r_inv).is_yes == is_trivial(w).is_yes
 
     def test_long_pinch_chain_is_not_rescanned(self):
         # t^k a t^-k pinches k times, each at the pair inside the last one;
@@ -303,8 +311,8 @@ class TestBrittonNormalForm:
         T = klein_bottle_tower()
         w = T.parse("t^20000 a t^-20000")
         start = time.perf_counter()
-        for strategy in ("leftmost", "rightmost"):
-            assert britton_reduce(w, strategy=strategy) == T.parse("a")
+        assert britton_reduce(w) == T.parse("a")
+        assert britton_reduce(w.inverse()) == T.parse("a^-1")
         assert time.perf_counter() - start < 10
 
     def test_nested_pinches_fire(self):

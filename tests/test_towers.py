@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,14 @@ def ncc_config(classes=3, stages=50, **kw):
     A = pres.alphabet
     reps = tuple(A.parse_word(f"x{i}") for i in range(1, classes))
     return TowerConfig(base=pres, classes=classes, representatives=reps, stages=stages, **kw)
+
+
+def gadget_config(classes, stages):
+    """What ``concc tower build --classes N`` builds for N >= 4: the seeded gadget."""
+    pres, reps, seeds = gadget_presentation(classes)
+    return TowerConfig(
+        base=pres, classes=classes, representatives=reps, stages=stages, class_seeds=seeds
+    )
 
 
 class TestConfigValidation:
@@ -54,6 +63,13 @@ class TestConfigValidation:
             TowerConfig(
                 base=pres, classes=2, representatives=(pres.alphabet.parse_word("t"),)
             ).validate()
+
+    def test_coset_representative_over_another_alphabet_rejected(self):
+        cfg = klein_coset_config(10)
+        alien = words.Alphabet(["a", "t", "u"]).parse_word("u")
+        cfg.representatives = cfg.representatives[:2] + (alien,)
+        with pytest.raises(TowerBuildError, match="not over the base alphabet"):
+            cfg.validate()
 
     def test_identity_representative_rejected(self):
         pres = parse_presentation("< x1 , x2 | >")
@@ -84,8 +100,9 @@ class TestNccBuild:
         [
             (ncc_config(stages=2000), "a1a8ef3a3b23b2def58547aa5a86383d15881eb4f775f81797c1a9be421aabbe"),
             (klein_coset_config(40), "34bbd3677aaa294ba44d8a8a8af1deec7d3e464e09ef17ee5a58b25ca360861b"),
+            (gadget_config(4, 1500), "4350485d950e1626043fd39db0423ab7d7b721b0655e576a213dded838322ecd"),
         ],
-        ids=["ncc-2000", "coset-40"],
+        ids=["ncc-2000", "coset-40", "gadget-4-1500"],
     )
     def test_certificate_bytes_are_pinned(self, config, digest):
         # sha256 of the file ``tower build`` writes for this config; a new
@@ -241,6 +258,24 @@ class TestReverify:
                 )
         rep = reverify_certificate(doc)
         assert rep.failures == [f"well-formed: stage 4: stable letter name {name!r} {problem}"]
+
+    def test_inflated_witness_fails_fast_at_its_stage(self):
+        # t2^300000 x1^-1 closes 300 000 pinches in one chain when replay
+        # verifies it; moving list slots at every pinch is quadratic in that
+        doc = valid_certificate("ncc")
+        assert doc["stages"][23]["witness"] == "t2 x1^-1"
+        doc["stages"][23]["witness"] = "t2^300000 x1^-1"
+        start = time.perf_counter()
+        rep = reverify_certificate(doc)
+        assert time.perf_counter() - start < 10
+        assert len(rep.failures) == 1 and rep.failures[0].startswith("replay: stage 24: ")
+
+    def test_coset_class_must_match_the_image(self):
+        doc = valid_certificate("coset")
+        for s in doc["stages"]:
+            s["class"] = 99
+        rep = reverify_certificate(doc)
+        assert rep.failures == ["images: stage 1: recorded class 99, image 0 has class 1"]
 
     @pytest.mark.parametrize("reason", ["no-representative-for-image", "element-is-representative"])
     def test_coset_skip_reasons_are_recomputed(self, reason):
