@@ -28,7 +28,7 @@ from itertools import groupby
 from typing import Iterable, Sequence
 
 from . import hnn
-from .words import Alphabet, Word, free_reduce
+from .words import Alphabet, Word, WordError, free_reduce, read_tokens
 
 Payload = object
 Syllable = tuple  # (label: str | None, payload)
@@ -412,41 +412,28 @@ class SyllablePath:
 
 
 def parse_path(ctx: FreeProductCtx, text: str) -> SyllablePath:
-    """Parse ``x1 [A: 2] x2^-1 [K: a t]`` style path labels."""
+    """Parse ``x1 [A: 2] x2^-1 [K: a t]``: factor letters, and word text between them."""
     letters: list[Letter] = []
-    i = 0
-    text = text.strip()
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "[":
-            j = text.find("]", i)
-            if j < 0:
-                raise FreeProductError(f"unterminated factor letter at {i}")
-            inner = text[i + 1 : j]
-            lab, sep, payload_text = inner.partition(":")
-            if not sep:
-                raise FreeProductError(f"factor letter {inner!r} lacks a ':'")
-            lab = lab.strip()
-            payload = ctx.factor(lab).parse(payload_text.strip())
-            letters.append(ctx.h_letter(lab, payload))
-            i = j + 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] != "[":
-            j += 1
-        tok = text[i:j]
-        name, _, exp_s = tok.partition("^")
+    rest = text
+    while True:
+        free, bracket, rest = rest.partition("[")
         try:
-            exp = int(exp_s) if exp_s else 1
-        except ValueError:
-            raise FreeProductError(f"bad exponent in {tok!r}") from None
-        for _ in range(abs(exp)):
-            letters.append(ctx.x_letter(name, 1 if exp > 0 else -1))
-        i = j
-    return SyllablePath(ctx, tuple(letters))
+            tokens = read_tokens(free)
+        except WordError as e:
+            raise FreeProductError(str(e)) from None
+        for name, exp in tokens:
+            letters.extend([ctx.x_letter(name, 1 if exp > 0 else -1)] * abs(exp))
+        if not bracket:
+            return SyllablePath(ctx, tuple(letters))
+        inner, close, rest = rest.partition("]")
+        if not close:
+            raise FreeProductError(f"unterminated factor letter at {len(text) - len(inner) - 1}")
+        lab, sep, payload_text = inner.partition(":")
+        if not sep:
+            raise FreeProductError(f"factor letter {inner!r} lacks a ':'")
+        lab = lab.strip()
+        payload = ctx.factor(lab).parse(payload_text.strip())
+        letters.append(ctx.h_letter(lab, payload))
 
 
 @dataclass(slots=True)

@@ -18,18 +18,18 @@ the exhausted bound attached, never as a silent wrong answer.
 
 Towers grow one stage at a time, so ``Tower`` is an append-only chain
 (see its docstring): extending the newest tower is O(1) and validates
-only the new association.  Tower words have one normal form (chunk,
-letter, chunk, ..., chunk, with every chunk freely reduced), and every
-operation keeps it by merging only the chunks at a junction: a product
-merges two, a power one per seam, and an inverse needs none.  Britton
-reduction keeps that form too.  It cuts a word at its top stable letter;
-each segment is already normal, so it is reduced as it stands.  One pass
-then reads the segments left to right with the kept letters on a stack:
-a pinch can only close on the letter just read, and when it fires the
-three chunks that meet at it merge and the kept segment below reopens.
-The kept segments join into a normal word with no final pass.  Each
-association's primitive roots are computed once, when it is made, not at
-every pinch.
+only the new association.  Tower words are read as word text
+(``words.read_tokens``) and have one normal form (chunk, letter, chunk,
+..., chunk, with every chunk freely reduced), and every operation keeps
+it by merging only the chunks at a junction: a product merges two, a
+power one per seam, and an inverse needs none.  Britton reduction keeps
+that form too.  It cuts a word at its top stable letter; each segment is
+already normal, so it is reduced as it stands.  One pass then reads the
+segments left to right with the kept letters on a stack: a pinch can
+only close on the letter just read, and when it fires the three chunks
+that meet at it merge and the kept segment below reopens.  The kept
+segments join into a normal word with no final pass.  Each association's
+primitive roots are computed once, when it is made, not at every pinch.
 """
 
 from __future__ import annotations
@@ -182,21 +182,17 @@ class Tower:
         return self._assocs[self._position(name)]
 
     def parse(self, text: str) -> "TowerWord":
-        """Parse a whitespace-separated product of base and stable tokens."""
-        text = text.replace("*", " ").strip()
-        if text in ("", "1"):
-            return self.identity()
+        """Parse word text (``W.read_tokens``) over base and stable letters."""
+        try:
+            tokens = W.read_tokens(text)
+        except W.WordError as e:
+            raise HnnError(str(e)) from None
         base, index, height = self.base, self._index, self.height
         # built alternating as it is read: each run of base letters is
         # freely reduced once, when a stable letter or the end closes it
         items: list[Item] = []
         run: list[int] = []
-        for tok in text.split():
-            name, _, exp_s = tok.partition("^")
-            try:
-                exp = int(exp_s) if exp_s else 1
-            except ValueError:
-                raise HnnError(f"bad exponent in token {tok!r}") from None
+        for name, exp in tokens:
             i = index.get(name, height)
             if i < height:
                 letter = (i, 1 if exp > 0 else -1)
@@ -280,9 +276,6 @@ class TowerWord:
         # c0 L ... L ck repeated: each seam merges ck with c0 once
         seam = (items[-1] * items[0],) + items[1:-1]
         return TowerWord(self.tower, items[:-1] + seam * (n - 1) + items[-1:])
-
-    def conjugated_by(self, g: "TowerWord") -> "TowerWord":
-        return g * self * g.inverse()
 
     def lift_to(self, bigger: Tower) -> "TowerWord":
         if not bigger.extends(self.tower):

@@ -5,7 +5,8 @@ A presentation is parsed from the angle-bracket syntax
     < a , t | t a t^-1 a >
 
 with relators stored freely reduced.  Relations may be written either as a
-single word (set equal to 1) or as ``left = right``.
+single word (set equal to 1) or as ``left = right``.  The parser cuts the
+text at its marks ``<|>,=`` and reads every word with ``words.read_tokens``.
 
 Two kinds of quotient maps are supported, both onto groups where conjugacy
 is trivially decidable:
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .words import Alphabet, Word, WordError
+from .words import Alphabet, CyclicWord, Word, WordError, name_problem
 
 
 class PresentationError(ValueError):
@@ -58,121 +59,57 @@ class FinitePresentation:
         return f"< {gens} | {rels} >" if rels else f"< {gens} | >"
 
 
-_PUNCT = {"<", ">", "|", ",", "="}
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    toks: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            toks.append((ch, i))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in _PUNCT:
-            j += 1
-        toks.append((text[i:j], i))
-        i = j
-    return toks
+def _pieces(text: str, start: int, end: int):
+    """(position, stripped piece) for each ``,``-separated piece of text[start:end]."""
+    for piece in text[start:end].split(","):
+        # a blank piece is placed at the mark that ends it
+        yield start + len(piece) - len(piece.lstrip()), piece.strip()
+        start += len(piece) + 1
 
 
 def parse_presentation(text: str) -> FinitePresentation:
-    """Parse ``< gens | relations >``; raises PresentationError with position."""
-    toks = _tokenize(text)
-    pos = 0
+    """Parse ``< gens | relations >``; raises PresentationError with a position.
 
-    def peek() -> tuple[str, int]:
-        return toks[pos] if pos < len(toks) else ("", len(text))
+    The text is cut at ``<``, the first ``|`` and the next ``>``, then at
+    ``,`` and ``=``; each side of a relation is word text.  Blank relations
+    and a lone ``=`` are skipped.
+    """
+    lt = len(text) - len(text.lstrip())
+    if not text.startswith("<", lt):
+        raise PresentationError("expected '<' at the start", lt)
+    bar = text.find("|", lt)
+    if bar < 0:
+        raise PresentationError("expected '|' after the generators", len(text))
+    gt = text.find(">", bar)
+    if gt < 0:
+        raise PresentationError("unterminated presentation, expected '>'", len(text))
+    if text[gt + 1 :].strip():
+        raise PresentationError("trailing input after '>'", gt + 1)
 
-    def take(expected: str | None = None) -> tuple[str, int]:
-        nonlocal pos
-        tok, at = peek()
-        if not tok:
-            raise PresentationError(
-                f"unexpected end of input, expected {expected or 'more tokens'}", at
-            )
-        if expected is not None and tok != expected:
-            raise PresentationError(f"expected {expected!r}, found {tok!r}", at)
-        pos += 1
-        return tok, at
-
-    take("<")
     names: list[str] = []
-    while True:
-        tok, at = take()
-        if tok in _PUNCT:
-            raise PresentationError(f"expected a generator name, found {tok!r}", at)
-        if tok in names:
-            raise PresentationError(f"duplicate generator {tok!r}", at)
-        names.append(tok)
-        tok, at = peek()
-        if tok == ",":
-            take(",")
-            continue
-        break
-    take("|")
-    try:
-        alphabet = Alphabet(names)
-    except WordError as e:
-        raise PresentationError(str(e)) from None
+    for at, name in _pieces(text, lt + 1, bar):
+        problem = name_problem(name)
+        if problem:
+            raise PresentationError(f"generator name {name!r} {problem}", at)
+        if name in names:
+            raise PresentationError(f"duplicate generator {name!r}", at)
+        names.append(name)
+    alphabet = Alphabet(names)
 
     relators: list[Word] = []
-    sides: list[list[str]] = [[]]
-    word_tokens: list[str] = []
-    relation_at = peek()[1]
-
-    def flush():
-        nonlocal sides, word_tokens, relation_at
-        sides[-1] = word_tokens
-        texts = [" ".join(s) for s in sides]
-        if len(sides) > 2:
-            raise PresentationError("more than one '=' in a relation", relation_at)
-        if all(not t for t in texts):
-            sides, word_tokens = [[]], []
-            return
+    for at, relation in _pieces(text, bar + 1, gt):
+        if relation.count("=") > 1:
+            raise PresentationError("more than one '=' in a relation", at)
+        if relation in ("", "="):
+            continue
+        left, _, right = relation.partition("=")
         try:
-            left = alphabet.parse_word(texts[0])
-            right = alphabet.parse_word(texts[1]) if len(sides) == 2 else alphabet.identity()
+            rel = alphabet.parse_word(left) * alphabet.parse_word(right).inverse()
         except WordError as e:
-            raise PresentationError(str(e), relation_at) from None
-        rel = left * right.inverse()
+            raise PresentationError(str(e), at) from None
         if rel.is_identity:
-            raise PresentationError("relation reduces to the identity", relation_at)
+            raise PresentationError("relation reduces to the identity", at)
         relators.append(rel)
-        sides, word_tokens = [[]], []
-
-    while True:
-        tok, at = peek()
-        if not tok:
-            raise PresentationError("unterminated presentation, expected '>'", at)
-        if tok == ">":
-            take(">")
-            flush()
-            break
-        if tok == ",":
-            take(",")
-            flush()
-            relation_at = peek()[1]
-            continue
-        if tok == "=":
-            take("=")
-            sides[-1] = word_tokens
-            sides.append([])
-            word_tokens = []
-            continue
-        if tok in ("<", "|"):
-            raise PresentationError(f"unexpected {tok!r} inside relations", at)
-        take()
-        word_tokens.append(tok)
-
-    tok, at = peek()
-    if tok:
-        raise PresentationError(f"trailing input {tok!r} after '>'", at)
     return FinitePresentation(alphabet, tuple(relators))
 
 
@@ -228,9 +165,7 @@ class KillSpec:
     def images_equal(self, u: Word, v: Word) -> bool:
         return self.image(u) == self.image(v)
 
-    def conjugacy_invariant(self, w: Word):
-        from .words import CyclicWord
-
+    def conjugacy_invariant(self, w: Word) -> CyclicWord:
         return CyclicWord.of(self.image(w))
 
     def describe(self) -> str:

@@ -17,6 +17,9 @@ The letter order used everywhere is
     g1 < g1^-1 < g2 < g2^-1 < ...
 
 so shortlex enumeration and canonical rotations are stable across runs.
+
+Word text has one grammar, ``read_tokens``; every parser in the package
+reads its words through it, so exponents are read in one place only.
 """
 
 from __future__ import annotations
@@ -53,17 +56,41 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
 def name_problem(name: object) -> str | None:
     """Why ``name`` cannot name a generator or a stable letter; None if it can.
 
-    A name must read back as itself from the printed word: the parsers split
-    tokens at whitespace and ``*``, read ``^`` as the exponent mark and a
-    bare ``1`` as the identity, and presentations use ``,|<>[]:``.
+    A name must read back as itself from every printed form, so it is not
+    ``1`` and holds no whitespace and none of the marks the formats use:
+    presentations ``<>|,=``, free-product paths ``[]:`` and words ``^*``.
     """
     if not isinstance(name, str) or not name:
         return "is not a nonempty string"
     if name == "1":
         return "is the identity literal"
-    if any(ch in " ^,|<>[]:*" or ch.isspace() for ch in name):
+    if any(ch in "<>|,=[]:^*" or ch.isspace() for ch in name):
         return "contains reserved characters"
     return None
+
+
+def read_tokens(text: str) -> list[tuple[str, int]]:
+    """The one grammar for word text: its ``(name, exponent)`` pairs, in order.
+
+    Tokens are separated by whitespace or ``*``; empty text or a bare ``1``
+    is the identity.  A token is a name, then optionally ``^`` and an
+    optional ``-`` and ASCII digits.  Names are not looked up here.
+    """
+    toks = text.replace("*", " ").split()
+    if toks == ["1"]:
+        return []
+    out = []
+    for tok in toks:
+        name, hat, exp_s = tok.partition("^")
+        digits = exp_s.removeprefix("-")
+        # int() alone would also take "+2", "1_0" and non-ASCII digits
+        if hat and not (digits.isascii() and digits.isdigit()):
+            raise WordError(f"bad exponent {exp_s!r} in token {tok!r}")
+        try:
+            out.append((name, int(exp_s) if hat else 1))
+        except ValueError:  # past int's digit limit
+            raise WordError(f"exponent of {tok[:20]!r}... has too many digits") from None
+    return out
 
 
 class Alphabet:
@@ -144,27 +171,12 @@ class Alphabet:
         return ls
 
     def parse_word(self, text: str) -> "Word":
-        """Parse a whitespace or ``*`` separated product of name^exp tokens.
-
-        ``a b^-1 a^3`` and ``a*b^-1*a^3`` both work; ``1`` or an empty
-        string gives the identity.
-        """
-        text = text.replace("*", " ").strip()
-        if text in ("", "1"):
-            return self.identity()
+        """Parse word text (``read_tokens``): ``a b^-1 a^3``, ``a*b^-1*a^3`` or ``1``."""
         index = self._index
         letters: list[int] = []
-        for tok in text.split():
-            name, _, exp_s = tok.partition("^")
+        for name, exp in read_tokens(text):
             if name not in index:
                 raise WordError(f"unknown generator {name!r} in word {text!r}")
-            if exp_s == "":
-                exp = 1
-            else:
-                try:
-                    exp = int(exp_s)
-                except ValueError:
-                    raise WordError(f"bad exponent {exp_s!r} in token {tok!r}") from None
             letters.extend([index[name] if exp >= 0 else -index[name]] * abs(exp))
         # every letter came from the index, so only free reduction is left
         return Word(self, free_reduce(letters))
@@ -218,6 +230,8 @@ class Word:
         return Word(self.alphabet, a[: n - k] + b[k:] if k else a + b)
 
     def inverse(self) -> "Word":
+        if not self.letters:
+            return self
         return Word(self.alphabet, tuple(-l for l in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
@@ -246,9 +260,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self})"
-
-    def codes(self) -> tuple[int, ...]:
-        return tuple(letter_code(l) for l in self.letters)
 
 
 def _least_rotation(codes: Sequence[int]) -> int:
@@ -461,12 +472,12 @@ def is_power_of(w: Word, c: Word, c_root: tuple[Word, int] | None = None) -> int
         return 0
     rw, ew = primitive_root(w)
     rc, ec = c_root if c_root is not None else primitive_root(c)
-    if rw == rc:
-        m, rem = divmod(ew, ec)
-        return m if rem == 0 and c ** m == w else None
-    if rw == rc.inverse():
-        m, rem = divmod(ew, ec)
-        return -m if rem == 0 and c ** (-m) == w else None
+    # w = rw^ew and c = rc^ec exactly, so matching roots settle it
+    m, rem = divmod(ew, ec)
+    if rem == 0 and rw == rc:
+        return m
+    if rem == 0 and rw == rc.inverse():
+        return -m
     return None
 
 

@@ -150,6 +150,20 @@ class TestTowerCommands:
         assert code == 2
         assert any(f"stage {victim}" in f for f in rep["artifacts"]["failures"])
 
+    @pytest.mark.parametrize(
+        "witness", ["t4^ x2^-1", "t4^+1 x2^-1", "t4^\u0660\u0661 x2^-1", "t4 x2^-0_1"]
+    )
+    def test_verify_rejects_misspelt_exponents(self, capsys, tmp_path, monkeypatch, witness):
+        monkeypatch.chdir(tmp_path)
+        cert = tmp_path / "cert.json"
+        run(capsys, ["tower", "build", "--stages", "30", "--out", str(cert)])
+        doc = json.loads(cert.read_text())
+        assert doc["stages"][10]["witness"] == "t4 x2^-1"
+        cert.write_text(json.dumps(_set(doc, "witness", witness, 10)))
+        code, rep, _ = run(capsys, ["tower", "verify", str(cert)])
+        assert code == 2
+        assert [f.split(": ")[:2] for f in rep["artifacts"]["failures"]] == [["replay", "stage 11"]]
+
     def test_verify_detects_truncation(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cert = tmp_path / "cert.json"

@@ -155,6 +155,15 @@ class TestContext:
         assert "[K:" in ctx.format_element(g)
         assert fp.parse_path(ctx, text).product() == g
 
+    def test_printed_empty_path_reads_back(self):
+        ctx = make_ctx()
+        assert fp.parse_path(ctx, str(fp.SyllablePath(ctx, ()))).letters == ()
+
+    def test_parse_path_reads_free_text_as_words(self):
+        ctx = make_ctx()
+        path = fp.parse_path(ctx, "x1*x2^-2[B: 3]x1^0 x2")
+        assert str(path) == "x1 x2^-1 x2^-1 [B: 3] x2"
+
     def test_parse_path_rejects_garbage(self):
         ctx = make_ctx()
         with pytest.raises(fp.FreeProductError):

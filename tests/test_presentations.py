@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from concc.presentations import (
     CyclicSpec,
+    FinitePresentation,
     KillSpec,
     NonConjugacyCertificate,
     PresentationError,
@@ -13,7 +14,7 @@ from concc.presentations import (
     parse_presentation,
     quotient_spec_from_json,
 )
-from concc.words import Word, free_reduce
+from concc.words import Alphabet, Word, WordError, free_reduce, name_problem
 
 KLEIN = "< a , t | t a t^-1 a >"
 BS12 = "< a , t | t a t^-1 a^-2 >"
@@ -49,6 +50,48 @@ class TestParsing:
         with pytest.raises(PresentationError) as exc:
             parse_presentation(bad)
         assert exc.value.position is None or exc.value.position >= 0
+
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("", 0, "expected '<'"),
+            ("  a , b | ab", 2, "expected '<'"),
+            ("< a , b >", 9, "expected '|'"),
+            ("< a | a", 7, "expected '>'"),
+            ("< a | a >  x >", 9, "trailing input after '>'"),
+            ("< | >", 2, "generator name '' is not a nonempty string"),
+            ("< a , , b | >", 6, "generator name '' is not a nonempty string"),
+            ("< a b | >", 2, "generator name 'a b' contains reserved characters"),
+            ("< a = b | >", 2, "generator name 'a = b' contains reserved characters"),
+            ("< a , a | >", 6, "duplicate generator 'a'"),
+            ("< a |  b >", 7, "unknown generator 'b'"),
+            ("< a | a , a a^-1 >", 10, "relation reduces to the identity"),
+            ("< a | a , = a = a >", 10, "more than one '='"),
+            ("< a | a | a >", 6, "unknown generator '|'"),
+            ("< a | a^+1 >", 6, r"bad exponent '\+1'"),
+        ],
+    )
+    def test_error_positions(self, text, position, message):
+        with pytest.raises(PresentationError, match=message) as exc:
+            parse_presentation(text)
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("< a | = >", "< a | >"),
+            ("< a | , , >", "< a | >"),
+            ("<a|a=>", "< a | a >"),
+            ("<a|=a,>", "< a | a^-1 >"),
+        ],
+    )
+    def test_blank_relations_are_skipped(self, text, printed):
+        assert str(parse_presentation(text)) == printed
+
+    @pytest.mark.parametrize("mark", "<>|,=[]:^*")
+    def test_reserved_marks_cannot_name_a_generator(self, mark):
+        with pytest.raises(WordError, match="reserved"):
+            Alphabet([f"a{mark}b", "c"])
 
     def test_exponent_sum(self):
         p = parse_presentation(KLEIN)
@@ -143,6 +186,23 @@ class TestObstruction:
         cert = conjugacy_obstruction(p, spec, t**2, t**4)
         back = NonConjugacyCertificate.from_json(cert.to_json())
         assert back.verify() and back.to_json() == cert.to_json()
+
+
+@given(
+    st.lists(
+        st.text(min_size=1, max_size=3).filter(lambda n: name_problem(n) is None),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    ),
+    st.lists(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=6), max_size=3),
+)
+def test_printed_presentation_reads_back(names, rels):
+    # any names the alphabet accepts survive printing and parsing
+    A = Alphabet(names)
+    words = [A.word([l for l in ls if abs(l) <= A.size]) for ls in rels]
+    p = FinitePresentation(A, tuple(w for w in words if not w.is_identity))
+    assert parse_presentation(str(p)) == p
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10))

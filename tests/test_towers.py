@@ -270,6 +270,18 @@ class TestReverify:
         assert time.perf_counter() - start < 10
         assert len(rep.failures) == 1 and rep.failures[0].startswith("replay: stage 24: ")
 
+    @pytest.mark.parametrize(
+        "witness", ["t4^ x2^-1", "t4^+1 x2^-1", "t4^\u0660\u0661 x2^-1", "t4 x2^-0_1"]
+    )
+    def test_misspelt_exponent_fails_at_its_stage(self, witness):
+        # each spelling once read as the recorded t4 x2^-1; no writer emits it
+        doc = valid_certificate("ncc")
+        assert doc["stages"][10]["witness"] == "t4 x2^-1"
+        doc["stages"][10]["witness"] = witness
+        rep = reverify_certificate(doc)
+        assert len(rep.failures) == 1
+        assert rep.failures[0].startswith("replay: stage 11: bad exponent")
+
     def test_coset_class_must_match_the_image(self):
         doc = valid_certificate("coset")
         for s in doc["stages"]:

@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from concc import freeprod, hnn, presentations
 from concc.words import (
     Alphabet,
     CyclicWord,
@@ -19,6 +20,7 @@ from concc.words import (
     is_power_of,
     letter_code,
     primitive_root,
+    read_tokens,
     shortlex_words,
 )
 
@@ -39,6 +41,10 @@ class TestReduction:
     def test_cancel_adjacent(self):
         assert free_reduce((1, -1)) == ()
         assert free_reduce((1, 2, -2, -1, 1)) == (1,)
+
+    def test_inverse_of_identity_is_itself(self):
+        e = AB.identity()
+        assert e.inverse() is e
 
     def test_parse_and_str_round_trip(self):
         for text in ("a b^-1 a a", "1", "b^3", "a^-2 b"):
@@ -160,6 +166,66 @@ class TestPrimitiveRoot:
         assert root**e == u**k
         assert primitive_root(root)[1] == 1
         assert is_power_of(u**k, root) == e
+
+
+    @given(letters, st.integers(1, 3), st.integers(-8, 8), letters)
+    def test_is_power_of_matches_brute_search(self, ls, e, k, other):
+        r = Word(AB, free_reduce(tuple(ls)))
+        assume(not r.is_identity)
+        c = r**e  # not its own root when e > 1
+        for u in (c**k, r**k, Word(AB, free_reduce(tuple(other)))):
+            brute = [m for m in range(-8, 9) if c**m == u]
+            for got in (is_power_of(u, c), is_power_of(u, c, primitive_root(c))):
+                if got is None:
+                    assert brute == []
+                else:
+                    assert c**got == u
+                    assert brute == ([got] if abs(got) <= 8 else [])
+
+
+# each parser of word text, with its own error class and a context for "a"
+KLEIN = hnn.klein_bottle_tower()
+PATH_CTX = freeprod.FreeProductCtx([freeprod.CyclicFactor("B", 5)], Alphabet(["a"]))
+PARSERS = {
+    "parse_word": (AB.parse_word, WordError),
+    "Tower.parse": (KLEIN.parse, hnn.HnnError),
+    "parse_path": (lambda text: freeprod.parse_path(PATH_CTX, text), freeprod.FreeProductError),
+    "parse_presentation": (
+        lambda text: presentations.parse_presentation(f"< a , b | {text} >"),
+        presentations.PresentationError,
+    ),
+}
+
+
+class TestWordText:
+    def test_tokens(self):
+        assert read_tokens(" a*b^-1  a^3 b^0 ") == [("a", 1), ("b", -1), ("a", 3), ("b", 0)]
+        assert read_tokens("a^-0012") == [("a", -12)]
+        assert read_tokens("zz") == [("zz", 1)]  # names are not looked up
+
+    @pytest.mark.parametrize("text", ["", "  ", "1", " 1 ", "*1*"])
+    def test_identity(self, text):
+        assert read_tokens(text) == []
+
+    def test_one_is_identity_only_alone(self):
+        with pytest.raises(WordError, match="unknown generator '1'"):
+            AB.parse_word("a 1")
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    @pytest.mark.parametrize("text", ["a^", "a^+2", "a^1_0", "a^\u0663", "a^^2", "a^-", "a^ 2"])
+    def test_bad_exponents_raise_the_parsers_own_error(self, parser, text):
+        parse, error = PARSERS[parser]
+        with pytest.raises(WordError, match="bad exponent"):
+            read_tokens(text)
+        with pytest.raises(error, match="bad exponent"):
+            parse(text)
+
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_exponent_past_the_digit_limit(self, parser):
+        parse, error = PARSERS[parser]
+        with pytest.raises(error, match="too many digits"):
+            parse("a^-" + "9" * 5000)
 
 
 class TestCommensurability:
