@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import freeprod as fp
 from . import hnn, smallcanc, towers
 from .presentations import KillSpec, conjugacy_obstruction, parse_presentation
-from .words import Alphabet
+from .words import Alphabet, Word
 
 REPORT_VERSION = 1
 
@@ -163,7 +163,7 @@ def _ncc_config(classes: int, stages: int) -> towers.TowerConfig:
     if classes <= 3:
         pres = parse_presentation("< x1 , x2 | >")
         A = pres.alphabet
-        reps = tuple(A.word([A.letter(f"x{i}")]) for i in range(1, classes))
+        reps = tuple(A.gen(f"x{i}") for i in range(1, classes))
         return towers.TowerConfig(
             base=pres, classes=classes, representatives=reps, stages=stages
         )
@@ -258,7 +258,7 @@ def _cmd_klein_bottle(argv, args) -> int:
     pres = parse_presentation("< a , t | t a t^-1 a >")
     spec = KillSpec(pres, frozenset({"a"}))
     A = pres.alphabet
-    t = A.word([A.letter("t")])
+    t = A.gen("t")
     cert = conjugacy_obstruction(pres, spec, t, t.inverse())
     checks = []
     if cert is None:
@@ -298,7 +298,7 @@ def _cmd_bs12(argv, args) -> int:
     pres = parse_presentation("< a , t | t a t^-1 a^-2 >")
     spec = KillSpec(pres, frozenset({"a"}))
     A = pres.alphabet
-    t = A.word([A.letter("t")])
+    t = A.gen("t")
     checks = []
     certs = []
     for i, j in ((2, 4), (2, 8), (4, 8)):
@@ -354,7 +354,10 @@ def _cmd_relpaths_audit(argv, args) -> int:
     return _run(argv, args.out, checks, artifacts, seed=args.seed, started=t0)
 
 
-def _abbrev(text: str, limit: int = 60) -> str:
+def _abbrev(w: Word, limit: int = 60) -> str:
+    """``str(w)`` cut to ``limit`` characters; prints only a prefix of w."""
+    # each letter prints as at least one character and a separating blank
+    text = str(Word(w.alphabet, w.letters[:limit]))
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
@@ -363,13 +366,8 @@ def _cmd_smallcanc_pieces(argv, args) -> int:
     if args.scale < 1:
         raise SystemExit(USAGE_EXIT)
     A = Alphabet(["a", "b"])
-    x, y = A.word([A.letter("a")]), A.word([A.letter("b")])
-    trio = [
-        smallcanc.r_family(args.scale, x.inverse(), y.inverse()),
-        smallcanc.r_family(args.scale, y, x),
-        smallcanc.r_family(args.scale, y.inverse(), x.inverse()),
-    ]
-    S = smallcanc.symmetrize(trio)
+    trio = smallcanc.relator_trio(args.scale, A.gen("a"), A.gen("b"))
+    S = smallcanc.symmetrize(list(trio.values()))
     pieces = smallcanc.max_pieces(S)
     metric = smallcanc.check_metric(S, Fraction(1, 8))
     checks = [

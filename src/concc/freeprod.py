@@ -28,7 +28,7 @@ from itertools import groupby
 from typing import Iterable, Sequence
 
 from . import hnn
-from .words import Alphabet, Word, WordError, free_reduce, read_tokens
+from .words import Alphabet, Word, WordError, free_reduce, read_int, read_tokens
 
 Payload = object
 Syllable = tuple  # (label: str | None, payload)
@@ -126,7 +126,7 @@ class CyclicFactor(Factor):
         return str(p % self.modulus)
 
     def parse(self, text):
-        return int(text) % self.modulus
+        return read_int(text.strip(), "residue") % self.modulus
 
     def sample(self, rng):
         return rng.randrange(1, self.modulus)
@@ -163,7 +163,7 @@ class FreeAbelianFactor(Factor):
         return ",".join(str(a) for a in p) if self.rank > 1 else str(p[0])
 
     def parse(self, text):
-        parts = [int(t) for t in text.split(",")]
+        parts = [read_int(t.strip(), "coordinate") for t in text.split(",")]
         if len(parts) != self.rank:
             raise FreeProductError(f"expected {self.rank} coordinates, got {text!r}")
         return tuple(parts)
@@ -412,28 +412,37 @@ class SyllablePath:
 
 
 def parse_path(ctx: FreeProductCtx, text: str) -> SyllablePath:
-    """Parse ``x1 [A: 2] x2^-1 [K: a t]``: factor letters, and word text between them."""
+    """Parse ``x1 [A: 2] x2^-1 [K: a t]``: factor letters, and word text between them.
+
+    A bare ``1`` is the empty path, and only as the whole text.  Every
+    error is a ``FreeProductError``.
+    """
     letters: list[Letter] = []
     rest = text
-    while True:
-        free, bracket, rest = rest.partition("[")
-        try:
+    try:
+        while True:
+            free, bracket, rest = rest.partition("[")
             tokens = read_tokens(free)
-        except WordError as e:
-            raise FreeProductError(str(e)) from None
-        for name, exp in tokens:
-            letters.extend([ctx.x_letter(name, 1 if exp > 0 else -1)] * abs(exp))
-        if not bracket:
-            return SyllablePath(ctx, tuple(letters))
-        inner, close, rest = rest.partition("]")
-        if not close:
-            raise FreeProductError(f"unterminated factor letter at {len(text) - len(inner) - 1}")
-        lab, sep, payload_text = inner.partition(":")
-        if not sep:
-            raise FreeProductError(f"factor letter {inner!r} lacks a ':'")
-        lab = lab.strip()
-        payload = ctx.factor(lab).parse(payload_text.strip())
-        letters.append(ctx.h_letter(lab, payload))
+            # read_tokens reads a bare 1 as no letters
+            if not tokens and "1" in free and (bracket or letters):
+                raise FreeProductError("a bare '1' stands for the empty path only alone")
+            for name, exp in tokens:
+                letters.extend([ctx.x_letter(name, 1 if exp > 0 else -1)] * abs(exp))
+            if not bracket:
+                return SyllablePath(ctx, tuple(letters))
+            inner, close, rest = rest.partition("]")
+            if not close:
+                raise FreeProductError(
+                    f"unterminated factor letter at {len(text) - len(inner) - 1}"
+                )
+            lab, sep, payload_text = inner.partition(":")
+            if not sep:
+                raise FreeProductError(f"factor letter {inner!r} lacks a ':'")
+            lab = lab.strip()
+            payload = ctx.factor(lab).parse(payload_text.strip())
+            letters.append(ctx.h_letter(lab, payload))
+    except WordError as e:
+        raise FreeProductError(str(e)) from None
 
 
 @dataclass(slots=True)

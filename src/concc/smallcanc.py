@@ -88,6 +88,15 @@ def r_family(s: int, x: Word, y: Word) -> Word:
     return w
 
 
+def relator_trio(s: int, a: Word, b: Word) -> dict[str, Word]:
+    """The scale-s relators R(a^-1, b^-1), R(b, a), R(b^-1, a^-1), by name."""
+    return {
+        "R(a^-1,b^-1)": r_family(s, a.inverse(), b.inverse()),
+        "R(b,a)": r_family(s, b, a),
+        "R(b^-1,a^-1)": r_family(s, b.inverse(), a.inverse()),
+    }
+
+
 def word_family_w(k: int, n: int, x: Word, y: Word) -> Word:
     """x^k y^k x^{k+1} y^{k+1} ... x^{k+n-1} y^{k+n-1}; length 2nk + n(n-1)."""
     if k < 1 or n < 1:
@@ -322,7 +331,7 @@ def max_pieces(S: SymmetrizedSet) -> PieceReport:
         m = int(neck_max[list(ks)].max())
         rows.append(
             {
-                "relator": str(r),
+                "relator": r,
                 "length": len(r),
                 "max_piece": m,
                 "ratio": Fraction(m, len(r)),
@@ -557,11 +566,7 @@ def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
     """
     A = Alphabet(["a", "b"])
     a, b = A.gen("a"), A.gen("b")
-    trio = {
-        "R(a^-1,b^-1)": r_family(s, a.inverse(), b.inverse()),
-        "R(b,a)": r_family(s, b, a),
-        "R(b^-1,a^-1)": r_family(s, b.inverse(), a.inverse()),
-    }
+    trio = relator_trio(s, a, b)
     survivor = r_family(s, a, b)
     S = symmetrize(list(trio.values()))
     bound = Fraction(1, 8)

@@ -5,22 +5,25 @@ takes the next nontrivial base element in shortlex order and either
 
 - attaches a fresh stable letter conjugating it onto the representative of
   its class, or
-- records an already-derivable conjugator instead (skip rule), so the tower
-  does not grow for elements whose class is settled.
+- records a skip: an already-derivable conjugator (skip rule), so the tower
+  does not grow for elements whose class is settled, or a reason the mode
+  forces.
 
-Class bookkeeping is one ledger, ``_ClassLedger``: a union-find over exact
-commensurability keys of base words with a class label on each root.  The
-point of the key choice: attaching ``t g t^-1 = x`` can merge the classes
-of elements commensurable with ``g`` or ``x`` but nothing else, so
-replaying the merges proves which representatives stay in distinct
-classes.  The build is packaged as a JSON certificate whose replay does not
-trust the builder: the same ledger, fed only by the document, recomputes
-the enumeration, every key, every merge and every claimed conjugator from
+What a stage may record is one stage rule, ``_StageRule``, which the
+builder follows and the replay of a certificate checks, so the decision is
+written once.  In ncc mode its class bookkeeping is one ledger,
+``_ClassLedger``: a union-find over exact commensurability keys of base
+words with a class label on each root.  The point of the key choice:
+attaching ``t g t^-1 = x`` can merge the classes of elements commensurable
+with ``g`` or ``x`` but nothing else, so replaying the merges proves which
+representatives stay in distinct classes.  In coset mode the rule holds the
+map from quotient images to classes instead: each element is conjugated
+onto the fixed representative carrying the same image under the map.
+
+The build is packaged as a JSON certificate whose replay does not trust the
+builder: the same rule, fed only by the document, recomputes the
+enumeration, every key, image and merge, and every claimed conjugator from
 scratch, and the replay report stops at its first failing check.
-
-A second mode drives the same machinery by cosets of a quotient map instead
-of commensurability: each element is conjugated onto the fixed
-representative carrying the same image under the map.
 """
 
 from __future__ import annotations
@@ -159,24 +162,17 @@ class TowerConfig:
                 f"coset mode counts one class per representative: "
                 f"classes={self.classes} vs {len(self.representatives)} representatives"
             )
-        seen: dict[str, Word] = {}
-        for z in self.representatives:
-            img = str(self.quotient.image(z))
-            if img in seen:
-                raise TowerBuildError(f"representatives {seen[img]} and {z} share the image {img}")
-            seen[img] = z
+        _StageRule.classes_by_image(self.quotient, self.representatives)
 
 
 class _ClassLedger:
-    """Class bookkeeping shared by build and replay.
+    """The class bookkeeping of the ncc stage rule.
 
     A union-find over ``W.commensurability_key`` of base words, plus the
     class label of each root.  It starts with every representative and
-    seed labelled by its class, and keeps the representatives' keys.  A
-    stage computes its element's key once and hands it to ``label_of`` and
-    then to ``attach(g, key, ci)``, which records the relation
+    seed labelled by its class.  ``attach(g)`` records the relation
     ``t g t^-1 = rep_ci`` by joining g's class to that of representative ci
-    under label ci.  A label that contradicts the one a class already
+    under label ci; a label that contradicts the one a class already
     carries raises ``TowerBuildError``.
     """
 
@@ -202,14 +198,77 @@ class _ClassLedger:
         if old != ci:
             raise TowerBuildError(f"{w} already belongs to class {old}, not {ci}")
 
-    def label_of(self, key) -> int | None:
-        return self.labels.get(self._root(key))
-
-    def attach(self, g: Word, key, ci: int) -> None:
-        rg, rt = self._root(key), self._root(self.rep_keys[ci - 1])
+    def attach(self, g: Word) -> tuple[str, int]:
+        """Attach g; its case and class: the class g's key already carries
+        ("same-class"), else class 1 ("fresh")."""
+        rg = self._root(W.commensurability_key(g))
+        have = self.labels.get(rg)
+        case, ci = ("fresh", 1) if have is None else ("same-class", have)
+        rt = self._root(self.rep_keys[ci - 1])
         self._claim(rg, g, ci)
         self._claim(rt, self.reps[ci - 1], ci)
         self.parent[rg] = rt
+        return case, ci
+
+    def independent(self) -> bool:
+        """No two representatives' classes have merged."""
+        return all(self.labels.get(self._root(k)) == i for i, k in enumerate(self.rep_keys, 1))
+
+
+_ATTACH_OR_CONJUGATOR = ("attach", _KNOWN_CONJUGATOR)
+_NO_REPRESENTATIVE = "no-representative-for-image"
+
+
+class _StageRule:
+    """The stage decision, in the one place both build and replay read it.
+
+    ``choice(g)`` gives what the stage of base element g may record: its
+    image (coset mode), its class where the image fixes it, and the kinds
+    it may record, "attach" or a skip reason.  In ncc mode a stage may
+    attach or skip with a known conjugator, and ``attach`` takes the class
+    from the rule's ``_ClassLedger``.  In coset mode the image fixes the
+    class; an image without a representative, or the representative
+    itself, leaves one skip.  The builder reuses known conjugators only
+    where the image is a conjugacy invariant (``reuse``): elsewhere a
+    reused conjugator could reach a class other than the image's.
+    """
+
+    def __init__(self, config: TowerConfig):
+        self.reps = config.representatives
+        self.spec = config.quotient if config.mode == "coset" else None
+        self.ledger = _ClassLedger(config) if self.spec is None else None
+        if self.spec is not None:
+            self.class_of_image = self.classes_by_image(self.spec, self.reps)
+        self.reuse = self.spec is None or isinstance(self.spec, CyclicSpec)
+
+    @staticmethod
+    def classes_by_image(spec: QuotientSpec, reps: tuple[Word, ...]) -> dict[str, int]:
+        """Image -> class of the representative carrying it; no image twice."""
+        out: dict[str, int] = {}
+        for i, z in enumerate(reps, start=1):
+            img = str(spec.image(z))
+            if img in out:
+                raise TowerBuildError(
+                    f"representatives {reps[out[img] - 1]} and {z} share the image {img}"
+                )
+            out[img] = i
+        return out
+
+    def choice(self, g: Word) -> tuple[str | None, int | None, tuple[str, ...]]:
+        """(image, class, kinds) for the stage of g; attach comes first."""
+        if self.spec is None:
+            return None, None, _ATTACH_OR_CONJUGATOR
+        img = str(self.spec.image(g))
+        ci = self.class_of_image.get(img)
+        if ci is None:
+            return img, None, (_NO_REPRESENTATIVE,)
+        if g == self.reps[ci - 1]:
+            return img, ci, ("element-is-representative",)
+        return img, ci, _ATTACH_OR_CONJUGATOR
+
+    def attach(self, g: Word, ci: int | None) -> tuple[str, int]:
+        """Record that g attaches; its case and class (the image's in coset mode)."""
+        return ("", ci) if self.ledger is None else self.ledger.attach(g)
 
 
 @dataclass(frozen=True)
@@ -220,11 +279,6 @@ class ConjugatorAnswer:
     class_index: int | None = None
     target: Word | None = None
     witness: TowerWord | None = None
-
-    def __str__(self) -> str:
-        if self.status == "yes":
-            return f"class {self.class_index}: conjugator {self.witness}"
-        return "unknown (not derivable from the stages built so far)"
 
 
 @dataclass(frozen=True)
@@ -258,7 +312,6 @@ class TowerBuild:
         self.records: list[StageRecord] = []
         # conjugacy-class key -> (class index, stored element, witness onto rep)
         self.witnesses: dict[tuple, tuple[int, Word, TowerWord]] = {}
-        self.attach_count = 0
 
     # -- conjugator witnesses ---------------------------------------------
 
@@ -318,86 +371,43 @@ class TowerBuild:
 def build_tower(config: TowerConfig) -> TowerBuild:
     """Run the stagewise construction; exact, deterministic, and logged.
 
-    One loop serves both modes.  Coset mode lets the element's image decide
-    first, and reuses known conjugators only when the image is invariant
-    under conjugation (``CyclicSpec``); ncc mode always reuses them, and its
-    ledger gives the class an attach joins (class 1 when the element is fresh).
+    Each stage records what ``_StageRule`` allows, first fit: the skip the
+    image forces, a known conjugator where the rule reuses them (each one
+    verified by Britton reduction), else an attach.
     """
     config.validate()
     b = TowerBuild(config)
-    reps = config.representatives
-    spec = config.quotient if config.mode == "coset" else None
-    if spec is None:
-        ledger = _ClassLedger(config)
-    else:
-        ledger = None
-        class_of_image = {str(spec.image(z)): i for i, z in enumerate(reps, start=1)}
-    reuse = spec is None or isinstance(spec, CyclicSpec)
-    for i, r in enumerate(reps, start=1):
+    rule = _StageRule(config)
+    for i, r in enumerate(config.representatives, start=1):
         b._remember_witness(r, i, b.tower.identity())
     stream = W.shortlex_words(config.base.alphabet)
     for idx in range(1, config.stages + 1):
         g = next(stream)
-        img, case = None, ""
-        if spec is not None:
-            img = str(spec.image(g))
-            ci = class_of_image.get(img)
-            if ci is None:
-                b.records.append(
-                    StageRecord(idx, g, "skip", reason="no-representative-for-image", image=img)
-                )
-                continue
-            if g == reps[ci - 1]:
-                b.records.append(
-                    StageRecord(
-                        idx,
-                        g,
-                        "skip",
-                        class_index=ci,
-                        reason="element-is-representative",
-                        target=g,
-                        witness=b.tower.identity(),
-                        image=img,
-                    )
-                )
-                continue
-        if reuse:
-            ans = b.conjugator_witness(g)
-            if ans.status == "yes":
-                b.records.append(
-                    StageRecord(
-                        idx,
-                        g,
-                        "skip",
-                        class_index=ans.class_index,
-                        reason=_KNOWN_CONJUGATOR,
-                        target=ans.target,
-                        witness=ans.witness,
-                        image=img,
-                    )
-                )
-                continue
-        if ledger is not None:
-            key = W.commensurability_key(g)
-            ci = ledger.label_of(key)
-            case = "same-class" if ci is not None else "fresh"
-            if ci is None:
-                ci = 1
-            ledger.attach(g, key, ci)
-        target = reps[ci - 1]
-        b.attach_count += 1
-        stable = f"t{b.attach_count}"
-        b.tower = b.tower.extend(CyclicAssociation(stable, g, target))
-        b._remember_witness(g, ci, b.tower.stable(stable))
+        img, ci, kinds = rule.choice(g)
+        if kinds[0] != "attach":  # g has no representative, or is one
+            reason, ans = kinds[0], ConjugatorAnswer("unknown")
+            if ci is not None:
+                ans = ConjugatorAnswer("yes", ci, g, b.tower.identity())
+        elif rule.reuse and (ans := b.conjugator_witness(g)).status == "yes":
+            reason = _KNOWN_CONJUGATOR
+        else:
+            case, ci = rule.attach(g, ci)
+            target, stable = config.representatives[ci - 1], f"t{b.tower.height + 1}"
+            b.tower = b.tower.extend(CyclicAssociation(stable, g, target))
+            b._remember_witness(g, ci, b.tower.stable(stable))
+            b.records.append(
+                StageRecord(idx, g, "attach", ci, case, stable=stable, target=target, image=img)
+            )
+            continue
         b.records.append(
             StageRecord(
                 idx,
                 g,
-                "attach",
-                class_index=ci,
-                case=case,
-                stable=stable,
-                target=target,
+                "skip",
+                ans.class_index,
+                reason=reason,
+                target=ans.target,
+                witness=ans.witness,
                 image=img,
             )
         )
@@ -447,43 +457,25 @@ def _word(base: W.Alphabet, rec: dict, key: str, where: str) -> Word:
         raise _Failed("well-formed", f"{where}: {e}") from None
 
 
-def _extend(tower: Tower, s: dict, g: Word, target: Word, at: str) -> Tower:
-    try:
-        return tower.extend(CyclicAssociation(_text(s, "stable", at), g, target))
-    except HnnError as e:
-        raise _Failed("well-formed", f"{at}: {e}") from None
-
-
-def _check_witness(tower: Tower, s: dict, g: Word, target: Word, at: str, check: str) -> None:
-    """The stage's recorded conjugator takes g onto target in the tower built so far."""
-    try:
-        good = hnn.verify_conjugator(
-            tower.parse(_text(s, "witness", at)), tower.embed(g), tower.embed(target)
-        )
-    except HnnError as e:
-        raise _Failed(check, f"{at}: {e}") from None
-    if not good:
-        raise _Failed(check, f"{at}: recorded conjugator does not take {g} to {target}")
-
-
 def reverify_certificate(doc) -> ReverifyReport:
     """Replay a tower certificate without trusting the builder that wrote it.
 
     Replay reads only the document and stops at its first failing check,
-    which ends the report and names its stage where there is one.  In order:
-    ``structure`` (stage count and numbering, and stage i is an attach or a
+    which ends the report and names its stage where there is one.  First
+    ``structure``: stage count and numbering, and stage i is an attach or a
     skip of the i-th word of ``W.shortlex_words(base)``, the stream the
-    builder enumerates); the representatives, through the builder's own
-    config validation; then, in ncc mode, ``base-facts`` recomputed and a
-    ``replay`` of every stage through the same ``_ClassLedger`` the builder
-    used (an attach carries the case and class the ledger gives it, the only
-    skip is a conjugator, and both target their class representative), and
-    ``independence``; in coset mode, ``quotient``, ``images`` (each stage's
-    image and the choice it forces: the skip reason, the class and the
-    target) and ``stage-relations``.  Every recorded conjugator is
-    verified by Britton reduction in the tower extended up to its stage.  A
-    document that is not a JSON object, lacks a field the replay reads or
-    names an undeclared generator fails ``well-formed``.
+    builder enumerates.  One reader turns the document into a
+    ``TowerConfig`` for either mode, checked by the builder's own
+    validation (``representatives``).  Then the mode's pre-check,
+    ``base-facts`` recomputed in ncc mode, ``quotient`` in coset mode, and
+    one stage loop that holds each record against the builder's stage rule,
+    ``_StageRule``: its kind, case, class, image and target.  Each attach
+    extends the tower; each recorded conjugator is verified by Britton
+    reduction in the tower extended up to its stage.  The loop reports as
+    ``replay`` in ncc mode, followed by ``independence``, and as ``images``
+    and ``stage-relations`` in coset mode.  A document that is not a JSON
+    object, lacks a field the replay reads or names an undeclared generator
+    fails ``well-formed``.
     """
     rep = ReverifyReport(ok=True)
     try:
@@ -492,6 +484,50 @@ def reverify_certificate(doc) -> ReverifyReport:
         check, detail = e.args
         rep.add(check, False, detail)
     return rep
+
+
+def _read_config(doc, base: W.Alphabet) -> TowerConfig:
+    """The document's configuration, either mode, not yet validated.
+
+    A part that does not read fails ``representatives`` in ncc mode and
+    ``quotient`` in coset mode, which reads the representatives with it.
+    """
+    free = FinitePresentation(base, ())
+    coset = doc["mode"] == "coset"
+    try:
+        spec = quotient_spec_from_json(free, doc["quotient"]) if coset else None
+        reps = tuple(base.parse_word(r) for r in doc["representatives"])
+        seeds = {} if coset else {
+            int(ci): tuple(base.parse_word(s) for s in ws)
+            for ci, ws in doc.get("seeds", {}).items()
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise _Failed("quotient" if coset else "representatives", str(e)) from None
+    return TowerConfig(
+        base=free,
+        classes=len(reps) if coset else len(reps) + 1,
+        representatives=reps,
+        mode=doc["mode"],
+        class_seeds=seeds,
+        quotient=spec,
+    )
+
+
+def _check_base_facts(doc, base: W.Alphabet) -> None:
+    facts = doc.get("base_facts", [])
+    if not isinstance(facts, list):
+        raise _Failed("well-formed", "certificate: 'base_facts' is not a list")
+    for f in facts:
+        u, v = _word(base, f, "left", "base fact"), _word(base, f, "right", "base fact")
+        try:
+            related = W.commensurable(u, v).related
+        except WordError as e:
+            raise _Failed("base-facts", f"base fact on {u} and {v}: {e}") from None
+        if related != _field(f, "related", "base fact"):
+            raise _Failed(
+                "base-facts",
+                f"recomputed commensurability of {u} and {v} contradicts the certificate",
+            )
 
 
 def _reverify(doc, rep: ReverifyReport) -> None:
@@ -522,126 +558,80 @@ def _reverify(doc, rep: ReverifyReport) -> None:
             raise _Failed("structure", f"{at}: unknown action {s['action']!r}")
         elements.append(g)
     rep.add("structure", True)
-    replay = _replay_coset if doc["mode"] == "coset" else _replay_ncc
-    replay(doc, base, stages, elements, rep)
 
-
-def _replay_ncc(doc, base: W.Alphabet, stages: list, elements: list[Word], rep) -> None:
+    config = _read_config(doc, base)
+    coset = config.mode == "coset"
+    if coset:
+        rep.add("quotient", True, config.quotient.describe())
     try:
-        reps = tuple(base.parse_word(r) for r in doc["representatives"])
-        config = TowerConfig(
-            base=FinitePresentation(base, ()),
-            classes=len(reps) + 1,
-            representatives=reps,
-            class_seeds={
-                int(ci): tuple(base.parse_word(s) for s in ws)
-                for ci, ws in doc.get("seeds", {}).items()
-            },
-        )
         config.validate()
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
+    except TowerBuildError as e:
         raise _Failed("representatives", str(e)) from None
+    if not coset:
+        _check_base_facts(doc, base)
+        rep.add("base-facts", True)
 
-    facts = doc.get("base_facts", [])
-    if not isinstance(facts, list):
-        raise _Failed("well-formed", "certificate: 'base_facts' is not a list")
-    for f in facts:
-        u, v = _word(base, f, "left", "base fact"), _word(base, f, "right", "base fact")
-        try:
-            related = W.commensurable(u, v).related
-        except WordError as e:
-            raise _Failed("base-facts", f"base fact on {u} and {v}: {e}") from None
-        if related != _field(f, "related", "base fact"):
-            raise _Failed(
-                "base-facts",
-                f"recomputed commensurability of {u} and {v} contradicts the certificate",
-            )
-    rep.add("base-facts", True)
-
-    ledger = _ClassLedger(config)
+    rule, reps = _StageRule(config), config.representatives
+    check, relations = ("images", "stage-relations") if coset else ("replay", "replay")
     tower = Tower(base)
     for i, (s, g) in enumerate(zip(stages, elements), start=1):
         at = f"stage {i}"
-        ci = _field(s, "class", at)
-        attach = s["action"] == "attach"
-        if attach:
-            key = W.commensurability_key(g)
-            have = ledger.label_of(key)
-            want = ("fresh", 1) if have is None else ("same-class", have)
-            if (s.get("case"), ci) != want:
+        img, ci, kinds = rule.choice(g)
+        if coset:  # the image fixes the class
+            if s.get("image") is not None and s["image"] != img:
+                raise _Failed(check, f"{at}: recorded image {s['image']}, recomputed {img}")
+            got = s.get("class")
+            if type(got) is not type(ci) or got != ci:
+                raise _Failed(check, f"{at}: recorded class {got}, image {img} has class {ci}")
+        else:  # the record names it
+            ci = _field(s, "class", at)
+        kind = s["action"] if s["action"] == "attach" else s.get("reason")
+        # coset replay has always read a skip with reason "attach" as an attach
+        if kind not in kinds or not coset and kind == "attach" != s["action"]:
+            raise _Failed(
+                check,
+                f"{at}: image {img} allows {' or '.join(kinds)}, not {kind}"
+                if coset
+                else f"{at}: skip reason {kind!r} is not a conjugator",
+            )
+        if kind == "attach":
+            case, want = rule.attach(g, ci)
+            if not coset and (s.get("case"), ci) != (case, want):
                 raise _Failed(
-                    "replay",
-                    f"{at}: element {g} is {want[0]} in class {want[1]}, "
+                    check,
+                    f"{at}: element {g} is {case} in class {want}, "
                     f"certificate says {s.get('case')} in class {ci}",
                 )
-        elif s.get("reason") != _KNOWN_CONJUGATOR:
-            raise _Failed("replay", f"{at}: skip reason {s.get('reason')!r} is not a conjugator")
+        if kind == _NO_REPRESENTATIVE:
+            continue
         target = _word(base, s, "target", at)
         if type(ci) is not int or not 1 <= ci <= len(reps) or target != reps[ci - 1]:
             raise _Failed(
-                "replay", f"{at}: target {target} is not the representative of class {ci}"
+                check,
+                f"{at}: target {target} is not {reps[ci - 1]}, the representative"
+                if coset
+                else f"{at}: target {target} is not the representative of class {ci}",
             )
-        if attach:
-            tower = _extend(tower, s, g, target, at)
-            ledger.attach(g, key, ci)
-        else:
-            _check_witness(tower, s, g, target, at, "replay")
+        try:
+            if kind == "attach":
+                tower = tower.extend(CyclicAssociation(_text(s, "stable", at), g, target))
+                continue
+            good = hnn.verify_conjugator(
+                tower.parse(_text(s, "witness", at)), tower.embed(g), tower.embed(target)
+            )
+        except HnnError as e:
+            raise _Failed("well-formed" if kind == "attach" else relations, f"{at}: {e}") from None
+        if not good:
+            raise _Failed(relations, f"{at}: recorded conjugator does not take {g} to {target}")
+    if coset:
+        # the representatives were validated before the stage loop; reported last
+        for name in ("images", "stage-relations", "representatives"):
+            rep.add(name, True)
+        return
     rep.add("replay", True)
-    if any(ledger.label_of(key) != i for i, key in enumerate(ledger.rep_keys, start=1)):
+    if not rule.ledger.independent():
         raise _Failed("independence", "representative classes merged during replay")
     rep.add("independence", True)
-
-
-def _replay_coset(doc, base: W.Alphabet, stages: list, elements: list[Word], rep) -> None:
-    free = FinitePresentation(base, ())
-    try:
-        spec = quotient_spec_from_json(free, doc["quotient"])
-        zs = tuple(base.parse_word(z) for z in doc["representatives"])
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
-        raise _Failed("quotient", str(e)) from None
-    rep.add("quotient", True, spec.describe())
-    try:
-        TowerConfig(
-            base=free, mode="coset", classes=len(zs), quotient=spec, representatives=zs
-        ).validate()
-    except TowerBuildError as e:
-        raise _Failed("representatives", str(e)) from None
-    class_of_image = {str(spec.image(z)): i for i, z in enumerate(zs, start=1)}
-
-    tower = Tower(base)
-    for i, (s, g) in enumerate(zip(stages, elements), start=1):
-        at = f"stage {i}"
-        img = str(spec.image(g))
-        if s.get("image") is not None and s["image"] != img:
-            raise _Failed("images", f"{at}: recorded image {s['image']}, recomputed {img}")
-        ci, got = class_of_image.get(img), s.get("class")
-        if type(got) is not type(ci) or got != ci:
-            raise _Failed("images", f"{at}: recorded class {got}, image {img} has class {ci}")
-        z = None if ci is None else zs[ci - 1]
-        # the builder's choice, recomputed: the image decides it unless the
-        # element attaches or has a known conjugator onto its representative
-        if z is None:
-            allowed = ("no-representative-for-image",)
-        elif g == z:
-            allowed = ("element-is-representative",)
-        else:
-            allowed = ("attach", _KNOWN_CONJUGATOR)
-        kind = s["action"] if s["action"] == "attach" else s.get("reason")
-        if kind not in allowed:
-            raise _Failed("images", f"{at}: image {img} allows {' or '.join(allowed)}, not {kind}")
-        if z is None:
-            continue
-        target = _word(base, s, "target", at)
-        if target != z:
-            raise _Failed("images", f"{at}: target {target} is not {z}, the representative")
-        if kind == "attach":
-            tower = _extend(tower, s, g, z, at)
-        else:
-            _check_witness(tower, s, g, z, at, "stage-relations")
-    rep.add("images", True)
-    rep.add("stage-relations", True)
-    # validated before the stage loop, which reads class_of_image; reported last
-    rep.add("representatives", True)
 
 
 @dataclass

@@ -19,7 +19,8 @@ The letter order used everywhere is
 so shortlex enumeration and canonical rotations are stable across runs.
 
 Word text has one grammar, ``read_tokens``; every parser in the package
-reads its words through it, so exponents are read in one place only.
+reads its words through it, so exponents are read in one place only, and
+every integer in a text format is spelled as ``read_int`` reads it.
 """
 
 from __future__ import annotations
@@ -69,12 +70,28 @@ def name_problem(name: object) -> str | None:
     return None
 
 
+def read_int(text: str, what: str) -> int:
+    """The integer ``text`` spells: an optional ``-`` and ASCII digits.
+
+    The one integer spelling of every text format; ``int()`` alone would
+    also take ``+2``, ``1_0``, blanks and non-ASCII digits.  ``what`` names
+    the number in the ``WordError`` raised for any other text.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise WordError(f"bad {what} {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past int's digit limit
+        raise WordError(f"{what} {text[:20]!r}... has too many digits") from None
+
+
 def read_tokens(text: str) -> list[tuple[str, int]]:
     """The one grammar for word text: its ``(name, exponent)`` pairs, in order.
 
     Tokens are separated by whitespace or ``*``; empty text or a bare ``1``
     is the identity.  A token is a name, then optionally ``^`` and an
-    optional ``-`` and ASCII digits.  Names are not looked up here.
+    exponent (``read_int``).  Names are not looked up here.
     """
     toks = text.replace("*", " ").split()
     if toks == ["1"]:
@@ -82,14 +99,10 @@ def read_tokens(text: str) -> list[tuple[str, int]]:
     out = []
     for tok in toks:
         name, hat, exp_s = tok.partition("^")
-        digits = exp_s.removeprefix("-")
-        # int() alone would also take "+2", "1_0" and non-ASCII digits
-        if hat and not (digits.isascii() and digits.isdigit()):
-            raise WordError(f"bad exponent {exp_s!r} in token {tok!r}")
         try:
-            out.append((name, int(exp_s) if hat else 1))
-        except ValueError:  # past int's digit limit
-            raise WordError(f"exponent of {tok[:20]!r}... has too many digits") from None
+            out.append((name, read_int(exp_s, "exponent") if hat else 1))
+        except WordError as e:
+            raise WordError(f"{e} in token {tok[:24]!r}") from None
     return out
 
 

@@ -7,8 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
-from concc import cli
+from concc import cli, smallcanc
+from concc.words import Alphabet
 
 
 def run(capsys, argv):
@@ -301,6 +303,22 @@ class TestPieceStatistics:
         assert code == 2
         failed = [c for c in doc["checks"] if c["status"] == "fail"]
         assert failed and "metric" in failed[0]["name"]
+
+
+    def test_relator_column_prints_the_word_cut_to_sixty(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _, doc, _ = run(capsys, ["smallcanc", "pieces", "--scale", "4"])
+        A = Alphabet(["a", "b"])
+        trio = smallcanc.relator_trio(4, A.gen("a"), A.gen("b")).values()
+        for row, r in zip(doc["artifacts"]["per_relator"], trio, strict=True):
+            text = str(r)
+            assert row["relator"] == (text if len(text) <= 60 else text[:57] + "...")
+
+    @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=90))
+    def test_abbreviation_reads_only_a_prefix(self, letters):
+        word = Alphabet(["a", "b"]).word(letters)
+        text = str(word)
+        assert cli._abbrev(word) == (text if len(text) <= 60 else text[:57] + "...")
 
 
 class TestRelpathAudit:

@@ -538,3 +538,57 @@ class TestPowers:
         n = 10**12
         for p in range(7):
             assert f.power(p, n) == p * n % 7
+
+
+# A (Z^2), B (Z/5), K (Klein bottle) over x1, x2
+CTX2 = fp.FreeProductCtx(
+    [fp.FreeAbelianFactor("A", 2), fp.CyclicFactor("B", 5), fp.KleinBottleFactor("K")], X
+)
+
+
+class TestPathText:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[B: +3]", "bad residue '\\+3'"),
+            ("[B: ٣]", "bad residue '٣'"),
+            ("[B: x]", "bad residue 'x'"),
+            ("[B: 9" + "9" * 5000 + "]", "has too many digits"),
+            ("[A: 1, +2]", "bad coordinate '\\+2'"),
+            ("[A: 1_0, 2]", "bad coordinate '1_0'"),
+            ("[A: ]", "bad coordinate ''"),
+            ("[K: z]", "unknown generator 'z'"),
+            ("[K: a^+1]", "bad exponent '\\+1'"),
+            ("x9", "unknown generator 'x9'"),
+            ("x1^+2", "bad exponent '\\+2'"),
+            ("x1 1 [B: 3]", "unknown generator '1'"),  # as parse_word reads "a 1"
+        ],
+    )
+    def test_every_error_is_a_free_product_error(self, text, message):
+        with pytest.raises(fp.FreeProductError, match=message):
+            fp.parse_path(CTX2, text)
+
+    @pytest.mark.parametrize("text", ["[B: 3] 1 [B: 1]", "[B: 3] 1", "1 [B: 3]", "[B: 3]*1"])
+    def test_bare_one_only_as_the_whole_text(self, text):
+        with pytest.raises(fp.FreeProductError, match="bare '1'"):
+            fp.parse_path(CTX2, text)
+
+    @pytest.mark.parametrize("text", ["1", " 1 ", "*1*"])
+    def test_bare_one_alone_is_the_empty_path(self, text):
+        assert fp.parse_path(CTX2, text).letters == ()
+
+    def test_blanks_around_coordinates_still_read(self):
+        assert fp.parse_path(CTX2, "[A: 1, -2] x1").letters[0] == ("h", "A", (1, -2))
+
+    # at most 10 characters keep exponents small enough to expand
+    @given(st.text(st.sampled_from(list("x12[]:,ABK^-+_ *at") + ["٣"]), max_size=10))
+    def test_parse_path_raises_only_free_product_errors(self, text):
+        try:
+            fp.parse_path(CTX2, text)
+        except fp.FreeProductError:
+            pass
+
+    @given(WORDS)
+    def test_printed_paths_read_back(self, letters):
+        path = fp.SyllablePath(CTX, tuple(letters))
+        assert fp.parse_path(CTX, str(path)).letters == path.letters

@@ -110,6 +110,13 @@ class TestPieces:
         rep = max_pieces(symmetrize([w("a b a^-1 b^-1")]))
         assert rep.max_piece_length == 1
         assert [str(row["ratio"]) for row in rep.per_relator] == ["1/4"]
+        assert [row["relator"] for row in rep.per_relator] == [w("a b a^-1 b^-1")]
+
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_relator_trio_is_the_spelled_out_trio(self, s):
+        named = smallcanc.relator_trio(s, w("a"), w("b"))
+        assert list(named) == ["R(a^-1,b^-1)", "R(b,a)", "R(b^-1,a^-1)"]
+        assert list(named.values()) == trio(s)
 
     def test_witness_verifies(self):
         S = symmetrize([r_family(2, w("a"), w("b"))])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from concc import hnn, towers, words
-from concc.presentations import parse_presentation
+from concc.presentations import KillSpec, parse_presentation
 from concc.towers import (
     TowerBuildError,
     TowerConfig,
@@ -400,6 +400,58 @@ class TestCosetMode:
                 "no-representative-for-image",
                 "element-is-representative",
             )
+
+
+def kill_coset_config(stages):
+    """Coset drive over F(a, t) by the map that kills a: images are words in t."""
+    pres = parse_presentation("< a , t | >")
+    A = pres.alphabet
+    return TowerConfig(
+        base=pres,
+        mode="coset",
+        classes=3,
+        stages=stages,
+        quotient=KillSpec(pres, frozenset({"a"})),
+        representatives=(A.gen("a"), A.gen("t"), A.gen("t").inverse()),
+    )
+
+
+class TestCosetReplay:
+    def test_kill_spec_build_reuses_no_conjugator_and_replays(self):
+        build = build_tower(kill_coset_config(40))
+        reasons = {r.reason for r in build.records if r.action == "skip"}
+        assert reasons == {"no-representative-for-image", "element-is-representative"}
+        # t a is a conjugate of a t, stage 6: a CyclicSpec build would reuse
+        # that conjugator, a KillSpec build attaches again
+        stage = {str(r.element): r for r in build.records}
+        assert stage["a t"].action == stage["t a"].action == "attach"
+        rep = reverify_certificate(json.loads(certificate_to_json_str(build)))
+        assert rep.ok
+        assert [c["name"] for c in rep.checks] == [
+            "structure", "quotient", "images", "stage-relations", "representatives"
+        ]
+
+    def test_recorded_image_must_be_recomputed(self):
+        doc = valid_certificate("coset")
+        victim = doc["stages"][1]
+        assert (victim["element"], victim["image"]) == ("a^-1", "0")
+        victim["image"] = "1"
+        rep = reverify_certificate(doc)
+        assert rep.failures == ["images: stage 2: recorded image 1, recomputed 0"]
+
+    @pytest.mark.parametrize("action", ["attach", "skip"])
+    def test_target_must_be_the_representative(self, action):
+        doc = valid_certificate("coset")
+        # the first stage of that kind whose target is a (class 1)
+        victim = next(
+            s for s in doc["stages"]
+            if s["action"] == action and s.get("target") == "a" and s.get("witness") != "1"
+        )
+        victim["target"] = "a a"
+        rep = reverify_certificate(doc)
+        assert rep.failures == [
+            f"images: stage {victim['stage']}: target a a is not a, the representative"
+        ]
 
 
 class TestGadget:

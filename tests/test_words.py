@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -20,6 +21,7 @@ from concc.words import (
     is_power_of,
     letter_code,
     primitive_root,
+    read_int,
     read_tokens,
     shortlex_words,
 )
@@ -198,6 +200,14 @@ PARSERS = {
 
 
 class TestWordText:
+    def test_read_int(self):
+        assert [read_int(t, "residue") for t in ("0", "7", "-0012")] == [0, 7, -12]
+        for bad in ("", "-", "+2", "1_0", " 2", "2 ", "\u0663", "--1", "0x1"):
+            with pytest.raises(WordError, match=re.escape(f"bad residue {bad!r}")):
+                read_int(bad, "residue")
+        with pytest.raises(WordError, match="coordinate '99.*too many digits"):
+            read_int("9" * 5000, "coordinate")
+
     def test_tokens(self):
         assert read_tokens(" a*b^-1  a^3 b^0 ") == [("a", 1), ("b", -1), ("a", 3), ("b", 0)]
         assert read_tokens("a^-0012") == [("a", -12)]
