@@ -17,14 +17,6 @@ from concc import smallcanc
 from concc.words import Alphabet
 
 
-def trio(s, a, b):
-    return [
-        smallcanc.r_family(s, a.inverse(), b.inverse()),
-        smallcanc.r_family(s, b, a),
-        smallcanc.r_family(s, b.inverse(), a.inverse()),
-    ]
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--lo", type=int, default=2)
@@ -32,13 +24,13 @@ def main() -> int:
     args = ap.parse_args()
 
     A = Alphabet(["a", "b"])
-    a, b = A.parse_word("a"), A.parse_word("b")
+    a, b = A.gen("a"), A.gen("b")
     bound = Fraction(1, 8)
     first = None
     print(f"{'scale':>5} {'|R|':>7} {'closure':>8} {'piece':>6} {'ratio':>10}  metric")
     for s in range(args.lo, args.hi + 1):
         t0 = time.perf_counter()
-        S = smallcanc.symmetrize(trio(s, a, b))
+        S = smallcanc.symmetrize(list(smallcanc.relator_trio(s, a, b).values()))
         rep = smallcanc.max_pieces(S)
         ok = smallcanc.check_metric(S, bound).ok
         worst = max(row["ratio"] for row in rep.per_relator)

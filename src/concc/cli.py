@@ -378,7 +378,8 @@ def _cmd_smallcanc_pieces(argv, args) -> int:
             if metric.ok
             else f"piece of length {pieces.max_piece_length} inside a "
             f"relator of length {metric.carrier_length}",
-        )
+        ),
+        _check("piece-index-checked", S.index().checked, S.index().check_detail),
     ]
     artifacts = {
         "scale": args.scale,

@@ -3,22 +3,45 @@
 A symmetrized set is stored as necklaces: one canonical rotation per orbit
 of cyclic permutation, with the inverse word's orbit added alongside.  The
 closure members (all rotations of all necklaces) are never materialized;
-the piece computation works on each necklace's doubled letter string, so
-total index size stays linear in the sum of relator lengths even when the
-closure has six figures of members.
+the piece computation works on the necklaces' runs, the maximal blocks of
+one letter, so the index grows with the number of runs even when the
+closure has seven figures of members.  At scale s the relator family has
+2s runs for 2s^2 + s letters.
 
 Piece = common initial segment of two distinct closure members.  The index
-finds, for every member, the longest piece it starts with: a suffix array
-over the concatenated doubled necklaces gives the members in suffix order
-and the longest common prefix of each adjacent pair; the common prefix of
-any two members is the minimum over the pairs between them, capped at
-both lengths.  Members of one length class share their cap, so among the
-class members on one side of a member the nearest in suffix order shares
-the longest capped prefix with it.  One sweep per length class and
-direction, a segmented running minimum in numpy, therefore finds every
-member's longest piece.  A single sweep over all members would not: with
-mixed relator lengths the nearest member may be a short one whose cap
-hides a longer piece shared with a member further away.
+finds, for every member, the longest piece it starts with.
+
+Member coordinates.  The canonical rotation is the least one, and the least
+rotation of a word of two runs or more starts at a run boundary: it opens
+with the smallest letter, a run of that letter is followed by a larger
+letter, so of the rotations that start inside such a run the one at its
+start is least.  (A word of one run is one letter; longer ones are proper
+powers.)  Member (p, r) starts r letters before the end of run p; with c
+the run's letter, L_p its necklace's length and S_p the doubled necklace
+read from run p + 1 on, it reads c^r S_p cut to L_p letters.
+
+Pieces from runs.  Members (p, r) and (q, r') that open with the same
+letter share min(r, r') letters if r != r', and min(r + lcp(S_p, S_q), L_p,
+L_q) if r = r'.  So the longest piece of (p, r) is the largest of
+min(r + lcp(S_p, S_q), L_p, L_q) over the runs q != p of its letter with
+l_q >= r, if there are any; otherwise r if l_p > r, shared with (p, r + 1),
+and r - 1 if not.
+
+Sweep per run length.  A suffix array and LCP array over one token per run
+(``_token_text``: each necklace's runs twice, then a separator) put the
+texts S_p in order and give their letter LCPs.  Runs are grouped by letter,
+each group in S_p order; the common text of two runs is the minimum LCP
+between them.  For every r between two consecutive distinct run lengths
+the runs q with l_q >= r are the same, so one sweep per such band and
+length class, a segmented running minimum in numpy, finds for each run the
+class member of its letter with the longest common text: the class shares
+its cap, so the nearest class member on each side is the only candidate.
+A single sweep over all classes would not do: with mixed relator lengths
+the nearest run may lie in a short necklace whose cap hides a longer piece
+shared with a run further away.  The per-member answers are then expanded
+with numpy.  A word whose runs all have length 1 is the same problem, one
+token per letter.  The token arrays are checked on every build (see
+``_index_fault``), and the reports carry the outcome.
 
 Dehn's algorithm replaces a subword that is more than half of a member by
 the inverse of the rest of that member.  Against a member of length L only
@@ -61,7 +84,7 @@ from .words import (
 # letter, so the modulus bears on speed, never on answers.
 _HASH_MODULUS = 2_147_483_647
 _HASH_BASE = 1_000_003
-# most letter comparisons one batch of Dehn hits may hold at once
+# most comparisons one batch may hold at once: Dehn hits, or index self-checks
 _PAIR_BUDGET = 1 << 16
 
 
@@ -193,96 +216,246 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
 
 
 class _PieceIndex:
-    """Per-member longest-piece table over the doubled-necklace text.
+    """Per-member longest-piece table, computed over the necklaces' runs.
+
+    Every necklace starts at a run boundary, being its least rotation, so
+    member (p, r), which starts r letters before the end of run p, is a
+    fixed member; the module docstring derives its longest piece from the
+    runs and explains the sweep per run length and length class.
 
     Members are numbered necklace by necklace: member ``starts[k] + off`` is
-    rotation ``off`` of necklace ``k``.  The per-member arrays are int32 and
-    run in suffix order: ``order[i]`` is the i-th member, ``flcp[i]`` the
-    longest common prefix of the suffixes of members i and i+1, ``best[i]``
-    the longest piece member i starts with and ``partner[i]`` a member it
-    shares that piece with.
+    rotation ``off`` of necklace ``k``.  The per-member int32 arrays run in
+    that order: ``best[i]`` is the longest piece member i starts with,
+    ``partner[i]`` a member it shares that piece with (-1 where ``best[i]``
+    is 0) and ``member_len[i]`` its length.  ``checked`` tells whether the
+    suffix array and LCP array of the run tokens passed their self-check,
+    and ``check_detail`` says what was checked or where it failed.
     """
 
     def __init__(self, S: SymmetrizedSet):
         self.S = S
         self.lengths = np.array([len(n) for n in S.necklaces], dtype=np.int32)
         self.starts = np.concatenate(([0], np.cumsum(self.lengths, dtype=np.int64)))
-        self.order, self.flcp = _member_order(S.necklaces, self.starts)
-        neck = np.searchsorted(self.starts, self.order, side="right") - 1
-        self.member_len = self.lengths[neck]
-        self.best, self.partner = _sweep(self.flcp, self.member_len)
+        self.member_len = np.repeat(self.lengths, self.lengths)
+        letter, length, end, neck = _runs(S.necklaces, self.starts)
+        key, size, code, after = _token_text(letter, length, neck)
+        sa = suffix_array(key)
+        lcp = lcp_array(key, sa)
+        fault = _index_fault(key, sa, lcp)
+        self.checked = fault is None
+        self.check_detail = fault or f"suffix and LCP arrays of {len(key)} run tokens checked"
+        # letter LCP of adjacent token suffixes: their equal tokens, then the
+        # shorter of the first unequal tokens if those share a letter
+        n = len(key)
+        a, b = sa[:-1], sa[1:]
+        # clipped, so that a faulty lcp, which the check reports, stays in the text
+        ea, eb = np.clip(a + lcp, 0, n - 1), np.clip(b + lcp, 0, n - 1)
+        prefix = np.concatenate(([0], np.cumsum(size)))
+        shared = (code[ea] == code[eb]) & (code[ea] > 0)
+        letter_lcp = prefix[ea] - prefix[a] + np.where(shared, np.minimum(size[ea], size[eb]), 0)
+        # runs grouped by letter, each group in the order of the texts S_p
+        rank = np.empty(n, dtype=np.int64)
+        rank[sa] = np.arange(n)
+        first = code[after - 1]
+        g = np.lexsort((rank[after], first))
+        pos = rank[after][g]
+        # letter LCP of group neighbours: a range minimum; -1 between groups
+        bounds = np.stack((pos[:-1], pos[1:]), axis=1).ravel()
+        flcp = np.minimum.reduceat(np.append(letter_lcp, 0), bounds)[::2]
+        flcp[first[g][1:] != first[g][:-1]] = -1
+        self.best, self.partner = _own_run(length, end, len(self.member_len))
+        _sweep(flcp, length[g], end[g], self.lengths[neck][g], self.best, self.partner)
 
     def member_word(self, i: int) -> Word:
-        g = int(self.order[i])
-        k = int(np.searchsorted(self.starts, g, side="right")) - 1
-        return self.S.member(k, g - int(self.starts[k]))
+        k = int(np.searchsorted(self.starts, i, side="right")) - 1
+        return self.S.member(k, i - int(self.starts[k]))
 
 
-def _member_order(necks: Sequence[CyclicWord], starts: np.ndarray):
-    """Members in suffix order of the text, and the LCP of each adjacent pair.
+def _runs(necks: Sequence[CyclicWord], starts: np.ndarray):
+    """Letter, length, end and necklace of every run, necklace by necklace.
 
-    The text holds each necklace twice, so every rotation is read in full
-    from its first copy, followed by a separator of its own that stops
-    common prefixes from running into the next necklace.
+    A run is a maximal block of one letter.  Each necklace opens with a run,
+    so a run's end, the index of the letter after it, is also a member id:
+    member (p, r), the rotation that starts r letters before the end of run
+    p, is member ``end[p] - r``.
     """
-    parts = []
-    for k, n in enumerate(necks):
-        ls = np.array(n.letters, dtype=np.int64)
-        codes = 2 * np.abs(ls) - 1 + (ls < 0)  # letter_code + 1, so 0 never occurs
-        parts += [codes, codes, [-(k + 1)]]
-    text = np.concatenate(parts)
-    # necklace k opens the text at 2 * starts[k] + k
-    m = int(starts[-1])
-    member = np.full(len(text), -1, dtype=np.int32)
-    ids = np.arange(m, dtype=np.int64)
-    neck = np.repeat(np.arange(len(necks)), np.diff(starts))
-    member[ids + starts[neck] + neck] = ids
-    sa = suffix_array(text)
-    lcp = lcp_array(text, sa)
-    by_rank = member[sa]
-    ranks = np.flatnonzero(by_rank >= 0)
-    # a closure holds r and r^-1, never conjugate, so there are two members at least
-    flcp = np.minimum.reduceat(lcp[: ranks[-1]], ranks[:-1])
-    return by_rank[ranks], flcp.astype(np.int32)
+    letters = np.concatenate([np.array(n.letters, dtype=np.int64) for n in necks])
+    opens = np.ones(len(letters), dtype=bool)
+    opens[1:] = letters[1:] != letters[:-1]
+    opens[starts[:-1]] = True
+    begin = np.flatnonzero(opens)
+    end = np.append(begin[1:], len(letters))
+    return letters[begin], end - begin, end, np.searchsorted(starts, begin, side="right") - 1
 
 
-def _sweep(flcp: np.ndarray, member_len: np.ndarray):
-    """For each member: longest piece it starts with, and a partner member.
+def _token_text(letter: np.ndarray, length: np.ndarray, neck: np.ndarray):
+    """The index text: one token per run, each necklace's runs twice, then a
+    separator of its own.  A necklace of one run is a single letter (a longer
+    one is a proper power) and is written once, so no two adjacent tokens
+    share a letter.
 
-    One pass per length class and direction; the nearest class member on
-    each side is the only candidate of that class worth checking.
+    Returns the token keys, the token lengths and letter codes (letter_code
+    + 1; -(k + 1) for separator k), and for each run the token after its
+    first copy, where the text S_p that follows run p starts.
+
+    A key ranks a token by (letter, side, +-length, next letter): side 0 and
+    +length when the next letter is smaller than the run's letter, side 1
+    and -length otherwise.  Comparing keys orders the token suffixes exactly
+    as the letter suffixes they spell; separators rank below every letter.
     """
-    m = len(member_len)
-    best = np.zeros(m, dtype=np.int32)
-    partner = np.full(m, -1, dtype=np.int32)
-    for cap in np.unique(member_len).tolist():
-        in_class = member_len == cap
-        before = _nearest_before(flcp, in_class, cap)
-        val, src = _nearest_before(flcp[::-1], in_class[::-1], cap)
-        after = val[::-1], np.where(src >= 0, m - 1 - src, -1)[::-1]
-        for val, src in (before, after):
-            val = np.minimum(val, member_len)
-            better = val > best
-            best[better] = val[better]
-            partner[better] = src[better]
+    K = int(neck[-1]) + 1
+    count = np.bincount(neck)
+    copies = np.where(count > 1, 2, 1)
+    opens = np.concatenate(([0], np.cumsum(copies * count + 1)))
+    first_run = np.concatenate(([0], np.cumsum(count)))
+    at = opens[neck] + np.arange(len(letter)) - first_run[neck]
+    n = int(opens[-1])
+    code = np.empty(n, dtype=np.int64)
+    size = np.ones(n, dtype=np.int64)
+    runs = 2 * np.abs(letter) - 1 + (letter < 0)
+    code[at], size[at] = runs, length
+    twice = copies[neck] == 2
+    again = at[twice] + count[neck[twice]]
+    code[again], size[again] = runs[twice], length[twice]
+    code[opens[1:] - 1] = -np.arange(1, K + 1)
+    nxt = np.append(np.maximum(code[1:], 0), 0)
+    side = nxt > code
+    M, D = int(size.max()) + 1, int(code.max()) + 1
+    key = np.where(
+        code > 0,
+        K + ((2 * code + side) * M + np.where(side, M - size, size)) * D + nxt,
+        -code - 1,
+    )
+    return key, size, code, at + 1
+
+
+def _index_fault(key: np.ndarray, sa: np.ndarray, lcp: np.ndarray) -> str | None:
+    """Where sa or lcp fails to be the suffix or LCP array of key; None if
+    both are right.
+
+    sa must be a permutation whose adjacent pairs (a, b) pass the neighbour
+    test of Burkhardt and Kärkkäinen: key[a] < key[b], or the keys are equal
+    and the suffix after a ranks below the one after b, the end ranking
+    first.  Each lcp[i] is checked exactly: the suffixes at ranks i and i + 1
+    agree token by token on their first lcp[i] tokens, and the next tokens
+    differ.  The text ends in a token that occurs nowhere else, so two
+    suffixes always differ inside it.
+    """
+    n = len(key)
+    if len(sa) != n or len(lcp) != max(n - 1, 0):
+        return f"{len(sa)} suffixes and {len(lcp)} LCPs for {n} tokens"
+    if n < 2:
+        return None if np.array_equal(sa, np.arange(n)) else "suffix array is not 0"
+    if sa.min() < 0 or sa.max() >= n:
+        return "suffix array holds a position outside the text"
+    rank = np.full(n + 1, -1, dtype=np.int64)
+    rank[sa] = np.arange(n)
+    if not np.array_equal(rank[sa], np.arange(n)):
+        return "suffix array is not a permutation"
+    a, b = sa[:-1], sa[1:]
+    ka, kb = key[a], key[b]
+    bad = ~((ka < kb) | ((ka == kb) & (rank[a + 1] < rank[b + 1])))
+    if bad.any():
+        i = int(np.argmax(bad))
+        return f"suffixes at ranks {i} and {i + 1} are out of order"
+    bad = (lcp < 0) | (a + lcp >= n) | (b + lcp >= n)
+    bad[~bad] = key[(a + lcp)[~bad]] == key[(b + lcp)[~bad]]
+    if bad.any():
+        i = int(np.argmax(bad))
+        return f"LCP {int(lcp[i])} at rank {i} is not followed by a mismatch"
+    # compare the common prefixes in batches of about _PAIR_BUDGET tokens
+    ends = np.cumsum(lcp)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_BUDGET, int(ends[-1]), _PAIR_BUDGET))
+    for lo, hi in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [n - 1]))):
+        h = lcp[lo:hi]
+        pair = np.repeat(np.arange(lo, hi), h)
+        step = np.arange(len(pair)) - np.repeat(np.cumsum(h) - h, h)
+        differ = key[a[pair] + step] != key[b[pair] + step]
+        if differ.any():
+            i = int(pair[np.argmax(differ)])
+            return f"LCP {int(lcp[i])} at rank {i} covers unequal tokens"
+    return None
+
+
+def _own_run(length: np.ndarray, end: np.ndarray, m: int):
+    """Each member's longest piece with the members of its own run.
+
+    Member (p, r) shares r letters with (p, r + 1) when run p is longer than
+    r, and r - 1 letters with (p, r - 1) otherwise.
+    """
+    ids = np.arange(m, dtype=np.int32)
+    r = np.repeat(end.astype(np.int32), length) - ids
+    at_start = np.zeros(m, dtype=bool)
+    at_start[end - length] = True
+    best = r - at_start
+    partner = np.where(at_start, np.where(r > 1, ids + 1, -1), ids - 1).astype(np.int32)
     return best, partner
 
 
-def _nearest_before(flcp: np.ndarray, in_class: np.ndarray, cap: int):
-    """Common prefix, capped at cap, of each member with the nearest class
-    member before it, and that member's index; 0 and -1 where there is none.
+def _sweep(flcp: np.ndarray, length: np.ndarray, end: np.ndarray, cap: np.ndarray,
+           best: np.ndarray, partner: np.ndarray) -> None:
+    """Raise best and partner, in place, to the pieces members share with
+    members of other runs.
 
-    A running minimum of flcp that restarts at every class member: lowering
-    each segment below everything before it turns it into one global
-    running minimum.
+    The run arrays are in grouped order (see the module docstring), and
+    ``cap`` holds each run's necklace length.  Member (p, r) shares
+    min(r + lcp(S_p, S_q), L_p, L_q) letters with (q, r) for each run q of
+    its letter with l_q >= r, and no more with any other member.  Those runs
+    are the same for all r between two consecutive distinct run lengths, so
+    one sweep per such band and length class finds, for every run of the
+    band, the class member of its letter with the longest common text.
+    """
+    low = 0
+    classes = np.unique(cap).tolist()
+    for t in np.unique(length).tolist():
+        sub = np.flatnonzero(length >= t)
+        if len(sub) > 1:
+            sub_lcp = np.minimum.reduceat(flcp[: sub[-1]], sub[:-1])
+            r = np.arange(low + 1, t + 1)
+            for L in classes:
+                in_class = cap[sub] == L
+                if not in_class.any():
+                    continue
+                val, src = _nearest(sub_lcp, in_class, L)
+                hit = val >= 0
+                i, j, v = sub[hit], sub[src[hit]], val[hit]
+                ids = end[i][:, None] - r
+                got = np.minimum(v[:, None] + r, np.minimum(cap[i], L)[:, None])
+                up = got > best[ids]
+                best[ids[up]] = got[up]
+                partner[ids[up]] = (end[j][:, None] - r)[up]
+        low = t
+
+
+def _nearest(flcp: np.ndarray, in_class: np.ndarray, cap: int):
+    """For each position, the longer of its common prefixes (capped at cap)
+    with the nearest class member before it and after it, and that member's
+    position; -1 and -1 where no class member of its letter is on either
+    side."""
+    m = len(in_class)
+    val, src = _nearest_before(flcp, in_class, cap)
+    back, back_src = _nearest_before(flcp[::-1], in_class[::-1], cap)
+    back, back_src = back[::-1], np.where(back_src >= 0, m - 1 - back_src, -1)[::-1]
+    take = back > val
+    return np.where(take, back, val), np.where(take, back_src, src)
+
+
+def _nearest_before(flcp: np.ndarray, in_class: np.ndarray, cap: int):
+    """Common prefix, capped at cap, of each position with the nearest class
+    member before it, and that member's position; -1 and -1 where there is
+    none, and -1 with the position where the two letters differ.
+
+    A running minimum of flcp (values -1 .. cap) that restarts at every
+    class member: lowering each segment below everything before it turns it
+    into one global running minimum.
     """
     m = len(in_class)
-    val = np.zeros(m, dtype=np.int64)
+    val = np.full(m, -1, dtype=np.int64)
     src = np.full(m, -1, dtype=np.int64)
     seg = np.cumsum(in_class[:-1], dtype=np.int64)
-    lift = seg * (cap + 1)
+    lift = seg * (cap + 2)
     run = np.minimum.accumulate(np.minimum(flcp, cap) - lift) + lift
-    val[1:] = np.where(seg > 0, run, 0)
+    val[1:] = np.where(seg > 0, run, -1)
     src[1:] = np.maximum.accumulate(np.where(in_class, np.arange(m), -1))[:-1]
     return val, src
 
@@ -313,7 +486,8 @@ class PieceReport:
 
 
 def max_pieces(S: SymmetrizedSet) -> PieceReport:
-    """Exact maximum piece length with a re-checkable witness."""
+    """Exact maximum piece length with a re-checkable witness, carried by
+    the first member (in member order) with a longest piece."""
     idx = S.index()
     best_i = int(np.argmax(idx.best))
     max_len = int(idx.best[best_i])
@@ -323,9 +497,7 @@ def max_pieces(S: SymmetrizedSet) -> PieceReport:
         v = idx.member_word(int(idx.partner[best_i]))
         witness = PieceWitness(Word(S.alphabet, u.letters[:max_len]), u, v)
     # fold per-necklace maxima back onto the origin relators
-    by_member = np.empty_like(idx.best)
-    by_member[idx.order] = idx.best
-    neck_max = np.maximum.reduceat(by_member, idx.starts[:-1])
+    neck_max = np.maximum.reduceat(idx.best, idx.starts[:-1])
     rows = []
     for r, ks in zip(S.origins, S.origin_necklaces):
         m = int(neck_max[list(ks)].max())
@@ -349,7 +521,11 @@ class MetricCheck:
 
 
 def check_metric(S: SymmetrizedSet, bound: Fraction) -> MetricCheck:
-    """Strict test: every piece p inside a member r has |p| < bound * |r|."""
+    """Strict test: every piece p inside a member r has |p| < bound * |r|.
+
+    A failure's witness is carried by the first member (in member order)
+    that breaks the bound.
+    """
     bound = Fraction(bound)
     if not 0 < bound <= 1:
         raise SmallCancellationError(f"bound must lie in (0, 1], got {bound}")
@@ -561,8 +737,10 @@ def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
     The three-relator set {R(a^-1, b^-1), R(b, a), R(b^-1, a^-1)} must be
     C'(1/8); its three relators must Dehn-reduce to the empty word; and
     R(a, b) itself must be Dehn-irreducible, which certifies it nontrivial
-    in the quotient.  Metric failure at small scales is reported as a
-    failing check with its witness piece, not raised.
+    in the quotient.  The report also carries ``piece-index-checked``, the
+    self-check of the piece index behind the metric.  Metric failure at
+    small scales is reported as a failing check with its witness piece, not
+    raised.
     """
     A = Alphabet(["a", "b"])
     a, b = A.gen("a"), A.gen("b")
@@ -580,7 +758,8 @@ def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
             if mc.ok
             else f"piece {mc.witness.piece} has length {len(mc.witness.piece)} "
             f">= {bound} of {mc.carrier_length}",
-        )
+        ),
+        FamilyCheck("piece-index-checked", S.index().checked, S.index().check_detail),
     ]
     for name, r in trio.items():
         red = dehn_reduce_traced(r, S)

@@ -5,10 +5,10 @@ suffix array uses prefix doubling (Manber-Myers) with one numpy argsort of
 a single int64 key per round, so O(log n) rounds of O(n log n).  The LCP
 array reuses the same doubling idea without sorting: prefix classes are
 read off the finished suffix array, then every adjacent pair is measured
-at once by binary lifting.  The piece index of the scale-200 relator
-family is a 962 k-symbol text; on a 2-core AMD EPYC its suffix array takes
-about 0.4 s and its LCP array about 0.25 s, with 17 class levels held as
-int32 (65 MB) while the LCP array is built.
+at once by binary lifting.  The piece index in ``smallcanc`` runs both
+over one token per relator run, not per letter: at scale 200 that is a
+4 806-token text for 481 200 closure members, and both arrays take a few
+milliseconds.
 
 ``window_hashes`` fingerprints every window of one length at once
 (Karp-Rabin by prefix sums); Dehn reduction uses it to pick the alignments
@@ -16,8 +16,7 @@ it then compares letter by letter.
 
 The suffix automaton is the usual online construction, kept per string,
 with the earliest end position of each state retained so matches can be
-located, not just measured.  It no longer backs Dehn reduction, and
-nothing in concc builds it.
+located, not just measured.  Nothing in concc builds it.
 """
 
 from __future__ import annotations

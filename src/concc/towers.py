@@ -586,14 +586,14 @@ def _reverify(doc, rep: ReverifyReport) -> None:
         else:  # the record names it
             ci = _field(s, "class", at)
         kind = s["action"] if s["action"] == "attach" else s.get("reason")
-        # coset replay has always read a skip with reason "attach" as an attach
-        if kind not in kinds or not coset and kind == "attach" != s["action"]:
-            raise _Failed(
-                check,
-                f"{at}: image {img} allows {' or '.join(kinds)}, not {kind}"
-                if coset
-                else f"{at}: skip reason {kind!r} is not a conjugator",
-            )
+        if kind not in kinds or kind == "attach" != s["action"]:
+            if not coset:
+                why = f"skip reason {kind!r} is not a conjugator"
+            elif kind in kinds:  # only an attach record may extend the tower
+                why = "a skip cannot give reason 'attach'"
+            else:
+                why = f"image {img} allows {' or '.join(kinds)}, not {kind}"
+            raise _Failed(check, f"{at}: {why}")
         if kind == "attach":
             case, want = rule.attach(g, ci)
             if not coset and (s.get("case"), ci) != (case, want):

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
+from concc.substrings import lcp_array, suffix_array
 from concc.words import Alphabet, Word, all_reduced_words, free_reduce
 
 
@@ -119,6 +122,74 @@ def brute_piece_ratios(members: list[tuple[int, ...]]) -> dict[tuple[int, ...], 
                 lcp += 1
             out[a] = max(out[a], lcp)
     return {m: Fraction(p, len(m)) for m, p in out.items()}
+
+
+def letter_piece_best(necklaces) -> tuple[np.ndarray, np.ndarray]:
+    """Per-member longest piece and a partner member, from a suffix array
+    over every letter of the doubled necklaces.
+
+    The letter-level piece index that the run index replaced, kept as its
+    reference: members are numbered necklace by necklace, as in the
+    library, and partner is -1 where best is 0.  It shares ``suffix_array``
+    and ``lcp_array`` with the library, which test_substrings checks against
+    naive sorting; the member order, the LCP range minima and the sweep are
+    its own.
+    """
+    lengths = np.array([len(n) for n in necklaces], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    parts = []
+    for k, n in enumerate(necklaces):
+        ls = np.array(n.letters, dtype=np.int64)
+        codes = 2 * np.abs(ls) - 1 + (ls < 0)  # letter_code + 1, so 0 never occurs
+        parts += [codes, codes, [-(k + 1)]]
+    text = np.concatenate(parts)
+    # necklace k opens the text at 2 * starts[k] + k
+    m = int(starts[-1])
+    member = np.full(len(text), -1, dtype=np.int64)
+    ids = np.arange(m)
+    neck = np.repeat(np.arange(len(necklaces)), lengths)
+    member[ids + starts[neck] + neck] = ids
+    sa = suffix_array(text)
+    lcp = lcp_array(text, sa)
+    by_rank = member[sa]
+    ranks = np.flatnonzero(by_rank >= 0)
+    order = by_rank[ranks]
+    flcp = np.minimum.reduceat(lcp[: ranks[-1]], ranks[:-1])
+    member_len = lengths[neck][order]
+    # one pass per length class and direction: the nearest class member on
+    # each side is the only candidate of that class worth checking
+    best = np.zeros(m, dtype=np.int64)
+    partner = np.full(m, -1, dtype=np.int64)
+    for cap in np.unique(member_len).tolist():
+        in_class = member_len == cap
+        before = _letter_nearest_before(flcp, in_class, cap)
+        val, src = _letter_nearest_before(flcp[::-1], in_class[::-1], cap)
+        after = val[::-1], np.where(src >= 0, m - 1 - src, -1)[::-1]
+        for val, src in (before, after):
+            val = np.minimum(val, member_len)
+            better = val > best
+            best[better] = val[better]
+            partner[better] = src[better]
+    out_best = np.empty(m, dtype=np.int64)
+    out_partner = np.empty(m, dtype=np.int64)
+    out_best[order] = best
+    out_partner[order] = np.where(partner >= 0, order[partner], -1)
+    return out_best, out_partner
+
+
+def _letter_nearest_before(flcp, in_class, cap):
+    """Common prefix, capped at cap, of each member with the nearest class
+    member before it in suffix order, and that member's rank; 0 and -1
+    where there is none."""
+    m = len(in_class)
+    val = np.zeros(m, dtype=np.int64)
+    src = np.full(m, -1, dtype=np.int64)
+    seg = np.cumsum(in_class[:-1], dtype=np.int64)
+    lift = seg * (cap + 1)
+    run = np.minimum.accumulate(np.minimum(flcp, cap) - lift) + lift
+    val[1:] = np.where(seg > 0, run, 0)
+    src[1:] = np.maximum.accumulate(np.where(in_class, np.arange(m), -1))[:-1]
+    return val, src
 
 
 def bfs_trivial_set(

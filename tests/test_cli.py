@@ -297,6 +297,16 @@ class TestPieceStatistics:
         assert doc["artifacts"]["closure_size"] == 4920
         assert doc["artifacts"]["max_piece"] == 98
 
+    @pytest.mark.parametrize("cmd", [["smallcanc", "pieces"], ["verify", "hyp-spec-gen"]])
+    def test_reports_carry_the_index_check(self, capsys, tmp_path, monkeypatch, cmd):
+        monkeypatch.chdir(tmp_path)
+        _, doc, _ = run(capsys, cmd + ["--scale", "20"])
+        names = [c["name"] for c in doc["checks"]]
+        assert names[:2] == ["metric-c-prime-1-8", "piece-index-checked"]
+        check = doc["checks"][1]
+        assert check["status"] == "pass"
+        assert check["detail"] == "suffix and LCP arrays of 486 run tokens checked"
+
     def test_failing_scale(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, doc, _ = run(capsys, ["smallcanc", "pieces", "--scale", "19"])

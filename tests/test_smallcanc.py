@@ -21,8 +21,18 @@ from concc.smallcanc import (
 )
 from concc.words import Alphabet, CyclicWord, Word, cyclic_reduce, primitive_root
 
-from concc import smallcanc
-from oracles import bfs_trivial_set, brute_dehn, brute_max_piece, brute_piece_ratios
+import inspect
+
+import numpy as np
+
+from concc import smallcanc, substrings
+from oracles import (
+    bfs_trivial_set,
+    brute_dehn,
+    brute_max_piece,
+    brute_piece_ratios,
+    letter_piece_best,
+)
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -216,6 +226,179 @@ class TestMixedLengthIndex:
             if not chk.ok:
                 assert chk.witness.verify(S)
                 assert len(chk.witness.piece) >= bound * chk.carrier_length
+
+
+@st.composite
+def block_relators(draw):
+    """Relators made of blocks x^i y^j with i, j up to 12, so that long runs
+    and many run lengths occur, plus single-letter relators; cyclic cores of
+    proper powers are dropped."""
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    letters = [g * e for g in range(1, alphabet.size + 1) for e in (1, -1)]
+    relators = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            word = [draw(st.sampled_from(letters))]
+        else:
+            word = []
+            for _ in range(draw(st.integers(1, 3))):
+                x = draw(st.sampled_from(letters))
+                y = draw(st.sampled_from([l for l in letters if abs(l) != abs(x)]))
+                word += [x] * draw(st.integers(1, 12)) + [y] * draw(st.integers(1, 12))
+        core, _ = cyclic_reduce(alphabet.word(word))
+        if not core.is_identity and primitive_root(core)[1] == 1:
+            relators.append(core)
+    assume(relators)
+    return symmetrize(relators)
+
+
+def member_prefixes_agree(S, idx, members):
+    """Whether each given member and its partner share best letters."""
+    doubled = [n.letters + n.letters for n in S.necklaces]
+    starts = idx.starts.tolist()
+
+    def text(i, b):
+        k = int(np.searchsorted(idx.starts, i, side="right")) - 1
+        off = i - starts[k]
+        return doubled[k][off : off + b]
+
+    return all(
+        idx.partner[i] != i and text(i, int(idx.best[i])) == text(int(idx.partner[i]), int(idx.best[i]))
+        for i in members
+    )
+
+
+class TestRunIndex:
+    """The run-level index against the letter-level index it replaced."""
+
+    @pytest.mark.parametrize("s", [3, 7, 20, 100])
+    def test_best_matches_letter_index(self, s):
+        S = symmetrize(trio(s))
+        idx = S.index()
+        best, _ = letter_piece_best(S.necklaces)
+        assert idx.best.tolist() == best.tolist()
+        assert ((idx.partner >= 0) == (idx.best > 0)).all()
+        assert int(idx.best.max()) == 5 * s - 2
+        # every partner shares the piece; at scale 100 a sample of members
+        members = range(len(idx.best)) if s < 100 else range(0, len(idx.best), 97)
+        assert member_prefixes_agree(S, idx, members)
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_relators())
+    def test_block_relators_match_letter_index(self, S):
+        idx = S.index()
+        assert idx.checked, idx.check_detail
+        best, _ = letter_piece_best(S.necklaces)
+        assert idx.best.tolist() == best.tolist()
+        for i in range(len(idx.best)):
+            b = int(idx.best[i])
+            if not b:
+                assert idx.partner[i] == -1
+                continue
+            u, v = idx.member_word(i), idx.member_word(int(idx.partner[i]))
+            assert PieceWitness(Word(S.alphabet, u.letters[:b]), u, v).verify(S)
+
+    def test_single_letter_relators(self):
+        # a necklace of one run is one letter; it shares it with every
+        # member that opens with that letter
+        S = symmetrize([w("a"), w("a a b"), w("b^-1")])
+        idx = S.index()
+        best, _ = letter_piece_best(S.necklaces)
+        assert idx.best.tolist() == best.tolist()
+        assert member_prefixes_agree(S, idx, np.flatnonzero(idx.best))
+
+    @pytest.mark.parametrize("s", [9, 19])
+    def test_witnesses_are_the_first_members(self, s):
+        S = symmetrize(trio(s))
+        idx = S.index()
+        rep = max_pieces(S)
+        assert rep.witness.member == idx.member_word(int(np.argmax(idx.best)))
+        chk = check_metric(S, Fraction(1, 8))
+        fails = idx.best * 8 >= idx.member_len
+        assert chk.witness.member == idx.member_word(int(np.argmax(fails)))
+        assert chk.witness.verify(S)
+        assert len(chk.witness.piece) * 8 >= chk.carrier_length
+
+
+def _wrong_lifting_level(seq, sa):
+    """lcp_array with each lifting step reading the class level above its own."""
+    source = inspect.getsource(substrings.lcp_array).replace(
+        "cls = levels[j]\n", "cls = levels[min(j + 1, len(levels) - 1)]\n"
+    )
+    assert "levels[min(j + 1, len(levels) - 1)]" in source
+    scope = {"np": np}
+    exec(source, scope)
+    return scope["lcp_array"](seq, sa)
+
+
+def token_index(s):
+    S = symmetrize(trio(s))
+    idx = S.index()
+    letter, length, _, neck = smallcanc._runs(S.necklaces, idx.starts)
+    key = smallcanc._token_text(letter, length, neck)[0]
+    sa = substrings.suffix_array(key)
+    return key, sa, substrings.lcp_array(key, sa)
+
+
+class TestIndexSelfCheck:
+    """The suffix and LCP arrays of the run tokens check themselves."""
+
+    @pytest.mark.parametrize("s", [1, 3, 20])
+    def test_honest_index_passes(self, s):
+        key, sa, lcp = token_index(s)
+        assert smallcanc._index_fault(key, sa, lcp) is None
+        idx = symmetrize(trio(s)).index()
+        assert idx.checked
+        assert idx.check_detail == f"suffix and LCP arrays of {len(key)} run tokens checked"
+
+    @pytest.mark.parametrize("s", [2, 7, 20])
+    def test_swapped_suffixes_are_caught(self, s):
+        key, sa, lcp = token_index(s)
+        rng = random.Random(s)
+        for _ in range(20):
+            i, j = rng.sample(range(len(sa)), 2)
+            bad = sa.copy()
+            bad[i], bad[j] = bad[j], bad[i]
+            assert "out of order" in smallcanc._index_fault(key, bad, lcp)
+
+    @pytest.mark.parametrize("s", [2, 7, 20])
+    def test_lcp_off_by_one_is_caught(self, s):
+        key, sa, lcp = token_index(s)
+        for i in range(len(lcp)):
+            for d in (1, -1):
+                bad = lcp.copy()
+                bad[i] += d
+                assert smallcanc._index_fault(key, sa, bad) is not None
+
+    @pytest.mark.parametrize("s", [3, 20])
+    def test_wrong_lifting_level_fails_the_report(self, s, monkeypatch):
+        key, sa, lcp = token_index(s)
+        assert _wrong_lifting_level(key, sa).tolist() != lcp.tolist()
+        monkeypatch.setattr(smallcanc, "lcp_array", _wrong_lifting_level)
+        rep = verify_hyp_spec_gen(s)
+        check = {c.name: c for c in rep.checks}["piece-index-checked"]
+        assert not check.ok and not rep.ok
+        assert "LCP" in check.detail
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.data())
+    def test_hypothesis_texts(self, text, data):
+        # the check needs a text that ends in a token found nowhere else
+        key = np.array(text + [-1], dtype=np.int64)
+        sa = substrings.suffix_array(key)
+        lcp = substrings.lcp_array(key, sa)
+        assert smallcanc._index_fault(key, sa, lcp) is None
+        i = data.draw(st.integers(0, len(key) - 2))
+        j = data.draw(st.integers(i + 1, len(key) - 1))
+        bad = sa.copy()
+        bad[i], bad[j] = bad[j], bad[i]
+        assert smallcanc._index_fault(key, bad, lcp) is not None
+        k = data.draw(st.integers(0, len(lcp) - 1)) if len(lcp) else None
+        if k is not None:
+            for d in (1, -1):
+                off = lcp.copy()
+                off[k] += d
+                assert smallcanc._index_fault(key, sa, off) is not None
 
 
 class TestMetric:

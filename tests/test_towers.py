@@ -439,6 +439,15 @@ class TestCosetReplay:
         rep = reverify_certificate(doc)
         assert rep.failures == ["images: stage 2: recorded image 1, recomputed 0"]
 
+    def test_skip_with_reason_attach_fails(self):
+        # a skip record must not extend the tower, whatever its reason says
+        doc = valid_certificate("coset")
+        victim = doc["stages"][1]
+        assert victim["action"] == "attach"
+        victim["action"], victim["reason"] = "skip", "attach"
+        rep = reverify_certificate(doc)
+        assert rep.failures == ["images: stage 2: a skip cannot give reason 'attach'"]
+
     @pytest.mark.parametrize("action", ["attach", "skip"])
     def test_target_must_be_the_representative(self, action):
         doc = valid_certificate("coset")
