@@ -3,7 +3,10 @@
 Everything here is deliberately naive: enumerate, rotate, insert, compare.
 No code is shared with the implementations under test beyond basic word
 reduction, so an agreement between an oracle and the library is evidence,
-not a tautology.
+not a tautology.  The one exception is ``letter_piece_best``, the
+letter-level piece index that the run-level one replaced: it reads the
+suffix and LCP arrays of ``concc.substrings``, which test_substrings checks
+against naive sorting, and reaches scales no quadratic scan can.
 """
 
 from __future__ import annotations
