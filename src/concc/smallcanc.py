@@ -16,7 +16,15 @@ rotation of a word of two runs or more starts at a run boundary: it opens
 with the smallest letter, a run of that letter is followed by a larger
 letter, so of the rotations that start inside such a run the one at its
 start is least.  (A word of one run is one letter; longer ones are proper
-powers.)  Member (p, r) starts r letters before the end of run p; with c
+powers.)  So ``symmetrize`` finds it from the runs alone.  It splits each
+relator and its inverse into cyclic runs, a run that wraps around being
+one, and keys each run by (letter, side, +-length, next letter), the key
+the index text uses (``_run_keys``).  Rotations that start at run
+boundaries compare as their key sequences do, so Booth's least rotation
+runs over the R keys, not the letters.  The same keys tell a proper power
+(a word of two runs or more is one exactly when its cyclic key sequence
+is, with the same exponent) and put same-length necklaces in letter
+order.  Member (p, r) starts r letters before the end of run p; with c
 the run's letter, L_p its necklace's length and S_p the doubled necklace
 read from run p + 1 on, it reads c^r S_p cut to L_p letters.
 
@@ -70,21 +78,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .substrings import lcp_array, suffix_array, window_hashes
-from .words import (
-    Alphabet,
-    CyclicWord,
-    Word,
-    is_cyclically_reduced,
-    letter_code,
-    primitive_root,
-)
+from .words import Alphabet, CyclicWord, Word, _least_rotation, is_cyclically_reduced
 
 # Karp-Rabin fingerprints of the Dehn matcher: a prime below 2^31 and a unit
 # mod it.  Fingerprints only pick candidates; every one is checked letter by
 # letter, so the modulus bears on speed, never on answers.
 _HASH_MODULUS = 2_147_483_647
 _HASH_BASE = 1_000_003
-# most comparisons one batch may hold at once: Dehn hits, or index self-checks
+# most comparisons one batch may hold at once (Dehn hits, index self-checks),
+# and about the most letters of the Dehn anchors fingerprinted at once
 _PAIR_BUDGET = 1 << 16
 
 
@@ -98,13 +100,14 @@ def r_family(s: int, x: Word, y: Word) -> Word:
         raise SmallCancellationError(f"scale must be >= 1, got {s}")
     if x.alphabet != y.alphabet:
         raise SmallCancellationError("x and y must share an alphabet")
-    if len(x.letters) == 1 and len(y.letters) == 1:
+    if len(x.letters) == 1 and len(y.letters) == 1 and x.letters[0] != -y.letters[0]:
+        # letters that are not inverses cannot cancel: the word is reduced as written
         lx, ly = x.letters[0], y.letters[0]
         out: list[int] = []
         for i in range(1, s + 1):
             out.extend([lx] * i)
             out.extend([ly] * (s + i))
-        return x.alphabet.word(out)
+        return Word(x.alphabet, tuple(out))
     w = x.alphabet.identity()
     for i in range(1, s + 1):
         w = w * x ** i * y ** (s + i)
@@ -183,12 +186,20 @@ class SymmetrizedSet:
 
 
 def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
-    """Build the closure; rejects identity, non-cyclically-reduced, and proper powers."""
+    """Build the closure; rejects identity, non-cyclically-reduced, and proper powers.
+
+    Works on each relator's cyclic runs (see the module docstring): the
+    token keys give the canonical rotation, the proper-power exponent and
+    the necklace order without a pass over the letters in Python.
+    """
     if not relators:
         raise SmallCancellationError("need at least one relator")
     alphabet = relators[0].alphabet
+    # every run is shorter than M and every letter code below D, so the keys
+    # of all necklaces of one call compare on one scale
+    M, D = max(len(r) for r in relators) + 1, 2 * alphabet.size + 1
     necklaces: dict[tuple, CyclicWord] = {}
-    keys: list[tuple[tuple, tuple]] = []
+    origin_keys: list[tuple[tuple, tuple]] = []
     for r in relators:
         if r.alphabet != alphabet:
             raise SmallCancellationError("relators over different alphabets")
@@ -196,22 +207,86 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
             raise SmallCancellationError("identity relator")
         if not is_cyclically_reduced(r):
             raise SmallCancellationError(f"relator {r} is not cyclically reduced")
-        _, e = primitive_root(r)
+        letter, length = _cyclic_runs(np.fromiter(r.letters, np.int64, len(r)))
+        e = int(length[0]) if len(letter) == 1 else _power(_cyclic_keys(letter, length, M, D))
         if e > 1:
             raise SmallCancellationError(
                 f"relator {r} is a proper power (exponent {e}); "
                 "the metric conditions exclude proper powers"
             )
-        pair = (CyclicWord(r), CyclicWord(r.inverse()))
-        for c in pair:
-            necklaces[c.letters] = c
-        keys.append((pair[0].letters, pair[1].letters))
-    ordered = sorted(
-        necklaces.values(), key=lambda c: (len(c), [letter_code(l) for l in c.letters])
-    )
-    position = {c.letters: k for k, c in enumerate(ordered)}
+        pair = [
+            _necklace(alphabet, letter, length, M, D),
+            _necklace(alphabet, -letter[::-1], length[::-1], M, D),
+        ]
+        necklaces.update(pair)
+        origin_keys.append((pair[0][0], pair[1][0]))
+    # same-length necklaces compare as their token keys do
+    ordered = sorted(necklaces.items(), key=lambda kc: (len(kc[1]), kc[0]))
+    position = {tokens: k for k, (tokens, _) in enumerate(ordered)}
     return SymmetrizedSet(
-        relators, ordered, [(position[a], position[b]) for a, b in keys]
+        relators, [c for _, c in ordered], [(position[a], position[b]) for a, b in origin_keys]
+    )
+
+
+def _cyclic_runs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Letter and length of each run of the cyclic word w, a run that wraps
+    around merged into one, from the first run boundary on."""
+    begin = np.flatnonzero(w != np.roll(w, 1))
+    if not len(begin):
+        return w[:1], np.array([len(w)])
+    return w[begin], np.diff(begin, append=begin[0] + len(w))
+
+
+def _run_keys(code: np.ndarray, size: np.ndarray, nxt: np.ndarray, M: int, D: int) -> np.ndarray:
+    """Token key of each run: (letter, side, +-length, next letter) as one
+    integer, for letter codes ``code`` (letter_code + 1) below D, lengths
+    below M and next-letter codes ``nxt`` (0 for none).
+
+    Side 0 and +length when the next letter is smaller than the run's
+    letter, side 1 and -length otherwise.  Comparing keys orders the token
+    sequences exactly as the letter sequences they spell: two runs of one
+    letter part where the shorter one ends, and the letter after it is
+    below or above the run's letter.  The piece index and ``symmetrize``
+    both rank runs by these keys.
+    """
+    side = nxt > code
+    return ((2 * code + side) * M + np.where(side, M - size, size)) * D + nxt
+
+
+def _letter_codes(letter: np.ndarray) -> np.ndarray:
+    """letter_code + 1 of each letter."""
+    return 2 * np.abs(letter) - 1 + (letter < 0)
+
+
+def _cyclic_keys(letter: np.ndarray, length: np.ndarray, M: int, D: int) -> np.ndarray:
+    """Token keys of the runs of a cyclic word: the letter after the last
+    run is the first run's."""
+    code = _letter_codes(letter)
+    return _run_keys(code, length, np.roll(code, -1), M, D)
+
+
+def _power(key: np.ndarray) -> int:
+    """Largest e such that the cyclic sequence key is some block repeated e times."""
+    R = len(key)
+    for d in range(1, R):
+        if R % d == 0 and np.array_equal(key[d:], key[:-d]):
+            return R // d
+    return 1
+
+
+def _necklace(alphabet: Alphabet, letter: np.ndarray, length: np.ndarray, M: int, D: int):
+    """The token keys of a primitive cyclic word's least rotation, and its
+    ``CyclicWord``, from the word's runs.
+
+    The least rotation starts at a run boundary (module docstring), and
+    rotations from run boundaries compare as their token keys do, so Booth
+    runs over the R keys instead of the letters.
+    """
+    key = _cyclic_keys(letter, length, M, D)
+    k = _least_rotation(key.tolist())
+    letters = np.repeat(np.roll(letter, -k), np.roll(length, -k))
+    return tuple(np.roll(key, -k).tolist()), CyclicWord.from_least_rotation(
+        alphabet, tuple(letters.tolist())
     )
 
 
@@ -298,10 +373,9 @@ def _token_text(letter: np.ndarray, length: np.ndarray, neck: np.ndarray):
     + 1; -(k + 1) for separator k), and for each run the token after its
     first copy, where the text S_p that follows run p starts.
 
-    A key ranks a token by (letter, side, +-length, next letter): side 0 and
-    +length when the next letter is smaller than the run's letter, side 1
-    and -length otherwise.  Comparing keys orders the token suffixes exactly
-    as the letter suffixes they spell; separators rank below every letter.
+    A run's key is ``_run_keys``, with the separator after it as no next
+    letter, so comparing keys orders the token suffixes exactly as the
+    letter suffixes they spell; separators rank below every letter.
     """
     K = int(neck[-1]) + 1
     count = np.bincount(neck)
@@ -312,20 +386,15 @@ def _token_text(letter: np.ndarray, length: np.ndarray, neck: np.ndarray):
     n = int(opens[-1])
     code = np.empty(n, dtype=np.int64)
     size = np.ones(n, dtype=np.int64)
-    runs = 2 * np.abs(letter) - 1 + (letter < 0)
+    runs = _letter_codes(letter)
     code[at], size[at] = runs, length
     twice = copies[neck] == 2
     again = at[twice] + count[neck[twice]]
     code[again], size[again] = runs[twice], length[twice]
     code[opens[1:] - 1] = -np.arange(1, K + 1)
     nxt = np.append(np.maximum(code[1:], 0), 0)
-    side = nxt > code
     M, D = int(size.max()) + 1, int(code.max()) + 1
-    key = np.where(
-        code > 0,
-        K + ((2 * code + side) * M + np.where(side, M - size, size)) * D + nxt,
-        -code - 1,
-    )
+    key = np.where(code > 0, K + _run_keys(code, size, nxt, M, D), -code - 1)
     return key, size, code, at + 1
 
 
@@ -630,10 +699,10 @@ class _AnchorIndex:
     """Anchored q-grams of the necklaces of one length class L (see the
     module docstring for why they catch every match that can fire).
 
-    ``rows`` holds each necklace of the class three times over, so a
-    stretch of up to L letters either side of any offset is a slice.
-    Anchors are kept sorted by fingerprint, each with its start in the
-    flattened rows.
+    ``rows`` holds each necklace of the class three times over, as int32
+    (letters are bounded by the alphabet size), so a stretch of up to L
+    letters either side of any offset is a slice.  Anchors are kept sorted
+    by fingerprint, each with its start in the flattened rows.
     """
 
     def __init__(self, S: SymmetrizedSet, L: int):
@@ -643,12 +712,19 @@ class _AnchorIndex:
         d = self.least - q + 1
         self.necks = np.array([k for k, n in enumerate(S.necklaces) if len(n) == L])
         self.row_of = {k: r for r, k in enumerate(self.necks.tolist())}
-        once = np.array([S.necklaces[k].letters for k in self.necks], dtype=np.int64)
-        self.rows = np.tile(once, 3)
+        self.rows = rows = np.empty((len(self.necks), 3 * L), dtype=np.int32)
+        for row, k in enumerate(self.necks.tolist()):
+            rows[row, :L] = S.necklaces[k].letters
+        rows[:, L : 2 * L] = rows[:, 2 * L :] = rows[:, :L]
         offsets = np.arange(0, L, d)
         at = (np.arange(len(self.necks))[:, None] * 3 * L + offsets).ravel()
-        grams = self.rows[:, offsets[:, None] + np.arange(q)].ravel()
-        hashes = window_hashes(grams, q, _HASH_MODULUS, _HASH_BASE)[::q]
+        # fingerprint the anchored q-grams a batch of about _PAIR_BUDGET letters at a time
+        flat, step = rows.ravel(), max(1, _PAIR_BUDGET // q)
+        hashes = np.concatenate([
+            window_hashes(flat[at[i : i + step, None] + np.arange(q)].ravel(), q,
+                          _HASH_MODULUS, _HASH_BASE)[::q]
+            for i in range(0, len(at), step)
+        ])
         order = np.argsort(hashes, kind="stable")
         self.hashes, self.anchor_starts = hashes[order], at[order]
 

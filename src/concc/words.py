@@ -26,6 +26,7 @@ every integer in a text format is spelled as ``read_int`` reads it.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -91,7 +92,8 @@ def read_tokens(text: str) -> list[tuple[str, int]]:
 
     Tokens are separated by whitespace or ``*``; empty text or a bare ``1``
     is the identity.  A token is a name, then optionally ``^`` and an
-    exponent (``read_int``).  Names are not looked up here.
+    exponent (``read_int``) within +-``sys.maxsize``, the most letters a
+    parser can expand it to.  Names are not looked up here.
     """
     toks = text.replace("*", " ").split()
     if toks == ["1"]:
@@ -99,10 +101,15 @@ def read_tokens(text: str) -> list[tuple[str, int]]:
     out = []
     for tok in toks:
         name, hat, exp_s = tok.partition("^")
-        try:
-            out.append((name, read_int(exp_s, "exponent") if hat else 1))
-        except WordError as e:
-            raise WordError(f"{e} in token {tok[:24]!r}") from None
+        exp = 1
+        if hat:
+            try:
+                exp = read_int(exp_s, "exponent")
+                if abs(exp) > sys.maxsize:
+                    raise WordError(f"exponent outside +-{sys.maxsize}")
+            except WordError as e:
+                raise WordError(f"{e} in token {tok[:24]!r}") from None
+        out.append((name, exp))
     return out
 
 
@@ -336,6 +343,14 @@ class CyclicWord:
     def of(cls, w: Word) -> "CyclicWord":
         core, _ = cyclic_reduce(w)
         return cls(core)
+
+    @classmethod
+    def from_least_rotation(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "CyclicWord":
+        """The class of ``letters``, which the caller knows to be reduced,
+        cyclically reduced and already its own least rotation."""
+        c = cls.__new__(cls)
+        c.alphabet, c.letters, c._hash = alphabet, letters, None
+        return c
 
     def __len__(self) -> int:
         return len(self.letters)

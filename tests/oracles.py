@@ -3,10 +3,13 @@
 Everything here is deliberately naive: enumerate, rotate, insert, compare.
 No code is shared with the implementations under test beyond basic word
 reduction, so an agreement between an oracle and the library is evidence,
-not a tautology.  The one exception is ``letter_piece_best``, the
-letter-level piece index that the run-level one replaced: it reads the
-suffix and LCP arrays of ``concc.substrings``, which test_substrings checks
-against naive sorting, and reaches scales no quadratic scan can.
+not a tautology.  Two exceptions are the letter-level forms of what the
+run-level code in ``smallcanc`` replaced, which reach scales no quadratic
+scan can: ``letter_piece_best`` reads the suffix and LCP arrays of
+``concc.substrings``, which test_substrings checks against naive sorting,
+and ``letter_symmetrize`` reads the letter-level ``CyclicWord`` and
+``primitive_root`` of ``concc.words``, which test_words checks against
+rotation and power enumeration.
 """
 
 from __future__ import annotations
@@ -16,7 +19,16 @@ from fractions import Fraction
 import numpy as np
 
 from concc.substrings import lcp_array, suffix_array
-from concc.words import Alphabet, Word, all_reduced_words, free_reduce
+from concc.words import (
+    Alphabet,
+    CyclicWord,
+    Word,
+    all_reduced_words,
+    free_reduce,
+    is_cyclically_reduced,
+    letter_code,
+    primitive_root,
+)
 
 
 def reduce_inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -178,6 +190,40 @@ def letter_piece_best(necklaces) -> tuple[np.ndarray, np.ndarray]:
     out_best[order] = best
     out_partner[order] = np.where(partner >= 0, order[partner], -1)
     return out_best, out_partner
+
+
+def letter_symmetrize(relators) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """The necklaces (in order) and each relator's pair of necklace indices
+    that ``smallcanc.symmetrize`` gives, found letter by letter.
+
+    Each relator and its inverse get their canonical rotation from
+    ``CyclicWord`` (Booth over the letters), proper powers are found by
+    ``primitive_root``, and the necklaces are sorted by length, then by
+    their letter codes.  A rejected set raises ValueError with the text
+    ``symmetrize`` gives.
+    """
+    alphabet = relators[0].alphabet
+    necklaces: set[tuple[int, ...]] = set()
+    pairs = []
+    for r in relators:
+        if r.alphabet != alphabet:
+            raise ValueError("relators over different alphabets")
+        if r.is_identity:
+            raise ValueError("identity relator")
+        if not is_cyclically_reduced(r):
+            raise ValueError(f"relator {r} is not cyclically reduced")
+        _, e = primitive_root(r)
+        if e > 1:
+            raise ValueError(
+                f"relator {r} is a proper power (exponent {e}); "
+                "the metric conditions exclude proper powers"
+            )
+        pair = (CyclicWord(r).letters, CyclicWord(r.inverse()).letters)
+        necklaces.update(pair)
+        pairs.append(pair)
+    ordered = sorted(necklaces, key=lambda c: (len(c), [letter_code(l) for l in c]))
+    position = {c: k for k, c in enumerate(ordered)}
+    return ordered, [(position[a], position[b]) for a, b in pairs]
 
 
 def _letter_nearest_before(flcp, in_class, cap):

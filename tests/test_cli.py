@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line reports and exit codes."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -80,6 +81,24 @@ class TestReportShape:
         _, doc1, _ = run(capsys, argv)
         _, doc2, _ = run(capsys, argv)
         assert scrub(doc1) == scrub(doc2)
+
+
+    @pytest.mark.parametrize(
+        "scale, digest",
+        [
+            (19, "abe069d6115fa0eca3abe75cfd0edbf6d657bb2b0248f50a9ad286271df81cc3"),
+            (20, "da689ad57d390e619898c8fd10a674d3889a28fc2bc8d85f7cdad3f37868244c"),
+            (200, "c04670ff90dc922ff7a7b310a4d857d7233388da464c7577b1b48843cc8dad80"),
+        ],
+    )
+    def test_hyp_spec_gen_report_is_pinned(self, capsys, tmp_path, monkeypatch, scale, digest):
+        # sha256 of the report without its timing, printed with indent 2; a new
+        # digest means a check, a witness or the necklace order changed
+        monkeypatch.chdir(tmp_path)
+        _, doc, _ = run(capsys, ["verify", "hyp-spec-gen", "--scale", str(scale)])
+        del doc["timing"]
+        text = json.dumps(doc, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestUsageErrors:

@@ -25,13 +25,14 @@ import inspect
 
 import numpy as np
 
-from concc import smallcanc, substrings
+from concc import smallcanc, substrings, words
 from oracles import (
     bfs_trivial_set,
     brute_dehn,
     brute_max_piece,
     brute_piece_ratios,
     letter_piece_best,
+    letter_symmetrize,
 )
 
 AB = Alphabet(["a", "b"])
@@ -75,6 +76,17 @@ class TestFamilies:
         assert str(r) == " ".join(["a"] * 10) or str(r) == "a^10" or len(r) == 10
         with pytest.raises(SmallCancellationError):
             symmetrize([r])
+
+
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    def test_letter_pairs_match_the_reduced_spelling(self, s):
+        # single letters take a path that writes the word without reducing it
+        for x in (1, -1, 2, -2, 3):
+            for y in (1, -1, 2, -2, 3):
+                spelled = []
+                for i in range(1, s + 1):
+                    spelled += [x] * i + [y] * (s + i)
+                assert r_family(s, ABC.word([x]), ABC.word([y])) == ABC.word(spelled)
 
 
 class TestSymmetrize:
@@ -183,6 +195,112 @@ class TestPieces:
             trials += 1
             members = [m.letters for m in S.members()]
             assert max_pieces(S).max_piece_length == brute_max_piece(members)
+
+
+def symmetrize_outcome(build, relators):
+    """The necklace letters in order and the origin pairs, or the rejection text."""
+    try:
+        out = build(relators)
+    except ValueError as e:
+        return str(e)
+    if isinstance(out, smallcanc.SymmetrizedSet):
+        return [n.letters for n in out.necklaces], list(out.origin_necklaces)
+    return out
+
+
+@st.composite
+def rotation_sets(draw):
+    """Relator sets for the run-token rotation: words of blocks, one-run
+    words, words whose runs all have length 1, words whose first and last
+    letters agree, proper powers, and rotations of earlier relators or of
+    their inverses, so that necklaces repeat."""
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    letters = [g * e for g in range(1, alphabet.size + 1) for e in (1, -1)]
+
+    def blocks(longest):
+        out = []
+        for _ in range(draw(st.integers(1, 5))):
+            out += [draw(st.sampled_from(letters))] * draw(st.integers(1, longest))
+        return out
+
+    relators = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["blocks", "one-run", "unit-runs", "wrap", "power", "repeat"]))
+        if kind == "one-run":
+            word = [draw(st.sampled_from(letters))] * draw(st.integers(1, 4))
+        elif kind == "unit-runs":
+            word = blocks(1)
+        elif kind == "wrap":
+            word = blocks(4)
+            word += [word[0]] * draw(st.integers(1, 3))
+        elif kind == "power":
+            word = blocks(3) * draw(st.integers(2, 3))
+        elif kind == "repeat" and relators:
+            old = draw(st.sampled_from(relators))
+            old = old.inverse() if draw(st.booleans()) else old
+            cut = draw(st.integers(0, max(len(old) - 1, 0)))
+            word = list(old.letters[cut:] + old.letters[:cut])
+        else:
+            word = blocks(6)
+        core, _ = cyclic_reduce(alphabet.word(word))
+        relators.append(core)
+    return relators
+
+
+class TestRunRotation:
+    """symmetrize over run tokens against the letter-level CyclicWord,
+    primitive_root and letter-code sort it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rotation_sets())
+    def test_matches_letter_symmetrize(self, relators):
+        assert symmetrize_outcome(symmetrize, relators) == symmetrize_outcome(
+            letter_symmetrize, relators
+        )
+
+    @pytest.mark.parametrize("s", [*range(1, 31), 200])
+    def test_trio_matches_letter_symmetrize(self, s):
+        assert symmetrize_outcome(symmetrize, trio(s)) == symmetrize_outcome(
+            letter_symmetrize, trio(s)
+        )
+
+    @pytest.mark.parametrize(
+        "text, e",
+        [("a b^2 a b^2 a b^2", 3), ("a^5", 5), ("a b a a b a", 2), ("a b", 1), ("b^-1", 1),
+         ("a b^-1 a^2 b^-1 a", 2), ("a b^-1 a^2 b^-1", 1)],
+    )
+    def test_proper_power_exponent(self, text, e):
+        r = w(text)
+        assert primitive_root(r)[1] == e
+        if e == 1:
+            symmetrize([r])
+        else:
+            with pytest.raises(SmallCancellationError, match=rf"\(exponent {e}\)"):
+                symmetrize([r])
+
+    def test_repeated_necklaces_are_kept_once(self):
+        r = w("a^2 b a^-1 b^3")
+        again = r.inverse()
+        again = Word(AB, again.letters[2:] + again.letters[:2])
+        S = symmetrize([r, again, r])
+        assert len(S.necklaces) == 2
+        assert S.origin_necklaces[0] == S.origin_necklaces[2] == S.origin_necklaces[1][::-1]
+        assert symmetrize_outcome(symmetrize, [r, again, r]) == symmetrize_outcome(
+            letter_symmetrize, [r, again, r]
+        )
+
+    def test_booth_runs_over_runs(self, monkeypatch):
+        calls = []
+
+        def least_rotation(codes):
+            calls.append(len(codes))
+            return words._least_rotation(codes)
+
+        monkeypatch.setattr(smallcanc, "_least_rotation", least_rotation)
+        monkeypatch.setattr(words, "letter_code", None)
+        symmetrize(trio(20))
+        # six necklaces of 2s runs each, not 2s^2 + s letters
+        assert calls == [40] * 6
 
 
 def mixed_length_set(raw):

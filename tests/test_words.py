@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -236,6 +237,19 @@ class TestWordText:
         parse, error = PARSERS[parser]
         with pytest.raises(error, match="too many digits"):
             parse("a^-" + "9" * 5000)
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    @pytest.mark.parametrize("exp", ["99999999999999999999", "-99999999999999999999",
+                                     str(sys.maxsize + 1), str(-sys.maxsize - 1)])
+    def test_exponent_past_the_index_size(self, parser, exp):
+        parse, error = PARSERS[parser]
+        with pytest.raises(error, match=re.escape(f"exponent outside +-{sys.maxsize}")):
+            parse(f"a^{exp}")
+
+    def test_tokens_keep_exponents_up_to_the_index_size(self):
+        assert read_tokens(f"a^{sys.maxsize} b^-{sys.maxsize}") == [
+            ("a", sys.maxsize), ("b", -sys.maxsize)
+        ]
 
 
 class TestCommensurability:
