@@ -18,18 +18,27 @@ the exhausted bound attached, never as a silent wrong answer.
 
 Towers grow one stage at a time, so ``Tower`` is an append-only chain
 (see its docstring): extending the newest tower is O(1) and validates
-only the new association.  Tower words are read as word text
-(``words.read_tokens``) and have one normal form (chunk, letter, chunk,
-..., chunk, with every chunk freely reduced), and every operation keeps
-it by merging only the chunks at a junction: a product merges two, a
-power one per seam, and an inverse needs none.  Britton reduction keeps
-that form too.  It cuts a word at its top stable letter; each segment is
-already normal, so it is reduced as it stands.  One pass then reads the
-segments left to right with the kept letters on a stack: a pinch can
+only the new association.  Tower words have one normal form (chunk,
+letter, chunk, ..., chunk, with every chunk freely reduced), and every
+operation keeps it by merging only the chunks at a junction: a product
+merges two, a power one per seam, and an inverse needs none;
+``verify_conjugator`` joins g w g^-1 target^-1 that way in one pass.
+They are read in two ways.  ``Tower.parse`` reads any word text
+(``words.read_tokens``), exponents included.  ``Tower.read_printed``
+reads only the printed form, ``str`` of a word: one dictionary lookup per
+token goes straight into the normal items, and any other spelling,
+exponent or text that is not freely reduced is refused before anything
+expands; certificate replay reads witnesses with it.
+
+Britton reduction keeps the normal form too.  It cuts a word at its top
+stable letter; each segment is already normal, so it is reduced as it
+stands, and a segment of one chunk needs nothing.  One pass then reads
+the segments left to right with the kept letters on a stack: a pinch can
 only close on the letter just read, and when it fires the three chunks
 that meet at it merge and the kept segment below reopens.  The kept
 segments join into a normal word with no final pass.  Each association's
-primitive roots are computed once, when it is made, not at every pinch.
+primitive roots are computed once, when it is made, and a pinch asks
+``words.is_power_of`` against them, which needs no root of the chunk.
 """
 
 from __future__ import annotations
@@ -92,15 +101,20 @@ class Tower:
     heights; only towers built on separate chains compare associations.
     """
 
-    __slots__ = ("base", "height", "_assocs", "_index")
+    __slots__ = ("base", "height", "_assocs", "_index", "_tokens")
 
     def __init__(self, base: Alphabet, assocs: Sequence[CyclicAssociation] = ()):
         self.base = base
         self.height = 0
         self._assocs: list[CyclicAssociation] = []
         self._index: dict[str, int] = {}
+        self._tokens = self._base_tokens()
         for a in assocs:
             self._add(a)
+
+    def _base_tokens(self) -> dict[str, object]:
+        """Printed token -> item, for the base letters; see ``read_printed``."""
+        return {text: l for l, text in self.base._text.items()}
 
     def _add(self, a: CyclicAssociation) -> None:
         """Validate a and put it on top; self must be the tip of its chain."""
@@ -114,6 +128,8 @@ class Tower:
         if a.stable in self.base:
             raise HnnError(f"stable letter {a.stable!r} collides with a base generator")
         self._index[a.stable] = self.height
+        self._tokens[a.stable] = (self.height, 1)
+        self._tokens[a.stable + "^-1"] = (self.height, -1)
         self._assocs.append(a)
         self.height += 1
 
@@ -146,10 +162,13 @@ class Tower:
         out = Tower.__new__(Tower)
         out.base, out.height = self.base, self.height
         if self.height == len(self._assocs):
-            out._assocs, out._index = self._assocs, self._index
+            out._assocs, out._index, out._tokens = self._assocs, self._index, self._tokens
         else:
             out._assocs = self._assocs[: self.height]
             out._index = {s: i for s, i in self._index.items() if i < self.height}
+            out._tokens = out._base_tokens()
+            for s, i in out._index.items():
+                out._tokens[s], out._tokens[s + "^-1"] = (i, 1), (i, -1)
         out._add(assoc)
         return out
 
@@ -207,6 +226,54 @@ class Tower:
         items.append(Word(base, W.free_reduce(run)))
         return TowerWord(self, tuple(items))
 
+    def read_printed(self, text: str) -> "TowerWord":
+        """Read the printed form of a tower word and no other spelling.
+
+        The printed form is what ``str`` gives a normal word: ``1`` alone,
+        or tokens ``name`` and ``name^-1`` joined by single spaces, freely
+        reduced over the base and stable letters.  Each token is one
+        lookup and goes straight into the normal items, so no exponent is
+        ever expanded; any other exponent fails with ``W.read_int``'s
+        words.  ``parse`` reads every spelling.
+        """
+        if text == "1":
+            return self.identity()
+        tokens, height, base = self._tokens, self.height, self.base
+        items: list[Item] = []
+        run: list[int] = []
+        for tok in text.split(" "):
+            it = tokens.get(tok)
+            if type(it) is int:
+                if run and run[-1] == -it:
+                    raise HnnError(f"{tok!r} cancels the letter before it; not freely reduced")
+                run.append(it)
+            elif it is not None and it[0] < height:
+                if not run and items and items[-1] == (it[0], -it[1]):
+                    raise HnnError(f"{tok!r} cancels the letter before it; not freely reduced")
+                items.append(Word(base, tuple(run)))
+                items.append(it)
+                run = []
+            else:
+                raise HnnError(self._token_problem(tok))
+        items.append(Word(base, tuple(run)))
+        return TowerWord(self, tuple(items))
+
+    def _token_problem(self, tok: str) -> str:
+        """Why ``read_printed`` cannot read tok."""
+        name, hat, exp = tok.partition("^")
+        if hat:
+            try:
+                W.read_int(exp, "exponent")
+            except W.WordError as e:
+                return f"{e} in token {tok[:24]!r}"
+            if exp != "-1":
+                return f"exponent {exp[:20]} in token {tok[:24]!r}: printed words write only ^-1"
+        if not tok:
+            return "empty token: printed words separate tokens by one space"
+        if tok == "1":
+            return "1 stands only alone"
+        return f"unknown token {name[:24]!r} (neither base generator nor stable letter)"
+
     def to_json(self) -> dict:
         return {
             "base": list(self.base.names),
@@ -231,6 +298,14 @@ Item = object  # Word or (index, eps) pair
 
 def _is_letter(it: Item) -> bool:
     return type(it) is tuple
+
+
+def _inverse_items(items: tuple[Item, ...]) -> tuple[Item, ...]:
+    if len(items) == 1:
+        return (items[0].inverse(),)
+    return tuple(
+        [(it[0], -it[1]) if type(it) is tuple else it.inverse() for it in reversed(items)]
+    )
 
 
 class TowerWord:
@@ -260,13 +335,7 @@ class TowerWord:
         return TowerWord(self.tower, a[:-1] + (a[-1] * b[0],) + b[1:])
 
     def inverse(self) -> "TowerWord":
-        return TowerWord(
-            self.tower,
-            tuple(
-                (it[0], -it[1]) if _is_letter(it) else it.inverse()
-                for it in reversed(self.items)
-            ),
-        )
+        return TowerWord(self.tower, _inverse_items(self.items))
 
     def __pow__(self, n: int) -> "TowerWord":
         items = (self if n >= 0 else self.inverse()).items
@@ -313,10 +382,10 @@ class TowerWord:
         assocs = self.tower._assocs
         parts: list[str] = []
         for it in self.items:
-            if _is_letter(it):
+            if type(it) is tuple:
                 name = assocs[it[0]].stable
                 parts.append(name if it[1] > 0 else name + "^-1")
-            elif not it.is_identity:
+            elif it.letters:
                 parts.append(str(it))
         return " ".join(parts) if parts else "1"
 
@@ -324,9 +393,24 @@ class TowerWord:
         return f"TowerWord({self})"
 
 
+def _pinch(assoc: CyclicAssociation, eps: int, chunk: Word) -> Word | None:
+    """The base word ``t^eps chunk t^-eps`` is equal to, if that pinch fires."""
+    if eps > 0:
+        m = W.is_power_of(chunk, assoc.source, assoc.source_root)
+        return None if m is None else assoc.target**m
+    m = W.is_power_of(chunk, assoc.target, assoc.target_root)
+    return None if m is None else assoc.source**m
+
+
 def _britton_items(tower: Tower, items: tuple[Item, ...]) -> tuple[Item, ...]:
     """Reduce normal items (chunk, letter, ..., chunk); the result is normal too."""
-    if len(items) == 1:
+    n = len(items)
+    if n <= 3:  # one stable letter at most: nothing to pinch
+        return items
+    if n == 5:  # two stable letters: one pinch at most, between them
+        (i, e), (j, f) = items[1], items[3]
+        if i == j and e == -f and (d := _pinch(tower._assocs[i], e, items[2])) is not None:
+            return (items[0] * d * items[4],)
         return items
     top = max(items[1::2])[0]
     assoc = tower._assocs[top]
@@ -340,19 +424,14 @@ def _britton_items(tower: Tower, items: tuple[Item, ...]) -> tuple[Item, ...]:
     tops: list[tuple[int, int]] = []
     seg = items[: cuts[0]]
     for k, end in zip(cuts, cuts[1:] + [len(items)]):
-        red = _britton_items(tower, seg)
+        red = seg if len(seg) == 1 else _britton_items(tower, seg)
         nxt = items[k + 1 : end]
         if tops and tops[-1][1] == -items[k][1] and len(red) == 1:
-            if tops[-1][1] > 0:
-                m = W.is_power_of(red[0], assoc.source, assoc.source_root)
-                d = assoc.target
-            else:
-                m = W.is_power_of(red[0], assoc.target, assoc.target_root)
-                d = assoc.source
-            if m is not None:
+            d = _pinch(assoc, tops[-1][1], red[0])
+            if d is not None:
                 tops.pop()
                 left = segs.pop()
-                seg = left[:-1] + (left[-1] * d**m * nxt[0],) + nxt[1:]
+                seg = left[:-1] + (left[-1] * d * nxt[0],) + nxt[1:]
                 continue
         segs.append(red)
         tops.append(items[k])
@@ -361,7 +440,7 @@ def _britton_items(tower: Tower, items: tuple[Item, ...]) -> tuple[Item, ...]:
     for s, t in zip(segs, tops):
         out.extend(s)
         out.append(t)
-    out.extend(_britton_items(tower, seg))
+    out.extend(seg if len(seg) == 1 else _britton_items(tower, seg))
     return tuple(out)
 
 
@@ -486,8 +565,22 @@ def cyclic_membership(w: TowerWord, c: TowerWord | Word, bound: int = 64) -> Cyc
 
 
 def verify_conjugator(g: TowerWord, w: TowerWord, target: TowerWord) -> bool:
-    """Check the claim g w g^-1 = target by Britton reduction."""
-    return is_trivial(g * w * g.inverse() * target.inverse()).is_yes
+    """Check the claim g w g^-1 = target by Britton reduction.
+
+    The items of g w g^-1 target^-1 are joined in one pass, where only the
+    chunks that meet at a junction merge, and reduced as they stand.
+    """
+    tower = g.tower
+    if not (w.tower is tower and target.tower is tower):
+        tower = max((g.tower, w.tower, target.tower), key=lambda t: t.height)
+        if not all(tower.extends(x.tower) for x in (g, w, target)):
+            raise HnnError("cannot multiply words from unrelated towers")
+    items = list(g.items)
+    for part in (w.items, _inverse_items(g.items), _inverse_items(target.items)):
+        items[-1] = items[-1] * part[0]
+        items.extend(part[1:])
+    r = britton_reduce(TowerWord(tower, tuple(items))).items
+    return len(r) == 1 and not r[0].letters
 
 
 def klein_bottle_tower() -> Tower:

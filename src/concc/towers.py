@@ -24,6 +24,15 @@ The build is packaged as a JSON certificate whose replay does not trust the
 builder: the same rule, fed only by the document, recomputes the
 enumeration, every key, image and merge, and every claimed conjugator from
 scratch, and the replay report stops at its first failing check.
+
+A certificate has one spelling, the text ``certificate_to_json_str``
+writes, and replay accepts no other.  Every word in it is printed form:
+``str`` of a word, tokens ``name`` or ``name^-1`` joined by single spaces
+and freely reduced, or ``1`` alone.  So replay compares elements, targets,
+representatives, seeds and base facts with the words it expects as text,
+and parses a text only to say why it differs; witnesses are read by
+``Tower.read_printed``, which turns printed tokens straight into a tower
+word and expands no exponent.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 from . import hnn, words as W
@@ -69,23 +79,29 @@ class StageRecord:
     witness: TowerWord | None = None
     image: str | None = None  # coset mode only
 
-    def to_json(self) -> dict:
-        doc: dict = {"stage": self.index, "element": str(self.element), "action": self.action}
-        if self.class_index is not None:
-            doc["class"] = self.class_index
+    def fields(self) -> list[tuple[str, str | int]]:
+        """The record's JSON fields, in key order."""
+        out: list[tuple[str, str | int]] = [("action", self.action)]
         if self.case:
-            doc["case"] = self.case
-        if self.reason:
-            doc["reason"] = self.reason
-        if self.stable is not None:
-            doc["stable"] = self.stable
-        if self.target is not None:
-            doc["target"] = str(self.target)
-        if self.witness is not None:
-            doc["witness"] = str(self.witness)
+            out.append(("case", self.case))
+        if self.class_index is not None:
+            out.append(("class", self.class_index))
+        out.append(("element", str(self.element)))
         if self.image is not None:
-            doc["image"] = self.image
-        return doc
+            out.append(("image", self.image))
+        if self.reason:
+            out.append(("reason", self.reason))
+        if self.stable is not None:
+            out.append(("stable", self.stable))
+        out.append(("stage", self.index))
+        if self.target is not None:
+            out.append(("target", str(self.target)))
+        if self.witness is not None:
+            out.append(("witness", str(self.witness)))
+        return out
+
+    def to_json(self) -> dict:
+        return dict(self.fields())
 
 
 @dataclass
@@ -342,6 +358,12 @@ class TowerBuild:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        doc = self._header()
+        doc["stages"] = [r.to_json() for r in self.records]
+        return doc
+
+    def _header(self) -> dict:
+        """The certificate without its stages."""
         cfg = self.config
         doc: dict = {
             "version": 1,
@@ -350,7 +372,6 @@ class TowerBuild:
             "base": list(cfg.base.alphabet.names),
             "representatives": [str(r) for r in cfg.representatives],
             "stage_count": len(self.records),
-            "stages": [r.to_json() for r in self.records],
         }
         if cfg.mode == "ncc":
             doc["classes"] = cfg.classes
@@ -450,7 +471,9 @@ def _text(rec: dict, key: str, where: str) -> str:
     return value
 
 
-def _word(base: W.Alphabet, rec: dict, key: str, where: str) -> Word:
+def _read_unexpected(base: W.Alphabet, rec: dict, key: str, where: str) -> Word:
+    """The word a field spells where its text is not the printed word replay
+    expects; a text that does not read fails ``well-formed``."""
     try:
         return base.parse_word(_text(rec, key, where))
     except WordError as e:
@@ -463,19 +486,23 @@ def reverify_certificate(doc) -> ReverifyReport:
     Replay reads only the document and stops at its first failing check,
     which ends the report and names its stage where there is one.  First
     ``structure``: stage count and numbering, and stage i is an attach or a
-    skip of the i-th word of ``W.shortlex_words(base)``, the stream the
-    builder enumerates.  One reader turns the document into a
-    ``TowerConfig`` for either mode, checked by the builder's own
-    validation (``representatives``).  Then the mode's pre-check,
-    ``base-facts`` recomputed in ncc mode, ``quotient`` in coset mode, and
-    one stage loop that holds each record against the builder's stage rule,
-    ``_StageRule``: its kind, case, class, image and target.  Each attach
-    extends the tower; each recorded conjugator is verified by Britton
-    reduction in the tower extended up to its stage.  The loop reports as
-    ``replay`` in ncc mode, followed by ``independence``, and as ``images``
-    and ``stage-relations`` in coset mode.  A document that is not a JSON
-    object, lacks a field the replay reads or names an undeclared generator
-    fails ``well-formed``.
+    skip whose element is the printed i-th word of ``W.shortlex_words(base)``,
+    the stream the builder enumerates.  One reader turns the document into
+    a ``TowerConfig`` for either mode, checked by the builder's own
+    validation (``representatives``); representatives and seeds must be
+    printed words, and seed keys the printed class numbers.  Then the mode's
+    pre-check, ``base-facts`` recomputed in ncc mode, ``quotient`` in coset
+    mode, and one stage loop that holds each record against the builder's
+    stage rule, ``_StageRule``: its kind, case, class, image and target,
+    which must be its representative's printed text.  Each attach extends
+    the tower; each recorded conjugator, read by ``Tower.read_printed``, is
+    verified by Britton reduction in the tower extended up to its stage.
+    The loop reports as ``replay`` in ncc mode, followed by
+    ``independence``, and as ``images`` and ``stage-relations`` in coset
+    mode.  A document that is not a JSON object, lacks a field the replay
+    reads or names an undeclared generator in a word it compares fails
+    ``well-formed``; a text that reads as the expected word but is spelt
+    otherwise fails the check of its field.
     """
     rep = ReverifyReport(ok=True)
     try:
@@ -494,15 +521,28 @@ def _read_config(doc, base: W.Alphabet) -> TowerConfig:
     """
     free = FinitePresentation(base, ())
     coset = doc["mode"] == "coset"
+    seeds: dict[int, tuple[Word, ...]] = {}
+    texts: list[tuple[str, object]] = []  # (what, text) of every word read
     try:
         spec = quotient_spec_from_json(free, doc["quotient"]) if coset else None
-        reps = tuple(base.parse_word(r) for r in doc["representatives"])
-        seeds = {} if coset else {
-            int(ci): tuple(base.parse_word(s) for s in ws)
-            for ci, ws in doc.get("seeds", {}).items()
-        }
+        texts += (("representative", r) for r in doc["representatives"])
+        reps = tuple(base.parse_word(r) for _, r in texts)
+        if not coset:
+            # a class key has one spelling, so no class can have two entries
+            keys = {str(ci): ci for ci in range(1, len(reps) + 1)}
+            for key, ws in doc.get("seeds", {}).items():
+                if key not in keys:
+                    raise _Failed(
+                        "representatives", f"seed key {key!r} is not a class 1..{len(reps)}"
+                    )
+                ws = list(ws)
+                seeds[keys[key]] = tuple(base.parse_word(w) for w in ws)
+                texts += ((f"seed of class {key}", w) for w in ws)
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise _Failed("quotient" if coset else "representatives", str(e)) from None
+    for (what, text), w in zip(texts, itertools.chain(reps, *seeds.values())):
+        if text != str(w):
+            raise _Failed("representatives", f"{what} {text!r} is not the printed form of {w}")
     return TowerConfig(
         base=free,
         classes=len(reps) if coset else len(reps) + 1,
@@ -513,12 +553,24 @@ def _read_config(doc, base: W.Alphabet) -> TowerConfig:
     )
 
 
-def _check_base_facts(doc, base: W.Alphabet) -> None:
+def _check_base_facts(doc, config: TowerConfig) -> None:
     facts = doc.get("base_facts", [])
     if not isinstance(facts, list):
         raise _Failed("well-formed", "certificate: 'base_facts' is not a list")
+    base = config.base.alphabet
+    known = {str(w): w for _, w in config._tagged()}
+
+    def side(f, key: str) -> Word:
+        text = _text(f, key, "base fact")
+        w = known.get(text)
+        if w is None:
+            w = _read_unexpected(base, f, key, "base fact")
+        if text != str(w):
+            raise _Failed("base-facts", f"base fact side {text!r} is not the printed form of {w}")
+        return w
+
     for f in facts:
-        u, v = _word(base, f, "left", "base fact"), _word(base, f, "right", "base fact")
+        u, v = side(f, "left"), side(f, "right")
         try:
             related = W.commensurable(u, v).related
         except WordError as e:
@@ -548,15 +600,21 @@ def _reverify(doc, rep: ReverifyReport) -> None:
         raise _Failed("structure", f"unknown mode {doc.get('mode')!r}")
     elements = []
     for i, (s, want) in enumerate(zip(stages, W.shortlex_words(base)), start=1):
-        at = f"stage {i}"
         if s.get("stage") != i:
-            raise _Failed("structure", f"stage numbering is not contiguous at {at}")
-        g = _word(base, s, "element", at)
-        if g != want:
-            raise _Failed("structure", f"{at}: element {g} is not shortlex word {i}, {want}")
-        if _field(s, "action", at) not in ("attach", "skip"):
-            raise _Failed("structure", f"{at}: unknown action {s['action']!r}")
-        elements.append(g)
+            raise _Failed("structure", f"stage numbering is not contiguous at stage {i}")
+        if s.get("element") != str(want):
+            at = f"stage {i}"
+            g = _read_unexpected(base, s, "element", at)
+            raise _Failed(
+                "structure",
+                f"{at}: element {g} is not shortlex word {i}, {want}"
+                if g != want
+                else f"{at}: element {s['element']!r} is not the printed form of {want}",
+            )
+        if s.get("action") not in ("attach", "skip"):
+            at = f"stage {i}"
+            raise _Failed("structure", f"{at}: unknown action {_field(s, 'action', at)!r}")
+        elements.append(want)
     rep.add("structure", True)
 
     config = _read_config(doc, base)
@@ -568,10 +626,11 @@ def _reverify(doc, rep: ReverifyReport) -> None:
     except TowerBuildError as e:
         raise _Failed("representatives", str(e)) from None
     if not coset:
-        _check_base_facts(doc, base)
+        _check_base_facts(doc, config)
         rep.add("base-facts", True)
 
     rule, reps = _StageRule(config), config.representatives
+    rep_texts = [str(r) for r in reps]
     check, relations = ("images", "stage-relations") if coset else ("replay", "replay")
     tower = Tower(base)
     for i, (s, g) in enumerate(zip(stages, elements), start=1):
@@ -604,20 +663,23 @@ def _reverify(doc, rep: ReverifyReport) -> None:
                 )
         if kind == _NO_REPRESENTATIVE:
             continue
-        target = _word(base, s, "target", at)
-        if type(ci) is not int or not 1 <= ci <= len(reps) or target != reps[ci - 1]:
-            raise _Failed(
-                check,
-                f"{at}: target {target} is not {reps[ci - 1]}, the representative"
-                if coset
-                else f"{at}: target {target} is not the representative of class {ci}",
-            )
+        if type(ci) is int and 1 <= ci <= len(reps) and s.get("target") == rep_texts[ci - 1]:
+            target = reps[ci - 1]
+        else:
+            target = _read_unexpected(base, s, "target", at)
+            if type(ci) is int and 1 <= ci <= len(reps) and target == reps[ci - 1]:
+                why = f"target {s['target']!r} is not the printed form of {target}"
+            elif coset:
+                why = f"target {target} is not {reps[ci - 1]}, the representative"
+            else:
+                why = f"target {target} is not the representative of class {ci}"
+            raise _Failed(check, f"{at}: {why}")
         try:
             if kind == "attach":
                 tower = tower.extend(CyclicAssociation(_text(s, "stable", at), g, target))
                 continue
             good = hnn.verify_conjugator(
-                tower.parse(_text(s, "witness", at)), tower.embed(g), tower.embed(target)
+                tower.read_printed(_text(s, "witness", at)), tower.embed(g), tower.embed(target)
             )
         except HnnError as e:
             raise _Failed("well-formed" if kind == "attach" else relations, f"{at}: {e}") from None
@@ -752,7 +814,40 @@ def bounded_simple_witness(build: TowerBuild, x: Word, y: Word) -> SimplicityWit
 
 
 def certificate_to_json_str(build: TowerBuild) -> str:
-    return json.dumps(build.to_json(), indent=2, sort_keys=True)
+    """``json.dumps(build.to_json(), indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` the ``json`` module encodes in pure Python, so the
+    stages, nearly all of the text, are written here instead: each record's
+    fields, in key order, with strings encoded by the C encoder that
+    ``json.dumps`` uses, joined at the places and indents it would use.
+    The few other fields go through ``json.dumps`` itself.
+    """
+    enc = encode_basestring_ascii
+    stages = ",\n".join(
+        [
+            "    {\n"
+            + ",\n".join(
+                [
+                    f"      {enc(k)}: {enc(v) if type(v) is str else int.__repr__(v)}"
+                    for k, v in r.fields()
+                ]
+            )
+            + "\n    }"
+            for r in build.records
+        ]
+    )
+    doc = build._header()
+    doc["stages"] = []
+    parts = []
+    for key in sorted(doc):
+        if key == "stages" and stages:
+            value = "[\n" + stages + "\n  ]"
+        else:
+            # JSON text has no raw newline inside a string, so each one
+            # here starts a nested line, which sits one level deeper
+            value = json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        parts.append(f"  {enc(key)}: {value}")
+    return "{\n" + ",\n".join(parts) + "\n}"
 
 
 def klein_coset_config(stages: int = 40) -> TowerConfig:

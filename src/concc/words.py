@@ -26,6 +26,7 @@ every integer in a text format is spelled as ``read_int`` reads it.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -121,7 +122,7 @@ class Alphabet:
     sequences match exactly.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_text", "_codes")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -135,6 +136,12 @@ class Alphabet:
             raise WordError(f"duplicate generator names in {names}")
         self.names = names
         self._index = {n: i + 1 for i, n in enumerate(names)}
+        # letter -> its printed token, and letter -> letter_code
+        self._text: dict[int, str] = {}
+        self._codes: dict[int, int] = {}
+        for i, n in enumerate(names, start=1):
+            self._text[i], self._text[-i] = n, n + "^-1"
+            self._codes[i], self._codes[-i] = 2 * i - 2, 2 * i - 1
 
     @property
     def size(self) -> int:
@@ -160,11 +167,10 @@ class Alphabet:
         return sign * self._index[name]
 
     def letter_str(self, letter: int) -> str:
-        idx = abs(letter)
-        if not 1 <= idx <= len(self.names):
+        text = self._text.get(letter)
+        if text is None:
             raise WordError(f"letter {letter} outside alphabet of size {self.size}")
-        name = self.names[idx - 1]
-        return name if letter > 0 else name + "^-1"
+        return text
 
     def letters_in_order(self) -> tuple[int, ...]:
         """All 2n letters sorted by letter_code."""
@@ -252,7 +258,7 @@ class Word:
     def inverse(self) -> "Word":
         if not self.letters:
             return self
-        return Word(self.alphabet, tuple(-l for l in reversed(self.letters)))
+        return Word(self.alphabet, tuple(map(operator.neg, reversed(self.letters))))
 
     def __pow__(self, n: int) -> "Word":
         if n == 1:
@@ -276,7 +282,10 @@ class Word:
     def __str__(self) -> str:
         if not self.letters:
             return "1"
-        return " ".join(self.alphabet.letter_str(l) for l in self.letters)
+        try:
+            return " ".join(map(self.alphabet._text.__getitem__, self.letters))
+        except KeyError as e:
+            raise WordError(f"letter {e.args[0]} outside alphabet of size {self.alphabet.size}") from None
 
     def __repr__(self) -> str:
         return f"Word({self})"
@@ -303,6 +312,23 @@ def _least_rotation(codes: Sequence[int]) -> int:
     return k
 
 
+def _least_rotation_of(codes: tuple[int, ...]) -> int:
+    """Index of the least rotation of ``codes``, a nonempty tuple.
+
+    Only a rotation that starts at the least code can win; when few do,
+    comparing those rotations as slices is cheaper than Booth's loop.
+    """
+    lo = min(codes)
+    starts = [k for k, c in enumerate(codes) if c == lo]
+    n = len(codes)
+    if len(starts) == 1:
+        return starts[0]
+    if len(starts) * n > 4096:
+        return _least_rotation(codes)
+    s = codes + codes
+    return min(starts, key=lambda k: s[k : k + n])
+
+
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split w = conjugator * core * conjugator^-1 with core cyclically reduced.
 
@@ -311,11 +337,17 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     the conjugacy class.
     """
     ls = w.letters
+    i = _peel(ls)
+    return Word(w.alphabet, ls[i : len(ls) - i]), Word(w.alphabet, ls[:i])
+
+
+def _peel(ls: tuple[int, ...]) -> int:
+    """Length of the conjugator ``cyclic_reduce`` splits off reduced letters."""
     i, j = 0, len(ls)
     while j - i >= 2 and ls[i] == -ls[j - 1]:
         i += 1
         j -= 1
-    return Word(w.alphabet, ls[i:j]), Word(w.alphabet, ls[:i])
+    return i
 
 
 def is_cyclically_reduced(w: Word) -> bool:
@@ -333,7 +365,7 @@ class CyclicWord:
             raise WordError(f"{word} is not cyclically reduced")
         ls = word.letters
         if ls:
-            k = _least_rotation([letter_code(l) for l in ls])
+            k = _least_rotation_of(tuple(map(word.alphabet._codes.__getitem__, ls)))
             ls = ls[k:] + ls[:k]
         self.alphabet = word.alphabet
         self.letters = ls
@@ -341,8 +373,9 @@ class CyclicWord:
 
     @classmethod
     def of(cls, w: Word) -> "CyclicWord":
-        core, _ = cyclic_reduce(w)
-        return cls(core)
+        ls = w.letters
+        i = _peel(ls)
+        return cls(Word(w.alphabet, ls[i : len(ls) - i]) if i else w)
 
     @classmethod
     def from_least_rotation(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "CyclicWord":
@@ -396,19 +429,27 @@ def conjugacy_witness(u: Word, v: Word) -> Word | None:
     """A word g with g u g^-1 = v, or None if u, v are not conjugate."""
     if u.alphabet != v.alphabet:
         raise WordError("words over different alphabets")
-    cu, p = cyclic_reduce(u)
-    cv, q = cyclic_reduce(v)
-    if len(cu) != len(cv):
+    a, b = u.letters, v.letters
+    i, j = _peel(a), _peel(b)
+    ls, target = a[i : len(a) - i], b[j : len(b) - j]
+    n = len(ls)
+    if n != len(target):
         return None
-    if len(cu) == 0:
+    if n == 0:
         return u.alphabet.identity()
-    ls, target = cu.letters, cv.letters
-    for r in range(len(ls)):
-        if ls[r:] + ls[:r] == target:
-            # rotation by r equals conjugation by the inverse of the prefix
-            s = Word(u.alphabet, ls[:r])
-            return q * s.inverse() * p.inverse()
-    return None
+    # the least r with ls[r:] + ls[:r] == target; only an r where ls holds
+    # target's first letter can work
+    r = -1
+    while True:
+        try:
+            r = ls.index(target[0], r + 1)
+        except ValueError:
+            return None
+        if ls[r:] == target[: n - r] and ls[:r] == target[n - r :]:
+            break
+    # rotation by r equals conjugation by the inverse of the prefix
+    A = u.alphabet
+    return Word(A, b[:j]) * Word(A, ls[:r]).inverse() * Word(A, a[:i]).inverse()
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
@@ -422,14 +463,18 @@ def primitive_root(w: Word) -> tuple[Word, int]:
         raise WordError("identity has no primitive root")
     core, p = cyclic_reduce(w)
     ls = core.letters
+    d = _period(ls)
+    root = Word(w.alphabet, p.letters + ls[:d] + p.inverse().letters)
+    return root, len(ls) // d
+
+
+def _period(ls: tuple[int, ...]) -> int:
+    """Least d with ``ls == ls[:d] * (len(ls) // d)``."""
     n = len(ls)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if ls == ls[:d] * (n // d):
-            root = Word(w.alphabet, p.letters + ls[:d] + p.inverse().letters)
-            return root, n // d
-    raise AssertionError("unreachable: every word is a power of itself")
+    for d in range(1, n):
+        if not n % d and ls == ls[:d] * (n // d):
+            return d
+    return n
 
 
 def commensurability_key(w: Word) -> tuple[int, ...]:
@@ -438,12 +483,18 @@ def commensurability_key(w: Word) -> tuple[int, ...]:
     Built from the canonical cyclic form of the primitive root, symmetrised
     under inversion, so w, w^-1, conjugates and proper powers all collide.
     """
-    root, _ = primitive_root(w)
-    c = CyclicWord.of(root)
-    ci = c.inverse()
-    a, b = c.letters, ci.letters
-    pick = a if [letter_code(l) for l in a] <= [letter_code(l) for l in b] else b
-    return pick
+    if w.is_identity:
+        raise WordError("identity has no primitive root")
+    ls = w.letters
+    i = _peel(ls)
+    ls = ls[i : len(ls) - i]
+    a = ls[: _period(ls)]  # the primitive root's cyclic core
+    b = tuple(-l for l in reversed(a))
+    # letter_code of -l is letter_code of l with its last bit flipped
+    ca = tuple(map(w.alphabet._codes.__getitem__, a))
+    cb = tuple(c ^ 1 for c in reversed(ca))
+    i, j = _least_rotation_of(ca), _least_rotation_of(cb)
+    return a[i:] + a[:i] if ca[i:] + ca[:i] <= cb[j:] + cb[:j] else b[j:] + b[:j]
 
 
 @dataclass(frozen=True)
@@ -493,20 +544,25 @@ def is_power_of(w: Word, c: Word, c_root: tuple[Word, int] | None = None) -> int
     """m with w = c^m, or None.  w identity gives 0; c must be nontrivial.
 
     ``c_root`` is ``primitive_root(c)`` when the caller already has it.
+    With c = rc^ec and rc = p r p^-1, r cyclically reduced, the powers
+    rc^k = p r^k p^-1 (k > 0) and p (r^-1)^|k| p^-1 (k < 0) are reduced as
+    written, so w's length fixes |k|, its letter after p fixes the sign,
+    and one compare decides; w = c^m exactly when ec divides k.
     """
     if c.is_identity:
         raise WordError("powers of the identity are degenerate")
     if w.is_identity:
         return 0
-    rw, ew = primitive_root(w)
     rc, ec = c_root if c_root is not None else primitive_root(c)
-    # w = rw^ew and c = rc^ec exactly, so matching roots settle it
-    m, rem = divmod(ew, ec)
-    if rem == 0 and rw == rc:
-        return m
-    if rem == 0 and rw == rc.inverse():
-        return -m
-    return None
+    r, ls = rc.letters, w.letters
+    n, i = len(r), _peel(r)
+    core = r[i : n - i]
+    k, rem = divmod(len(ls) - 2 * i, len(core))
+    if rem or k <= 0 or k % ec:
+        return None
+    if ls[i] != core[0]:  # a negative power, if any
+        core, k = tuple(-l for l in reversed(core)), -k
+    return k // ec if ls == r[:i] + core * abs(k) + r[n - i :] else None
 
 
 def shortlex_words(

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -184,6 +185,29 @@ class TestTowerCommands:
         code, rep, _ = run(capsys, ["tower", "verify", str(cert)])
         assert code == 2
         assert [f.split(": ")[:2] for f in rep["artifacts"]["failures"]] == [["replay", "stage 11"]]
+
+    @pytest.mark.parametrize(
+        "key, stage, text, check",
+        [
+            ("witness", 11, "t1^1000000", "replay"),
+            ("witness", 11, "t1^99999999999999999999", "replay"),
+            ("element", 1, "x1^99999999999999999999", "well-formed"),
+            ("witness", 24, "t2^300000 x1^-1", "replay"),
+        ],
+        ids=["witness-1e6", "witness-1e20", "element-1e20", "witness-chain"],
+    )
+    def test_exponent_probes_fail_fast(self, capsys, tmp_path, monkeypatch, key, stage, text, check):
+        # no printed word carries an exponent other than -1, so each of these
+        # stops before anything expands
+        monkeypatch.chdir(tmp_path)
+        cert = tmp_path / "cert.json"
+        run(capsys, ["tower", "build", "--stages", "30", "--out", str(cert)])
+        cert.write_text(json.dumps(_set(json.loads(cert.read_text()), key, text, stage - 1)))
+        start = time.perf_counter()
+        code, rep, _ = run(capsys, ["tower", "verify", str(cert)])
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert [f.split(": ")[:2] for f in rep["artifacts"]["failures"]] == [[check, f"stage {stage}"]]
 
     def test_verify_detects_truncation(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -321,6 +322,70 @@ class TestBrittonNormalForm:
         assert plain(britton_reduce(T.parse("s a t a t^-1 s^-1 b^-2"))) == ((),)
         # s a b s^-1 = b^2 leaves t^-1 b^2 t = a^2 behind the pinch
         assert plain(britton_reduce(T.parse("t^-1 s a b s^-1 t a^-2"))) == ((),)
+
+
+def cancels(w):
+    """Some stable letter of w meets its inverse across an empty chunk."""
+    its = w.items
+    return any(
+        its[k] == (its[k + 2][0], -its[k + 2][1]) and not its[k + 1].letters
+        for k in range(1, len(its) - 2, 2)
+    )
+
+
+class TestPrintedReader:
+    """``Tower.read_printed`` reads exactly the texts ``str`` prints."""
+
+    @given(PINCHY)
+    def test_printed_words_read_back(self, text):
+        T = two_level_tower()
+        w = T.parse(text)
+        if cancels(w):
+            with pytest.raises(HnnError, match="not freely reduced"):
+                T.read_printed(str(w))
+        else:
+            assert T.read_printed(str(w)) == w
+
+    @given(st.lists(st.sampled_from(["a", "b^-1", "t", "s^-1", "a^2", "t^1", "1", "", "*", "q"]), max_size=6))
+    def test_other_texts_are_refused(self, toks):
+        T = two_level_tower()
+        text = " ".join(toks)
+        try:
+            w = T.read_printed(text)
+        except HnnError:
+            return
+        assert str(w) == text and w == T.parse(text)
+
+    def test_refusals_name_the_token(self):
+        T = two_level_tower()
+        assert T.read_printed("1") == T.identity()
+        for text, problem in [
+            ("a^2", "exponent 2 in token 'a^2': printed words write only ^-1"),
+            ("t^+1", "bad exponent '+1' in token 't^+1'"),
+            ("a  b", "empty token"),
+            ("a 1", "1 stands only alone"),
+            ("a a^-1", "'a^-1' cancels the letter before it"),
+            ("t t^-1", "'t^-1' cancels the letter before it"),
+            ("u", "unknown token 'u'"),
+            ("a^99999999999999999999", "exponent 99999999999999999999 in token"),
+        ]:
+            with pytest.raises(HnnError, match=re.escape(problem)):
+                T.read_printed(text)
+
+    def test_letters_above_the_height_are_unknown(self):
+        # low and T share one chain, and s sits above low's height
+        top = two_level_tower()
+        A = top.base
+        low = Tower(A).extend(top.assocs[0])
+        T = low.extend(top.assocs[1])
+        assert T.read_printed("s a") == T.parse("s a")
+        with pytest.raises(HnnError, match="unknown token 's'"):
+            low.read_printed("s a")
+        # a branch off the older tower gets its own letters
+        branch = low.extend(CyclicAssociation("r", A.gen("a"), A.gen("b")))
+        assert str(branch.read_printed("r^-1 t")) == "r^-1 t"
+        with pytest.raises(HnnError, match="unknown token 's'"):
+            branch.read_printed("s")
 
 
 class TestJunctionArithmetic:

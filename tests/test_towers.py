@@ -3,13 +3,14 @@ import functools
 import hashlib
 import itertools
 import json
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from concc import hnn, towers, words
-from concc.presentations import KillSpec, parse_presentation
+from concc.presentations import CyclicSpec, KillSpec, parse_presentation
 from concc.towers import (
     TowerBuildError,
     TowerConfig,
@@ -499,3 +500,207 @@ class TestGadget:
             build, A.parse_word("a1 b2 a1 b2 a1"), A.parse_word("a2")
         )
         assert wit.status == "unknown"
+
+
+# -- one spelling per certificate ------------------------------------------
+
+
+def seeded_ncc_config(stages):
+    """ncc, three classes, with the seed x1 x1 in class 1: a word text with a
+    repeated letter in an element, a seed and a base fact."""
+    A = ncc_config().base.alphabet
+    return ncc_config(stages=stages, class_seeds={1: (A.parse_word("x1 x1"),)})
+
+
+@functools.cache
+def _printed_text(name):
+    config = {
+        "seeded-ncc-45": lambda: seeded_ncc_config(45),
+        "gadget-4-60": lambda: gadget_config(4, 60),
+    }[name]()
+    return certificate_to_json_str(build_tower(config))
+
+
+def respell_power(text):
+    """The first repeated token N N (or N^-1 N^-1) as N^2 (N^-2)."""
+    toks = text.split(" ")
+    i = next(i for i in range(len(toks) - 1) if toks[i] == toks[i + 1])
+    name, _, exp = toks[i].partition("^")
+    return " ".join(toks[:i] + [f"{name}^{2 * int(exp or 1)}"] + toks[i + 2 :])
+
+
+def respell_insert(pair):
+    def insert(text):
+        first, _, rest = text.partition(" ")
+        return f"{first} {pair} {rest}"
+    return insert
+
+
+RESPELLINGS = {
+    "power": respell_power,
+    "star": lambda text: text.replace(" ", " * "),
+    "double-space": lambda text: text.replace(" ", "  ", 1),
+    "leading-blank": lambda text: " " + text,
+    "hat-one": lambda text: text.replace(" ", "^1 ", 1),
+}
+
+
+def _word_field(mode):
+    """(document, where the field is, its check and failure prefix) for each
+    word field; every field text chosen has two equal adjacent tokens."""
+    seeded = json.loads(_printed_text("seeded-ncc-45"))
+    coset = valid_certificate("coset")
+    witness = next(s for s in seeded["stages"] if re.search(r"(\S+) \1\b", s.get("witness", "")))
+    target = next(s for s in coset["stages"] if s.get("target") == "t t")
+    fields = {
+        "element": (seeded, seeded["stages"][4], "element", "structure: stage 5: "),
+        "target": (coset, target, "target", f"images: stage {target['stage']}: "),
+        "witness": (seeded, witness, "witness", f"replay: stage {witness['stage']}: "),
+        "representative": (coset, coset["representatives"], 2, "representatives: "),
+        "seed": (seeded, seeded["seeds"]["1"], 0, "representatives: "),
+        "base-fact": (seeded, seeded["base_facts"][1], "right", "base-facts: "),
+    }
+    doc, node, key, prefix = fields[mode]
+    return doc, node, key, prefix, "a a^-1" if doc is coset else "x2 x2^-1"
+
+
+class TestOneSpelling:
+    @pytest.mark.parametrize("respelling", [*RESPELLINGS, "insert"])
+    @pytest.mark.parametrize(
+        "field", ["element", "target", "witness", "representative", "seed", "base-fact"]
+    )
+    def test_respelt_field_fails_at_its_stage(self, field, respelling):
+        doc, node, key, prefix, pair = _word_field(field)
+        assert reverify_certificate(doc).ok
+        spell = respell_insert(pair) if respelling == "insert" else RESPELLINGS[respelling]
+        old = node[key]
+        node[key] = spell(old)
+        # the same word, spelt another way
+        A = words.Alphabet(doc["base"])
+        if field != "witness":
+            assert node[key] != old and A.parse_word(node[key]) == A.parse_word(old)
+        rep = reverify_certificate(doc)
+        assert len(rep.failures) == 1 and rep.failures[0].startswith(prefix)
+
+    def test_readable_elements_name_the_printed_form(self):
+        doc = valid_certificate("ncc")
+        doc["stages"][4]["element"] = "x1^2"
+        rep = reverify_certificate(doc)
+        assert rep.failures == ["structure: stage 5: element 'x1^2' is not the printed form of x1 x1"]
+
+    @pytest.mark.parametrize(
+        "witness, problem",
+        [
+            ("t2 1 x1^-1", "1 stands only alone"),
+            ("", "empty token"),
+            ("t2 x1^-1 x1", "not freely reduced"),
+            ("t2 t2^-1 t2 x1^-1", "not freely reduced"),
+            ("t2^-01 x1^-1", "exponent -01 in token 't2^-01'"),
+            ("t2^2 x1^-1", "exponent 2 in token 't2^2'"),
+        ],
+    )
+    def test_witness_reader_takes_only_the_printed_form(self, witness, problem):
+        doc = valid_certificate("ncc")
+        assert doc["stages"][23]["witness"] == "t2 x1^-1"
+        doc["stages"][23]["witness"] = witness
+        rep = reverify_certificate(doc)
+        assert len(rep.failures) == 1
+        assert rep.failures[0].startswith("replay: stage 24: ") and problem in rep.failures[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just("ncc"), st.integers(2, 3), st.integers(0, 80)),
+            st.tuples(st.just("gadget"), st.integers(3, 4), st.integers(0, 80)),
+            st.tuples(st.sampled_from(["klein", "kill", "z4"]), st.just(0), st.integers(0, 60)),
+        )
+    )
+    def test_honest_word_fields_are_printed(self, shape):
+        kind, classes, stages = shape
+        config = {
+            "ncc": lambda: ncc_config(classes, stages),
+            "gadget": lambda: gadget_config(classes, stages),
+            "klein": lambda: klein_coset_config(stages),
+            "kill": lambda: kill_coset_config(stages),
+            "z4": lambda: z4_coset_config(stages),
+        }[kind]()
+        build = build_tower(config)
+        doc = json.loads(certificate_to_json_str(build))
+        A, tower = build.config.base.alphabet, build.tower
+        texts = list(doc["representatives"])
+        texts += [w for ws in doc.get("seeds", {}).values() for w in ws]
+        texts += [f[k] for f in doc.get("base_facts", []) for k in ("left", "right")]
+        texts += [s[k] for s in doc["stages"] for k in ("element", "target") if k in s]
+        assert all(t == str(A.parse_word(t)) for t in texts)
+        for s in doc["stages"]:
+            if "witness" in s:
+                assert s["witness"] == str(tower.parse(s["witness"]))
+                assert tower.read_printed(s["witness"]) == tower.parse(s["witness"])
+        assert reverify_certificate(doc).ok
+
+
+class TestSeedKeys:
+    @pytest.mark.parametrize("key", ["+1", " 1", "01", "١"])
+    def test_respelt_seed_key_fails(self, key):
+        # int() reads each of these keys as 1
+        doc = json.loads(_printed_text("gadget-4-60"))
+        assert reverify_certificate(doc).ok
+        doc["seeds"][key] = doc["seeds"].pop("1")
+        rep = reverify_certificate(doc)
+        assert rep.failures == [f"representatives: seed key {key!r} is not a class 1..3"]
+
+    def test_second_spelling_of_a_key_fails(self):
+        # the empty list under "01" used to replace class 1's seeds unchecked
+        doc = json.loads(_printed_text("gadget-4-60"))
+        doc["seeds"] = {"1": doc["seeds"]["1"], "01": [], **doc["seeds"]}
+        rep = reverify_certificate(doc)
+        assert rep.failures == ["representatives: seed key '01' is not a class 1..3"]
+
+
+# -- the certificate writer ------------------------------------------------
+
+
+def z4_coset_config(stages):
+    """Coset drive over F(a, t) onto Z/4, t of order 4 and a in the kernel."""
+    pres = parse_presentation("< a , t | >")
+    A = pres.alphabet
+    return TowerConfig(
+        base=pres,
+        mode="coset",
+        classes=4,
+        stages=stages,
+        quotient=CyclicSpec(pres, 4, {"a": 0, "t": 1}),
+        representatives=(A.gen("a"), A.gen("t"), A.gen("t") ** 2, A.gen("t") ** 3),
+    )
+
+
+def non_ascii_config(stages):
+    """ncc over generators named with non-ASCII letters, so strings carry
+    ``\\u`` escapes."""
+    pres = parse_presentation("< α , ß₂ | >")
+    A = pres.alphabet
+    return TowerConfig(
+        base=pres, classes=3, representatives=(A.gen("α"), A.gen("ß₂")), stages=stages
+    )
+
+
+class TestCertificateWriter:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            lambda: ncc_config(3, 300),
+            lambda: gadget_config(4, 300),
+            lambda: klein_coset_config(60),
+            lambda: kill_coset_config(60),
+            lambda: z4_coset_config(60),
+            lambda: non_ascii_config(120),
+            lambda: ncc_config(3, 0),
+        ],
+        ids=["ncc-3", "gadget-4", "klein", "kill-spec", "z4", "non-ascii", "no-stages"],
+    )
+    def test_writer_matches_json_dumps(self, config):
+        build = build_tower(config())
+        text = certificate_to_json_str(build)
+        assert text == json.dumps(build.to_json(), indent=2, sort_keys=True)
+        if build.config.base.alphabet.names[0] == "α":
+            assert "\\u03b1" in text and text.isascii()

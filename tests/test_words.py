@@ -120,6 +120,17 @@ class TestCyclic:
         )
         assert tuple(letter_code(l) for l in c.letters) == canon
 
+    @given(st.lists(st.sampled_from([1, 1, 1, -2, 2, 3]), min_size=1, max_size=300))
+    def test_canonical_rotation_of_long_words(self, ls):
+        # many rotations start at the least letter, so both the slice compare
+        # and Booth's loop choose the rotation
+        ABC = Alphabet(["a", "b", "c"])
+        u = Word(ABC, free_reduce(tuple(ls)))
+        if u.is_identity:
+            return
+        codes = lambda r: tuple(letter_code(l) for l in r.letters)  # noqa: E731
+        assert codes(CyclicWord.of(u)) == min(map(codes, CyclicWord.of(u).rotations()))
+
     def test_unreduced_input_rejected(self):
         with pytest.raises(WordError):
             CyclicWord(w("a b a^-1"))
@@ -279,6 +290,18 @@ class TestCommensurability:
             return
         same_key = commensurability_key(u) == commensurability_key(v)
         assert same_key == commensurable(u, v).related
+
+    @given(letters, st.integers(1, 3))
+    def test_key_is_the_least_cyclic_root_up_to_inversion(self, ls, e):
+        u = Word(AB, free_reduce(tuple(ls))) ** e
+        if u.is_identity:
+            return
+        root, _ = primitive_root(u)
+        codes = lambda r: tuple(letter_code(l) for l in r)  # noqa: E731
+        rotations = [
+            r.letters for c in (root, root.inverse()) for r in CyclicWord.of(c).rotations()
+        ]
+        assert commensurability_key(u) == min(rotations, key=codes)
 
     def test_brute_sample_agreement(self):
         # the exhaustive version runs in the acceptance suite
