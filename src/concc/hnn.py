@@ -86,8 +86,9 @@ class Tower:
     reducer enforces.
 
     Towers are an append-only chain.  The towers of one chain share a
-    single association list and stable-letter index, and each knows only
-    the first ``height`` entries: a letter stored at or above its height is
+    single association list and token table (printed token -> base letter
+    or stable letter, see ``read_printed``), and each knows only the first
+    ``height`` associations: a letter stored at or above its height is
     unknown to it.  ``extend`` on the tip of a chain appends in place, so a
     build of n stages does O(n) work; extending an older tower copies its
     prefix into a new chain, leaving every existing tower as it was.
@@ -101,20 +102,15 @@ class Tower:
     heights; only towers built on separate chains compare associations.
     """
 
-    __slots__ = ("base", "height", "_assocs", "_index", "_tokens")
+    __slots__ = ("base", "height", "_assocs", "_tokens")
 
     def __init__(self, base: Alphabet, assocs: Sequence[CyclicAssociation] = ()):
         self.base = base
         self.height = 0
         self._assocs: list[CyclicAssociation] = []
-        self._index: dict[str, int] = {}
-        self._tokens = self._base_tokens()
+        self._tokens: dict[str, Item] = {text: l for l, text in base._text.items()}
         for a in assocs:
             self._add(a)
-
-    def _base_tokens(self) -> dict[str, object]:
-        """Printed token -> item, for the base letters; see ``read_printed``."""
-        return {text: l for l, text in self.base._text.items()}
 
     def _add(self, a: CyclicAssociation) -> None:
         """Validate a and put it on top; self must be the tip of its chain."""
@@ -123,11 +119,10 @@ class Tower:
         problem = W.name_problem(a.stable)
         if problem:
             raise HnnError(f"stable letter name {a.stable!r} {problem}")
-        if a.stable in self._index:
-            raise HnnError(f"duplicate stable letter {a.stable!r}")
         if a.stable in self.base:
             raise HnnError(f"stable letter {a.stable!r} collides with a base generator")
-        self._index[a.stable] = self.height
+        if a.stable in self._tokens:
+            raise HnnError(f"duplicate stable letter {a.stable!r}")
         self._tokens[a.stable] = (self.height, 1)
         self._tokens[a.stable + "^-1"] = (self.height, -1)
         self._assocs.append(a)
@@ -162,13 +157,12 @@ class Tower:
         out = Tower.__new__(Tower)
         out.base, out.height = self.base, self.height
         if self.height == len(self._assocs):
-            out._assocs, out._index, out._tokens = self._assocs, self._index, self._tokens
+            out._assocs, out._tokens = self._assocs, self._tokens
         else:
             out._assocs = self._assocs[: self.height]
-            out._index = {s: i for s, i in self._index.items() if i < self.height}
-            out._tokens = out._base_tokens()
-            for s, i in out._index.items():
-                out._tokens[s], out._tokens[s + "^-1"] = (i, 1), (i, -1)
+            out._tokens = {
+                t: it for t, it in self._tokens.items() if type(it) is int or it[0] < self.height
+            }
         out._add(assoc)
         return out
 
@@ -185,10 +179,10 @@ class Tower:
         return TowerWord(self, (w,))
 
     def _position(self, name: str) -> int:
-        i = self._index.get(name, self.height)
-        if i >= self.height:
+        it = self._tokens.get(name)
+        if type(it) is not tuple or it[1] < 0 or it[0] >= self.height:
             raise HnnError(f"unknown stable letter {name!r}")
-        return i
+        return it[0]
 
     def stable(self, name: str, eps: int = 1) -> "TowerWord":
         i = self._position(name)
@@ -206,21 +200,21 @@ class Tower:
             tokens = W.read_tokens(text)
         except W.WordError as e:
             raise HnnError(str(e)) from None
-        base, index, height = self.base, self._index, self.height
+        base, table, height = self.base, self._tokens, self.height
         # built alternating as it is read: each run of base letters is
         # freely reduced once, when a stable letter or the end closes it
         items: list[Item] = []
         run: list[int] = []
         for name, exp in tokens:
-            i = index.get(name, height)
-            if i < height:
-                letter = (i, 1 if exp > 0 else -1)
+            it = table.get(name)  # a name holds no ^, so it is no inverse token
+            if type(it) is tuple and it[0] < height:
+                letter = (it[0], 1 if exp > 0 else -1)
                 for _ in range(abs(exp)):
                     items.append(Word(base, W.free_reduce(run)))
                     items.append(letter)
                     run = []
-            elif name in base:
-                run.extend([base.letter(name, 1 if exp > 0 else -1)] * abs(exp))
+            elif type(it) is int:
+                run.extend([it if exp > 0 else -it] * abs(exp))
             else:
                 raise HnnError(f"unknown token {name!r} (neither base generator nor stable letter)")
         items.append(Word(base, W.free_reduce(run)))

@@ -141,7 +141,7 @@ class Alphabet:
         self._codes: dict[int, int] = {}
         for i, n in enumerate(names, start=1):
             self._text[i], self._text[-i] = n, n + "^-1"
-            self._codes[i], self._codes[-i] = 2 * i - 2, 2 * i - 1
+            self._codes[i], self._codes[-i] = letter_code(i), letter_code(-i)
 
     @property
     def size(self) -> int:
