@@ -613,7 +613,8 @@ def _reverify(doc, rep: ReverifyReport) -> None:
             )
         if s.get("action") not in ("attach", "skip"):
             at = f"stage {i}"
-            raise _Failed("structure", f"{at}: unknown action {_field(s, 'action', at)!r}")
+            action = _field(s, "action", at)  # a missing action fails well-formed
+            raise _Failed("structure", f"{at}: unknown action {action!r}")
         elements.append(want)
     rep.add("structure", True)
 
