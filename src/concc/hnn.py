@@ -248,25 +248,9 @@ class Tower:
                 items.append(it)
                 run = []
             else:
-                raise HnnError(self._token_problem(tok))
+                raise HnnError(_token_problem(tok))
         items.append(Word(base, tuple(run)))
         return TowerWord(self, tuple(items))
-
-    def _token_problem(self, tok: str) -> str:
-        """Why ``read_printed`` cannot read tok."""
-        name, hat, exp = tok.partition("^")
-        if hat:
-            try:
-                W.read_int(exp, "exponent")
-            except W.WordError as e:
-                return f"{e} in token {tok[:24]!r}"
-            if exp != "-1":
-                return f"exponent {exp[:20]} in token {tok[:24]!r}: printed words write only ^-1"
-        if not tok:
-            return "empty token: printed words separate tokens by one space"
-        if tok == "1":
-            return "1 stands only alone"
-        return f"unknown token {name[:24]!r} (neither base generator nor stable letter)"
 
     def to_json(self) -> dict:
         return {
@@ -288,6 +272,23 @@ class Tower:
 
 
 Item = object  # Word or (index, eps) pair
+
+
+def _token_problem(tok: str) -> str:
+    """Why ``Tower.read_printed`` cannot read tok."""
+    name, hat, exp = tok.partition("^")
+    if hat:
+        try:
+            W.read_int(exp, "exponent")
+        except W.WordError as e:
+            return f"{e} in token {tok[:24]!r}"
+        if exp != "-1":
+            return f"exponent {exp[:20]} in token {tok[:24]!r}: printed words write only ^-1"
+    if not tok:
+        return "empty token: printed words separate tokens by one space"
+    if tok == "1":
+        return "1 stands only alone"
+    return f"unknown token {name[:24]!r} (neither base generator nor stable letter)"
 
 
 def _is_letter(it: Item) -> bool:

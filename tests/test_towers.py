@@ -545,12 +545,14 @@ RESPELLINGS = {
 }
 
 
-def _word_field(mode):
-    """(document, where the field is, its check and failure prefix) for each
-    word field; every field text chosen has two equal adjacent tokens."""
+def _word_field(field):
+    """(document, container and key of the field, prefix of its failure, a
+    cancelling pair of base letters) for a fresh honest document; every
+    field text chosen has two equal adjacent tokens."""
     seeded = json.loads(_printed_text("seeded-ncc-45"))
     coset = valid_certificate("coset")
-    witness = next(s for s in seeded["stages"] if re.search(r"(\S+) \1\b", s.get("witness", "")))
+    repeat = re.compile(r"(?:^| )(\S+) \1(?: |$)")
+    witness = next(s for s in seeded["stages"] if repeat.search(s.get("witness", "")))
     target = next(s for s in coset["stages"] if s.get("target") == "t t")
     fields = {
         "element": (seeded, seeded["stages"][4], "element", "structure: stage 5: "),
@@ -560,7 +562,7 @@ def _word_field(mode):
         "seed": (seeded, seeded["seeds"]["1"], 0, "representatives: "),
         "base-fact": (seeded, seeded["base_facts"][1], "right", "base-facts: "),
     }
-    doc, node, key, prefix = fields[mode]
+    doc, node, key, prefix = fields[field]
     return doc, node, key, prefix, "a a^-1" if doc is coset else "x2 x2^-1"
 
 
