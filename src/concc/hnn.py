@@ -303,6 +303,28 @@ def _inverse_items(items: tuple[Item, ...]) -> tuple[Item, ...]:
     )
 
 
+def _join(parts: Sequence[tuple[Item, ...]]) -> tuple[Item, ...]:
+    """Concatenate normal items; only the chunks at each junction merge."""
+    items = list(parts[0])
+    for part in parts[1:]:
+        items[-1] = items[-1] * part[0]
+        items.extend(part[1:])
+    return tuple(items)
+
+
+def _common_tower(words: Sequence["TowerWord"]) -> Tower:
+    """The tower a product of words lives in: the tallest of theirs, which
+    must extend all the others."""
+    tower = words[0].tower
+    for x in words[1:]:
+        if x.tower is tower or tower.extends(x.tower):
+            continue
+        if not x.tower.extends(tower):
+            raise HnnError("cannot multiply words from unrelated towers")
+        tower = x.tower
+    return tower
+
+
 class TowerWord:
     """A word in the tower as written: base chunks split by stable letters.
 
@@ -320,14 +342,7 @@ class TowerWord:
         self.items = items
 
     def __mul__(self, other: "TowerWord") -> "TowerWord":
-        if self.tower is not other.tower and self.tower != other.tower:
-            if other.tower.extends(self.tower):
-                return self.lift_to(other.tower) * other
-            if self.tower.extends(other.tower):
-                return self * other.lift_to(self.tower)
-            raise HnnError("cannot multiply words from unrelated towers")
-        a, b = self.items, other.items
-        return TowerWord(self.tower, a[:-1] + (a[-1] * b[0],) + b[1:])
+        return TowerWord(_common_tower((self, other)), _join((self.items, other.items)))
 
     def inverse(self) -> "TowerWord":
         return TowerWord(self.tower, _inverse_items(self.items))
@@ -377,10 +392,10 @@ class TowerWord:
         assocs = self.tower._assocs
         parts: list[str] = []
         for it in self.items:
-            if type(it) is tuple:
+            if _is_letter(it):
                 name = assocs[it[0]].stable
                 parts.append(name if it[1] > 0 else name + "^-1")
-            elif it.letters:
+            elif not it.is_identity:
                 parts.append(str(it))
         return " ".join(parts) if parts else "1"
 
@@ -399,10 +414,11 @@ def _pinch(assoc: CyclicAssociation, eps: int, chunk: Word) -> Word | None:
 
 def _britton_items(tower: Tower, items: tuple[Item, ...]) -> tuple[Item, ...]:
     """Reduce normal items (chunk, letter, ..., chunk); the result is normal too."""
-    n = len(items)
-    if n <= 3:  # one stable letter at most: nothing to pinch
+    if len(items) == 1:
         return items
-    if n == 5:  # two stable letters: one pinch at most, between them
+    if len(items) == 5:
+        # two stable letters, the shape of a one-letter witness check: one
+        # pinch at most, between them
         (i, e), (j, f) = items[1], items[3]
         if i == j and e == -f and (d := _pinch(tower._assocs[i], e, items[2])) is not None:
             return (items[0] * d * items[4],)
@@ -419,7 +435,7 @@ def _britton_items(tower: Tower, items: tuple[Item, ...]) -> tuple[Item, ...]:
     tops: list[tuple[int, int]] = []
     seg = items[: cuts[0]]
     for k, end in zip(cuts, cuts[1:] + [len(items)]):
-        red = seg if len(seg) == 1 else _britton_items(tower, seg)
+        red = _britton_items(tower, seg)
         nxt = items[k + 1 : end]
         if tops and tops[-1][1] == -items[k][1] and len(red) == 1:
             d = _pinch(assoc, tops[-1][1], red[0])
@@ -435,7 +451,7 @@ def _britton_items(tower: Tower, items: tuple[Item, ...]) -> tuple[Item, ...]:
     for s, t in zip(segs, tops):
         out.extend(s)
         out.append(t)
-    out.extend(seg if len(seg) == 1 else _britton_items(tower, seg))
+    out.extend(_britton_items(tower, seg))
     return tuple(out)
 
 
@@ -565,17 +581,9 @@ def verify_conjugator(g: TowerWord, w: TowerWord, target: TowerWord) -> bool:
     The items of g w g^-1 target^-1 are joined in one pass, where only the
     chunks that meet at a junction merge, and reduced as they stand.
     """
-    tower = g.tower
-    if not (w.tower is tower and target.tower is tower):
-        tower = max((g.tower, w.tower, target.tower), key=lambda t: t.height)
-        if not all(tower.extends(x.tower) for x in (g, w, target)):
-            raise HnnError("cannot multiply words from unrelated towers")
-    items = list(g.items)
-    for part in (w.items, _inverse_items(g.items), _inverse_items(target.items)):
-        items[-1] = items[-1] * part[0]
-        items.extend(part[1:])
-    r = britton_reduce(TowerWord(tower, tuple(items))).items
-    return len(r) == 1 and not r[0].letters
+    tower = _common_tower((g, w, target))
+    items = _join((g.items, w.items, _inverse_items(g.items), _inverse_items(target.items)))
+    return is_trivial(TowerWord(tower, items)).is_yes
 
 
 def klein_bottle_tower() -> Tower:

@@ -80,7 +80,7 @@ class StageRecord:
     image: str | None = None  # coset mode only
 
     def fields(self) -> list[tuple[str, str | int]]:
-        """The record's JSON fields, in key order."""
+        """The record's JSON fields as (key, value) pairs."""
         out: list[tuple[str, str | int]] = [("action", self.action)]
         if self.case:
             out.append(("case", self.case))
@@ -814,12 +814,19 @@ def bounded_simple_witness(build: TowerBuild, x: Word, y: Word) -> SimplicityWit
     return w
 
 
+def _json_scalar(v) -> str:
+    """``json.dumps(v)`` for a stage field, with the C encoder for strings."""
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    return int.__repr__(v) if type(v) is int else json.dumps(v)
+
+
 def certificate_to_json_str(build: TowerBuild) -> str:
     """``json.dumps(build.to_json(), indent=2, sort_keys=True)``, byte for byte.
 
     With ``indent`` the ``json`` module encodes in pure Python, so the
     stages, nearly all of the text, are written here instead: each record's
-    fields, in key order, with strings encoded by the C encoder that
+    fields, sorted by key, with strings encoded by the C encoder that
     ``json.dumps`` uses, joined at the places and indents it would use.
     The few other fields go through ``json.dumps`` itself.
     """
@@ -828,10 +835,7 @@ def certificate_to_json_str(build: TowerBuild) -> str:
         [
             "    {\n"
             + ",\n".join(
-                [
-                    f"      {enc(k)}: {enc(v) if type(v) is str else int.__repr__(v)}"
-                    for k, v in r.fields()
-                ]
+                [f"      {enc(k)}: {_json_scalar(v)}" for k, v in sorted(r.fields())]
             )
             + "\n    }"
             for r in build.records

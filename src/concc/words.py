@@ -26,7 +26,6 @@ every integer in a text format is spelled as ``read_int`` reads it.
 from __future__ import annotations
 
 import itertools
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -258,7 +257,7 @@ class Word:
     def inverse(self) -> "Word":
         if not self.letters:
             return self
-        return Word(self.alphabet, tuple(map(operator.neg, reversed(self.letters))))
+        return Word(self.alphabet, tuple(-l for l in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
         if n == 1:
@@ -312,23 +311,6 @@ def _least_rotation(codes: Sequence[int]) -> int:
     return k
 
 
-def _least_rotation_of(codes: tuple[int, ...]) -> int:
-    """Index of the least rotation of ``codes``, a nonempty tuple.
-
-    Only a rotation that starts at the least code can win; when few do,
-    comparing those rotations as slices is cheaper than Booth's loop.
-    """
-    lo = min(codes)
-    starts = [k for k, c in enumerate(codes) if c == lo]
-    n = len(codes)
-    if len(starts) == 1:
-        return starts[0]
-    if len(starts) * n > 4096:
-        return _least_rotation(codes)
-    s = codes + codes
-    return min(starts, key=lambda k: s[k : k + n])
-
-
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split w = conjugator * core * conjugator^-1 with core cyclically reduced.
 
@@ -365,7 +347,7 @@ class CyclicWord:
             raise WordError(f"{word} is not cyclically reduced")
         ls = word.letters
         if ls:
-            k = _least_rotation_of(tuple(map(word.alphabet._codes.__getitem__, ls)))
+            k = _least_rotation(tuple(map(word.alphabet._codes.__getitem__, ls)))
             ls = ls[k:] + ls[:k]
         self.alphabet = word.alphabet
         self.letters = ls
@@ -373,9 +355,8 @@ class CyclicWord:
 
     @classmethod
     def of(cls, w: Word) -> "CyclicWord":
-        ls = w.letters
-        i = _peel(ls)
-        return cls(Word(w.alphabet, ls[i : len(ls) - i]) if i else w)
+        core, _ = cyclic_reduce(w)
+        return cls(core)
 
     @classmethod
     def from_least_rotation(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "CyclicWord":
@@ -429,27 +410,19 @@ def conjugacy_witness(u: Word, v: Word) -> Word | None:
     """A word g with g u g^-1 = v, or None if u, v are not conjugate."""
     if u.alphabet != v.alphabet:
         raise WordError("words over different alphabets")
-    a, b = u.letters, v.letters
-    i, j = _peel(a), _peel(b)
-    ls, target = a[i : len(a) - i], b[j : len(b) - j]
-    n = len(ls)
-    if n != len(target):
+    cu, p = cyclic_reduce(u)
+    cv, q = cyclic_reduce(v)
+    if len(cu) != len(cv):
         return None
-    if n == 0:
+    if len(cu) == 0:
         return u.alphabet.identity()
-    # the least r with ls[r:] + ls[:r] == target; only an r where ls holds
-    # target's first letter can work
-    r = -1
-    while True:
-        try:
-            r = ls.index(target[0], r + 1)
-        except ValueError:
-            return None
-        if ls[r:] == target[: n - r] and ls[:r] == target[n - r :]:
-            break
-    # rotation by r equals conjugation by the inverse of the prefix
-    A = u.alphabet
-    return Word(A, b[:j]) * Word(A, ls[:r]).inverse() * Word(A, a[:i]).inverse()
+    ls, target = cu.letters, cv.letters
+    for r in range(len(ls)):
+        if ls[r:] + ls[:r] == target:
+            # rotation by r equals conjugation by the inverse of the prefix
+            s = Word(u.alphabet, ls[:r])
+            return q * s.inverse() * p.inverse()
+    return None
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
@@ -463,18 +436,14 @@ def primitive_root(w: Word) -> tuple[Word, int]:
         raise WordError("identity has no primitive root")
     core, p = cyclic_reduce(w)
     ls = core.letters
-    d = _period(ls)
-    root = Word(w.alphabet, p.letters + ls[:d] + p.inverse().letters)
-    return root, len(ls) // d
-
-
-def _period(ls: tuple[int, ...]) -> int:
-    """Least d with ``ls == ls[:d] * (len(ls) // d)``."""
     n = len(ls)
-    for d in range(1, n):
-        if not n % d and ls == ls[:d] * (n // d):
-            return d
-    return n
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        if ls == ls[:d] * (n // d):
+            root = Word(w.alphabet, p.letters + ls[:d] + p.inverse().letters)
+            return root, n // d
+    raise AssertionError("unreachable: every word is a power of itself")
 
 
 def commensurability_key(w: Word) -> tuple[int, ...]:
@@ -483,18 +452,12 @@ def commensurability_key(w: Word) -> tuple[int, ...]:
     Built from the canonical cyclic form of the primitive root, symmetrised
     under inversion, so w, w^-1, conjugates and proper powers all collide.
     """
-    if w.is_identity:
-        raise WordError("identity has no primitive root")
-    ls = w.letters
-    i = _peel(ls)
-    ls = ls[i : len(ls) - i]
-    a = ls[: _period(ls)]  # the primitive root's cyclic core
-    b = tuple(-l for l in reversed(a))
-    # letter_code of -l is letter_code of l with its last bit flipped
-    ca = tuple(map(w.alphabet._codes.__getitem__, a))
-    cb = tuple(c ^ 1 for c in reversed(ca))
-    i, j = _least_rotation_of(ca), _least_rotation_of(cb)
-    return a[i:] + a[:i] if ca[i:] + ca[:i] <= cb[j:] + cb[:j] else b[j:] + b[:j]
+    root, _ = primitive_root(w)
+    c = CyclicWord.of(root)
+    ci = c.inverse()
+    a, b = c.letters, ci.letters
+    pick = a if [letter_code(l) for l in a] <= [letter_code(l) for l in b] else b
+    return pick
 
 
 @dataclass(frozen=True)

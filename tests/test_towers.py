@@ -706,3 +706,17 @@ class TestCertificateWriter:
         assert text == json.dumps(build.to_json(), indent=2, sort_keys=True)
         if build.config.base.alphabet.names[0] == "α":
             assert "\\u03b1" in text and text.isascii()
+
+    def test_writer_sorts_fields_and_encodes_any_scalar(self, monkeypatch):
+        # the writer must not lean on the order fields() lists, nor on every
+        # value being a str or an int
+        fields = towers.StageRecord.fields
+        monkeypatch.setattr(
+            towers.StageRecord,
+            "fields",
+            lambda r: [(k, float(v) if k == "stage" else v) for k, v in reversed(fields(r))],
+        )
+        build = build_tower(klein_coset_config(30))
+        text = certificate_to_json_str(build)
+        assert text == json.dumps(build.to_json(), indent=2, sort_keys=True)
+        assert '"stage": 1.0' in text
