@@ -121,7 +121,7 @@ class Alphabet:
     sequences match exactly.
     """
 
-    __slots__ = ("names", "_index", "_text", "_codes")
+    __slots__ = ("names", "_index", "_text")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -135,12 +135,9 @@ class Alphabet:
             raise WordError(f"duplicate generator names in {names}")
         self.names = names
         self._index = {n: i + 1 for i, n in enumerate(names)}
-        # letter -> its printed token, and letter -> letter_code
-        self._text: dict[int, str] = {}
-        self._codes: dict[int, int] = {}
+        self._text: dict[int, str] = {}  # letter -> its printed token
         for i, n in enumerate(names, start=1):
             self._text[i], self._text[-i] = n, n + "^-1"
-            self._codes[i], self._codes[-i] = letter_code(i), letter_code(-i)
 
     @property
     def size(self) -> int:
@@ -347,7 +344,7 @@ class CyclicWord:
             raise WordError(f"{word} is not cyclically reduced")
         ls = word.letters
         if ls:
-            k = _least_rotation(tuple(map(word.alphabet._codes.__getitem__, ls)))
+            k = _least_rotation([letter_code(l) for l in ls])
             ls = ls[k:] + ls[:k]
         self.alphabet = word.alphabet
         self.letters = ls
