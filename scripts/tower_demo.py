@@ -10,7 +10,6 @@ certificates as JSON, and re-verifies both from the serialized form alone.
 
 import argparse
 import collections
-import json
 import pathlib
 
 from concc import towers
@@ -53,7 +52,7 @@ def main() -> int:
 
     bad = 0
     for path in (ncc_path, coset_path):
-        rep = towers.reverify_certificate(json.loads(path.read_text()))
+        rep = towers.reverify_certificate(towers.load_certificate(path.read_text()))
         status = "ok" if rep.ok else "FAIL: " + "; ".join(rep.failures)
         print(f"replay {path.name}: {len(rep.checks)} checks, {status}")
         bad += not rep.ok

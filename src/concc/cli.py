@@ -214,7 +214,7 @@ def _cmd_tower_build(argv, args) -> int:
     text = towers.certificate_to_json_str(build)
     with open(out_path, "w") as fh:
         fh.write(text + "\n")
-    replay = towers.reverify_certificate(json.loads(text))
+    replay = towers.reverify_certificate(towers.load_certificate(text))
     checks.append(
         _check(
             "self-reverify",
@@ -238,10 +238,10 @@ def _cmd_tower_verify(argv, args) -> int:
     t0 = time.perf_counter()
     try:
         with open(args.certificate) as fh:
-            doc = json.load(fh)
+            doc = towers.load_certificate(fh.read())
     except (OSError, ValueError, RecursionError) as e:
-        # ValueError covers bad JSON, bad UTF-8 and over-long integer literals;
-        # RecursionError covers nesting deeper than the decoder allows
+        # ValueError covers bad JSON, bad UTF-8, over-long integer literals and
+        # repeated keys; RecursionError covers nesting deeper than the decoder allows
         checks = [_check("certificate-readable", False, str(e))]
         return _run(argv, args.out, checks, {"certificate_file": args.certificate}, started=t0)
     rep = towers.reverify_certificate(doc)

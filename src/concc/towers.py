@@ -26,17 +26,19 @@ enumeration, every key, image and merge, and every claimed conjugator from
 scratch, and the replay report stops at its first failing check.
 
 A certificate has one spelling, the text ``certificate_to_json_str``
-writes, and replay accepts no other.  Every word in it is printed form:
-``str`` of a word, tokens ``name`` or ``name^-1`` joined by single spaces
-and freely reduced, or ``1`` alone.  So replay compares elements, targets,
-representatives, seeds and base facts with the words it expects as text,
-and parses a text only to say why it differs; witnesses are read by
-``Tower.read_printed``, which turns printed tokens straight into a tower
-word and expands no exponent.
+writes, and replay accepts no other: the writer defines the format.  Every
+field but the stages must be, as canonical JSON text, what ``_header``
+writes for the configuration replay has read; each stage record carries
+exactly the keys ``StageRecord.fields`` gives its kind; ``load_certificate``
+refuses a repeated key.  Every word is printed form: tokens ``name`` or
+``name^-1`` joined by single spaces and freely reduced, or ``1`` alone.
+So replay compares words as text, parsing one only to say why it differs,
+and reads witnesses with ``Tower.read_printed``, which expands no exponent.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -163,8 +165,8 @@ class TowerConfig:
             for (ci, u), (cj, v) in itertools.combinations(self._tagged(), 2):
                 if ci != cj and W.commensurable(u, v).related:
                     raise TowerBuildError(
-                        f"class {ci} word {u} and class {cj} word {v} are commensurable; "
-                        "their classes could not stay distinct"
+                        f"class {ci} word {W.clip(u)} and class {cj} word "
+                        f"{W.clip(v)} are commensurable; their classes could not stay distinct"
                     )
             return
         if self.quotient is None:
@@ -212,7 +214,7 @@ class _ClassLedger:
     def _claim(self, root, w: Word, ci: int) -> None:
         old = self.labels.setdefault(root, ci)
         if old != ci:
-            raise TowerBuildError(f"{w} already belongs to class {old}, not {ci}")
+            raise TowerBuildError(f"{W.clip(w)} already belongs to class {old}, not {ci}")
 
     def attach(self, g: Word) -> tuple[str, int]:
         """Attach g; its case and class: the class g's key already carries
@@ -264,9 +266,8 @@ class _StageRule:
         for i, z in enumerate(reps, start=1):
             img = str(spec.image(z))
             if img in out:
-                raise TowerBuildError(
-                    f"representatives {reps[out[img] - 1]} and {z} share the image {img}"
-                )
+                a, b = W.clip(reps[out[img] - 1]), W.clip(z)
+                raise TowerBuildError(f"representatives {a} and {b} share the image {W.clip(img)}")
             out[img] = i
         return out
 
@@ -329,8 +330,6 @@ class TowerBuild:
         # conjugacy-class key -> (class index, stored element, witness onto rep)
         self.witnesses: dict[tuple, tuple[int, Word, TowerWord]] = {}
 
-    # -- conjugator witnesses ---------------------------------------------
-
     def _remember_witness(self, g: Word, ci: int, witness: TowerWord) -> None:
         self.witnesses.setdefault(_conjugacy_class_key(g), (ci, g, witness))
 
@@ -355,38 +354,36 @@ class TowerBuild:
             raise TowerBuildError(f"stored conjugator for {g} failed verification")
         return ConjugatorAnswer("yes", class_index=ci, target=target, witness=full)
 
-    # -- serialization -----------------------------------------------------
-
     def to_json(self) -> dict:
-        doc = self._header()
+        doc = _header(self.config, len(self.records))
         doc["stages"] = [r.to_json() for r in self.records]
         return doc
 
-    def _header(self) -> dict:
-        """The certificate without its stages."""
-        cfg = self.config
-        doc: dict = {
-            "version": 1,
-            "kind": "tower-certificate",
-            "mode": cfg.mode,
-            "base": list(cfg.base.alphabet.names),
-            "representatives": [str(r) for r in cfg.representatives],
-            "stage_count": len(self.records),
+
+def _header(cfg: TowerConfig, stage_count: int) -> dict:
+    """The certificate of a build of ``cfg`` without its stages."""
+    doc: dict = {
+        "version": 1,
+        "kind": "tower-certificate",
+        "mode": cfg.mode,
+        "base": list(cfg.base.alphabet.names),
+        "representatives": [str(r) for r in cfg.representatives],
+        "stage_count": stage_count,
+    }
+    if cfg.mode == "ncc":
+        doc["classes"] = cfg.classes
+        doc["seeds"] = {
+            str(ci): [str(s) for s in seeds] for ci, seeds in sorted(cfg.class_seeds.items())
         }
-        if cfg.mode == "ncc":
-            doc["classes"] = cfg.classes
-            doc["seeds"] = {
-                str(ci): [str(s) for s in seeds] for ci, seeds in sorted(cfg.class_seeds.items())
-            }
-            doc["base_facts"] = [
-                {"left": str(u), "right": str(v), "classes": [ci, cj], "related": False}
-                for (ci, u), (cj, v) in itertools.combinations(cfg._tagged(), 2)
-                if ci != cj
-            ]
-        else:
-            assert cfg.quotient is not None
-            doc["quotient"] = cfg.quotient.to_json()
-        return doc
+        doc["base_facts"] = [
+            {"left": str(u), "right": str(v), "classes": [ci, cj], "related": False}
+            for (ci, u), (cj, v) in itertools.combinations(cfg._tagged(), 2)
+            if ci != cj
+        ]
+    else:
+        assert cfg.quotient is not None
+        doc["quotient"] = cfg.quotient.to_json()
+    return doc
 
 
 def build_tower(config: TowerConfig) -> TowerBuild:
@@ -422,14 +419,8 @@ def build_tower(config: TowerConfig) -> TowerBuild:
             continue
         b.records.append(
             StageRecord(
-                idx,
-                g,
-                "skip",
-                ans.class_index,
-                reason=reason,
-                target=ans.target,
-                witness=ans.witness,
-                image=img,
+                idx, g, "skip", ans.class_index, reason=reason, target=ans.target,
+                witness=ans.witness, image=img,
             )
         )
     return b
@@ -455,6 +446,21 @@ class _Failed(Exception):
     """``_Failed(check, detail)``: replay stops at this failing check."""
 
 
+def load_certificate(text: str):
+    """A certificate's JSON document.  A key repeated in one object raises
+    ``ValueError`` naming it: ``json`` would hide its first value from replay."""
+    return json.loads(text, object_pairs_hook=_object_once)
+
+
+def _object_once(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"repeated key {W.clip(repr(key))} in a JSON object")
+    return obj
+
+
 def _field(rec: dict, key: str, where: str):
     # the document comes from json.load, which makes every JSON object a dict
     if not isinstance(rec, dict):
@@ -471,38 +477,26 @@ def _text(rec: dict, key: str, where: str) -> str:
     return value
 
 
-def _read_unexpected(base: W.Alphabet, rec: dict, key: str, where: str) -> Word:
-    """The word a field spells where its text is not the printed word replay
-    expects; a text that does not read fails ``well-formed``."""
-    try:
-        return base.parse_word(_text(rec, key, where))
-    except WordError as e:
-        raise _Failed("well-formed", f"{where}: {e}") from None
-
-
 def reverify_certificate(doc) -> ReverifyReport:
     """Replay a tower certificate without trusting the builder that wrote it.
 
-    Replay reads only the document and stops at its first failing check,
-    which ends the report and names its stage where there is one.  First
-    ``structure``: stage count and numbering, and stage i is an attach or a
-    skip whose element is the printed i-th word of ``W.shortlex_words(base)``,
-    the stream the builder enumerates.  One reader turns the document into
-    a ``TowerConfig`` for either mode, checked by the builder's own
-    validation (``representatives``); representatives and seeds must be
-    printed words, and seed keys the printed class numbers.  Then the mode's
-    pre-check, ``base-facts`` recomputed in ncc mode, ``quotient`` in coset
-    mode, and one stage loop that holds each record against the builder's
-    stage rule, ``_StageRule``: its kind, case, class, image and target,
-    which must be its representative's printed text.  Each attach extends
-    the tower; each recorded conjugator, read by ``Tower.read_printed``, is
-    verified by Britton reduction in the tower extended up to its stage.
-    The loop reports as ``replay`` in ncc mode, followed by
-    ``independence``, and as ``images`` and ``stage-relations`` in coset
-    mode.  A document that is not a JSON object, lacks a field the replay
-    reads or names an undeclared generator in a word it compares fails
-    ``well-formed``; a text that reads as the expected word but is spelt
-    otherwise fails the check of its field.
+    Replay reads only the document, holds it to the writer's format and
+    stops at its first failing check, which ends the report and names its
+    stage where there is one.  ``structure``: stage count and numbering
+    (JSON integers), each element the printed i-th word of
+    ``W.shortlex_words(base)``, and, once the document's configuration has
+    passed the builder's validation (``representatives``), every other field
+    as ``_header`` writes it, compared as canonical JSON text.  A field of
+    the wrong JSON type fails ``well-formed``; seeds, ``base_facts`` and
+    ``quotient`` fail ``representatives``, ``base-facts`` and ``quotient``,
+    and the other fields ``structure``.
+    One stage loop holds each record to ``_StageRule``: its kind, exactly
+    the keys ``StageRecord.fields`` writes for it, its case, class, image,
+    target and stable letter ``t{height}``, and each conjugator, read by
+    ``Tower.read_printed``, by Britton reduction.  It reports ``replay`` and
+    ``independence`` (ncc), or ``images`` and ``stage-relations`` (coset).
+    What replay cannot read fails ``well-formed``.  Failures quote at most
+    about 60 characters of a document value.
     """
     rep = ReverifyReport(ok=True)
     try:
@@ -510,6 +504,8 @@ def reverify_certificate(doc) -> ReverifyReport:
     except _Failed as e:
         check, detail = e.args
         rep.add(check, False, detail)
+    except RecursionError:  # quoting or comparing a value nested near the limit
+        rep.add("well-formed", False, "certificate: a value nests too deeply")
     return rep
 
 
@@ -522,64 +518,72 @@ def _read_config(doc, base: W.Alphabet) -> TowerConfig:
     free = FinitePresentation(base, ())
     coset = doc["mode"] == "coset"
     seeds: dict[int, tuple[Word, ...]] = {}
-    texts: list[tuple[str, object]] = []  # (what, text) of every word read
     try:
         spec = quotient_spec_from_json(free, doc["quotient"]) if coset else None
-        texts += (("representative", r) for r in doc["representatives"])
-        reps = tuple(base.parse_word(r) for _, r in texts)
-        if not coset:
-            # a class key has one spelling, so no class can have two entries
-            keys = {str(ci): ci for ci in range(1, len(reps) + 1)}
-            for key, ws in doc.get("seeds", {}).items():
-                if key not in keys:
-                    raise _Failed(
-                        "representatives", f"seed key {key!r} is not a class 1..{len(reps)}"
-                    )
-                ws = list(ws)
-                seeds[keys[key]] = tuple(base.parse_word(w) for w in ws)
-                texts += ((f"seed of class {key}", w) for w in ws)
+        reps = tuple(base.parse_word(r) for r in doc["representatives"])
+        # a class key has one spelling, so no class can have two entries
+        keys = {str(ci): ci for ci in range(1, len(reps) + 1)}
+        for key, ws in {} if coset else doc.get("seeds", {}).items():
+            if key not in keys:
+                why = f"seed key {W.clip(repr(key))} is not a class 1..{len(reps)}"
+                raise _Failed("representatives", why)
+            seeds[keys[key]] = tuple(base.parse_word(w) for w in ws)
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise _Failed("quotient" if coset else "representatives", str(e)) from None
-    for (what, text), w in zip(texts, itertools.chain(reps, *seeds.values())):
-        if text != str(w):
-            raise _Failed("representatives", f"{what} {text!r} is not the printed form of {w}")
-    return TowerConfig(
-        base=free,
-        classes=len(reps) if coset else len(reps) + 1,
-        representatives=reps,
-        mode=doc["mode"],
-        class_seeds=seeds,
-        quotient=spec,
+    classes = len(reps) if coset else len(reps) + 1
+    return TowerConfig(free, classes, reps, mode=doc["mode"], class_seeds=seeds, quotient=spec)
+
+
+_ABSENT = object()  # the value on the side that lacks a field or entry
+_FIELD_CHECK = {"representatives": "representatives", "seeds": "representatives"}
+_FIELD_CHECK.update(base_facts="base-facts", quotient="quotient")  # the rest: structure
+_JSON_TYPE = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
+
+
+def _canonical(value) -> str:
+    """JSON text that tells 0 from false and 1 from 1.0; "" (no JSON) for none."""
+    return "" if value is _ABSENT else json.dumps(value, sort_keys=True)
+
+
+def _difference(where: str, got, want) -> str:
+    """Where a document value first differs from the writer's, briefly."""
+    if type(got) is type(want) and isinstance(want, (list, dict)):
+        got, want = (dict(enumerate(v)) if isinstance(v, list) else v for v in (got, want))
+        for k in sorted(got.keys() | want.keys()):
+            a, b = got.get(k, _ABSENT), want.get(k, _ABSENT)
+            if _canonical(a) != _canonical(b):
+                if isinstance(a, dict) and where == "base_facts":  # name the fact
+                    where = f"base fact on {W.clip(a.get('left'))} and {W.clip(a.get('right'))}, {where}"
+                return _difference(f"{where}[{W.clip(json.dumps(k))}]", a, b)
+    if _ABSENT in (got, want):
+        return f"{where} is missing" if got is _ABSENT else f"unexpected {where}"
+    return f"{where} is {W.clip(_canonical(got))}, not {W.clip(_canonical(want))}"
+
+
+def _check_header(doc: dict, config: TowerConfig, stage_count: int) -> None:
+    """Every field but ``stages`` as the writer writes it for ``config``."""
+    want = _header(config, stage_count)
+    for key in [*want, *sorted(doc.keys() - want.keys() - {"stages"})]:  # writer's order
+        got, w = doc.get(key, _ABSENT), want.get(key, _ABSENT)
+        if _canonical(got) == _canonical(w):
+            continue
+        if _ABSENT not in (got, w) and type(got) is not type(w):
+            raise _Failed("well-formed", f"certificate: {key!r} is not {_JSON_TYPE[type(w)]}")
+        detail = f"certificate: {_difference(W.clip(key), got, w)}"
+        raise _Failed(_FIELD_CHECK.get(key, "structure"), detail)
+
+
+@functools.cache
+def _record_keys(kind: str, coset: bool) -> frozenset:
+    """The keys ``StageRecord.fields`` writes for a record of this kind."""
+    attach, found = kind == "attach", kind != _NO_REPRESENTATIVE
+    some = "" if found else None  # class, target and witness come with a representative
+    record = StageRecord(
+        0, "", "attach" if attach else "skip", class_index=some, target=some,
+        case="fresh" if attach and not coset else "", reason="" if attach else kind,
+        stable="" if attach else None, witness=None if attach else some, image="" if coset else None,
     )
-
-
-def _check_base_facts(doc, config: TowerConfig) -> None:
-    facts = doc.get("base_facts", [])
-    if not isinstance(facts, list):
-        raise _Failed("well-formed", "certificate: 'base_facts' is not a list")
-    base = config.base.alphabet
-    known = {str(w): w for _, w in config._tagged()}
-
-    def side(f, key: str) -> Word:
-        text = _text(f, key, "base fact")
-        w = known.get(text)
-        if w is None:
-            w = _read_unexpected(base, f, key, "base fact")
-        if text != str(w):
-            raise _Failed("base-facts", f"base fact side {text!r} is not the printed form of {w}")
-        return w
-
-    for f in facts:
-        u, v = side(f, "left"), side(f, "right")
-        try:
-            related = W.commensurable(u, v).related
-        except WordError as e:
-            raise _Failed("base-facts", f"base fact on {u} and {v}: {e}") from None
-        if related != _field(f, "related", "base fact"):
-            raise _Failed(
-                "base-facts",
-                f"recomputed commensurability of {u} and {v} contradicts the certificate",
-            )
+    return frozenset(k for k, _ in record.fields())
 
 
 def _reverify(doc, rep: ReverifyReport) -> None:
@@ -591,44 +595,41 @@ def _reverify(doc, rep: ReverifyReport) -> None:
     if not isinstance(stages, list) or not all(isinstance(s, dict) for s in stages):
         raise _Failed("well-formed", "certificate: 'stages' is not a list of objects")
     if doc.get("stage_count") != len(stages):
-        raise _Failed(
-            "structure",
-            f"certificate truncated or padded: declares {doc.get('stage_count')} stages, "
-            f"carries {len(stages)}",
-        )
+        declared = W.clip(doc.get("stage_count"))
+        why = f"certificate truncated or padded: declares {declared} stages, carries {len(stages)}"
+        raise _Failed("structure", why)
     if doc.get("mode") not in ("ncc", "coset"):
-        raise _Failed("structure", f"unknown mode {doc.get('mode')!r}")
+        raise _Failed("structure", f"unknown mode {W.clip(repr(doc.get('mode')))}")
     elements = []
     for i, (s, want) in enumerate(zip(stages, W.shortlex_words(base)), start=1):
-        if s.get("stage") != i:
-            raise _Failed("structure", f"stage numbering is not contiguous at stage {i}")
+        at = f"stage {i}"
+        if type(s.get("stage")) is not int or s["stage"] != i:
+            raise _Failed("structure", f"{at}: 'stage' is not the integer {i}")
         if s.get("element") != str(want):
-            at = f"stage {i}"
-            g = _read_unexpected(base, s, "element", at)
+            try:  # read only to say why the text differs
+                g = base.parse_word(_text(s, "element", at))
+            except WordError as e:
+                raise _Failed("well-formed", f"{at}: {e}") from None
             raise _Failed(
                 "structure",
-                f"{at}: element {g} is not shortlex word {i}, {want}"
+                f"{at}: element {W.clip(s['element'])} is not shortlex word {i}, {want}"
                 if g != want
-                else f"{at}: element {s['element']!r} is not the printed form of {want}",
+                else f"{at}: element {W.clip(repr(s['element']))} is not the printed form of {want}",
             )
         if s.get("action") not in ("attach", "skip"):
-            at = f"stage {i}"
             action = _field(s, "action", at)  # a missing action fails well-formed
-            raise _Failed("structure", f"{at}: unknown action {action!r}")
+            raise _Failed("structure", f"{at}: unknown action {W.clip(repr(action))}")
         elements.append(want)
-    rep.add("structure", True)
 
     config = _read_config(doc, base)
-    coset = config.mode == "coset"
-    if coset:
-        rep.add("quotient", True, config.quotient.describe())
     try:
         config.validate()
     except TowerBuildError as e:
         raise _Failed("representatives", str(e)) from None
-    if not coset:
-        _check_base_facts(doc, config)
-        rep.add("base-facts", True)
+    _check_header(doc, config, len(stages))
+    rep.add("structure", True)
+    coset = config.mode == "coset"
+    rep.add(*(("quotient", True, config.quotient.describe()) if coset else ("base-facts", True)))
 
     rule, reps = _StageRule(config), config.representatives
     rep_texts = [str(r) for r in reps]
@@ -637,47 +638,45 @@ def _reverify(doc, rep: ReverifyReport) -> None:
     for i, (s, g) in enumerate(zip(stages, elements), start=1):
         at = f"stage {i}"
         img, ci, kinds = rule.choice(g)
-        if coset:  # the image fixes the class
-            if s.get("image") is not None and s["image"] != img:
-                raise _Failed(check, f"{at}: recorded image {s['image']}, recomputed {img}")
-            got = s.get("class")
-            if type(got) is not type(ci) or got != ci:
-                raise _Failed(check, f"{at}: recorded class {got}, image {img} has class {ci}")
-        else:  # the record names it
-            ci = _field(s, "class", at)
         kind = s["action"] if s["action"] == "attach" else s.get("reason")
         if kind not in kinds or kind == "attach" != s["action"]:
             if not coset:
-                why = f"skip reason {kind!r} is not a conjugator"
+                why = f"skip reason {W.clip(repr(kind))} is not a conjugator"
             elif kind in kinds:  # only an attach record may extend the tower
                 why = "a skip cannot give reason 'attach'"
             else:
-                why = f"image {img} allows {' or '.join(kinds)}, not {kind}"
+                why = f"image {img} allows {' or '.join(kinds)}, not {W.clip(kind)}"
             raise _Failed(check, f"{at}: {why}")
-        if kind == "attach":
-            case, want = rule.attach(g, ci)
-            if not coset and (s.get("case"), ci) != (case, want):
-                raise _Failed(
-                    check,
-                    f"{at}: element {g} is {case} in class {want}, "
-                    f"certificate says {s.get('case')} in class {ci}",
-                )
+        keys = _record_keys(kind, coset)
+        if s.keys() != keys:
+            missing, extra = sorted(keys - s.keys()), sorted(s.keys() - keys)
+            why = f"missing {missing[0]!r}" if missing else f"unexpected key {W.clip(repr(extra[0]))}"
+            raise _Failed("well-formed", f"{at}: {why}")
+        if coset and s["image"] != img:  # the image fixes the class
+            raise _Failed(check, f"{at}: recorded image {W.clip(s['image'])}, recomputed {img}")
+        if coset and ci is not None and (type(s["class"]) is not int or s["class"] != ci):
+            why = f"recorded class {W.clip(s['class'])}, image {img} has class {ci}"
+            raise _Failed(check, f"{at}: {why}")
         if kind == _NO_REPRESENTATIVE:
             continue
-        if type(ci) is int and 1 <= ci <= len(reps) and s.get("target") == rep_texts[ci - 1]:
-            target = reps[ci - 1]
-        else:
-            target = _read_unexpected(base, s, "target", at)
-            if type(ci) is int and 1 <= ci <= len(reps) and target == reps[ci - 1]:
-                why = f"target {s['target']!r} is not the printed form of {target}"
-            elif coset:
-                why = f"target {target} is not {reps[ci - 1]}, the representative"
-            else:
-                why = f"target {target} is not the representative of class {ci}"
-            raise _Failed(check, f"{at}: {why}")
+        ci = s["class"]
+        if kind == "attach":
+            case, want = rule.attach(g, ci)
+            if not coset and (s["case"], ci) != (case, want):
+                says = f"certificate says {W.clip(s['case'])} in class {W.clip(ci)}"
+                raise _Failed(check, f"{at}: element {g} is {case} in class {want}, {says}")
+        if not (type(ci) is int and 1 <= ci <= len(reps) and s["target"] == rep_texts[ci - 1]):
+            why = f"the representative of class {W.clip(ci)}"
+            if coset:
+                why = f"{W.clip(rep_texts[ci - 1])}, the representative"
+            raise _Failed(check, f"{at}: target {W.clip(s['target'])} is not {why}")
+        target = reps[ci - 1]
         try:
             if kind == "attach":
                 tower = tower.extend(CyclicAssociation(_text(s, "stable", at), g, target))
+                if s["stable"] != f"t{tower.height}":
+                    why = f"stable letter {W.clip(repr(s['stable']))} is not t{tower.height}"
+                    raise _Failed(check, f"{at}: {why}, the next letter")
                 continue
             good = hnn.verify_conjugator(
                 tower.read_printed(_text(s, "witness", at)), tower.embed(g), tower.embed(target)
@@ -685,7 +684,8 @@ def _reverify(doc, rep: ReverifyReport) -> None:
         except HnnError as e:
             raise _Failed("well-formed" if kind == "attach" else relations, f"{at}: {e}") from None
         if not good:
-            raise _Failed(relations, f"{at}: recorded conjugator does not take {g} to {target}")
+            why = f"recorded conjugator does not take {g} to {W.clip(target)}"
+            raise _Failed(relations, f"{at}: {why}")
     if coset:
         # the representatives were validated before the stage loop; reported last
         for name in ("images", "stage-relations", "representatives"):
@@ -841,7 +841,7 @@ def certificate_to_json_str(build: TowerBuild) -> str:
             for r in build.records
         ]
     )
-    doc = build._header()
+    doc = _header(build.config, len(build.records))
     doc["stages"] = []
     parts = []
     for key in sorted(doc):

@@ -232,8 +232,9 @@ class TestTowerCommands:
             (b"[" * 200_000, "recursion"),
             (b"\xff\xfe{}", "decode"),
             (b"9" * 5000, "digits"),
+            (b'{"stages": [{"witness": "x1", "witness": "1"}]}', "repeated key 'witness'"),
         ],
-        ids=["deep-nesting", "bad-utf8", "long-integer"],
+        ids=["deep-nesting", "bad-utf8", "long-integer", "repeated-key"],
     )
     def test_verify_reports_unreadable_content(
         self, capsys, tmp_path, monkeypatch, content, needle

@@ -7,7 +7,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from concc import hnn, towers, words
 from concc.presentations import CyclicSpec, KillSpec, parse_presentation
@@ -657,6 +657,132 @@ class TestSeedKeys:
         doc["seeds"] = {"1": doc["seeds"]["1"], "01": [], **doc["seeds"]}
         rep = reverify_certificate(doc)
         assert rep.failures == ["representatives: seed key '01' is not a class 1..3"]
+
+
+# -- one format, defined by the writer ---------------------------------------
+
+
+def rename_stable(doc, old, new):
+    """Rename stable letter ``old`` in its attach and in every witness."""
+    for s in doc["stages"]:
+        if s.get("stable") == old:
+            s["stable"] = new
+        if "witness" in s:
+            toks = [t.partition("^") for t in s["witness"].split(" ")]
+            s["witness"] = " ".join((new if n == old else n) + h + e for n, h, e in toks)
+
+
+TRUE_FACT = {"left": "x1 x2", "right": "x2 x2", "classes": [1, 2], "related": False}
+
+# edits no writer makes, each once replayed ok: (mode, edit, check, stage)
+FORMAT_PROBES = {
+    "classes-99": ("ncc", lambda d: d.update(classes=99), "structure", None),
+    "version-7": ("coset", lambda d: d.update(version=7), "structure", None),
+    "extra-field": ("ncc", lambda d: d.update(note="hi"), "structure", None),
+    "extra-record-key": ("ncc", lambda d: d["stages"][3].update(note="hi"), "well-formed", 4),
+    "extra-quotient-key": ("coset", lambda d: d["quotient"].update(note="hi"), "quotient", None),
+    "base-facts-emptied": ("ncc", lambda d: d.update(base_facts=[]), "base-facts", None),
+    "base-facts-deleted": ("ncc", lambda d: d.pop("base_facts"), "base-facts", None),
+    "base-facts-padded": ("ncc", lambda d: d["base_facts"].append(TRUE_FACT), "base-facts", None),
+    "related-0": ("ncc", lambda d: d["base_facts"][0].update(related=0), "base-facts", None),
+    "seeds-deleted": ("ncc", lambda d: d.pop("seeds"), "representatives", None),
+    "stable-zz": ("ncc", lambda d: rename_stable(d, "t2", "zz"), "replay", 4),
+    "coset-stable-zz": ("coset", lambda d: rename_stable(d, "t1", "zz"), "images", 2),
+    "stage-true": ("ncc", lambda d: d["stages"][0].update(stage=True), "structure", 1),
+    "stage-1.0": ("ncc", lambda d: d["stages"][0].update(stage=1.0), "structure", 1),
+    "no-image": ("coset", lambda d: d["stages"][5].pop("image"), "well-formed", 6),
+}
+
+
+class TestWriterFormat:
+    @pytest.mark.parametrize("probe", FORMAT_PROBES)
+    def test_edit_the_writer_never_makes_fails_once(self, probe):
+        mode, edit, check, stage = FORMAT_PROBES[probe]
+        doc = valid_certificate(mode)
+        edit(doc)
+        rep = reverify_certificate(doc)
+        assert len(rep.failures) == 1 and rep.failures[0].startswith(f"{check}: ")
+        if stage is not None:
+            assert rep.failures[0].startswith(f"{check}: stage {stage}: ")
+
+    @pytest.mark.parametrize(
+        "edit, check, needle",
+        [
+            (lambda d: d["stages"][4].update(element="x1^200000"), "structure", "stage 5: "),
+            (lambda d: d["stages"][4].update(element="x9 " * 100_000), "well-formed", "stage 5: "),
+            (lambda d: d["representatives"].append("x1 " * 100_000), "representatives", ""),
+            (lambda d: d["seeds"].update({"9" * 200_000: []}), "representatives", "seed key"),
+            (lambda d: d.update({"n" * 200_000: 1}), "structure", "unexpected"),
+            (lambda d: d.update(mode="m" * 200_000), "structure", "unknown mode"),
+            (lambda d: d.update(stage_count="9" * 200_000), "structure", "truncated"),
+            (lambda d: d["stages"][3].update({"k" * 200_000: 1}), "well-formed", "stage 4: "),
+            (lambda d: d["stages"][3].update(target="x1 " * 100_000), "replay", "stage 4: "),
+            (lambda d: d["stages"][3].update(stable="t" * 200_000), "replay", "stage 4: "),
+            (lambda d: d["stages"][3].update(stable="t^" * 100_000), "well-formed", "stage 4: "),
+            (lambda d: d["stages"][10].update(reason="r" * 200_000), "replay", "stage 11: "),
+            (lambda d: d["stages"][10].update(witness="q" * 200_000), "replay", "stage 11: "),
+            (lambda d: d["base_facts"][0].update(left="x1 " * 100_000), "base-facts", "base fact"),
+        ],
+        ids=[
+            "element-power", "element-unknown", "representative", "seed-key", "field-name",
+            "mode", "stage-count", "record-key", "target", "stable", "stable-name", "reason", "witness",
+            "base-fact-side",
+        ],
+    )
+    def test_failures_quote_a_short_prefix_of_huge_values(self, edit, check, needle):
+        doc = valid_certificate("ncc")
+        edit(doc)
+        rep = reverify_certificate(doc)
+        assert len(rep.failures) == 1 and rep.failures[0].startswith(f"{check}: ")
+        assert needle in rep.failures[0] and len(rep.failures[0]) < 300
+
+    def test_a_value_nested_near_the_limit_fails_well_formed(self):
+        doc = valid_certificate("ncc")
+        deep = []
+        for _ in range(990):
+            deep = [deep]
+        doc["base_facts"][0]["left"] = deep
+        rep = reverify_certificate(doc)
+        assert rep.failures == ["well-formed: certificate: a value nests too deeply"]
+
+    def test_repeated_key_does_not_load(self):
+        text = _valid_certificate_text("ncc")
+        assert towers.load_certificate(text) == json.loads(text)
+        forged = text.replace('"witness": "t2 x1^-1"', '"witness": "x1", "witness": "t2 x1^-1"', 1)
+        assert forged != text and reverify_certificate(json.loads(forged)).ok
+        with pytest.raises(ValueError, match="repeated key 'witness'"):
+            towers.load_certificate(forged)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["ncc-3", "gadget-4", "klein", "kill", "z4"]),
+        st.sampled_from(["header", "quotient", "record"]),
+        st.text(min_size=1, max_size=8),
+        st.sampled_from(MUTANT_VALUES),
+        st.data(),
+    )
+    def test_any_added_key_fails(self, shape, where, key, value, data):
+        doc = json.loads(_shape_text(shape))
+        if where == "record":
+            node = doc["stages"][data.draw(st.integers(0, len(doc["stages"]) - 1), label="stage")]
+        else:
+            node = doc if where == "header" else doc.get("quotient")
+        assume(node is not None and key not in node)
+        node[key] = value
+        rep = reverify_certificate(doc)
+        assert len(rep.failures) == 1
+
+
+@functools.cache
+def _shape_text(shape):
+    config = {
+        "ncc-3": lambda: ncc_config(3, 40),
+        "gadget-4": lambda: gadget_config(4, 40),
+        "klein": lambda: klein_coset_config(40),
+        "kill": lambda: kill_coset_config(40),
+        "z4": lambda: z4_coset_config(40),
+    }[shape]()
+    return certificate_to_json_str(build_tower(config))
 
 
 # -- the certificate writer ------------------------------------------------
