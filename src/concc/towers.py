@@ -535,8 +535,8 @@ def _read_config(doc, base: W.Alphabet) -> TowerConfig:
 
 
 _ABSENT = object()  # the value on the side that lacks a field or entry
-_FIELD_CHECK = {"representatives": "representatives", "seeds": "representatives"}
-_FIELD_CHECK.update(base_facts="base-facts", quotient="quotient")  # the rest: structure
+_FIELD_CHECK = {"representatives": "representatives", "seeds": "representatives",
+                "base_facts": "base-facts", "quotient": "quotient"}  # the rest: structure
 _JSON_TYPE = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
 
 
