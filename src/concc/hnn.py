@@ -118,11 +118,11 @@ class Tower:
             raise HnnError(f"association {a.stable!r} is not over the tower base")
         problem = W.name_problem(a.stable)
         if problem:
-            raise HnnError(f"stable letter name {W.clip(repr(a.stable))} {problem}")
+            raise HnnError(f"stable letter name {a.stable!r} {problem}")
         if a.stable in self.base:
-            raise HnnError(f"stable letter {W.clip(repr(a.stable))} collides with a base generator")
+            raise HnnError(f"stable letter {a.stable!r} collides with a base generator")
         if a.stable in self._tokens:
-            raise HnnError(f"duplicate stable letter {W.clip(repr(a.stable))}")
+            raise HnnError(f"duplicate stable letter {a.stable!r}")
         self._tokens[a.stable] = (self.height, 1)
         self._tokens[a.stable + "^-1"] = (self.height, -1)
         self._assocs.append(a)

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .words import Alphabet, CyclicWord, Word, WordError, clip, name_problem
+from .words import Alphabet, CyclicWord, Word, WordError, name_problem
 
 
 class PresentationError(ValueError):
@@ -135,9 +135,9 @@ class KillSpec:
         seen = set()
         for n in self.killed:
             if n not in self.presentation.alphabet:
-                raise PresentationError(f"cannot kill unknown generator {clip(repr(n))}")
+                raise PresentationError(f"cannot kill unknown generator {n!r}")
             if n in seen:
-                raise PresentationError(f"generator {clip(repr(n))} killed twice")
+                raise PresentationError(f"generator {n!r} killed twice")
             seen.add(n)
         if len(self.killed) == self.presentation.alphabet.size:
             raise PresentationError("killing every generator leaves nothing to separate")
@@ -198,7 +198,7 @@ class CyclicSpec:
         )
         for n in self.residues:
             if n not in self.presentation.alphabet:
-                raise PresentationError(f"residue given for unknown generator {clip(repr(n))}")
+                raise PresentationError(f"residue given for unknown generator {n!r}")
         for n in self.presentation.alphabet.names:
             if n not in self.residues:
                 raise PresentationError(f"no residue given for generator {n!r}")
@@ -239,7 +239,7 @@ def quotient_spec_from_json(presentation: FinitePresentation, doc: Mapping) -> Q
         return KillSpec(presentation, tuple(doc["killed"]))
     if kind == "cyclic":
         return CyclicSpec(presentation, int(doc["modulus"]), dict(doc["residues"]))
-    raise PresentationError(f"unknown quotient kind {clip(repr(kind))}")
+    raise PresentationError(f"unknown quotient kind {kind!r}")
 
 
 @dataclass(frozen=True)

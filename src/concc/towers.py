@@ -105,6 +105,22 @@ class StageRecord:
     def to_json(self) -> dict:
         return dict(self.fields())
 
+    @classmethod
+    def of_kind(cls, index, element, kind, class_index, *, image, case="", stable=None,
+                target=None, witness=None) -> StageRecord:
+        """The record of a stage that records ``kind``, "attach" or a skip
+        reason: the one place that says which fields each kind carries.  An
+        attach has no witness, and a case only without an image (ncc mode);
+        a skip that no representative's image fits has no class, target or
+        witness."""
+        if kind == "attach":
+            return cls(index, element, kind, class_index, case if image is None else "",
+                       stable=stable, target=target, image=image)
+        if kind == _NO_REPRESENTATIVE:
+            class_index = target = witness = None
+        return cls(index, element, "skip", class_index, reason=kind, target=target,
+                   witness=witness, image=image)
+
 
 @dataclass
 class TowerConfig:
@@ -165,8 +181,8 @@ class TowerConfig:
             for (ci, u), (cj, v) in itertools.combinations(self._tagged(), 2):
                 if ci != cj and W.commensurable(u, v).related:
                     raise TowerBuildError(
-                        f"class {ci} word {W.clip(u)} and class {cj} word "
-                        f"{W.clip(v)} are commensurable; their classes could not stay distinct"
+                        f"class {ci} word {u} and class {cj} word {v} are commensurable; "
+                        "their classes could not stay distinct"
                     )
             return
         if self.quotient is None:
@@ -214,7 +230,7 @@ class _ClassLedger:
     def _claim(self, root, w: Word, ci: int) -> None:
         old = self.labels.setdefault(root, ci)
         if old != ci:
-            raise TowerBuildError(f"{W.clip(w)} already belongs to class {old}, not {ci}")
+            raise TowerBuildError(f"{w} already belongs to class {old}, not {ci}")
 
     def attach(self, g: Word) -> tuple[str, int]:
         """Attach g; its case and class: the class g's key already carries
@@ -266,8 +282,9 @@ class _StageRule:
         for i, z in enumerate(reps, start=1):
             img = str(spec.image(z))
             if img in out:
-                a, b = W.clip(reps[out[img] - 1]), W.clip(z)
-                raise TowerBuildError(f"representatives {a} and {b} share the image {W.clip(img)}")
+                raise TowerBuildError(
+                    f"representatives {reps[out[img] - 1]} and {z} share the image {img}"
+                )
             out[img] = i
         return out
 
@@ -330,6 +347,8 @@ class TowerBuild:
         # conjugacy-class key -> (class index, stored element, witness onto rep)
         self.witnesses: dict[tuple, tuple[int, Word, TowerWord]] = {}
 
+    # -- conjugator witnesses ---------------------------------------------
+
     def _remember_witness(self, g: Word, ci: int, witness: TowerWord) -> None:
         self.witnesses.setdefault(_conjugacy_class_key(g), (ci, g, witness))
 
@@ -353,6 +372,8 @@ class TowerBuild:
         if not hnn.verify_conjugator(full, self.tower.embed(g), self.tower.embed(target)):
             raise TowerBuildError(f"stored conjugator for {g} failed verification")
         return ConjugatorAnswer("yes", class_index=ci, target=target, witness=full)
+
+    # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
         doc = _header(self.config, len(self.records))
@@ -414,13 +435,20 @@ def build_tower(config: TowerConfig) -> TowerBuild:
             b.tower = b.tower.extend(CyclicAssociation(stable, g, target))
             b._remember_witness(g, ci, b.tower.stable(stable))
             b.records.append(
-                StageRecord(idx, g, "attach", ci, case, stable=stable, target=target, image=img)
+                StageRecord.of_kind(
+                    idx, g, "attach", ci, image=img, case=case, stable=stable, target=target
+                )
             )
             continue
         b.records.append(
-            StageRecord(
-                idx, g, "skip", ans.class_index, reason=reason, target=ans.target,
-                witness=ans.witness, image=img,
+            StageRecord.of_kind(
+                idx,
+                g,
+                reason,
+                ans.class_index,
+                image=img,
+                target=ans.target,
+                witness=ans.witness,
             )
         )
     return b
@@ -446,6 +474,15 @@ class _Failed(Exception):
     """``_Failed(check, detail)``: replay stops at this failing check."""
 
 
+_QUOTE = 200  # characters of a failure's detail that a report keeps
+
+
+def _clip(text: str) -> str:
+    """``text`` cut to ``_QUOTE`` characters, ``...`` marking the cut, so a
+    huge document value still gives a short failure line."""
+    return text if len(text) <= _QUOTE else text[:_QUOTE] + "..."
+
+
 def load_certificate(text: str):
     """A certificate's JSON document.  A key repeated in one object raises
     ``ValueError`` naming it: ``json`` would hide its first value from replay."""
@@ -457,7 +494,7 @@ def _object_once(pairs: list) -> dict:
     if len(obj) < len(pairs):
         seen: set = set()
         key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ValueError(f"repeated key {W.clip(repr(key))} in a JSON object")
+        raise ValueError(f"repeated key {_clip(repr(key))} in a JSON object")
     return obj
 
 
@@ -495,16 +532,16 @@ def reverify_certificate(doc) -> ReverifyReport:
     target and stable letter ``t{height}``, and each conjugator, read by
     ``Tower.read_printed``, by Britton reduction.  It reports ``replay`` and
     ``independence`` (ncc), or ``images`` and ``stage-relations`` (coset).
-    What replay cannot read fails ``well-formed``.  Failures quote at most
-    about 60 characters of a document value.
+    What replay cannot read fails ``well-formed``.  A failure's detail is
+    cut to ``_QUOTE`` characters.
     """
     rep = ReverifyReport(ok=True)
     try:
         _reverify(doc, rep)
     except _Failed as e:
         check, detail = e.args
-        rep.add(check, False, detail)
-    except RecursionError:  # quoting or comparing a value nested near the limit
+        rep.add(check, False, _clip(detail))
+    except RecursionError:  # quoting or comparing a document value nested near the limit
         rep.add("well-formed", False, "certificate: a value nests too deeply")
     return rep
 
@@ -525,13 +562,20 @@ def _read_config(doc, base: W.Alphabet) -> TowerConfig:
         keys = {str(ci): ci for ci in range(1, len(reps) + 1)}
         for key, ws in {} if coset else doc.get("seeds", {}).items():
             if key not in keys:
-                why = f"seed key {W.clip(repr(key))} is not a class 1..{len(reps)}"
-                raise _Failed("representatives", why)
+                raise _Failed(
+                    "representatives", f"seed key {key!r} is not a class 1..{len(reps)}"
+                )
             seeds[keys[key]] = tuple(base.parse_word(w) for w in ws)
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise _Failed("quotient" if coset else "representatives", str(e)) from None
-    classes = len(reps) if coset else len(reps) + 1
-    return TowerConfig(free, classes, reps, mode=doc["mode"], class_seeds=seeds, quotient=spec)
+    return TowerConfig(
+        base=free,
+        classes=len(reps) if coset else len(reps) + 1,
+        representatives=reps,
+        mode=doc["mode"],
+        class_seeds=seeds,
+        quotient=spec,
+    )
 
 
 _ABSENT = object()  # the value on the side that lacks a field or entry
@@ -553,11 +597,11 @@ def _difference(where: str, got, want) -> str:
             a, b = got.get(k, _ABSENT), want.get(k, _ABSENT)
             if _canonical(a) != _canonical(b):
                 if isinstance(a, dict) and where == "base_facts":  # name the fact
-                    where = f"base fact on {W.clip(a.get('left'))} and {W.clip(a.get('right'))}, {where}"
-                return _difference(f"{where}[{W.clip(json.dumps(k))}]", a, b)
+                    where = f"base fact on {a.get('left')} and {a.get('right')}, {where}"
+                return _difference(f"{where}[{json.dumps(k)}]", a, b)
     if _ABSENT in (got, want):
         return f"{where} is missing" if got is _ABSENT else f"unexpected {where}"
-    return f"{where} is {W.clip(_canonical(got))}, not {W.clip(_canonical(want))}"
+    return f"{where} is {_canonical(got)}, not {_canonical(want)}"
 
 
 def _check_header(doc: dict, config: TowerConfig, stage_count: int) -> None:
@@ -569,19 +613,15 @@ def _check_header(doc: dict, config: TowerConfig, stage_count: int) -> None:
             continue
         if _ABSENT not in (got, w) and type(got) is not type(w):
             raise _Failed("well-formed", f"certificate: {key!r} is not {_JSON_TYPE[type(w)]}")
-        detail = f"certificate: {_difference(W.clip(key), got, w)}"
+        detail = f"certificate: {_difference(key, got, w)}"
         raise _Failed(_FIELD_CHECK.get(key, "structure"), detail)
 
 
 @functools.cache
 def _record_keys(kind: str, coset: bool) -> frozenset:
     """The keys ``StageRecord.fields`` writes for a record of this kind."""
-    attach, found = kind == "attach", kind != _NO_REPRESENTATIVE
-    some = "" if found else None  # class, target and witness come with a representative
-    record = StageRecord(
-        0, "", "attach" if attach else "skip", class_index=some, target=some,
-        case="fresh" if attach and not coset else "", reason="" if attach else kind,
-        stable="" if attach else None, witness=None if attach else some, image="" if coset else None,
+    record = StageRecord.of_kind(
+        0, "", kind, 0, image="" if coset else None, case="-", stable="", target="", witness=""
     )
     return frozenset(k for k, _ in record.fields())
 
@@ -595,11 +635,13 @@ def _reverify(doc, rep: ReverifyReport) -> None:
     if not isinstance(stages, list) or not all(isinstance(s, dict) for s in stages):
         raise _Failed("well-formed", "certificate: 'stages' is not a list of objects")
     if doc.get("stage_count") != len(stages):
-        declared = W.clip(doc.get("stage_count"))
-        why = f"certificate truncated or padded: declares {declared} stages, carries {len(stages)}"
-        raise _Failed("structure", why)
+        raise _Failed(
+            "structure",
+            f"certificate truncated or padded: declares {doc.get('stage_count')} stages, "
+            f"carries {len(stages)}",
+        )
     if doc.get("mode") not in ("ncc", "coset"):
-        raise _Failed("structure", f"unknown mode {W.clip(repr(doc.get('mode')))}")
+        raise _Failed("structure", f"unknown mode {doc.get('mode')!r}")
     elements = []
     for i, (s, want) in enumerate(zip(stages, W.shortlex_words(base)), start=1):
         at = f"stage {i}"
@@ -612,13 +654,13 @@ def _reverify(doc, rep: ReverifyReport) -> None:
                 raise _Failed("well-formed", f"{at}: {e}") from None
             raise _Failed(
                 "structure",
-                f"{at}: element {W.clip(s['element'])} is not shortlex word {i}, {want}"
+                f"{at}: element {s['element']} is not shortlex word {i}, {want}"
                 if g != want
-                else f"{at}: element {W.clip(repr(s['element']))} is not the printed form of {want}",
+                else f"{at}: element {s['element']!r} is not the printed form of {want}",
             )
         if s.get("action") not in ("attach", "skip"):
             action = _field(s, "action", at)  # a missing action fails well-formed
-            raise _Failed("structure", f"{at}: unknown action {W.clip(repr(action))}")
+            raise _Failed("structure", f"{at}: unknown action {action!r}")
         elements.append(want)
 
     config = _read_config(doc, base)
@@ -641,51 +683,55 @@ def _reverify(doc, rep: ReverifyReport) -> None:
         kind = s["action"] if s["action"] == "attach" else s.get("reason")
         if kind not in kinds or kind == "attach" != s["action"]:
             if not coset:
-                why = f"skip reason {W.clip(repr(kind))} is not a conjugator"
+                why = f"skip reason {kind!r} is not a conjugator"
             elif kind in kinds:  # only an attach record may extend the tower
                 why = "a skip cannot give reason 'attach'"
             else:
-                why = f"image {img} allows {' or '.join(kinds)}, not {W.clip(kind)}"
+                why = f"image {img} allows {' or '.join(kinds)}, not {kind}"
             raise _Failed(check, f"{at}: {why}")
         keys = _record_keys(kind, coset)
         if s.keys() != keys:
             missing, extra = sorted(keys - s.keys()), sorted(s.keys() - keys)
-            why = f"missing {missing[0]!r}" if missing else f"unexpected key {W.clip(repr(extra[0]))}"
+            why = f"missing {missing[0]!r}" if missing else f"unexpected key {extra[0]!r}"
             raise _Failed("well-formed", f"{at}: {why}")
         if coset and s["image"] != img:  # the image fixes the class
-            raise _Failed(check, f"{at}: recorded image {W.clip(s['image'])}, recomputed {img}")
+            raise _Failed(check, f"{at}: recorded image {s['image']}, recomputed {img}")
         if coset and ci is not None and (type(s["class"]) is not int or s["class"] != ci):
-            why = f"recorded class {W.clip(s['class'])}, image {img} has class {ci}"
-            raise _Failed(check, f"{at}: {why}")
+            raise _Failed(check, f"{at}: recorded class {s['class']}, image {img} has class {ci}")
         if kind == _NO_REPRESENTATIVE:
             continue
         ci = s["class"]
         if kind == "attach":
             case, want = rule.attach(g, ci)
             if not coset and (s["case"], ci) != (case, want):
-                says = f"certificate says {W.clip(s['case'])} in class {W.clip(ci)}"
-                raise _Failed(check, f"{at}: element {g} is {case} in class {want}, {says}")
+                raise _Failed(
+                    check,
+                    f"{at}: element {g} is {case} in class {want}, "
+                    f"certificate says {s['case']} in class {ci}",
+                )
         if not (type(ci) is int and 1 <= ci <= len(reps) and s["target"] == rep_texts[ci - 1]):
-            why = f"the representative of class {W.clip(ci)}"
+            why = f"the representative of class {ci}"
             if coset:
-                why = f"{W.clip(rep_texts[ci - 1])}, the representative"
-            raise _Failed(check, f"{at}: target {W.clip(s['target'])} is not {why}")
+                why = f"{rep_texts[ci - 1]}, the representative"
+            raise _Failed(check, f"{at}: target {s['target']} is not {why}")
         target = reps[ci - 1]
         try:
             if kind == "attach":
                 tower = tower.extend(CyclicAssociation(_text(s, "stable", at), g, target))
                 if s["stable"] != f"t{tower.height}":
-                    why = f"stable letter {W.clip(repr(s['stable']))} is not t{tower.height}"
-                    raise _Failed(check, f"{at}: {why}, the next letter")
+                    why = f"stable letter {s['stable']!r} is not t{tower.height}, the next letter"
+                    raise _Failed(check, f"{at}: {why}")
                 continue
             good = hnn.verify_conjugator(
                 tower.read_printed(_text(s, "witness", at)), tower.embed(g), tower.embed(target)
             )
         except HnnError as e:
             raise _Failed("well-formed" if kind == "attach" else relations, f"{at}: {e}") from None
+        except RecursionError:  # a witness through more heights than the stack holds
+            why = "recursion limit reached in Britton reduction"
+            raise _Failed(relations, f"{at}: {why}") from None
         if not good:
-            why = f"recorded conjugator does not take {g} to {W.clip(target)}"
-            raise _Failed(relations, f"{at}: {why}")
+            raise _Failed(relations, f"{at}: recorded conjugator does not take {g} to {target}")
     if coset:
         # the representatives were validated before the stage loop; reported last
         for name in ("images", "stage-relations", "representatives"):

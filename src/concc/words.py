@@ -71,13 +71,6 @@ def name_problem(name: object) -> str | None:
     return None
 
 
-def clip(value: object, limit: int = 60) -> str:
-    """``str(value)`` cut to ``limit`` characters, ``...`` marking the cut: how
-    a message quotes its input, so a huge input still gives a short line."""
-    text = str(value)
-    return text if len(text) <= limit else text[:limit] + "..."
-
-
 def read_int(text: str, what: str) -> int:
     """The integer ``text`` spells: an optional ``-`` and ASCII digits.
 
@@ -87,7 +80,7 @@ def read_int(text: str, what: str) -> int:
     """
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise WordError(f"bad {what} {clip(repr(text))}")
+        raise WordError(f"bad {what} {text!r}")
     try:
         return int(text)
     except ValueError:  # past int's digit limit
@@ -137,9 +130,9 @@ class Alphabet:
         for n in names:
             problem = name_problem(n)
             if problem:
-                raise WordError(f"generator name {clip(repr(n))} {problem}")
+                raise WordError(f"generator name {n!r} {problem}")
         if len(set(names)) != len(names):
-            raise WordError(f"duplicate generator names in {clip(names)}")
+            raise WordError(f"duplicate generator names in {names}")
         self.names = names
         self._index = {n: i + 1 for i, n in enumerate(names)}
         self._text: dict[int, str] = {}  # letter -> its printed token
@@ -205,7 +198,7 @@ class Alphabet:
         letters: list[int] = []
         for name, exp in read_tokens(text):
             if name not in index:
-                raise WordError(f"unknown generator {clip(repr(name))} in word {clip(repr(text))}")
+                raise WordError(f"unknown generator {name!r} in word {text!r}")
             letters.extend([index[name] if exp >= 0 else -index[name]] * abs(exp))
         # every letter came from the index, so only free reduction is left
         return Word(self, free_reduce(letters))

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -744,6 +745,17 @@ class TestWriterFormat:
         doc["base_facts"][0]["left"] = deep
         rep = reverify_certificate(doc)
         assert rep.failures == ["well-formed: certificate: a value nests too deeply"]
+
+    def test_a_witness_deeper_than_the_stack_fails_at_its_stage(self):
+        doc = json.loads(certificate_to_json_str(build_tower(ncc_config(stages=7000))))
+        victim = [s for s in doc["stages"] if "witness" in s][-1]
+        height = sum(s["action"] == "attach" for s in doc["stages"][: victim["stage"]])
+        assert height > sys.getrecursionlimit()
+        # Britton reduction recurses once per height the witness nests into
+        victim["witness"] = " ".join(f"t{k}" for k in range(height, 0, -1))
+        rep = reverify_certificate(doc)
+        why = "recursion limit reached in Britton reduction"
+        assert rep.failures == [f"replay: stage {victim['stage']}: {why}"]
 
     def test_repeated_key_does_not_load(self):
         text = _valid_certificate_text("ncc")
