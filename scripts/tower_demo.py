@@ -30,6 +30,7 @@ def main() -> int:
     ap.add_argument("--outdir", default=".")
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     pres = parse_presentation("< x1 , x2 | >")
     A = pres.alphabet

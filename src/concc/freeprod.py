@@ -28,7 +28,16 @@ from itertools import groupby
 from typing import Iterable, Sequence
 
 from . import hnn
-from .words import Alphabet, Word, WordError, free_reduce, read_int, read_tokens
+from .words import (
+    Alphabet,
+    Word,
+    WordError,
+    conjugacy_witness,
+    cyclic_reduce,
+    free_reduce,
+    read_int,
+    read_tokens,
+)
 
 Payload = object
 Syllable = tuple  # (label: str | None, payload)
@@ -572,7 +581,7 @@ def _cyclic_syllable_reduce(ctx: FreeProductCtx, g: Element) -> tuple[Element, E
 
     Rotates boundary syllables of equal kind into each other until the
     first and last syllables cannot merge; a lone free-part syllable is
-    additionally cyclically reduced letter-wise.
+    then cyclically reduced by ``words.cyclic_reduce``.
     """
     core = g
     conj: Element = ()
@@ -581,14 +590,8 @@ def _cyclic_syllable_reduce(ctx: FreeProductCtx, g: Element) -> tuple[Element, E
         conj = ctx.mul(conj, head)
         core = ctx.mul(core[1:], head)
     if len(core) == 1 and core[0][0] is None:
-        letters = core[0][1]
-        i, j = 0, len(letters)
-        while j - i >= 2 and letters[i] == -letters[j - 1]:
-            i += 1
-            j -= 1
-        if i:
-            conj = ctx.mul(conj, ((None, letters[:i]),))
-            core = ((None, letters[i:j]),)
+        free, p = cyclic_reduce(Word(ctx.free_alphabet, core[0][1]))
+        conj, core = ctx.mul(conj, ctx.free_word(p)), ctx.free_word(free)
     return core, conj
 
 
@@ -626,7 +629,7 @@ def conjugacy_witness_fp(ctx: FreeProductCtx, u: Element, v: Element) -> Element
     Parabolic cores delegate to the factor oracle (conjugacy between
     factors never crosses them); hyperbolic cores are conjugate exactly
     when their cyclically reduced syllable sequences are rotations of each
-    other, letter rotations included for the one-syllable free case.
+    other; two one-syllable free cores go to ``words.conjugacy_witness``.
     """
     if u == () or v == ():
         return () if u == v else None
@@ -645,15 +648,10 @@ def conjugacy_witness_fp(ctx: FreeProductCtx, u: Element, v: Element) -> Element
             return None
         return ctx.product([pv, ctx.syllable(lu, z), ctx.inv(pu)])
     if len(cu) == 1 and len(cv) == 1:
-        # both single free syllables: cyclic letter rotation
-        a, b = cu[0][1], cv[0][1]
-        if len(a) != len(b):
-            return None
-        for r in range(len(a)):
-            if a[r:] + a[:r] == b:
-                sigma = ((None, a[:r]),) if r else ()
-                return ctx.product([pv, ctx.inv(sigma), ctx.inv(pu)])
-        return None
+        # both single free syllables: conjugacy in the free part
+        A = ctx.free_alphabet
+        h = conjugacy_witness(Word(A, cu[0][1]), Word(A, cv[0][1]))
+        return None if h is None else ctx.product([pv, ctx.free_word(h), ctx.inv(pu)])
     if len(cu) != len(cv):
         return None
     for r in range(len(cu)):

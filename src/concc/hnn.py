@@ -30,15 +30,16 @@ token goes straight into the normal items, and any other spelling,
 exponent or text that is not freely reduced is refused before anything
 expands; certificate replay reads witnesses with it.
 
-Britton reduction keeps the normal form too.  It cuts a word at its top
-stable letter; each segment is already normal, so it is reduced as it
-stands, and a segment of one chunk needs nothing.  One pass then reads
-the segments left to right with the kept letters on a stack: a pinch can
-only close on the letter just read, and when it fires the three chunks
-that meet at it merge and the kept segment below reopens.  The kept
-segments join into a normal word with no final pass.  Each association's
-primitive roots are computed once, when it is made, and a pinch asks
-``words.is_power_of`` against them, which needs no root of the chunk.
+Britton reduction keeps the normal form too.  It reads the items once,
+left to right, with the reduced prefix on one stack: kept chunks and
+stable letters of every height, the last chunk still open.  A pinch can
+only close on the letter just read, against the kept letter on top and
+across the open chunk, since anything longer between them is reduced and
+still carries stable letters, so it is no base element.  When a pinch
+fires, the letter leaves the stack and the chunks on either side merge.
+Each association's primitive roots are computed once, when it is made,
+and a pinch asks ``words.is_power_of`` against them, which needs no root
+of the chunk.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class Tower:
     """Base alphabet plus an ordered list of cyclic associations.
 
     Extension order matters: stable letter ``k`` may be pinched only across
-    chunks written in the sub-tower below it, which is what the recursive
-    reducer enforces.
+    chunks written in the sub-tower below it.  Britton reduction pinches
+    only across a base chunk, which lies in every sub-tower.
 
     Towers are an append-only chain.  The towers of one chain share a
     single association list and token table (printed token -> base letter
@@ -413,45 +414,20 @@ def _pinch(assoc: CyclicAssociation, eps: int, chunk: Word) -> Word | None:
 
 
 def _britton_items(tower: Tower, items: tuple[Item, ...]) -> tuple[Item, ...]:
-    """Reduce normal items (chunk, letter, ..., chunk); the result is normal too."""
-    if len(items) == 1:
-        return items
-    if len(items) == 5:
-        # two stable letters, the shape of a one-letter witness check: one
-        # pinch at most, between them
-        (i, e), (j, f) = items[1], items[3]
-        if i == j and e == -f and (d := _pinch(tower._assocs[i], e, items[2])) is not None:
-            return (items[0] * d * items[4],)
-        return items
-    top = max(items[1::2])[0]
-    assoc = tower._assocs[top]
-    cuts = [k for k in range(1, len(items), 2) if items[k][0] == top]
-    # one pass, left to right, over the segments cut at the top letter: the
-    # kept top letters and the reduced segments before them form a stack,
-    # and a pinch can only close on the letter just read, around the open
-    # segment; when it fires, the kept segment below reopens and joins the
-    # next one
-    segs: list[tuple[Item, ...]] = []
-    tops: list[tuple[int, int]] = []
-    seg = items[: cuts[0]]
-    for k, end in zip(cuts, cuts[1:] + [len(items)]):
-        red = _britton_items(tower, seg)
-        nxt = items[k + 1 : end]
-        if tops and tops[-1][1] == -items[k][1] and len(red) == 1:
-            d = _pinch(assoc, tops[-1][1], red[0])
-            if d is not None:
-                tops.pop()
-                left = segs.pop()
-                seg = left[:-1] + (left[-1] * d * nxt[0],) + nxt[1:]
-                continue
-        segs.append(red)
-        tops.append(items[k])
-        seg = nxt
-    out: list[Item] = []
-    for s, t in zip(segs, tops):
-        out.extend(s)
-        out.append(t)
-    out.extend(_britton_items(tower, seg))
+    """Reduce normal items (chunk, letter, ..., chunk); the result is normal too.
+
+    One pass (see the module docstring): ``out`` is the reduced prefix read
+    so far, its last chunk still open.
+    """
+    assocs = tower._assocs
+    out = [items[0]]
+    for letter, nxt in zip(items[1::2], items[2::2]):
+        i, e = letter
+        if len(out) > 1 and out[-2] == (i, -e) and (d := _pinch(assocs[i], -e, out[-1])) is not None:
+            del out[-2:]
+            out[-1] = out[-1] * d * nxt
+        else:
+            out += (letter, nxt)
     return tuple(out)
 
 

@@ -530,7 +530,8 @@ def reverify_certificate(doc) -> ReverifyReport:
     One stage loop holds each record to ``_StageRule``: its kind, exactly
     the keys ``StageRecord.fields`` writes for it, its case, class, image,
     target and stable letter ``t{height}``, and each conjugator, read by
-    ``Tower.read_printed``, by Britton reduction.  It reports ``replay`` and
+    ``Tower.read_printed``, by Britton reduction; an element that is its own
+    target has the witness ``1``.  It reports ``replay`` and
     ``independence`` (ncc), or ``images`` and ``stage-relations`` (coset).
     What replay cannot read fails ``well-formed``.  A failure's detail is
     cut to ``_QUOTE`` characters.
@@ -722,14 +723,12 @@ def _reverify(doc, rep: ReverifyReport) -> None:
                     why = f"stable letter {s['stable']!r} is not t{tower.height}, the next letter"
                     raise _Failed(check, f"{at}: {why}")
                 continue
-            good = hnn.verify_conjugator(
-                tower.read_printed(_text(s, "witness", at)), tower.embed(g), tower.embed(target)
-            )
+            w = tower.read_printed(_text(s, "witness", at))
+            if g == target and w != tower.identity():  # the writer's witness for it is 1
+                raise _Failed(relations, f"{at}: {g} is its own target: its witness is 1, not {w}")
+            good = hnn.verify_conjugator(w, tower.embed(g), tower.embed(target))
         except HnnError as e:
             raise _Failed("well-formed" if kind == "attach" else relations, f"{at}: {e}") from None
-        except RecursionError:  # a witness through more heights than the stack holds
-            why = "recursion limit reached in Britton reduction"
-            raise _Failed(relations, f"{at}: {why}") from None
         if not good:
             raise _Failed(relations, f"{at}: recorded conjugator does not take {g} to {target}")
     if coset:

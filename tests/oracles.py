@@ -26,6 +26,7 @@ from concc.words import (
     all_reduced_words,
     free_reduce,
     is_cyclically_reduced,
+    is_power_of,
     letter_code,
     primitive_root,
 )
@@ -375,6 +376,30 @@ def tower_normal_form(symbols) -> tuple:
             run.append(s)
     out.append(free_reduce(run))
     return tuple(out)
+
+
+def rescan_britton(tower, items) -> tuple:
+    """Britton reduction by rescanning tower word items from the start.
+
+    Fires the leftmost pinch ``t^e c^m t^-e`` between adjacent letters of
+    one index across a base chunk, until none is left.  Leftmost, because
+    pinches that overlap (``t A t^-1 B t``) leave different chunks by the
+    order they fire in.  No pinch across more than a chunk can survive: what
+    it encloses reduces into the base, so it holds an adjacent pinch.
+    """
+    assocs, items = tower.assocs, list(items)
+    k = 1
+    while k + 2 < len(items):
+        (i, e), chunk, (j, f) = items[k : k + 3]
+        a = assocs[i]
+        c, d = (a.source, a.target) if e > 0 else (a.target, a.source)
+        m = is_power_of(chunk, c) if (i, e) == (j, -f) else None
+        if m is None:
+            k += 2
+        else:
+            items[k - 1 : k + 4] = [items[k - 1] * d**m * items[k + 3]]
+            k = 1
+    return tuple(items)
 
 
 def brute_connectivity(ctx, letters, cuts=()):

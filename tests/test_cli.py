@@ -399,11 +399,13 @@ class TestRelpathAudit:
 
 class TestTowerDemo:
     def test_script_runs(self, tmp_path):
+        # the output directory does not exist yet: the script makes it
+        outdir = tmp_path / "new" / "out"
         root = pathlib.Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         done = subprocess.run(
             [sys.executable, str(root / "scripts" / "tower_demo.py"),
-             "--stages", "60", "--outdir", str(tmp_path)],
+             "--stages", "60", "--outdir", str(outdir)],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert done.returncode == 0, done.stderr
@@ -413,3 +415,4 @@ class TestTowerDemo:
         ]
         assert all(l.endswith(", ok") for l in replays), done.stdout
         assert "quotient-check=ok" in done.stdout
+        assert sorted(p.name for p in outdir.iterdir()) == ["tower-coset.json", "tower-ncc.json"]

@@ -3,7 +3,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from concc import hnn
 from concc.hnn import (
@@ -266,21 +266,18 @@ def item_symbols(w):
     return [s for it in w.items for s in ((it,) if isinstance(it, tuple) else it.letters)]
 
 
-# plain tokens mixed with snippets that pinch in two_level_tower()
+# snippets that pinch in two_level_tower()
+PINCHES = [
+    "t a^2 t^-1",
+    "t^-1 b^-3 t",
+    "s a b s^-1",
+    "s^-1 b^4 s",
+    "s t a t^-1 b s^-1",
+    "t^-1 s a b s^-1 t",
+]
+# plain tokens mixed with those snippets
 PINCHY = st.lists(
-    st.one_of(
-        TOKEN.map(lambda t: tokens_text([t])),
-        st.sampled_from(
-            [
-                "t a^2 t^-1",
-                "t^-1 b^-3 t",
-                "s a b s^-1",
-                "s^-1 b^4 s",
-                "s t a t^-1 b s^-1",
-                "t^-1 s a b s^-1 t",
-            ]
-        ),
-    ),
+    st.one_of(TOKEN.map(lambda t: tokens_text([t])), st.sampled_from(PINCHES)),
     max_size=8,
 ).map(lambda parts: " ".join(parts) or "1")
 
@@ -322,6 +319,61 @@ class TestBrittonNormalForm:
         assert plain(britton_reduce(T.parse("s a t a t^-1 s^-1 b^-2"))) == ((),)
         # s a b s^-1 = b^2 leaves t^-1 b^2 t = a^2 behind the pinch
         assert plain(britton_reduce(T.parse("t^-1 s a b s^-1 t a^-2"))) == ((),)
+
+
+def four_level_tower():
+    top = two_level_tower()
+    a, b = top.base.gen("a"), top.base.gen("b")
+    return top.extend(CyclicAssociation("u", b, a**2)).extend(CyclicAssociation("v", a, a.inverse()))
+
+
+# PINCHY over four_level_tower(), with pinches that nest across its heights
+PINCHY4 = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from("abtsuv"), st.integers(-3, 3)).map(lambda t: tokens_text([t])),
+        st.sampled_from(
+            PINCHES
+            + [
+                "u b^3 u^-1",
+                "u^-1 a^4 u",
+                "v a^2 v^-1",
+                "v^-1 a^-1 v",
+                "u^-1 v a^2 v^-1 u",
+                "s v a^-1 v^-1 b s^-1",
+                "u t a t^-1 u^-1",
+                "v^-1 u^-1 a^2 u v",
+            ]
+        ),
+    ),
+    max_size=10,
+).map(lambda parts: " ".join(parts) or "1")
+
+
+class TestBrittonOracle:
+    """The one-pass reducer against ``oracles.rescan_britton``, four heights."""
+
+    @settings(max_examples=300)
+    @given(PINCHY4)
+    @example("t a t^-1 b t")  # two pinches overlap: fired left first, b^2 t, not t a^2
+    def test_items_match_the_rescanning_oracle(self, text):
+        T = four_level_tower()
+        w = T.parse(text)
+        for x in (w, w.inverse()):
+            r = britton_reduce(x)
+            assert r.items == oracles.rescan_britton(T, x.items)
+            assert find_pinch(r) is None
+
+    def test_five_thousand_heights_reduce(self):
+        # one stack for every height: nesting deeper than Python's
+        # recursion limit is no different from nesting one deep
+        A = Alphabet(["a"])
+        a = A.gen("a")
+        T = Tower(A, [CyclicAssociation(f"t{k}", a, a) for k in range(1, 5001)])
+        start = time.perf_counter()
+        g = T.parse(" ".join(f"t{k}" for k in range(5000, 0, -1)))
+        assert verify_conjugator(g, T.embed(a), T.embed(a))
+        assert is_trivial(g * g.inverse()).is_yes
+        assert time.perf_counter() - start < 5
 
 
 def cancels(w):

@@ -751,11 +751,29 @@ class TestWriterFormat:
         victim = [s for s in doc["stages"] if "witness" in s][-1]
         height = sum(s["action"] == "attach" for s in doc["stages"][: victim["stage"]])
         assert height > sys.getrecursionlimit()
-        # Britton reduction recurses once per height the witness nests into
+        # the witness nests through more heights than Python's recursion
+        # limit, and Britton reduction still reaches its verdict
         victim["witness"] = " ".join(f"t{k}" for k in range(height, 0, -1))
         rep = reverify_certificate(doc)
-        why = "recursion limit reached in Britton reduction"
+        why = f"recorded conjugator does not take {victim['element']} to {victim['target']}"
         assert rep.failures == [f"replay: stage {victim['stage']}: {why}"]
+
+    @pytest.mark.parametrize(
+        "shape, stage, witness",
+        [("klein", 1, "a"), ("klein", 3, "t"), ("klein", 13, "t"), ("kill", 1, "a"),
+         ("kill", 3, "t"), ("kill", 4, "t"), ("ncc-3", 1, "x1")],
+    )
+    def test_an_element_that_is_its_own_target_has_witness_1(self, shape, stage, witness):
+        # each witness conjugates the element to itself, but the writer
+        # prints 1 for it and nothing else
+        doc = json.loads(_shape_text(shape))
+        rec = doc["stages"][stage - 1]
+        assert rec["element"] == rec["target"] and rec["witness"] == "1"
+        rec["witness"] = witness
+        rep = reverify_certificate(doc)
+        check = "replay" if shape == "ncc-3" else "stage-relations"
+        why = f"{rec['element']} is its own target: its witness is 1, not {witness}"
+        assert rep.failures == [f"{check}: stage {stage}: {why}"]
 
     def test_repeated_key_does_not_load(self):
         text = _valid_certificate_text("ncc")
