@@ -35,21 +35,29 @@ min(r + lcp(S_p, S_q), L_p, L_q) over the runs q != p of its letter with
 l_q >= r, if there are any; otherwise r if l_p > r, shared with (p, r + 1),
 and r - 1 if not.
 
-Sweep per run length.  A suffix array and LCP array over one token per run
+Deletion pass.  A suffix array and LCP array over one token per run
 (``_token_text``: each necklace's runs twice, then a separator) put the
 texts S_p in order and give their letter LCPs.  Runs are grouped by letter,
 each group in S_p order; the common text of two runs is the minimum LCP
-between them.  For every r between two consecutive distinct run lengths
-the runs q with l_q >= r are the same, so one sweep per such band and
-length class, a segmented running minimum in numpy, finds for each run the
-class member of its letter with the longest common text: the class shares
-its cap, so the nearest class member on each side is the only candidate.
-A single sweep over all classes would not do: with mixed relator lengths
-the nearest run may lie in a short necklace whose cap hides a longer piece
-shared with a run further away.  The per-member answers are then expanded
-with numpy.  A word whose runs all have length 1 is the same problem, one
-token per letter.  The token arrays are checked on every build (see
-``_index_fault``), and the reports carry the outcome.
+between them, so the nearest run q with l_q >= r on each side of p shares
+the longest text with it.  Length classes are taken one at a time: with
+mixed relator lengths the nearest run may lie in a short necklace whose cap
+hides a longer piece shared with a run further away, but within one class
+the cap is shared.  Raising r deletes the class's runs in increasing
+length, and when run q goes only its surviving neighbours change their
+nearest partner: the nearest longer class runs on either side of q (all
+nearest smaller values, Berkman-Schieber-Vishkin) become neighbours.  So a
+run's nearest class partners are constant between a few events, each with
+a threshold r, a common text and a partner, and on each stretch between
+events best(p, r) = max(own-run piece, min(v + r, L_p, L)), v the longer of
+the two common texts capped at L: a per-run segment.  Runs outside class L
+find their nearest class run on each side and then walk the same chain of
+nearest longer class runs.  Within a segment the piece grows with r while
+the member id falls, so its longest piece and the first member that has it
+sit at its last r; the reports read only those segment ends.  A word whose
+runs all have length 1 is the same problem, one token per letter.  The
+token arrays are checked on every build (see ``_index_fault``), and the
+reports carry the outcome.
 
 Dehn's algorithm replaces a subword that is more than half of a member by
 the inverse of the rest of that member.  Against a member of length L only
@@ -73,6 +81,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -143,11 +152,14 @@ class SymmetrizedSet:
         origins: Sequence[Word],
         necklaces: Sequence[CyclicWord],
         origin_necklaces: Sequence[tuple[int, int]],
+        runs: Sequence[tuple[np.ndarray, np.ndarray]],
     ):
         self.origins = tuple(origins)
         self.necklaces = tuple(necklaces)
         # indices of the necklaces of each origin relator and of its inverse
         self.origin_necklaces = tuple(origin_necklaces)
+        # letter and length of each necklace's runs, from its first letter on
+        self.runs = tuple(runs)
         self._index: _PieceIndex | None = None
         self._anchors: dict[int, _AnchorIndex] = {}
 
@@ -198,7 +210,7 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
     # every run is shorter than M and every letter code below D, so the keys
     # of all necklaces of one call compare on one scale
     M, D = max(len(r) for r in relators) + 1, 2 * alphabet.size + 1
-    necklaces: dict[tuple, CyclicWord] = {}
+    necklaces: dict[tuple, tuple] = {}
     origin_keys: list[tuple[tuple, tuple]] = []
     for r in relators:
         if r.alphabet != alphabet:
@@ -221,10 +233,13 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
         necklaces.update(pair)
         origin_keys.append((pair[0][0], pair[1][0]))
     # same-length necklaces compare as their token keys do
-    ordered = sorted(necklaces.items(), key=lambda kc: (len(kc[1]), kc[0]))
+    ordered = sorted(necklaces.items(), key=lambda kc: (len(kc[1][0]), kc[0]))
     position = {tokens: k for k, (tokens, _) in enumerate(ordered)}
     return SymmetrizedSet(
-        relators, [c for _, c in ordered], [(position[a], position[b]) for a, b in origin_keys]
+        relators,
+        [c for _, (c, _) in ordered],
+        [(position[a], position[b]) for a, b in origin_keys],
+        [runs for _, (_, runs) in ordered],
     )
 
 
@@ -276,7 +291,8 @@ def _power(key: np.ndarray) -> int:
 
 def _necklace(alphabet: Alphabet, letter: np.ndarray, length: np.ndarray, M: int, D: int):
     """The token keys of a primitive cyclic word's least rotation, and its
-    ``CyclicWord``, from the word's runs.
+    ``CyclicWord`` with that rotation's runs (letters, lengths), from the
+    word's runs.
 
     The least rotation starts at a run boundary (module docstring), and
     rotations from run boundaries compare as their token keys do, so Booth
@@ -284,36 +300,45 @@ def _necklace(alphabet: Alphabet, letter: np.ndarray, length: np.ndarray, M: int
     """
     key = _cyclic_keys(letter, length, M, D)
     k = _least_rotation(key.tolist())
-    letters = np.repeat(np.roll(letter, -k), np.roll(length, -k))
-    return tuple(np.roll(key, -k).tolist()), CyclicWord.from_least_rotation(
-        alphabet, tuple(letters.tolist())
-    )
+    runs = np.roll(letter, -k), np.roll(length, -k)
+    word = CyclicWord.from_least_rotation(alphabet, tuple(np.repeat(*runs).tolist()))
+    return tuple(np.roll(key, -k).tolist()), (word, runs)
 
 
 class _PieceIndex:
-    """Per-member longest-piece table, computed over the necklaces' runs.
+    """Longest pieces of all members, kept as per-run segments.
 
     Every necklace starts at a run boundary, being its least rotation, so
     member (p, r), which starts r letters before the end of run p, is a
-    fixed member; the module docstring derives its longest piece from the
-    runs and explains the sweep per run length and length class.
+    fixed member: member ``run_end[p] - r`` when members are numbered
+    necklace by necklace (member ``starts[k] + off`` is rotation ``off`` of
+    necklace ``k``).  The module docstring derives its longest piece from
+    the runs and explains the deletion pass.
 
-    Members are numbered necklace by necklace: member ``starts[k] + off`` is
-    rotation ``off`` of necklace ``k``.  The per-member int32 arrays run in
-    that order: ``best[i]`` is the longest piece member i starts with,
-    ``partner[i]`` a member it shares that piece with (-1 where ``best[i]``
-    is 0) and ``member_len[i]`` its length.  ``checked`` tells whether the
-    suffix array and LCP array of the run tokens passed their self-check,
-    and ``check_detail`` says what was checked or where it failed.
+    ``segments`` holds arrays (p, L, r0, r1, v, q), sorted by run, class and
+    r0: for r0 <= r <= r1 member (p, r) shares min(v + r, L_p, L) letters
+    with member (q, r), q a run of length class L.  A member's longest piece
+    is the larger of its own-run piece and its segments' pieces.  Its
+    partner is the own-run one unless another run beats it strictly, classes
+    tried in increasing length; within a class the run before wins a tie.
+
+    ``peak_member``, ``peak_piece`` and ``peak_neck`` hold, in member order,
+    the last r of each segment and of each run's own-run stretch, where the
+    stretch's longest piece and the first member with it sit: all that
+    ``max_pieces`` and ``check_metric`` read.  ``piece_at`` answers one
+    member; ``best``, ``partner`` (-1 where ``best`` is 0) and
+    ``member_len`` answer every member and are built only when read.
+    ``checked`` tells whether the suffix array and LCP array of the run
+    tokens passed their self-check, and ``check_detail`` says what was
+    checked or where it failed.
     """
 
     def __init__(self, S: SymmetrizedSet):
         self.S = S
-        self.lengths = np.array([len(n) for n in S.necklaces], dtype=np.int32)
-        self.starts = np.concatenate(([0], np.cumsum(self.lengths, dtype=np.int64)))
-        self.member_len = np.repeat(self.lengths, self.lengths)
-        letter, length, end, neck = _runs(S.necklaces, self.starts)
-        key, size, code, after = _token_text(letter, length, neck)
+        self.lengths = np.array([len(n) for n in S.necklaces], dtype=np.int64)
+        self.starts = np.concatenate(([0], np.cumsum(self.lengths)))
+        letter, self.run_len, self.run_end, neck = _runs(S.runs)
+        key, size, code, after = _token_text(letter, self.run_len, neck)
         sa = suffix_array(key)
         lcp = lcp_array(key, sa)
         fault = _index_fault(key, sa, lcp)
@@ -338,29 +363,82 @@ class _PieceIndex:
         bounds = np.stack((pos[:-1], pos[1:]), axis=1).ravel()
         flcp = np.minimum.reduceat(np.append(letter_lcp, 0), bounds)[::2]
         flcp[first[g][1:] != first[g][:-1]] = -1
-        self.best, self.partner = _own_run(length, end, len(self.member_len))
-        _sweep(flcp, length[g], end[g], self.lengths[neck][g], self.best, self.partner)
+        self.run_cap = self.lengths[neck]
+        x, L, r0, r1, v, q = _deletion_pass(flcp, self.run_len[g], self.run_cap[g])
+        order = np.lexsort((r0, L, g[x]))
+        self.segments = tuple(c[order] for c in (g[x], L, r0, r1, v, g[q]))
+        p, L, r0, r1, v, q = self.segments
+        member = np.concatenate((self.run_end - self.run_len, self.run_end[p] - r1))
+        piece = np.concatenate((self.run_len - 1, np.minimum(v + r1, np.minimum(self.run_cap[p], L))))
+        order = np.argsort(member, kind="stable")
+        self.peak_member, self.peak_piece = member[order], piece[order]
+        self.peak_neck = np.concatenate((neck, neck[p]))[order]
 
     def member_word(self, i: int) -> Word:
         k = int(np.searchsorted(self.starts, i, side="right")) - 1
         return self.S.member(k, i - int(self.starts[k]))
 
+    def piece_at(self, i: int) -> tuple[int, int]:
+        """Longest piece of member i and the member it shares it with, -1
+        where the piece is empty."""
+        p = int(np.searchsorted(self.run_end, i, side="right"))
+        best, partner = self._answers(p, p + 1)
+        k = i - int(self.run_end[p] - self.run_len[p])
+        return int(best[k]), int(partner[k])
 
-def _runs(necks: Sequence[CyclicWord], starts: np.ndarray):
-    """Letter, length, end and necklace of every run, necklace by necklace.
+    @cached_property
+    def best(self) -> np.ndarray:
+        best, self.partner = self._answers(0, len(self.run_len))
+        return best
 
-    A run is a maximal block of one letter.  Each necklace opens with a run,
-    so a run's end, the index of the letter after it, is also a member id:
-    member (p, r), the rotation that starts r letters before the end of run
-    p, is member ``end[p] - r``.
+    @cached_property
+    def partner(self) -> np.ndarray:
+        self.best, partner = self._answers(0, len(self.run_len))
+        return partner
+
+    @cached_property
+    def member_len(self) -> np.ndarray:
+        return np.repeat(self.lengths, self.lengths)
+
+    def _answers(self, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Longest piece and partner of each member of runs first .. stop - 1,
+        in member order: the own-run pieces, raised class by class in
+        increasing length where a segment gives a strictly longer one."""
+        length, end = self.run_len[first:stop], self.run_end[first:stop]
+        lo = int(end[0] - length[0])
+        ids = np.arange(lo, int(end[-1]))
+        # own run: r letters with (p, r + 1), or r - 1 with (p, r - 1) at its start
+        r = np.repeat(end, length) - ids
+        at_start = r == np.repeat(length, length)
+        best = r - at_start
+        partner = np.where(at_start, np.where(r > 1, ids + 1, -1), ids - 1)
+        cut = slice(*np.searchsorted(self.segments[0], [first, stop]))
+        run, L, r0, r1, v, q = (c[cut] for c in self.segments)
+        for c in sorted(set(L.tolist())):
+            s = np.flatnonzero(L == c)
+            count = r1[s] - r0[s] + 1
+            rr = np.repeat(r0[s] - np.cumsum(count) + count, count) + np.arange(int(count.sum()))
+            at = np.repeat(s, count)
+            i = self.run_end[run[at]] - rr - lo
+            got = np.minimum(v[at] + rr, np.minimum(self.run_cap[run[at]], c))
+            up = got > best[i]
+            best[i[up]] = got[up]
+            partner[i[up]] = (self.run_end[q[at]] - rr)[up]
+        return best, partner
+
+
+def _runs(runs: Sequence[tuple[np.ndarray, np.ndarray]]):
+    """Letter, length, end and necklace of every run, necklace by necklace,
+    from each necklace's runs as ``symmetrize`` keeps them.
+
+    Each necklace opens with a run, so a run's end, the index of the letter
+    after it, is also a member id: member (p, r), the rotation that starts r
+    letters before the end of run p, is member ``end[p] - r``.
     """
-    letters = np.concatenate([np.array(n.letters, dtype=np.int64) for n in necks])
-    opens = np.ones(len(letters), dtype=bool)
-    opens[1:] = letters[1:] != letters[:-1]
-    opens[starts[:-1]] = True
-    begin = np.flatnonzero(opens)
-    end = np.append(begin[1:], len(letters))
-    return letters[begin], end - begin, end, np.searchsorted(starts, begin, side="right") - 1
+    letter = np.concatenate([ls for ls, _ in runs])
+    length = np.concatenate([ns for _, ns in runs])
+    neck = np.repeat(np.arange(len(runs)), [len(ls) for ls, _ in runs])
+    return letter, length, np.cumsum(length), neck
 
 
 def _token_text(letter: np.ndarray, length: np.ndarray, neck: np.ndarray):
@@ -446,87 +524,104 @@ def _index_fault(key: np.ndarray, sa: np.ndarray, lcp: np.ndarray) -> str | None
     return None
 
 
-def _own_run(length: np.ndarray, end: np.ndarray, m: int):
-    """Each member's longest piece with the members of its own run.
-
-    Member (p, r) shares r letters with (p, r + 1) when run p is longer than
-    r, and r - 1 letters with (p, r - 1) otherwise.
-    """
-    ids = np.arange(m, dtype=np.int32)
-    r = np.repeat(end.astype(np.int32), length) - ids
-    at_start = np.zeros(m, dtype=bool)
-    at_start[end - length] = True
-    best = r - at_start
-    partner = np.where(at_start, np.where(r > 1, ids + 1, -1), ids - 1).astype(np.int32)
-    return best, partner
-
-
-def _sweep(flcp: np.ndarray, length: np.ndarray, end: np.ndarray, cap: np.ndarray,
-           best: np.ndarray, partner: np.ndarray) -> None:
-    """Raise best and partner, in place, to the pieces members share with
-    members of other runs.
+def _deletion_pass(flcp: np.ndarray, length: np.ndarray, cap: np.ndarray):
+    """Segments of the pieces members share with members of other runs.
 
     The run arrays are in grouped order (see the module docstring), and
-    ``cap`` holds each run's necklace length.  Member (p, r) shares
-    min(r + lcp(S_p, S_q), L_p, L_q) letters with (q, r) for each run q of
-    its letter with l_q >= r, and no more with any other member.  Those runs
-    are the same for all r between two consecutive distinct run lengths, so
-    one sweep per such band and length class finds, for every run of the
-    band, the class member of its letter with the longest common text.
+    ``cap`` holds each run's necklace length; ``flcp[i]`` is the letter LCP
+    of runs i and i + 1, -1 between letter groups.  Returns arrays (x, L,
+    r0, r1, v, q) over segments in grouped positions: for r0 <= r <= r1 the
+    nearest class-L runs of length r or more on either side of run x share
+    at most v letters of text with it (capped at L), and q is the one that
+    does, the one before on a tie.
+
+    Per class, an event (x, t, side, k, h) says that from threshold r = t on
+    the nearest class run on that side of x is class run k (-1: none), and
+    that it shares h letters of text with x (-1: none).  Every run has an
+    event at t = 1 on each side.  When class run c goes, at l_c + 1, its
+    nearest longer class runs either side become neighbours; a run outside
+    the class walks that chain from its nearest class runs.
     """
-    low = 0
-    classes = np.unique(cap).tolist()
-    for t in np.unique(length).tolist():
-        sub = np.flatnonzero(length >= t)
-        if len(sub) > 1:
-            sub_lcp = np.minimum.reduceat(flcp[: sub[-1]], sub[:-1])
-            r = np.arange(low + 1, t + 1)
-            for L in classes:
-                in_class = cap[sub] == L
-                if not in_class.any():
-                    continue
-                val, src = _nearest(sub_lcp, in_class, L)
-                hit = val >= 0
-                i, j, v = sub[hit], sub[src[hit]], val[hit]
-                ids = end[i][:, None] - r
-                got = np.minimum(v[:, None] + r, np.minimum(cap[i], L)[:, None])
-                up = got > best[ids]
-                best[ids[up]] = got[up]
-                partner[ids[up]] = (end[j][:, None] - r)[up]
-        low = t
+    n = len(length)
+    X = np.arange(n)
+    one = np.ones(n, dtype=np.int64)
+    out = []
+    for L in sorted(set(cap.tolist())):
+        fl = np.append(np.minimum(flcp, L), -1)
+        P = np.flatnonzero(cap == L)
+        at = np.append(P, -1)  # at[-1] = -1: no run
+        lp = length[P]
+        up, dn = _nearest_longer(lp.tolist())
+        h_up, h_dn = _span_min(fl, at[up], P), _span_min(fl, P, at[dn])
+        # every run's nearest class run on each side, at r = 1
+        before = np.searchsorted(P, X) - 1
+        after = np.searchsorted(P, X, side="right")
+        after[after == len(P)] = -1
+        h_before, h_after = _span_min(fl, at[before], X), _span_min(fl, X, at[after])
+        events = [(X, one, 0, before, h_before), (X, one, 1, after, h_after)]
+        # class run c goes: up[c] and dn[c] share the text between them
+        h = np.minimum(h_up, h_dn)
+        s = dn >= 0
+        events.append((P[dn[s]], lp[s] + 1, 0, up[s], h[s]))
+        s = up >= 0
+        events.append((P[up[s]], lp[s] + 1, 1, dn[s], h[s]))
+        # runs outside the class walk the chains of nearest longer class runs
+        outside = cap != L
+        chains = ((before, h_before, up, h_up), (after, h_after, dn, h_dn))
+        for side, (k, h, step, h_step) in enumerate(chains):
+            x, k, h = X[outside], k[outside], h[outside]
+            while True:
+                live = (k >= 0) & (h >= 0)
+                live[live] = lp[k[live]] < length[x[live]]
+                x, k, h = x[live], k[live], h[live]
+                if not len(x):
+                    break
+                t = lp[k] + 1
+                h, k = np.minimum(h, h_step[k]), step[k]
+                events.append((x, t, side, k, h))
+        # one segment per run and threshold at which either side changes
+        x, t, k, h = (np.concatenate([e[c] for e in events]) for c in (0, 1, 3, 4))
+        side = np.concatenate([np.full(len(e[0]), e[2]) for e in events])
+        order = np.lexsort((side, t, x))
+        x, t, k, h, side = x[order], t[order], k[order], h[order], side[order]
+        i = np.arange(len(x))
+        lb = np.maximum.accumulate(np.where(side == 0, i, -1))
+        la = np.maximum.accumulate(np.where(side == 1, i, -1))
+        last = np.append((x[1:] != x[:-1]) | (t[1:] != t[:-1]), True)
+        x, r0, lb, la = x[last], t[last], lb[last], la[last]
+        r1 = np.where(np.append(x[1:] == x[:-1], False), np.append(r0[1:], 0) - 1, length[x])
+        v = np.maximum(h[lb], h[la])
+        q = np.where(h[lb] >= h[la], k[lb], k[la])
+        s = v >= 0
+        out.append((x[s], np.full(int(s.sum()), L), r0[s], r1[s], v[s], P[q[s]]))
+    return tuple(np.concatenate(c) for c in zip(*out))
 
 
-def _nearest(flcp: np.ndarray, in_class: np.ndarray, cap: int):
-    """For each position, the longer of its common prefixes (capped at cap)
-    with the nearest class member before it and after it, and that member's
-    position; -1 and -1 where no class member of its letter is on either
-    side."""
-    m = len(in_class)
-    val, src = _nearest_before(flcp, in_class, cap)
-    back, back_src = _nearest_before(flcp[::-1], in_class[::-1], cap)
-    back, back_src = back[::-1], np.where(back_src >= 0, m - 1 - back_src, -1)[::-1]
-    take = back > val
-    return np.where(take, back, val), np.where(take, back_src, src)
-
-
-def _nearest_before(flcp: np.ndarray, in_class: np.ndarray, cap: int):
-    """Common prefix, capped at cap, of each position with the nearest class
-    member before it, and that member's position; -1 and -1 where there is
-    none, and -1 with the position where the two letters differ.
-
-    A running minimum of flcp (values -1 .. cap) that restarts at every
-    class member: lowering each segment below everything before it turns it
-    into one global running minimum.
+def _nearest_longer(lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """For each position, the nearest position before it and after it with
+    a strictly larger length; -1 where there is none.  One stack pass: a
+    position pops the shorter ones, being the nearest longer one after them.
     """
-    m = len(in_class)
-    val = np.full(m, -1, dtype=np.int64)
-    src = np.full(m, -1, dtype=np.int64)
-    seg = np.cumsum(in_class[:-1], dtype=np.int64)
-    lift = seg * (cap + 2)
-    run = np.minimum.accumulate(np.minimum(flcp, cap) - lift) + lift
-    val[1:] = np.where(seg > 0, run, -1)
-    src[1:] = np.maximum.accumulate(np.where(in_class, np.arange(m), -1))[:-1]
-    return val, src
+    up, dn, stack = [-1] * len(lengths), [-1] * len(lengths), []
+    for i, l in enumerate(lengths):
+        while stack and lengths[stack[-1]] < l:
+            dn[stack.pop()] = i
+        if stack:
+            # a run of equal length before i has the same nearest longer run
+            j = stack[-1]
+            up[i] = j if lengths[j] > l else up[j]
+        stack.append(i)
+    return np.array(up, dtype=np.int64), np.array(dn, dtype=np.int64)
+
+
+def _span_min(fl: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min fl[lo:hi] for each pair lo < hi, -1 where either is -1; fl ends
+    in a pad entry, so that hi may be the last position."""
+    out = np.full(len(lo), -1, dtype=np.int64)
+    s = np.flatnonzero((lo >= 0) & (hi >= 0))
+    if len(s):
+        out[s] = np.minimum.reduceat(fl, np.stack((lo[s], hi[s]), axis=1).ravel())[::2]
+    return out
 
 
 @dataclass(frozen=True)
@@ -558,15 +653,17 @@ def max_pieces(S: SymmetrizedSet) -> PieceReport:
     """Exact maximum piece length with a re-checkable witness, carried by
     the first member (in member order) with a longest piece."""
     idx = S.index()
-    best_i = int(np.argmax(idx.best))
-    max_len = int(idx.best[best_i])
+    j = int(np.argmax(idx.peak_piece))
+    max_len = int(idx.peak_piece[j])
     witness = None
     if max_len > 0:
-        u = idx.member_word(best_i)
-        v = idx.member_word(int(idx.partner[best_i]))
+        i = int(idx.peak_member[j])
+        u = idx.member_word(i)
+        v = idx.member_word(idx.piece_at(i)[1])
         witness = PieceWitness(Word(S.alphabet, u.letters[:max_len]), u, v)
     # fold per-necklace maxima back onto the origin relators
-    neck_max = np.maximum.reduceat(idx.best, idx.starts[:-1])
+    first = np.searchsorted(idx.peak_neck, np.arange(len(idx.lengths)))
+    neck_max = np.maximum.reduceat(idx.peak_piece, first)
     rows = []
     for r, ks in zip(S.origins, S.origin_necklaces):
         m = int(neck_max[list(ks)].max())
@@ -599,19 +696,18 @@ def check_metric(S: SymmetrizedSet, bound: Fraction) -> MetricCheck:
     if not 0 < bound <= 1:
         raise SmallCancellationError(f"bound must lie in (0, 1], got {bound}")
     idx = S.index()
-    # |p| >= bound * L  <=>  |p| >= ceil(bound * L), exact per length class
-    fails = np.zeros(len(idx.best), dtype=bool)
-    for L in set(idx.lengths.tolist()):
-        least = -(-bound.numerator * L // bound.denominator)
-        fails |= (idx.member_len == L) & (idx.best >= least)
+    # |p| >= bound * L  <=>  |p| >= ceil(bound * L), exact per necklace
+    least = [-(-bound.numerator * L // bound.denominator) for L in idx.lengths.tolist()]
+    fails = idx.peak_piece >= np.array(least)[idx.peak_neck]
     if not fails.any():
         return MetricCheck(True, bound)
-    i = int(np.argmax(fails))
-    b = int(idx.best[i])
+    j = int(np.argmax(fails))
+    i = int(idx.peak_member[j])
+    b, partner = idx.piece_at(i)
     u = idx.member_word(i)
-    v = idx.member_word(int(idx.partner[i]))
+    v = idx.member_word(partner)
     w = PieceWitness(Word(S.alphabet, u.letters[:b]), u, v)
-    return MetricCheck(False, bound, witness=w, carrier_length=int(idx.member_len[i]))
+    return MetricCheck(False, bound, witness=w, carrier_length=int(idx.lengths[idx.peak_neck[j]]))
 
 
 @dataclass(frozen=True)

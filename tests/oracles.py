@@ -193,6 +193,58 @@ def letter_piece_best(necklaces) -> tuple[np.ndarray, np.ndarray]:
     return out_best, out_partner
 
 
+def run_piece_partners(necklaces) -> tuple[list[int], list[int]]:
+    """Per-member longest piece and partner by the run index's tie rules,
+    enumerated from their statement.
+
+    Runs are the maximal blocks of each necklace from its first letter on.
+    The text of run p is its necklace written twice (once if it is one
+    run), from the letter after p's first copy, then a separator that sorts
+    below every letter, separators in necklace order.  Member (p, r), the
+    rotation that starts r letters before the end of run p, keeps its
+    own-run piece, r with (p, r + 1) or r - 1 with (p, r - 1) at the run's
+    start, unless a run of some length class L, the classes tried in
+    increasing length, gives a strictly longer one: the nearest runs q of
+    p's letter and class with l_q >= r before and after p in text order
+    share min(lcp, L) letters of text with p, the one before winning a tie,
+    and (q, r) shares min(that + r, L_p, L) letters with (p, r).
+    """
+    runs = []  # (letter, length, end, necklace length, text)
+    end = 0
+    for k, n in enumerate(necklaces):
+        ls = list(n.letters)
+        cuts = [0] + [i for i in range(1, len(ls)) if ls[i] != ls[i - 1]] + [len(ls)]
+        body = [(1, letter_code(l)) for l in ls] * (1 if len(cuts) == 2 else 2) + [(0, k)]
+        for a, b in zip(cuts, cuts[1:]):
+            runs.append((ls[a], b - a, end + b, len(ls), body[b:]))
+        end += len(ls)
+
+    def lcp(u, v):
+        h = 0
+        while h < min(len(u), len(v)) and u[h] == v[h]:
+            h += 1
+        return h
+
+    best, partner = [0] * end, [-1] * end
+    classes = sorted({run[3] for run in runs})
+    for p, (c, lp, ep, cap, text) in enumerate(runs):
+        mates = sorted((q for q in range(len(runs)) if runs[q][0] == c), key=lambda q: runs[q][4])
+        here = mates.index(p)
+        for r in range(1, lp + 1):
+            i = ep - r
+            b, partner_i = (r - 1, i + 1 if r > 1 else -1) if r == lp else (r, i - 1)
+            for L in classes:
+                near = []
+                for side in (mates[here - 1 :: -1] if here else [], mates[here + 1 :]):
+                    q = next((q for q in side if runs[q][3] == L and runs[q][1] >= r), None)
+                    near.append((-1, q) if q is None else (min(lcp(text, runs[q][4]), L), q))
+                v, q = near[0] if near[0][0] >= near[1][0] else near[1]
+                if v >= 0 and min(v + r, cap, L) > b:
+                    b, partner_i = min(v + r, cap, L), runs[q][2] - r
+            best[i], partner[i] = b, partner_i
+    return best, partner
+
+
 def letter_symmetrize(relators) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
     """The necklaces (in order) and each relator's pair of necklace indices
     that ``smallcanc.symmetrize`` gives, found letter by letter.

@@ -102,6 +102,23 @@ class TestReportShape:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+    def test_hyp_spec_gen_imports_no_masked_arrays(self, tmp_path):
+        # a plain np.unique imports numpy.ma on its first call, inside the run
+        code = (
+            "import sys\n"
+            "import concc.cli as cli\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "cli.main(['verify', 'hyp-spec-gen', '--scale', '20', '--out', 'r.json'])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])

@@ -33,6 +33,7 @@ from oracles import (
     brute_piece_ratios,
     letter_piece_best,
     letter_symmetrize,
+    run_piece_partners,
 )
 
 AB = Alphabet(["a", "b"])
@@ -438,6 +439,69 @@ class TestRunIndex:
         assert len(chk.witness.piece) * 8 >= chk.carrier_length
 
 
+def assert_readers_match_arrays(S):
+    """The segment-end readers against the per-member arrays: the first
+    member with the longest piece, the first member over each bound, their
+    partners and carrier lengths, and the per-relator maxima; then the
+    arrays against the tie rules as ``run_piece_partners`` states them."""
+    idx = S.index()
+    rep = max_pieces(S)
+    checks = {bound: check_metric(S, bound) for bound in
+              (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 8))}
+    assert "best" not in vars(idx) and "partner" not in vars(idx)
+    best, partner = idx.best, idx.partner
+    i = int(np.argmax(best))
+    assert rep.max_piece_length == best[i]
+    if best[i]:
+        assert rep.witness.member == idx.member_word(i)
+        assert rep.witness.other == idx.member_word(int(partner[i]))
+    neck_max = np.maximum.reduceat(best, idx.starts[:-1])
+    assert [row["max_piece"] for row in rep.per_relator] == [
+        int(neck_max[list(ks)].max()) for ks in S.origin_necklaces
+    ]
+    for bound, chk in checks.items():
+        fails = best * bound.denominator >= idx.member_len * bound.numerator
+        assert chk.ok == (not fails.any())
+        if not chk.ok:
+            i = int(np.argmax(fails))
+            assert chk.witness.member == idx.member_word(i)
+            assert chk.witness.other == idx.member_word(int(partner[i]))
+            assert len(chk.witness.piece) == best[i]
+            assert chk.carrier_length == idx.member_len[i]
+    for i in np.flatnonzero(best)[:: max(1, len(best) // 50)].tolist():
+        assert idx.piece_at(i) == (best[i], partner[i])
+    assert (best.tolist(), partner.tolist()) == run_piece_partners(S.necklaces)
+
+
+class TestSegmentReaders:
+    """max_pieces and check_metric read segment ends; the per-member arrays
+    are built only on request, by the same tie rules."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_relators())
+    def test_block_relators(self, S):
+        assert_readers_match_arrays(S)
+
+    @settings(max_examples=150)
+    @given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=10),
+                    min_size=2, max_size=4))
+    def test_mixed_lengths(self, raw):
+        assert_readers_match_arrays(mixed_length_set(raw))
+
+    @pytest.mark.parametrize("s", [1, 2, 5, 9, 19, 20])
+    def test_trio(self, s):
+        assert_readers_match_arrays(symmetrize(trio(s)))
+
+    @pytest.mark.parametrize("s", [300, 1000])
+    def test_large_trio_builds_no_member_arrays(self, s):
+        S = symmetrize(trio(s))
+        idx = S.index()
+        assert idx.checked, idx.check_detail
+        assert max_pieces(S).max_piece_length == 5 * s - 2
+        assert check_metric(S, Fraction(1, 8)).ok
+        assert not {"best", "partner", "member_len"} & set(vars(idx))
+
+
 def _wrong_lifting_level(seq, sa):
     """lcp_array with each lifting step reading the class level above its own."""
     source = inspect.getsource(substrings.lcp_array).replace(
@@ -451,8 +515,7 @@ def _wrong_lifting_level(seq, sa):
 
 def token_index(s):
     S = symmetrize(trio(s))
-    idx = S.index()
-    letter, length, _, neck = smallcanc._runs(S.necklaces, idx.starts)
+    letter, length, _, neck = smallcanc._runs(S.runs)
     key = smallcanc._token_text(letter, length, neck)[0]
     sa = substrings.suffix_array(key)
     return key, sa, substrings.lcp_array(key, sa)
