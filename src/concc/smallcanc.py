@@ -60,21 +60,19 @@ token arrays are checked on every build (see ``_index_fault``), and the
 reports carry the outcome.
 
 Dehn's algorithm replaces a subword that is more than half of a member by
-the inverse of the rest of that member.  Against a member of length L only
-a match of M = L//2 + 1 letters or more can fire, which is what makes a
-small index enough.  Per length class, the q-grams (q = ceil(M/2)) of each
-necklace are indexed at every d-th offset, d = M - q + 1: about four per
-necklace.  A match of M letters or more that starts at member offset o
-covers the whole q-grams starting at o .. o + d - 1, and any d cyclically
-consecutive offsets hold one of the anchors, so every match that can fire
-contains an anchored q-gram.  One round fingerprints all n cyclic q-grams
-of the word (Karp-Rabin, prefix sums in numpy), looks them up among the
-anchors, checks each hit letter by letter and extends it both ways, up to
-min(L, n) letters in all.  The fingerprints only choose which alignments
-to compare; a collision costs a comparison, never an answer.  The longest
-match wins, then the smallest cyclic start, necklace and offset.  The
-anchors of a length class are built when a Dehn round first needs them;
-the piece scans never build them.
+the inverse of the rest of that member: M = L//2 + 1 letters or more of a
+member of length L.  A round works on the cyclic word's runs and the same
+checked token arrays.  The start a letters before the end of word run i
+meets member (p, r) for min(a, r) letters if a != r; if a = r the match
+goes on for the h letters that the texts after the two runs share, so
+min(a + h, L, n) in all.  The word's windows of 2^j tokens are classed
+among the text's, whose classes the checked LCP array gives, by one binary
+search per doubling level; so the text after each word run finds its place
+in the S_p order of its letter, and binary lifting measures h.  A run of
+more than half its necklace is tried against every word run of its
+letter; any other run p needs h >= M - l_p, so only the block of the S_p
+order around that place whose neighbours share as much is read.  The
+longest match wins, then the smallest cyclic start, necklace and offset.
 """
 
 from __future__ import annotations
@@ -86,17 +84,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .substrings import lcp_array, suffix_array, window_hashes
+from .substrings import lcp_array, suffix_array
 from .words import Alphabet, CyclicWord, Word, _least_rotation, is_cyclically_reduced
-
-# Karp-Rabin fingerprints of the Dehn matcher: a prime below 2^31 and a unit
-# mod it.  Fingerprints only pick candidates; every one is checked letter by
-# letter, so the modulus bears on speed, never on answers.
-_HASH_MODULUS = 2_147_483_647
-_HASH_BASE = 1_000_003
-# most comparisons one batch may hold at once (Dehn hits, index self-checks),
-# and about the most letters of the Dehn anchors fingerprinted at once
-_PAIR_BUDGET = 1 << 16
 
 
 class SmallCancellationError(ValueError):
@@ -161,7 +150,6 @@ class SymmetrizedSet:
         # letter and length of each necklace's runs, from its first letter on
         self.runs = tuple(runs)
         self._index: _PieceIndex | None = None
-        self._anchors: dict[int, _AnchorIndex] = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -190,12 +178,6 @@ class SymmetrizedSet:
             self._index = _PieceIndex(self)
         return self._index
 
-    def anchors(self, L: int) -> "_AnchorIndex":
-        """Dehn matcher of length class L, built on first use."""
-        if L not in self._anchors:
-            self._anchors[L] = _AnchorIndex(self, L)
-        return self._anchors[L]
-
 
 def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
     """Build the closure; rejects identity, non-cyclically-reduced, and proper powers.
@@ -219,7 +201,7 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
             raise SmallCancellationError("identity relator")
         if not is_cyclically_reduced(r):
             raise SmallCancellationError(f"relator {r} is not cyclically reduced")
-        letter, length = _cyclic_runs(np.fromiter(r.letters, np.int64, len(r)))
+        letter, length, _ = _cyclic(*_linear_runs(np.fromiter(r.letters, np.int64, len(r))))
         e = int(length[0]) if len(letter) == 1 else _power(_cyclic_keys(letter, length, M, D))
         if e > 1:
             raise SmallCancellationError(
@@ -241,15 +223,6 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
         [(position[a], position[b]) for a, b in origin_keys],
         [runs for _, (_, runs) in ordered],
     )
-
-
-def _cyclic_runs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Letter and length of each run of the cyclic word w, a run that wraps
-    around merged into one, from the first run boundary on."""
-    begin = np.flatnonzero(w != np.roll(w, 1))
-    if not len(begin):
-        return w[:1], np.array([len(w)])
-    return w[begin], np.diff(begin, append=begin[0] + len(w))
 
 
 def _run_keys(code: np.ndarray, size: np.ndarray, nxt: np.ndarray, M: int, D: int) -> np.ndarray:
@@ -338,12 +311,13 @@ class _PieceIndex:
         self.lengths = np.array([len(n) for n in S.necklaces], dtype=np.int64)
         self.starts = np.concatenate(([0], np.cumsum(self.lengths)))
         letter, self.run_len, self.run_end, neck = _runs(S.runs)
-        key, size, code, after = _token_text(letter, self.run_len, neck)
+        key, size, code, self.after, self.scale = _token_text(letter, self.run_len, neck)
         sa = suffix_array(key)
         lcp = lcp_array(key, sa)
         fault = _index_fault(key, sa, lcp)
         self.checked = fault is None
         self.check_detail = fault or f"suffix and LCP arrays of {len(key)} run tokens checked"
+        self.key, self.sa, self.lcp, self.size, self.code = key, sa, lcp, size, code  # for Dehn
         # letter LCP of adjacent token suffixes: their equal tokens, then the
         # shorter of the first unequal tokens if those share a letter
         n = len(key)
@@ -354,15 +328,16 @@ class _PieceIndex:
         shared = (code[ea] == code[eb]) & (code[ea] > 0)
         letter_lcp = prefix[ea] - prefix[a] + np.where(shared, np.minimum(size[ea], size[eb]), 0)
         # runs grouped by letter, each group in the order of the texts S_p
-        rank = np.empty(n, dtype=np.int64)
+        self.rank = rank = np.empty(n, dtype=np.int64)
         rank[sa] = np.arange(n)
-        first = code[after - 1]
-        g = np.lexsort((rank[after], first))
-        pos = rank[after][g]
+        first = code[self.after - 1]
+        self.group = g = np.lexsort((rank[self.after], first))
+        pos = rank[self.after][g]
         # letter LCP of group neighbours: a range minimum; -1 between groups
         bounds = np.stack((pos[:-1], pos[1:]), axis=1).ravel()
-        flcp = np.minimum.reduceat(np.append(letter_lcp, 0), bounds)[::2]
+        self.flcp = flcp = np.minimum.reduceat(np.append(letter_lcp, 0), bounds)[::2]
         flcp[first[g][1:] != first[g][:-1]] = -1
+        self.neck = neck
         self.run_cap = self.lengths[neck]
         x, L, r0, r1, v, q = _deletion_pass(flcp, self.run_len[g], self.run_cap[g])
         order = np.lexsort((r0, L, g[x]))
@@ -373,6 +348,10 @@ class _PieceIndex:
         order = np.argsort(member, kind="stable")
         self.peak_member, self.peak_piece = member[order], piece[order]
         self.peak_neck = np.concatenate((neck, neck[p]))[order]
+
+    @cached_property
+    def search(self) -> "_RunSearch":
+        return _RunSearch(self)
 
     def member_word(self, i: int) -> Word:
         k = int(np.searchsorted(self.starts, i, side="right")) - 1
@@ -453,7 +432,9 @@ def _token_text(letter: np.ndarray, length: np.ndarray, neck: np.ndarray):
 
     A run's key is ``_run_keys``, with the separator after it as no next
     letter, so comparing keys orders the token suffixes exactly as the
-    letter suffixes they spell; separators rank below every letter.
+    letter suffixes they spell; separators rank below every letter.  The
+    key scale (M, D), also returned, leaves one length and one letter code
+    spare above the text's, for the runs of a Dehn word that exceed them.
     """
     K = int(neck[-1]) + 1
     count = np.bincount(neck)
@@ -471,9 +452,9 @@ def _token_text(letter: np.ndarray, length: np.ndarray, neck: np.ndarray):
     code[again], size[again] = runs[twice], length[twice]
     code[opens[1:] - 1] = -np.arange(1, K + 1)
     nxt = np.append(np.maximum(code[1:], 0), 0)
-    M, D = int(size.max()) + 1, int(code.max()) + 1
-    key = np.where(code > 0, K + _run_keys(code, size, nxt, M, D), -code - 1)
-    return key, size, code, at + 1
+    scale = int(size.max()) + 2, int(code.max()) + 2
+    key = np.where(code > 0, K + _run_keys(code, size, nxt, *scale), -code - 1)
+    return key, size, code, at + 1, scale
 
 
 def _index_fault(key: np.ndarray, sa: np.ndarray, lcp: np.ndarray) -> str | None:
@@ -486,7 +467,10 @@ def _index_fault(key: np.ndarray, sa: np.ndarray, lcp: np.ndarray) -> str | None
     first.  Each lcp[i] is checked exactly: the suffixes at ranks i and i + 1
     agree token by token on their first lcp[i] tokens, and the next tokens
     differ.  The text ends in a token that occurs nowhere else, so two
-    suffixes always differ inside it.
+    suffixes always differ inside it.  The prefixes are compared in text
+    order, in linear time: once sa is right, if suffix t - 1 shares h tokens
+    with the one ranked below it, suffix t shares h - 1 or more with its own
+    (Kasai), so only the rest is compared.
     """
     n = len(key)
     if len(sa) != n or len(lcp) != max(n - 1, 0):
@@ -510,17 +494,18 @@ def _index_fault(key: np.ndarray, sa: np.ndarray, lcp: np.ndarray) -> str | None
     if bad.any():
         i = int(np.argmax(bad))
         return f"LCP {int(lcp[i])} at rank {i} is not followed by a mismatch"
-    # compare the common prefixes in batches of about _PAIR_BUDGET tokens
-    ends = np.cumsum(lcp)
-    cuts = np.searchsorted(ends, np.arange(_PAIR_BUDGET, int(ends[-1]), _PAIR_BUDGET))
-    for lo, hi in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [n - 1]))):
-        h = lcp[lo:hi]
-        pair = np.repeat(np.arange(lo, hi), h)
-        step = np.arange(len(pair)) - np.repeat(np.cumsum(h) - h, h)
-        differ = key[a[pair] + step] != key[b[pair] + step]
-        if differ.any():
-            i = int(pair[np.argmax(differ)])
-            return f"LCP {int(lcp[i])} at rank {i} covers unequal tokens"
+    # in text order: the LCP of suffix t with the one ranked below it (0 for
+    # the least suffix), and where its comparison may start
+    h = np.zeros(n, dtype=np.int64)
+    h[b] = lcp
+    known = np.maximum(np.concatenate(([0], h[:-1])) - 1, 0)
+    count = np.maximum(h - known, 0)
+    t = np.repeat(np.arange(n), count)
+    step = np.repeat(known - np.cumsum(count) + count, count) + np.arange(len(t))
+    differ = key[t + step] != key[sa[np.maximum(rank[t] - 1, 0)] + step]
+    if differ.any():
+        i = int(rank[t[np.argmax(differ)]]) - 1
+        return f"LCP {int(lcp[i])} at rank {i} covers unequal tokens"
     return None
 
 
@@ -754,129 +739,187 @@ def dehn_reduce_traced(
             )
     if w.alphabet != S.alphabet:
         raise SmallCancellationError("word and relator set use different alphabets")
-    classes = sorted({len(n) for n in S.necklaces})
-    out = DehnReduction(w)
-    word = _cyclic_core(np.array(w.letters, dtype=np.int64))
-    while len(word):
-        n = len(word)
-        tripled = np.concatenate((word, word, word))
-        found = [S.anchors(L).runs(tripled, n) for L in classes if n > L // 2]
-        found = [c for c in found if c is not None]
-        if not found:
+    idx = S.index()
+    if not idx.checked:
+        raise SmallCancellationError(f"Dehn reduction needs a checked piece index: {idx.check_detail}")
+    search, out = idx.search, DehnReduction(w)
+    letters = np.fromiter(w.letters, np.int64, len(w))
+    letter, length = _join(letters[:0], letters[:0], *_linear_runs(letters))
+    n = int(length.sum())
+    while n >= search.least:
+        cyclic = _cyclic(letter, length)
+        found = search.step(*cyclic, n)
+        if found is None:
             break
-        used, start, neck, off = (np.concatenate(col) for col in zip(*found))
-        # longest match, then smallest start, necklace and offset
-        i = np.lexsort((off, neck, start, -used))[0]
-        used, start, k, off = int(used[i]), int(start[i]), int(neck[i]), int(off[i])
-        member = S.anchors(len(S.necklaces[k])).member(k, off)
-        rotated = tripled[start : start + n]
-        assert np.array_equal(member[:used], rotated[:used]), "index reported a phantom match"
-        repl, rest = -member[used:][::-1], rotated[used:]
-        c = _cancelled(repl, rest, min(len(repl), len(rest)))
-        word = _cyclic_core(np.concatenate((repl[: len(repl) - c], rest[c:])))
+        used, start, k, off = found
+        L = int(idx.lengths[k])
+        rl, rn = _cut(*search.neck_runs[k], L, off + used, L - used)
+        letter, length = _join(-rl[::-1], rn[::-1], *_cut(*cyclic, n, start + used, n - used))
+        n = int(length.sum())
         out.steps.append(DehnStep(start, used, k, off))
-    out.word = Word(S.alphabet, tuple(word.tolist()))
+    if out.steps or n < len(w):
+        out.word = Word(S.alphabet, tuple(letter.repeat(length).tolist()))
     return out
 
 
-def _cancelled(left: np.ndarray, right: np.ndarray, most: int) -> int:
-    """Letters that cancel, up to most, where left ends and right begins."""
-    inverse = left[::-1][:most] == -right[:most]
-    return int(np.logical_and.accumulate(inverse).sum())
+def _linear_runs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Letter and length of each run of the word w, left to right."""
+    bounds = np.concatenate(([0], np.flatnonzero(w[1:] != w[:-1]) + 1, [len(w)]))[: len(w) + 1]
+    return w[bounds[:-1]], bounds[1:] - bounds[:-1]
 
 
-def _cyclic_core(word: np.ndarray) -> np.ndarray:
-    """The cyclically reduced core of a freely reduced word."""
-    c = _cancelled(word, word, len(word) // 2)
-    return word[c : len(word) - c]
+def _cyclic(letter: np.ndarray, length: np.ndarray):
+    """A word's cyclic runs (one that wraps around placed last) and starts."""
+    begin = length.cumsum() - length
+    if len(letter) < 2 or letter[0] != letter[-1]:
+        return letter, length, begin
+    return letter[1:], np.append(length[1:-1], length[-1] + length[0]), begin[1:]
 
 
-class _AnchorIndex:
-    """Anchored q-grams of the necklaces of one length class L (see the
-    module docstring for why they catch every match that can fire).
+def _cut(letter: np.ndarray, length: np.ndarray, begin: np.ndarray, n: int, t: int, count: int):
+    """Runs of count letters from position t of the cyclic word of n letters."""
+    if not count:
+        return letter[:0], length[:0]
+    t = t % n + n * (t % n < begin[0])
+    b = np.concatenate((begin, begin + n))
+    e = b + np.concatenate((length, length))
+    lo, hi = e.searchsorted(t, "right"), b.searchsorted(t + count)
+    return np.concatenate((letter, letter))[lo:hi], np.minimum(e[lo:hi], t + count) - np.maximum(b[lo:hi], t)
 
-    ``rows`` holds each necklace of the class three times over, as int32
-    (letters are bounded by the alphabet size), so a stretch of up to L
-    letters either side of any offset is a slice.  Anchors are kept sorted
-    by fingerprint, each with its start in the flattened rows.
-    """
 
-    def __init__(self, S: SymmetrizedSet, L: int):
-        self.L = L
-        self.least = L // 2 + 1
-        self.q = q = (self.least + 1) // 2
-        d = self.least - q + 1
-        self.necks = np.array([k for k, n in enumerate(S.necklaces) if len(n) == L])
-        self.row_of = {k: r for r, k in enumerate(self.necks.tolist())}
-        self.rows = rows = np.empty((len(self.necks), 3 * L), dtype=np.int32)
-        for row, k in enumerate(self.necks.tolist()):
-            rows[row, :L] = S.necklaces[k].letters
-        rows[:, L : 2 * L] = rows[:, 2 * L :] = rows[:, :L]
-        offsets = np.arange(0, L, d)
-        at = (np.arange(len(self.necks))[:, None] * 3 * L + offsets).ravel()
-        # fingerprint the anchored q-grams a batch of about _PAIR_BUDGET letters at a time
-        flat, step = rows.ravel(), max(1, _PAIR_BUDGET // q)
-        hashes = np.concatenate([
-            window_hashes(flat[at[i : i + step, None] + np.arange(q)].ravel(), q,
-                          _HASH_MODULUS, _HASH_BASE)[::q]
-            for i in range(0, len(at), step)
-        ])
-        order = np.argsort(hashes, kind="stable")
-        self.hashes, self.anchor_starts = hashes[order], at[order]
+def _join(xl: np.ndarray, xn: np.ndarray, yl: np.ndarray, yn: np.ndarray):
+    """Runs of the cyclic core of x y, for reduced x and y given by runs."""
+    letter, length = np.concatenate((xl, yl)), np.concatenate((xn, yn))
+    i, j = _cancel(letter, length, len(xl) - 1, len(xl), -1)
+    if 0 <= i < j < len(letter) and letter[i] == letter[j]:
+        length[j] += length[i]  # the runs between went whole, and these two share a letter
+        length[i] = 0
+    letter, length = letter[length > 0], length[length > 0]
+    i, j = _cancel(letter, length, 0, len(letter) - 1, 1)
+    return letter[i : j + 1], length[i : j + 1]
 
-    def member(self, k: int, off: int) -> np.ndarray:
-        return self.rows[self.row_of[k], off : off + self.L]
 
-    def runs(self, tripled: np.ndarray, n: int):
-        """Best match per verified anchor hit of the cyclic word tripled[:n].
+def _cancel(letter: np.ndarray, length: np.ndarray, i: int, j: int, d: int) -> tuple[int, int]:
+    """Cancel runs i < j of inverse letters in place, moving i by d and j by
+    -d past runs that go whole; returns where it stopped."""
+    while 0 <= i < j < len(letter) and letter[i] == -letter[j]:
+        c = min(length[i], length[j])
+        length[i], length[j] = length[i] - c, length[j] - c
+        gone_i, gone_j = not length[i], not length[j]
+        i, j = i + d * gone_i, j - d * gone_j
+        if not (gone_i and gone_j):
+            break
+    return i, j
 
-        Returns arrays (used, start, necklace, offset) over the hits whose
-        run, capped at min(L, n), is long enough for a Dehn step, or None
-        if there is none; start is the smallest cyclic start of such a
-        window, and offset that window's rotation of the necklace.
-        """
-        L, q = self.L, self.q
-        h = window_hashes(tripled[: n + q - 1], q, _HASH_MODULUS, _HASH_BASE)
-        lo = np.searchsorted(self.hashes, h, side="left")
-        count = np.searchsorted(self.hashes, h, side="right") - lo
-        pos = np.flatnonzero(count)
-        if not len(pos):
+
+class _RunSearch:
+    """Dehn matching on run tokens over the piece index's checked arrays
+    (module docstring).  A window of 2^j tokens is coded 2c + 1 if it is
+    class c of that level, 2c if it falls just below it; ``odd[j]`` codes the
+    text's (-1 past the end).  ``find[j]`` holds 2v - 1, 2v for the value v
+    of each class (its token key, or its halves' codes packed with
+    ``base[j - 1]``), so one binary search codes a word's window.
+    ``group_*`` list the runs in per-letter S_p order, with an entry of no
+    letter at either end."""
+
+    def __init__(self, idx: _PieceIndex):
+        self.idx, n = idx, len(idx.key)
+        self.odd, self.find, self.base = [], [], []
+        while not self.odd or self.base[-1] < 4 * n + 4:  # until the classes are the ranks
+            j = len(self.odd)
+            ids = np.concatenate(([0], np.cumsum(idx.lcp < (1 << j))))
+            top = idx.sa[np.flatnonzero(np.diff(ids, prepend=-1))]  # one position per class
+            low = self.odd[-1] if j else None
+            value = low[top] * (self.base[-1] // 2) + low[np.minimum(top + (1 << j - 1), n)] if j else idx.key[top]
+            self.find.append(np.stack((2 * value - 1, 2 * value), axis=1).ravel())
+            self.odd.append(np.append(2 * ids[idx.rank] + 1, -1))
+            self.base.append(4 * int(ids[-1]) + 8)  # twice the base that packs the next level
+        self.span = 1 << len(self.odd)  # binary lifting moves fewer tokens than this
+        g, run_code = idx.group, idx.code[idx.after - 1]
+        self.stride = 2 * n + 2
+        self.group_key = run_code[g] * self.stride + 2 * idx.rank[idx.after[g]] + 1
+        pad = lambda c, v: np.concatenate(([v], c, [v]))
+        self.group_run, self.group_x, self.group_code = pad(g, 0), pad(idx.after[g], 0), pad(run_code[g], -1)
+        self.flcp = np.concatenate(([-1], idx.flcp, [-1, 0]))
+        self.least_of, self.end_off = idx.run_cap // 2 + 1, idx.run_end - idx.starts[idx.neck]
+        self.least = int(self.least_of.min())
+        long = idx.run_len >= self.least_of
+        self.long_run, self.long_code, self.long_x = np.flatnonzero(long), run_code[long], idx.after[long]
+        # a match against a shorter run shares at least reach letters of text
+        self.reach = int((self.least_of - idx.run_len)[~long].min(initial=np.iinfo(np.int64).max))
+        # twice a word run's token key is pair_key + pair_size * its length, by
+        # its letter code and the next (cut to the spare one above the text's)
+        (self.M, D), A = idx.scale, 2 * idx.S.alphabet.size + 1
+        self.code_of = _letter_codes(np.arange(A) - A * (np.arange(A) > A // 2))  # by letter, -1 last
+        c, x = np.divmod(np.arange(A * A), A)
+        self.pair_key = 2 * ((2 * c + 2 * (x > c)) * self.M * D + np.minimum(x, D - 1) + len(idx.lengths))
+        self.pair_size = 2 * D * (1 - 2 * (x > c))
+        self.neck_runs = [(l, c, c.cumsum() - c) for l, c in idx.S.runs]
+
+    def step(self, letter: np.ndarray, length: np.ndarray, begin: np.ndarray, n: int):
+        """(used, start, necklace, offset) of the Dehn step the cyclic word
+        with these runs takes, or None if no member matches more than half."""
+        idx, R = self.idx, len(letter)
+        code = self.code_of[letter]
+        pair = code * len(self.code_of) + np.concatenate((code[1:], code[:1]))
+        key = self.pair_key[pair] + self.pair_size[pair] * np.minimum(length, self.M - 1)
+        # the codes of the word's windows, over its runs repeated as far as lifting reads
+        ext = [self.find[0].searchsorted(np.concatenate((key,) * (2 + 2 * self.span // R)))]
+        for j, (find, base, e) in enumerate(zip(self.find[1:], self.base, ext)):
+            ext.append(find.searchsorted(e[: -(1 << j)] * base + 2 * e[1 << j :]))
+        # the entries of each run's letter whose texts S_p rank just below and
+        # just above the text after the run, which starts at the next run
+        u = self.group_key.searchsorted(code * self.stride + ext[-1][1 : R + 1], "right")
+        near = np.concatenate((u, u + 1))
+        pick = (self.group_code[near] == np.concatenate((code, code))).nonzero()[0]
+        near, i = near[pick], pick % R
+        x = self.group_x[near]
+        if len(self.long_run):
+            li, lj = (code[:, None] == self.long_code).nonzero()
+            i, x = np.concatenate((i, li)), np.concatenate((x, self.long_x[lj]))
+        # the letters each shares with the text after its word run: equal tokens
+        # by binary lifting, then the shorter next ones if they share a letter
+        at, y = i + 1, x.copy()
+        for j in range(min(len(self.odd), R.bit_length()) - 1, -1, -1):  # up to R tokens or more
+            d = (ext[j][at] == self.odd[j][y]) * (1 << j)
+            at, y = at + d, y + d
+        t = np.minimum(y - x, R)  # R tokens are the whole word
+        last, y = i + t, x + t
+        z = (last + 1) % R
+        prefix = np.concatenate((length, length)).cumsum()
+        h = prefix[last] - prefix[i] + np.minimum(length[z], idx.size[y]) * (code[z] == idx.code[y])
+        found = [(i[len(pick) :], self.long_run[lj], h[len(pick) :])] if len(self.long_run) else []
+        # walk away from the nearest entries while the texts share reach letters
+        i, h, below = i[: len(pick)], h[: len(pick)], pick < R
+        while (keep := h >= self.reach).any():
+            s = keep.nonzero()[0]
+            i, near, h, below = i[s], near[s], h[s], below[s]
+            found.append((i, self.group_run[near], h))
+            h = np.minimum(h, self.flcp[near - below])
+            near = near + 1 - 2 * below
+        if not found:
             return None
-        # every (word position, anchor) pair with equal fingerprints
-        count = count[pos]
-        pair = np.repeat(lo[pos] - np.cumsum(count) + count, count) + np.arange(int(count.sum()))
-        hit, anchor = np.repeat(pos, count), self.anchor_starts[pair]
-        # compare up to cap - q letters either side of each hit's q-gram
-        cap = min(L, n)
-        side = cap - q
-        t = np.arange(-side, cap)
-        flat = self.rows.ravel()
-        found = []
-        step = max(1, _PAIR_BUDGET // len(t))
-        for s in range(0, len(hit), step):
-            i, a = hit[s : s + step], anchor[s : s + step]
-            same = tripled[(i + n)[:, None] + t] == flat[(a + L)[:, None] + t]
-            left = _leading(same[:, :side][:, ::-1])
-            right = _leading(same[:, side + q :])
-            used = np.minimum(left + q + right, cap)
-            # a fingerprint match counts only once its q-gram is equal letter by letter
-            keep = same[:, side : side + q].all(axis=1) & (used >= self.least)
-            i, a, used, left = i[keep], a[keep], used[keep], left[keep]
-            # windows of the capped length start at first .. first + slack;
-            # when that range passes a multiple of n, start 0 is the smallest
-            first = i - left
-            slack = left + q + right[keep] - used
-            wrap = np.mod(first, n) + slack >= n
-            begin = np.where(wrap, first + n - np.mod(first, n), first)
-            row, off = np.divmod(a, 3 * L)
-            found.append((used, np.mod(begin, n), self.necks[row], np.mod(off + begin - i, L)))
-        cols = [np.concatenate(col) for col in zip(*found)]
-        return cols if len(cols[0]) else None
-
-
-def _leading(eq: np.ndarray) -> np.ndarray:
-    """Length of the run of True that opens each row."""
-    return np.logical_and.accumulate(eq, axis=1).sum(axis=1)
+        i, p, h = (np.concatenate(c) for c in zip(*found)) if len(found) > 1 else found[0]
+        # the start a letters before the end of run i meets member (p, r) for
+        # min(a, r) letters if a != r, min(a + h, L_p, n) if a = r: most at
+        # a = r = m = min(l_i, l_p).  If that fires, so do a = r from cap - h
+        # when that most is the cap, and a = m < r or r = m < a when it is m;
+        # the longest (0 if it does not fire), then smallest start and offset win
+        lp, cap = idx.run_len[p], np.minimum(idx.run_cap[p], n)
+        m = np.minimum(length[i], lp)
+        used = np.minimum(m + h, cap)
+        used *= used >= self.least_of[p]
+        if not used.any():
+            return None
+        flat = m == used
+        a_lo, a_hi = np.maximum(np.minimum(m, cap - h), 1), m + (length[i] - m) * flat
+        # starts end - a_hi .. end - a_lo; past n they wrap, and n itself is start 0
+        end = begin[i] + length[i]
+        a = a_hi - (a_hi - end + n) * ((end - a_hi <= n) & (n <= end - a_lo))
+        r = np.minimum(a, m) + (lp - m) * ((a == m) & flat)
+        start, neck, off = (end - a) % n, idx.neck[p], self.end_off[p] - r
+        b = np.lexsort((off, neck, start, -used))[0]
+        return int(used[b]), int(start[b]), int(neck[b]), int(off[b])
 
 
 @dataclass
@@ -910,8 +953,9 @@ def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
     C'(1/8); its three relators must Dehn-reduce to the empty word; and
     R(a, b) itself must be Dehn-irreducible, which certifies it nontrivial
     in the quotient.  The report also carries ``piece-index-checked``, the
-    self-check of the piece index behind the metric.  Metric failure at
-    small scales is reported as a failing check with its witness piece, not
+    self-check of the piece index behind the metric and Dehn reduction; if
+    it fails, the four Dehn checks fail unrun.  Metric failure at small
+    scales is reported as a failing check with its witness piece, not
     raised.
     """
     A = Alphabet(["a", "b"])
@@ -933,25 +977,29 @@ def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
         ),
         FamilyCheck("piece-index-checked", S.index().checked, S.index().check_detail),
     ]
-    for name, r in trio.items():
-        red = dehn_reduce_traced(r, S)
+    if not S.index().checked:  # Dehn reduction refuses it
+        names = [f"reduces-to-empty {name}" for name in trio] + ["survivor-irreducible R(a,b)"]
+        checks += [FamilyCheck(name, False, "not run: the piece index failed its self-check") for name in names]
+    else:
+        for name, r in trio.items():
+            red = dehn_reduce_traced(r, S)
+            checks.append(
+                FamilyCheck(
+                    f"reduces-to-empty {name}",
+                    red.is_empty,
+                    "" if red.is_empty else f"left {len(red.word)} letters",
+                )
+            )
+        sur = dehn_reduce_traced(survivor, S)
         checks.append(
             FamilyCheck(
-                f"reduces-to-empty {name}",
-                red.is_empty,
-                "" if red.is_empty else f"left {len(red.word)} letters",
+                "survivor-irreducible R(a,b)",
+                sur.irreducible and sur.word == survivor,
+                f"no replacement applies across {len(survivor)} letters"
+                if sur.irreducible
+                else f"reduced by {len(sur.steps)} steps to {len(sur.word)} letters",
             )
         )
-    sur = dehn_reduce_traced(survivor, S)
-    checks.append(
-        FamilyCheck(
-            "survivor-irreducible R(a,b)",
-            sur.irreducible and sur.word == survivor,
-            f"no replacement applies across {len(survivor)} letters"
-            if sur.irreducible
-            else f"reduced by {len(sur.steps)} steps to {len(sur.word)} letters",
-        )
-    )
     return HypSpecGenReport(
         scale=s,
         relator_length=len(survivor),

@@ -8,11 +8,7 @@ read off the finished suffix array, then every adjacent pair is measured
 at once by binary lifting.  The piece index in ``smallcanc`` runs both
 over one token per relator run, not per letter: at scale 200 that is a
 4 806-token text for 481 200 closure members, and both arrays take a few
-milliseconds.
-
-``window_hashes`` fingerprints every window of one length at once
-(Karp-Rabin by prefix sums); Dehn reduction uses it to pick the alignments
-it then compares letter by letter.
+milliseconds.  Dehn reduction searches the same arrays, once checked.
 
 The suffix automaton is the usual online construction, kept per string,
 with the earliest end position of each state retained so matches can be
@@ -43,52 +39,6 @@ def suffix_array(seq) -> np.ndarray:
         if rank[order[-1]] == n - 1:
             return order
         k *= 2
-
-
-def window_hashes(seq, q: int, modulus: int, base: int) -> np.ndarray:
-    """Karp-Rabin fingerprint of every length-q window of seq, by start.
-
-    The fingerprint of x_0..x_{q-1} is sum(x_t * base^t) mod modulus, with
-    each x_t taken mod modulus.  A prime modulus below 2^31 keeps every
-    product of two residues, and every prefix sum of up to 2^32 of them,
-    inside int64; base must be a unit mod modulus.  Equal windows have
-    equal fingerprints; the converse is only likely.
-    """
-    seq = np.asarray(seq, dtype=np.int64)
-    n = len(seq)
-    if q < 1 or q > n:
-        return np.empty(0, dtype=np.int64)
-    prefix = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.mod(seq, modulus) * _powers(base, n, modulus) % modulus, out=prefix[1:])
-    # window i holds base^i times its fingerprint; divide that factor out
-    unscale = _powers(pow(base, -1, modulus), n - q + 1, modulus)
-    return (prefix[q:] - prefix[:-q]) % modulus * unscale % modulus
-
-
-# (x, modulus) -> x^0, x^1, ... mod modulus; read-only, only ever grows
-_POWER_TABLES: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _powers(x: int, count: int, modulus: int) -> np.ndarray:
-    """x^0 .. x^(count-1) mod modulus, sliced from a grow-only table.
-
-    Dehn reduction hashes a word that only shrinks, round after round, so
-    a table grows only when a longer word arrives and is otherwise only
-    read.  It grows to exactly the length asked for, filling its new part
-    by doubling the filled prefix.
-    """
-    table = _POWER_TABLES.get((x, modulus))
-    if table is None or len(table) < count:
-        filled = 1 if table is None else len(table)
-        out = np.empty(max(count, 1), dtype=np.int64)
-        out[:filled] = 1 if table is None else table
-        while filled < count:
-            m = min(filled, count - filled)
-            out[filled : filled + m] = out[:m] * pow(x, filled, modulus) % modulus
-            filled += m
-        out.flags.writeable = False
-        _POWER_TABLES[(x, modulus)] = table = out
-    return table[:count]
 
 
 def lcp_array(seq, sa: np.ndarray) -> np.ndarray:

@@ -551,6 +551,23 @@ class TestIndexSelfCheck:
                 bad[i] += d
                 assert smallcanc._index_fault(key, sa, bad) is not None
 
+    @pytest.mark.parametrize("s", [7, 20])
+    def test_wrong_lcp_inside_a_long_prefix_is_caught(self, s):
+        key, sa, lcp = token_index(s)
+        r = int(np.argmax(lcp))
+        a, b, h = int(sa[r]), int(sa[r + 1]), int(lcp[r])
+        assert h >= s
+        # inside the common prefix: the tokens after it still agree
+        bad = lcp.copy()
+        bad[r] = h // 2
+        assert "not followed by a mismatch" in smallcanc._index_fault(key, sa, bad)
+        # past it, where the tokens differ again: only the prefix comparison,
+        # which starts from Kasai's bound, finds the unequal tokens
+        far = next(c for c in range(h + 1, len(key) - max(a, b))
+                   if key[a + c] != key[b + c])
+        bad[r] = far
+        assert smallcanc._index_fault(key, sa, bad) == f"LCP {far} at rank {r} covers unequal tokens"
+
     @pytest.mark.parametrize("s", [3, 20])
     def test_wrong_lifting_level_fails_the_report(self, s, monkeypatch):
         key, sa, lcp = token_index(s)
@@ -720,23 +737,84 @@ def assert_matches_brute(S, word):
     assert [(s.position, s.matched, s.necklace, s.offset) for s in red.steps] == steps
 
 
+@st.composite
+def run_shape_cases(draw):
+    """A relator set with a relator one of whose runs is longer than half of
+    it, and a word in a shape the run matcher treats apart: every run of
+    length 1, or first and last runs of one letter (a run that wraps)."""
+    alphabet = draw(st.sampled_from([AB, ABC]))
+    letters = [g * e for g in range(1, alphabet.size + 1) for e in (1, -1)]
+    x = draw(st.sampled_from(letters))
+    tail = [draw(st.sampled_from([l for l in letters if abs(l) != abs(x)]))]
+    for _ in range(draw(st.integers(0, 3))):
+        tail.append(draw(st.sampled_from([l for l in letters if l not in (x, -x, -tail[-1])])))
+    relators = [alphabet.word([x] * draw(st.integers(len(tail) + 1, len(tail) + 5)) + tail)]
+    letter = st.sampled_from(letters)
+    for letters_ in draw(st.lists(st.lists(letter, min_size=1, max_size=10), max_size=2)):
+        core, _ = cyclic_reduce(alphabet.word(letters_))
+        if not core.is_identity and primitive_root(core)[1] == 1:
+            relators.append(core)
+    S = symmetrize(relators)
+    if draw(st.booleans()):
+        word = [draw(letter)]
+        for _ in range(draw(st.integers(0, 20))):
+            word.append(draw(st.sampled_from([l for l in letters if l not in (word[-1], -word[-1])])))
+        while len(word) > 1 and word[-1] in (word[0], -word[0]):
+            word.pop()
+        return S, alphabet.word(word)
+    word = []
+    for _ in range(draw(st.integers(1, 4))):
+        neck = S.necklaces[draw(st.integers(0, len(S.necklaces) - 1))].letters
+        off = draw(st.integers(0, len(neck) - 1))
+        g = draw(st.lists(letter, max_size=3))
+        word += g + list((neck[off:] + neck[:off])[: draw(st.integers(1, len(neck)))])
+        word += [-l for l in reversed(g)]
+    core = cyclic_reduce(alphabet.word(word))[0].letters
+    # start inside a run, so that the word's first and last runs share a letter
+    inside = [i for i in range(1, len(core)) if core[i] == core[i - 1]]
+    assume(inside)
+    i = draw(st.sampled_from(inside))
+    return S, alphabet.word(core[i:] + core[:i])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12), st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12))
+def test_run_rewrite_matches_letter_reduction(x, y):
+    # the rewrite joins two reduced words by their runs; so must free and
+    # cyclic reduction of their letters
+    x, y = AB.word(x).letters, AB.word(y).letters
+    runs = [smallcanc._linear_runs(np.array(v, dtype=np.int64)) for v in (x, y)]
+    letter, length = smallcanc._join(*runs[0], *runs[1])
+    assert tuple(letter.repeat(length).tolist()) == cyclic_reduce(AB.word(x + y))[0].letters
+    assert all(letter[1:] != letter[:-1]) and all(length > 0)
+
+
 class TestDehnOracle:
-    """The anchored matcher against plain enumeration, step by step."""
+    """The run-token matcher against plain enumeration, step by step."""
 
     @settings(max_examples=300)
     @given(dehn_cases())
     def test_matches_brute_dehn(self, case):
         assert_matches_brute(*case)
 
-    @settings(max_examples=100)
-    @given(dehn_cases())
-    def test_fingerprint_collisions_change_nothing(self, case):
-        # modulo 3 nearly every window collides with some anchor, so each
-        # candidate must be settled by comparing letters
+    @settings(max_examples=300)
+    @given(run_shape_cases())
+    def test_run_shapes_match_brute_dehn(self, case):
         S, word = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(smallcanc, "_HASH_MODULUS", 3)
-            assert_matches_brute(symmetrize(S.origins), word)
+        # some necklace has a run of more than half of it
+        assert any(2 * length.max() > length.sum() for _, length in S.runs)
+        assert_matches_brute(S, word)
+
+    def test_refuses_an_unchecked_index(self, monkeypatch):
+        monkeypatch.setattr(smallcanc, "_index_fault", lambda *arrays: "forged fault at rank 3")
+        S = c16_set()
+        assert not S.index().checked
+        with pytest.raises(SmallCancellationError, match="forged fault at rank 3"):
+            dehn_reduce_traced(w("a a b a b^-1 a c c", ABC), S)
+        rep = verify_hyp_spec_gen(20)
+        dehn = [c for c in rep.checks if c.name.startswith(("reduces", "survivor"))]
+        assert len(dehn) == 4 and not any(c.ok for c in dehn)
+        assert all("not run" in c.detail for c in dehn)
 
     def test_ties_go_to_the_smallest_offset(self):
         # a a a opens the rotations at offsets 0 and 1 of a^4 b alike

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from concc.substrings import SuffixAutomaton, lcp_array, suffix_array, window_hashes
+from concc.substrings import SuffixAutomaton, lcp_array, suffix_array
 
 
 def naive_sa(seq):
@@ -122,16 +122,3 @@ def test_occurrence_end_points_into_text():
         if length:
             occ = sam.occurrence_end(state)
             assert text[occ - length : occ] == query[end - length : end]
-
-
-def test_window_hashes_match_definition():
-    rng = random.Random(4)
-    for modulus in (3, 2_147_483_647):
-        for _ in range(60):
-            seq = [rng.choice([1, -1, 2, -2, 3]) for _ in range(rng.randint(1, 30))]
-            q = rng.randint(1, len(seq))
-            want = [
-                sum(seq[i + t] % modulus * pow(1_000_003, t, modulus) for t in range(q)) % modulus
-                for i in range(len(seq) - q + 1)
-            ]
-            assert window_hashes(seq, q, modulus, 1_000_003).tolist() == want
