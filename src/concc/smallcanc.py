@@ -850,7 +850,7 @@ class _RunSearch:
         # twice a word run's token key is pair_key + pair_size * its length, by
         # its letter code and the next (cut to the spare one above the text's)
         (self.M, D), A = idx.scale, 2 * idx.S.alphabet.size + 1
-        self.code_of = _letter_codes(np.arange(A) - A * (np.arange(A) > A // 2))  # by letter, -1 last
+        self.code_of = _letter_codes(np.arange(A) - A * (np.arange(A) > A // 2))  # negatives from the end
         c, x = np.divmod(np.arange(A * A), A)
         self.pair_key = 2 * ((2 * c + 2 * (x > c)) * self.M * D + np.minimum(x, D - 1) + len(idx.lengths))
         self.pair_size = 2 * D * (1 - 2 * (x > c))
@@ -879,7 +879,7 @@ class _RunSearch:
             i, x = np.concatenate((i, li)), np.concatenate((x, self.long_x[lj]))
         # the letters each shares with the text after its word run: equal tokens
         # by binary lifting, then the shorter next ones if they share a letter
-        at, y = i + 1, x.copy()
+        at, y = i + 1, x
         for j in range(min(len(self.odd), R.bit_length()) - 1, -1, -1):  # up to R tokens or more
             d = (ext[j][at] == self.odd[j][y]) * (1 << j)
             at, y = at + d, y + d
