@@ -303,7 +303,8 @@ class _PieceIndex:
     ``member_len`` answer every member and are built only when read.
     ``checked`` tells whether the suffix array and LCP array of the run
     tokens passed their self-check, and ``check_detail`` says what was
-    checked or where it failed.
+    checked or where it failed; Dehn reduction searches those arrays
+    through ``search``, built on first use.
     """
 
     def __init__(self, S: SymmetrizedSet):
