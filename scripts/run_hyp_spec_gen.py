@@ -4,8 +4,8 @@
 Usage: python3 scripts/run_hyp_spec_gen.py [--scale S]
 
 At the default scale the family has relators of length 2*S^2 + S = 20100;
-the metric check, the three forced collapses, and the survivor test all
-run in a few seconds.
+the metric check, the three forced collapses, and the survivor test
+together take well under a second.
 """
 
 import argparse

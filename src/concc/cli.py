@@ -38,6 +38,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _at_least(low: int):
+    """argparse type: an int no smaller than low; argparse names the flag when it is not."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-number still reads "invalid int value"
+    return parse
+
+
 def _add_common(p: _Parser) -> None:
     p.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
@@ -52,20 +62,22 @@ def build_parser() -> _Parser:
         "hyp-spec-gen",
         help="small-cancellation generation step: metric, collapses, survivor",
     )
-    hsg.add_argument("--scale", type=int, default=100, metavar="S")
+    hsg.add_argument("--scale", type=_at_least(1), default=100, metavar="S")
     _add_common(hsg)
 
     tower = sub.add_parser("tower", help="build or re-verify class towers")
     tsub = tower.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
     tb = tsub.add_parser("build", help="run a tower build and write its certificate")
     tb.add_argument("--classes", type=int, default=3, metavar="N")
-    tb.add_argument("--stages", type=int, default=50, metavar="M")
+    tb.add_argument("--stages", type=_at_least(0), default=50, metavar="M")
     tb.add_argument("--mode", default="ncc", choices=["ncc", "coset"])
     tb.add_argument(
         "--out",
         metavar="FILE",
         help="write the certificate here (default tower-cert.json); the report goes to stdout",
     )
+    # --classes is read only in ncc mode, so its bound is checked there
+    tb.set_defaults(error=tb.error)
     tv = tsub.add_parser("verify", help="replay a certificate file")
     tv.add_argument("certificate", metavar="FILE")
     _add_common(tv)
@@ -78,14 +90,14 @@ def build_parser() -> _Parser:
     relp = sub.add_parser("relpaths", help="free-product path audits")
     rsub = relp.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
     ra = rsub.add_parser("audit", help="randomized connectivity and regularity audits")
-    ra.add_argument("--instances", type=int, default=10000, metavar="N")
+    ra.add_argument("--instances", type=_at_least(1), default=10000, metavar="N")
     ra.add_argument("--seed", type=int, default=20260405, metavar="SEED")
     _add_common(ra)
 
     sc = sub.add_parser("smallcanc", help="piece statistics for relator families")
     ssub = sc.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
     pieces = ssub.add_parser("pieces", help="exact piece lengths and metric margins")
-    pieces.add_argument("--scale", type=int, default=20, metavar="S")
+    pieces.add_argument("--scale", type=_at_least(1), default=20, metavar="S")
     _add_common(pieces)
 
     return top
@@ -143,8 +155,6 @@ def _run(argv: list[str], out: str | None, checks: list[dict], artifacts: dict, 
 
 def _cmd_hyp_spec_gen(argv, args) -> int:
     t0 = time.perf_counter()
-    if args.scale < 1:
-        raise SystemExit(USAGE_EXIT)
     rep = smallcanc.verify_hyp_spec_gen(args.scale)
     checks = [_check(c.name, c.ok, c.detail) for c in rep.checks]
     artifacts = {
@@ -158,8 +168,6 @@ def _cmd_hyp_spec_gen(argv, args) -> int:
 
 
 def _ncc_config(classes: int, stages: int) -> towers.TowerConfig:
-    if classes < 2:
-        raise SystemExit(USAGE_EXIT)
     if classes <= 3:
         pres = parse_presentation("< x1 , x2 | >")
         A = pres.alphabet
@@ -179,10 +187,10 @@ def _ncc_config(classes: int, stages: int) -> towers.TowerConfig:
 
 def _cmd_tower_build(argv, args) -> int:
     t0 = time.perf_counter()
-    if args.stages < 0:
-        raise SystemExit(USAGE_EXIT)
     if args.mode == "coset":
         config = towers.klein_coset_config(args.stages)
+    elif args.classes < 2:
+        args.error(f"argument --classes: must be at least 2 in ncc mode, got {args.classes}")
     else:
         config = _ncc_config(args.classes, args.stages)
     build = towers.build_tower(config)
@@ -323,8 +331,6 @@ def _cmd_bs12(argv, args) -> int:
 
 def _cmd_relpaths_audit(argv, args) -> int:
     t0 = time.perf_counter()
-    if args.instances < 1:
-        raise SystemExit(USAGE_EXIT)
     ctx = fp.audit_ctx()
     audit = fp.path_audit(ctx, random.Random(args.seed), args.instances)
     checks = [
@@ -363,8 +369,6 @@ def _abbrev(w: Word, limit: int = 60) -> str:
 
 def _cmd_smallcanc_pieces(argv, args) -> int:
     t0 = time.perf_counter()
-    if args.scale < 1:
-        raise SystemExit(USAGE_EXIT)
     A = Alphabet(["a", "b"])
     trio = smallcanc.relator_trio(args.scale, A.gen("a"), A.gen("b"))
     S = smallcanc.symmetrize(list(trio.values()))

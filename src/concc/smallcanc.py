@@ -1,10 +1,10 @@
 """Classical metric small cancellation over free groups, at full family scale.
 
-A symmetrized set is stored as necklaces: one canonical rotation per orbit
-of cyclic permutation, with the inverse word's orbit added alongside.  The
-closure members (all rotations of all necklaces) are never materialized;
-the piece computation works on the necklaces' runs, the maximal blocks of
-one letter, so the index grows with the number of runs even when the
+A symmetrized set is stored as runs, the maximal blocks of one letter, of
+one canonical rotation per orbit of cyclic permutation (a necklace), with
+the inverse word's orbit added alongside.  Letters are spelled only on
+read, one member or necklace at a time.  The piece index and Dehn reduction
+work on the runs, so they grow with the number of runs even when the
 closure has seven figures of members.  At scale s the relator family has
 2s runs for 2s^2 + s letters.
 
@@ -134,44 +134,43 @@ def word_family_w(k: int, n: int, x: Word, y: Word) -> Word:
 
 
 class SymmetrizedSet:
-    """Closure of a relator set under cyclic permutation and inversion."""
+    """Closure of a relator set under cyclic permutation and inversion, kept
+    as runs: ``runs[k]`` holds the letter and length of each run of necklace
+    k, its least rotation, from its first letter on.  Letters are spelled on
+    read: ``member`` spells one member, ``necklaces`` all, when first read."""
 
     def __init__(
         self,
         origins: Sequence[Word],
-        necklaces: Sequence[CyclicWord],
         origin_necklaces: Sequence[tuple[int, int]],
         runs: Sequence[tuple[np.ndarray, np.ndarray]],
     ):
         self.origins = tuple(origins)
-        self.necklaces = tuple(necklaces)
+        self.alphabet: Alphabet = self.origins[0].alphabet
         # indices of the necklaces of each origin relator and of its inverse
         self.origin_necklaces = tuple(origin_necklaces)
-        # letter and length of each necklace's runs, from its first letter on
         self.runs = tuple(runs)
+        self.lengths = np.array([length.sum() for _, length in self.runs], dtype=np.int64)
+        self.closure_size = int(self.lengths.sum())
         self._index: _PieceIndex | None = None
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.necklaces[0].alphabet
-
-    @property
-    def closure_size(self) -> int:
-        return sum(len(n) for n in self.necklaces)
+    @cached_property
+    def necklaces(self) -> tuple[CyclicWord, ...]:
+        return tuple(CyclicWord.from_least_rotation(self.alphabet, _spell(*r)) for r in self.runs)
 
     def members(self) -> Iterator[Word]:
         for n in self.necklaces:
             yield from n.rotations()
 
     def member(self, neck: int, offset: int) -> Word:
-        ls = self.necklaces[neck].letters
-        offset %= len(ls)
-        return Word(self.alphabet, ls[offset:] + ls[:offset])
+        L = int(self.lengths[neck])
+        return Word(self.alphabet, _spell(*_cut(*_cyclic(*self.runs[neck]), L, offset, L)))
 
     def contains(self, w: Word) -> bool:
-        return is_cyclically_reduced(w) and bool(w) and any(
-            CyclicWord(w) == n for n in self.necklaces
-        )
+        if not (w and is_cyclically_reduced(w)):
+            return False
+        c = CyclicWord(w)
+        return any(len(n) == len(c) and n == c for n in self.necklaces)
 
     def index(self) -> "_PieceIndex":
         if self._index is None:
@@ -208,20 +207,17 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
                 f"relator {r} is a proper power (exponent {e}); "
                 "the metric conditions exclude proper powers"
             )
-        pair = [
-            _necklace(alphabet, letter, length, M, D),
-            _necklace(alphabet, -letter[::-1], length[::-1], M, D),
-        ]
+        pair = [_necklace(letter, length, M, D), _necklace(-letter[::-1], length[::-1], M, D)]
+        # keyed by length, then token keys: same-length necklaces compare as their keys do
+        pair = [((len(r), tokens), runs) for tokens, runs in pair]
         necklaces.update(pair)
         origin_keys.append((pair[0][0], pair[1][0]))
-    # same-length necklaces compare as their token keys do
-    ordered = sorted(necklaces.items(), key=lambda kc: (len(kc[1][0]), kc[0]))
-    position = {tokens: k for k, (tokens, _) in enumerate(ordered)}
+    ordered = sorted(necklaces)
+    position = {key: k for k, key in enumerate(ordered)}
     return SymmetrizedSet(
         relators,
-        [c for _, (c, _) in ordered],
         [(position[a], position[b]) for a, b in origin_keys],
-        [runs for _, (_, runs) in ordered],
+        [necklaces[key] for key in ordered],
     )
 
 
@@ -262,10 +258,9 @@ def _power(key: np.ndarray) -> int:
     return 1
 
 
-def _necklace(alphabet: Alphabet, letter: np.ndarray, length: np.ndarray, M: int, D: int):
-    """The token keys of a primitive cyclic word's least rotation, and its
-    ``CyclicWord`` with that rotation's runs (letters, lengths), from the
-    word's runs.
+def _necklace(letter: np.ndarray, length: np.ndarray, M: int, D: int):
+    """The token keys of a primitive cyclic word's least rotation and that
+    rotation's runs (letters, lengths), from the word's runs.
 
     The least rotation starts at a run boundary (module docstring), and
     rotations from run boundaries compare as their token keys do, so Booth
@@ -273,9 +268,7 @@ def _necklace(alphabet: Alphabet, letter: np.ndarray, length: np.ndarray, M: int
     """
     key = _cyclic_keys(letter, length, M, D)
     k = _least_rotation(key.tolist())
-    runs = np.roll(letter, -k), np.roll(length, -k)
-    word = CyclicWord.from_least_rotation(alphabet, tuple(np.repeat(*runs).tolist()))
-    return tuple(np.roll(key, -k).tolist()), (word, runs)
+    return tuple(np.roll(key, -k).tolist()), (np.roll(letter, -k), np.roll(length, -k))
 
 
 class _PieceIndex:
@@ -309,8 +302,7 @@ class _PieceIndex:
 
     def __init__(self, S: SymmetrizedSet):
         self.S = S
-        self.lengths = np.array([len(n) for n in S.necklaces], dtype=np.int64)
-        self.starts = np.concatenate(([0], np.cumsum(self.lengths)))
+        self.starts = np.concatenate(([0], np.cumsum(S.lengths)))
         letter, self.run_len, self.run_end, neck = _runs(S.runs)
         key, size, code, self.after, self.scale = _token_text(letter, self.run_len, neck)
         sa = suffix_array(key)
@@ -339,7 +331,7 @@ class _PieceIndex:
         self.flcp = flcp = np.minimum.reduceat(np.append(letter_lcp, 0), bounds)[::2]
         flcp[first[g][1:] != first[g][:-1]] = -1
         self.neck = neck
-        self.run_cap = self.lengths[neck]
+        self.run_cap = S.lengths[neck]
         x, L, r0, r1, v, q = _deletion_pass(flcp, self.run_len[g], self.run_cap[g])
         order = np.lexsort((r0, L, g[x]))
         self.segments = tuple(c[order] for c in (g[x], L, r0, r1, v, g[q]))
@@ -378,7 +370,7 @@ class _PieceIndex:
 
     @cached_property
     def member_len(self) -> np.ndarray:
-        return np.repeat(self.lengths, self.lengths)
+        return np.repeat(self.S.lengths, self.S.lengths)
 
     def _answers(self, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Longest piece and partner of each member of runs first .. stop - 1,
@@ -648,7 +640,7 @@ def max_pieces(S: SymmetrizedSet) -> PieceReport:
         v = idx.member_word(idx.piece_at(i)[1])
         witness = PieceWitness(Word(S.alphabet, u.letters[:max_len]), u, v)
     # fold per-necklace maxima back onto the origin relators
-    first = np.searchsorted(idx.peak_neck, np.arange(len(idx.lengths)))
+    first = np.searchsorted(idx.peak_neck, np.arange(len(S.runs)))
     neck_max = np.maximum.reduceat(idx.peak_piece, first)
     rows = []
     for r, ks in zip(S.origins, S.origin_necklaces):
@@ -683,7 +675,7 @@ def check_metric(S: SymmetrizedSet, bound: Fraction) -> MetricCheck:
         raise SmallCancellationError(f"bound must lie in (0, 1], got {bound}")
     idx = S.index()
     # |p| >= bound * L  <=>  |p| >= ceil(bound * L), exact per necklace
-    least = [-(-bound.numerator * L // bound.denominator) for L in idx.lengths.tolist()]
+    least = [-(-bound.numerator * L // bound.denominator) for L in S.lengths.tolist()]
     fails = idx.peak_piece >= np.array(least)[idx.peak_neck]
     if not fails.any():
         return MetricCheck(True, bound)
@@ -693,7 +685,7 @@ def check_metric(S: SymmetrizedSet, bound: Fraction) -> MetricCheck:
     u = idx.member_word(i)
     v = idx.member_word(partner)
     w = PieceWitness(Word(S.alphabet, u.letters[:b]), u, v)
-    return MetricCheck(False, bound, witness=w, carrier_length=int(idx.lengths[idx.peak_neck[j]]))
+    return MetricCheck(False, bound, witness=w, carrier_length=int(S.lengths[idx.peak_neck[j]]))
 
 
 @dataclass(frozen=True)
@@ -753,13 +745,13 @@ def dehn_reduce_traced(
         if found is None:
             break
         used, start, k, off = found
-        L = int(idx.lengths[k])
-        rl, rn = _cut(*search.neck_runs[k], L, off + used, L - used)
+        L = int(S.lengths[k])
+        rl, rn = _cut(*_cyclic(*S.runs[k]), L, off + used, L - used)
         letter, length = _join(-rl[::-1], rn[::-1], *_cut(*cyclic, n, start + used, n - used))
         n = int(length.sum())
         out.steps.append(DehnStep(start, used, k, off))
     if out.steps or n < len(w):
-        out.word = Word(S.alphabet, tuple(letter.repeat(length).tolist()))
+        out.word = Word(S.alphabet, _spell(letter, length))
     return out
 
 
@@ -767,6 +759,11 @@ def _linear_runs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Letter and length of each run of the word w, left to right."""
     bounds = np.concatenate(([0], np.flatnonzero(w[1:] != w[:-1]) + 1, [len(w)]))[: len(w) + 1]
     return w[bounds[:-1]], bounds[1:] - bounds[:-1]
+
+
+def _spell(letter: np.ndarray, length: np.ndarray) -> tuple[int, ...]:
+    """The letters of the word with these runs."""
+    return tuple(letter.repeat(length).tolist())
 
 
 def _cyclic(letter: np.ndarray, length: np.ndarray):
@@ -853,9 +850,8 @@ class _RunSearch:
         (self.M, D), A = idx.scale, 2 * idx.S.alphabet.size + 1
         self.code_of = _letter_codes(np.arange(A) - A * (np.arange(A) > A // 2))  # negatives from the end
         c, x = np.divmod(np.arange(A * A), A)
-        self.pair_key = 2 * ((2 * c + 2 * (x > c)) * self.M * D + np.minimum(x, D - 1) + len(idx.lengths))
+        self.pair_key = 2 * ((2 * c + 2 * (x > c)) * self.M * D + np.minimum(x, D - 1) + len(idx.S.runs))
         self.pair_size = 2 * D * (1 - 2 * (x > c))
-        self.neck_runs = [(l, c, c.cumsum() - c) for l, c in idx.S.runs]
 
     def step(self, letter: np.ndarray, length: np.ndarray, begin: np.ndarray, n: int):
         """(used, start, necklace, offset) of the Dehn step the cyclic word

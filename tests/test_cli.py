@@ -119,6 +119,13 @@ class TestReportShape:
         assert done.stdout.splitlines()[-1] == "False"
 
 
+def usage_error(capsys, argv):
+    """Run a command that must fail on its arguments; returns (exit_code, stderr)."""
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    return e.value.code, capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
@@ -129,16 +136,40 @@ class TestUsageErrors:
         assert code == 64
 
     def test_bad_flag_value(self, capsys):
-        code, _, _ = run(capsys, ["verify", "hyp-spec-gen", "--scale", "zero"])
+        code, err = usage_error(capsys, ["verify", "hyp-spec-gen", "--scale", "zero"])
         assert code == 64
+        assert "argument --scale: invalid int value: 'zero'" in err
 
     def test_nonpositive_scale(self, capsys):
-        code, _, _ = run(capsys, ["verify", "hyp-spec-gen", "--scale", "0"])
+        code, err = usage_error(capsys, ["verify", "hyp-spec-gen", "--scale", "0"])
         assert code == 64
+        assert "argument --scale: must be at least 1, got 0" in err
+        code, err = usage_error(capsys, ["smallcanc", "pieces", "--scale", "0"])
+        assert code == 64
+        assert "argument --scale: must be at least 1, got 0" in err
 
     def test_nonpositive_instances(self, capsys):
-        code, _, _ = run(capsys, ["relpaths", "audit", "--instances", "0"])
+        code, err = usage_error(capsys, ["relpaths", "audit", "--instances", "0"])
         assert code == 64
+        assert "argument --instances: must be at least 1, got 0" in err
+
+    def test_negative_stages(self, capsys):
+        code, err = usage_error(capsys, ["tower", "build", "--stages", "-1"])
+        assert code == 64
+        assert err.startswith("usage: concc tower build")
+        assert "argument --stages: must be at least 0, got -1" in err
+
+    def test_one_class_in_ncc_mode(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, err = usage_error(capsys, ["tower", "build", "--classes", "1"])
+        assert code == 64
+        assert err.startswith("usage: concc tower build")
+        assert "argument --classes: must be at least 2 in ncc mode, got 1" in err
+        assert not (tmp_path / "tower-cert.json").exists()
+        # coset mode does not read --classes
+        code, doc, _ = run(capsys, ["tower", "build", "--mode", "coset", "--classes", "1", "--stages", "3"])
+        assert code == 0
+        assert doc["artifacts"]["stages"] == 3
 
 
 class TestExitCodeMapping:

@@ -303,6 +303,18 @@ class TestRunRotation:
         # six necklaces of 2s runs each, not 2s^2 + s letters
         assert calls == [40] * 6
 
+    @settings(max_examples=200, deadline=None)
+    @given(rotation_sets())
+    def test_member_spells_one_rotation(self, relators):
+        try:
+            S = symmetrize(relators)
+        except SmallCancellationError:
+            assume(False)
+        for k, n in enumerate(S.necklaces):
+            ls, L = n.letters, len(n)
+            for off in range(-L, 2 * L):
+                assert S.member(k, off).letters == ls[off % L :] + ls[: off % L]
+
 
 def mixed_length_set(raw):
     """Closure of the cyclic cores of raw, proper powers dropped; needs two
@@ -500,6 +512,12 @@ class TestSegmentReaders:
         assert max_pieces(S).max_piece_length == 5 * s - 2
         assert check_metric(S, Fraction(1, 8)).ok
         assert not {"best", "partner", "member_len"} & set(vars(idx))
+        for r in trio(s):
+            assert dehn_reduce(r, S).is_identity
+        survivor = r_family(s, w("a"), w("b"))
+        assert dehn_reduce(survivor, S) == survivor
+        # the closure is kept as runs: no necklace was spelled out
+        assert "necklaces" not in vars(S)
 
 
 def _wrong_lifting_level(seq, sa):
