@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import random
 import sys
 import time
@@ -48,8 +49,19 @@ def _at_least(low: int):
     return parse
 
 
+def _out_file(text: str) -> str:
+    """argparse type: a path whose directory exists and that is not itself a
+    directory, so that writing the output after the work fails on neither."""
+    path = pathlib.Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory {str(path.parent)!r} does not exist")
+    return text
+
+
 def _add_common(p: _Parser) -> None:
-    p.add_argument("--out", metavar="FILE", help="write the JSON report here")
+    p.add_argument("--out", type=_out_file, metavar="FILE", help="write the JSON report here")
 
 
 def build_parser() -> _Parser:
@@ -73,6 +85,7 @@ def build_parser() -> _Parser:
     tb.add_argument("--mode", default="ncc", choices=["ncc", "coset"])
     tb.add_argument(
         "--out",
+        type=_out_file,
         metavar="FILE",
         help="write the certificate here (default tower-cert.json); the report goes to stdout",
     )

@@ -9,7 +9,9 @@ closure has seven figures of members.  At scale s the relator family has
 2s runs for 2s^2 + s letters.
 
 Piece = common initial segment of two distinct closure members.  The index
-finds, for every member, the longest piece it starts with.
+finds, for every member, the longest piece it starts with.  A witness names
+its two members by id, necklace by necklace and then by rotation offset,
+and spells only the piece; checking it spells the piece's letters of each.
 
 Member coordinates.  The canonical rotation is the least one, and the least
 rotation of a word of two runs or more starts at a run boundary: it opens
@@ -136,8 +138,11 @@ def word_family_w(k: int, n: int, x: Word, y: Word) -> Word:
 class SymmetrizedSet:
     """Closure of a relator set under cyclic permutation and inversion, kept
     as runs: ``runs[k]`` holds the letter and length of each run of necklace
-    k, its least rotation, from its first letter on.  Letters are spelled on
-    read: ``member`` spells one member, ``necklaces`` all, when first read."""
+    k, its least rotation, from its first letter on.  Members are numbered
+    necklace by necklace, then by rotation offset: member ``starts[k] + off``
+    is rotation ``off`` of necklace ``k``.  Letters are spelled on read:
+    ``member`` spells one member or its first letters, ``necklaces`` all,
+    when first read."""
 
     def __init__(
         self,
@@ -151,7 +156,8 @@ class SymmetrizedSet:
         self.origin_necklaces = tuple(origin_necklaces)
         self.runs = tuple(runs)
         self.lengths = np.array([length.sum() for _, length in self.runs], dtype=np.int64)
-        self.closure_size = int(self.lengths.sum())
+        self.starts = np.concatenate(([0], np.cumsum(self.lengths)))
+        self.closure_size = int(self.starts[-1])
         self._index: _PieceIndex | None = None
 
     @cached_property
@@ -162,15 +168,16 @@ class SymmetrizedSet:
         for n in self.necklaces:
             yield from n.rotations()
 
-    def member(self, neck: int, offset: int) -> Word:
+    def member(self, neck: int, offset: int, count: int | None = None) -> Word:
+        """Rotation ``offset`` of necklace ``neck``, or its first ``count`` letters."""
         L = int(self.lengths[neck])
-        return Word(self.alphabet, _spell(*_cut(*_cyclic(*self.runs[neck]), L, offset, L)))
+        count = L if count is None else min(count, L)
+        return Word(self.alphabet, _spell(*_cut(*_cyclic(*self.runs[neck]), L, offset, count)))
 
-    def contains(self, w: Word) -> bool:
-        if not (w and is_cyclically_reduced(w)):
-            return False
-        c = CyclicWord(w)
-        return any(len(n) == len(c) and n == c for n in self.necklaces)
+    def member_word(self, i: int, count: int | None = None) -> Word:
+        """Member ``i``, or its first ``count`` letters."""
+        k = int(np.searchsorted(self.starts, i, side="right")) - 1
+        return self.member(k, i - int(self.starts[k]), count)
 
     def index(self) -> "_PieceIndex":
         if self._index is None:
@@ -230,8 +237,8 @@ def _run_keys(code: np.ndarray, size: np.ndarray, nxt: np.ndarray, M: int, D: in
     letter, side 1 and -length otherwise.  Comparing keys orders the token
     sequences exactly as the letter sequences they spell: two runs of one
     letter part where the shorter one ends, and the letter after it is
-    below or above the run's letter.  The piece index and ``symmetrize``
-    both rank runs by these keys.
+    below or above the run's letter.  The piece index, ``symmetrize`` and
+    Dehn reduction all rank runs by these keys.
     """
     side = nxt > code
     return ((2 * code + side) * M + np.where(side, M - size, size)) * D + nxt
@@ -276,9 +283,8 @@ class _PieceIndex:
 
     Every necklace starts at a run boundary, being its least rotation, so
     member (p, r), which starts r letters before the end of run p, is a
-    fixed member: member ``run_end[p] - r`` when members are numbered
-    necklace by necklace (member ``starts[k] + off`` is rotation ``off`` of
-    necklace ``k``).  The module docstring derives its longest piece from
+    fixed member: member ``run_end[p] - r`` in the numbering of
+    ``SymmetrizedSet``.  The module docstring derives its longest piece from
     the runs and explains the deletion pass.
 
     ``segments`` holds arrays (p, L, r0, r1, v, q), sorted by run, class and
@@ -293,7 +299,8 @@ class _PieceIndex:
     stretch's longest piece and the first member with it sit: all that
     ``max_pieces`` and ``check_metric`` read.  ``piece_at`` answers one
     member; ``best``, ``partner`` (-1 where ``best`` is 0) and
-    ``member_len`` answer every member and are built only when read.
+    ``member_len`` answer every member and are built only when read, the
+    first two together as ``all_answers``.
     ``checked`` tells whether the suffix array and LCP array of the run
     tokens passed their self-check, and ``check_detail`` says what was
     checked or where it failed; Dehn reduction searches those arrays
@@ -302,7 +309,6 @@ class _PieceIndex:
 
     def __init__(self, S: SymmetrizedSet):
         self.S = S
-        self.starts = np.concatenate(([0], np.cumsum(S.lengths)))
         letter, self.run_len, self.run_end, neck = _runs(S.runs)
         key, size, code, self.after, self.scale = _token_text(letter, self.run_len, neck)
         sa = suffix_array(key)
@@ -346,10 +352,6 @@ class _PieceIndex:
     def search(self) -> "_RunSearch":
         return _RunSearch(self)
 
-    def member_word(self, i: int) -> Word:
-        k = int(np.searchsorted(self.starts, i, side="right")) - 1
-        return self.S.member(k, i - int(self.starts[k]))
-
     def piece_at(self, i: int) -> tuple[int, int]:
         """Longest piece of member i and the member it shares it with, -1
         where the piece is empty."""
@@ -359,14 +361,16 @@ class _PieceIndex:
         return int(best[k]), int(partner[k])
 
     @cached_property
-    def best(self) -> np.ndarray:
-        best, self.partner = self._answers(0, len(self.run_len))
-        return best
+    def all_answers(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._answers(0, len(self.run_len))
 
-    @cached_property
+    @property
+    def best(self) -> np.ndarray:
+        return self.all_answers[0]
+
+    @property
     def partner(self) -> np.ndarray:
-        self.best, partner = self._answers(0, len(self.run_len))
-        return partner
+        return self.all_answers[1]
 
     @cached_property
     def member_len(self) -> np.ndarray:
@@ -604,18 +608,19 @@ def _span_min(fl: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PieceWitness:
+    """A piece and two distinct members that start with it, named by id."""
+
     piece: Word
-    member: Word
-    other: Word
+    member: int
+    other: int
 
     def verify(self, S: SymmetrizedSet) -> bool:
-        p = self.piece.letters
+        """Checks the ids against S, spelling only the piece's letters of each."""
+        ids = (self.member, self.other)
         return (
-            self.member.letters[: len(p)] == p
-            and self.other.letters[: len(p)] == p
-            and self.member != self.other
-            and S.contains(self.member)
-            and S.contains(self.other)
+            self.member != self.other
+            and all(0 <= i < S.closure_size for i in ids)
+            and all(S.member_word(i, len(self.piece)).letters == self.piece.letters for i in ids)
         )
 
 
@@ -633,12 +638,7 @@ def max_pieces(S: SymmetrizedSet) -> PieceReport:
     idx = S.index()
     j = int(np.argmax(idx.peak_piece))
     max_len = int(idx.peak_piece[j])
-    witness = None
-    if max_len > 0:
-        i = int(idx.peak_member[j])
-        u = idx.member_word(i)
-        v = idx.member_word(idx.piece_at(i)[1])
-        witness = PieceWitness(Word(S.alphabet, u.letters[:max_len]), u, v)
+    witness = _witness(S, int(idx.peak_member[j])) if max_len > 0 else None
     # fold per-necklace maxima back onto the origin relators
     first = np.searchsorted(idx.peak_neck, np.arange(len(S.runs)))
     neck_max = np.maximum.reduceat(idx.peak_piece, first)
@@ -680,12 +680,14 @@ def check_metric(S: SymmetrizedSet, bound: Fraction) -> MetricCheck:
     if not fails.any():
         return MetricCheck(True, bound)
     j = int(np.argmax(fails))
-    i = int(idx.peak_member[j])
-    b, partner = idx.piece_at(i)
-    u = idx.member_word(i)
-    v = idx.member_word(partner)
-    w = PieceWitness(Word(S.alphabet, u.letters[:b]), u, v)
+    w = _witness(S, int(idx.peak_member[j]))
     return MetricCheck(False, bound, witness=w, carrier_length=int(S.lengths[idx.peak_neck[j]]))
+
+
+def _witness(S: SymmetrizedSet, i: int) -> PieceWitness:
+    """Member i's longest piece, shared with its partner; spells only the piece."""
+    b, partner = S.index().piece_at(i)
+    return PieceWitness(S.member_word(i, b), i, partner)
 
 
 @dataclass(frozen=True)
@@ -839,29 +841,25 @@ class _RunSearch:
         pad = lambda c, v: np.concatenate(([v], c, [v]))
         self.group_run, self.group_x, self.group_code = pad(g, 0), pad(idx.after[g], 0), pad(run_code[g], -1)
         self.flcp = np.concatenate(([-1], idx.flcp, [-1, 0]))
-        self.least_of, self.end_off = idx.run_cap // 2 + 1, idx.run_end - idx.starts[idx.neck]
+        self.least_of, self.end_off = idx.run_cap // 2 + 1, idx.run_end - idx.S.starts[idx.neck]
         self.least = int(self.least_of.min())
         long = idx.run_len >= self.least_of
         self.long_run, self.long_code, self.long_x = np.flatnonzero(long), run_code[long], idx.after[long]
         # a match against a shorter run shares at least reach letters of text
         self.reach = int((self.least_of - idx.run_len)[~long].min(initial=np.iinfo(np.int64).max))
-        # twice a word run's token key is pair_key + pair_size * its length, by
-        # its letter code and the next (cut to the spare one above the text's)
-        (self.M, D), A = idx.scale, 2 * idx.S.alphabet.size + 1
-        self.code_of = _letter_codes(np.arange(A) - A * (np.arange(A) > A // 2))  # negatives from the end
-        c, x = np.divmod(np.arange(A * A), A)
-        self.pair_key = 2 * ((2 * c + 2 * (x > c)) * self.M * D + np.minimum(x, D - 1) + len(idx.S.runs))
-        self.pair_size = 2 * D * (1 - 2 * (x > c))
 
     def step(self, letter: np.ndarray, length: np.ndarray, begin: np.ndarray, n: int):
         """(used, start, necklace, offset) of the Dehn step the cyclic word
         with these runs takes, or None if no member matches more than half."""
         idx, R = self.idx, len(letter)
-        code = self.code_of[letter]
-        pair = code * len(self.code_of) + np.concatenate((code[1:], code[:1]))
-        key = self.pair_key[pair] + self.pair_size[pair] * np.minimum(length, self.M - 1)
+        code = _letter_codes(letter)
+        # each word run's token key, its length and next letter cut to the
+        # spare ones above the text's (``_token_text``)
+        M, D = idx.scale
+        nxt = np.minimum(np.concatenate((code[1:], code[:1])), D - 1)
+        key = len(idx.S.runs) + _run_keys(code, np.minimum(length, M - 1), nxt, M, D)
         # the codes of the word's windows, over its runs repeated as far as lifting reads
-        ext = [self.find[0].searchsorted(np.concatenate((key,) * (2 + 2 * self.span // R)))]
+        ext = [self.find[0].searchsorted(np.concatenate((2 * key,) * (2 + 2 * self.span // R)))]
         for j, (find, base, e) in enumerate(zip(self.find[1:], self.base, ext)):
             ext.append(find.searchsorted(e[: -(1 << j)] * base + 2 * e[1 << j :]))
         # the entries of each run's letter whose texts S_p rank just below and

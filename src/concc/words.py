@@ -525,15 +525,12 @@ def is_power_of(w: Word, c: Word, c_root: tuple[Word, int] | None = None) -> int
     return k // ec if ls == r[:i] + core * abs(k) + r[n - i :] else None
 
 
-def shortlex_words(
-    alphabet: Alphabet, max_length: int | None = None, include_identity: bool = False
-) -> Iterator[Word]:
-    """Enumerate freely reduced words in shortlex order (letter_code within length).
+def shortlex_words(alphabet: Alphabet, max_length: int | None = None) -> Iterator[Word]:
+    """Enumerate nonempty freely reduced words in shortlex order (letter_code
+    within length); ``all_reduced_words`` puts the identity first.
 
     Infinite when max_length is None; pair with itertools.islice.
     """
-    if include_identity:
-        yield alphabet.identity()
     order = alphabet.letters_in_order()
     current: list[tuple[int, ...]] = [(l,) for l in order]
     length = 1

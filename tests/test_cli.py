@@ -172,6 +172,23 @@ class TestUsageErrors:
         assert doc["artifacts"]["stages"] == 3
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "hyp-spec-gen"], ["tower", "build"], ["tower", "verify", "CERT"],
+         ["check", "klein-bottle"], ["check", "bs12"], ["relpaths", "audit"], ["smallcanc", "pieces"]],
+    )
+    def test_unwritable_out(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        for out, why in (("missing/dir/r.json", "directory 'missing/dir' does not exist"),
+                         (".", "'.' is a directory")):
+            code, err = usage_error(capsys, argv + ["--out", out])
+            assert code == 64
+            assert err.startswith(f"usage: concc {argv[0]} {argv[1]}")
+            assert f"argument --out: {why}" in err
+        # refused before any work: not even a tower certificate was written
+        assert not list(tmp_path.iterdir())
+
+
 class TestExitCodeMapping:
     def test_unknown_only_maps_to_three(self):
         checks = [{"name": "a", "status": "pass"}, {"name": "b", "status": "unknown"}]

@@ -341,12 +341,11 @@ class TestMixedLengthIndex:
         ratios = brute_piece_ratios([m.letters for m in S.members()])
         idx = S.index()
         for i in range(len(idx.best)):
-            u = idx.member_word(i)
+            u = S.member_word(i)
             b = int(idx.best[i])
             assert b == ratios[u.letters] * len(u)
             if b:
-                v = idx.member_word(int(idx.partner[i]))
-                assert PieceWitness(Word(AB, u.letters[:b]), u, v).verify(S)
+                assert PieceWitness(Word(AB, u.letters[:b]), i, int(idx.partner[i])).verify(S)
         rep = max_pieces(S)
         assert rep.max_piece_length == max(r * len(m) for m, r in ratios.items())
         assert (rep.witness is None) == (rep.max_piece_length == 0)
@@ -386,10 +385,10 @@ def block_relators(draw):
 def member_prefixes_agree(S, idx, members):
     """Whether each given member and its partner share best letters."""
     doubled = [n.letters + n.letters for n in S.necklaces]
-    starts = idx.starts.tolist()
+    starts = S.starts.tolist()
 
     def text(i, b):
-        k = int(np.searchsorted(idx.starts, i, side="right")) - 1
+        k = int(np.searchsorted(S.starts, i, side="right")) - 1
         off = i - starts[k]
         return doubled[k][off : off + b]
 
@@ -426,8 +425,7 @@ class TestRunIndex:
             if not b:
                 assert idx.partner[i] == -1
                 continue
-            u, v = idx.member_word(i), idx.member_word(int(idx.partner[i]))
-            assert PieceWitness(Word(S.alphabet, u.letters[:b]), u, v).verify(S)
+            assert PieceWitness(S.member_word(i, b), i, int(idx.partner[i])).verify(S)
 
     def test_single_letter_relators(self):
         # a necklace of one run is one letter; it shares it with every
@@ -443,10 +441,10 @@ class TestRunIndex:
         S = symmetrize(trio(s))
         idx = S.index()
         rep = max_pieces(S)
-        assert rep.witness.member == idx.member_word(int(np.argmax(idx.best)))
+        assert rep.witness.member == int(np.argmax(idx.best))
         chk = check_metric(S, Fraction(1, 8))
         fails = idx.best * 8 >= idx.member_len
-        assert chk.witness.member == idx.member_word(int(np.argmax(fails)))
+        assert chk.witness.member == int(np.argmax(fails))
         assert chk.witness.verify(S)
         assert len(chk.witness.piece) * 8 >= chk.carrier_length
 
@@ -460,14 +458,14 @@ def assert_readers_match_arrays(S):
     rep = max_pieces(S)
     checks = {bound: check_metric(S, bound) for bound in
               (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 8))}
-    assert "best" not in vars(idx) and "partner" not in vars(idx)
+    assert "all_answers" not in vars(idx)
     best, partner = idx.best, idx.partner
     i = int(np.argmax(best))
     assert rep.max_piece_length == best[i]
     if best[i]:
-        assert rep.witness.member == idx.member_word(i)
-        assert rep.witness.other == idx.member_word(int(partner[i]))
-    neck_max = np.maximum.reduceat(best, idx.starts[:-1])
+        assert rep.witness.member == i
+        assert rep.witness.other == partner[i]
+    neck_max = np.maximum.reduceat(best, S.starts[:-1])
     assert [row["max_piece"] for row in rep.per_relator] == [
         int(neck_max[list(ks)].max()) for ks in S.origin_necklaces
     ]
@@ -476,8 +474,8 @@ def assert_readers_match_arrays(S):
         assert chk.ok == (not fails.any())
         if not chk.ok:
             i = int(np.argmax(fails))
-            assert chk.witness.member == idx.member_word(i)
-            assert chk.witness.other == idx.member_word(int(partner[i]))
+            assert chk.witness.member == i
+            assert chk.witness.other == partner[i]
             assert len(chk.witness.piece) == best[i]
             assert chk.carrier_length == idx.member_len[i]
     for i in np.flatnonzero(best)[:: max(1, len(best) // 50)].tolist():
@@ -511,13 +509,31 @@ class TestSegmentReaders:
         assert idx.checked, idx.check_detail
         assert max_pieces(S).max_piece_length == 5 * s - 2
         assert check_metric(S, Fraction(1, 8)).ok
-        assert not {"best", "partner", "member_len"} & set(vars(idx))
+        assert not {"all_answers", "member_len"} & set(vars(idx))
         for r in trio(s):
             assert dehn_reduce(r, S).is_identity
         survivor = r_family(s, w("a"), w("b"))
         assert dehn_reduce(survivor, S) == survivor
         # the closure is kept as runs: no necklace was spelled out
         assert "necklaces" not in vars(S)
+
+    def test_witnesses_spell_only_their_pieces(self, monkeypatch):
+        spell, longest = smallcanc._spell, [0]
+
+        def counted(letter, length):
+            out = spell(letter, length)
+            longest[0] = max(longest[0], len(out))
+            return out
+
+        monkeypatch.setattr(smallcanc, "_spell", counted)
+        s = 300
+        assert verify_hyp_spec_gen(s).ok
+        assert longest[0] <= 5 * s - 2
+        S = symmetrize(trio(s))
+        chk = check_metric(S, Fraction(1, 1000))
+        assert not chk.ok and "necklaces" not in vars(S)
+        assert chk.witness.verify(S) and "necklaces" not in vars(S)
+        assert longest[0] <= 5 * s - 2
 
 
 def _wrong_lifting_level(seq, sa):
