@@ -159,6 +159,21 @@ class TestPieces:
         )
         assert not bad.verify(S)
 
+    def test_witness_ids_are_checked(self):
+        S = symmetrize([r_family(2, w("a"), w("b"))])
+        wit = max_pieces(S).witness
+        apart = next(j for j in range(S.closure_size) if S.member_word(j, 4) != wit.piece)
+        for member, other in ((wit.member, wit.member), (-1, wit.other),
+                              (wit.member, S.closure_size), (wit.member, apart)):
+            assert not PieceWitness(wit.piece, member, other).verify(S)
+        assert PieceWitness(wit.piece, wit.other, wit.member).verify(S)
+        # a a b repeated starts with a a b a, but the member a a b has three letters
+        S = symmetrize([w("a a b"), w("a a b a a b a")])
+        i, j = (next(i for i in range(S.closure_size) if S.member_word(i) == w(t))
+                for t in ("a a b", "a a b a a b a"))
+        assert not PieceWitness(w("a a b a"), j, i).verify(S)
+        assert PieceWitness(w("a a b"), j, i).verify(S)
+
     def test_brute_agreement_fixed_sets(self):
         for rels in ([w("a b a^-1 b^-1")], [r_family(2, w("a"), w("b"))], trio(2)):
             S = symmetrize(rels)
