@@ -141,8 +141,8 @@ class SymmetrizedSet:
     k, its least rotation, from its first letter on.  Members are numbered
     necklace by necklace, then by rotation offset: member ``starts[k] + off``
     is rotation ``off`` of necklace ``k``.  Letters are spelled on read:
-    ``member`` spells one member or its first letters, ``necklaces`` all,
-    when first read."""
+    ``member`` (by necklace and offset) and ``member_word`` (by id) spell one
+    member or its first letters, ``necklaces`` all, when first read."""
 
     def __init__(
         self,
