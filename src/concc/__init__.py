@@ -6,7 +6,7 @@ Submodules:
 - ``presentations``  finite presentations, retraction quotients, obstructions
 - ``hnn``            iterated HNN extensions with Britton reduction
 - ``towers``         stagewise tower construction with replayable certificates
-- ``substrings``     suffix arrays for piece scans, window hashes for Dehn
+- ``substrings``     suffix and LCP arrays for the piece index and Dehn
 - ``smallcanc``      symmetrized closures, piece metrics, Dehn reduction
 - ``freeprod``       free products, relative path combinatorics, audits
 - ``cli``            the ``concc`` command line front end

@@ -299,7 +299,7 @@ def _cmd_klein_bottle(argv, args) -> int:
                 f"kill-{{a}} images {cert.u_image!r} vs {cert.v_image!r}",
             )
         )
-        cert_json = json.loads(cert.to_json())
+        cert_json = cert.to_json()
     tower = hnn.klein_bottle_tower()
     rel = tower.parse("t a t^-1 a")
     verdict = hnn.is_trivial(rel)
@@ -333,7 +333,7 @@ def _cmd_bs12(argv, args) -> int:
             )
         )
         if cert is not None:
-            certs.append(json.loads(cert.to_json()))
+            certs.append(cert.to_json())
     tower = hnn.bs12_tower()
     up = hnn.equal_in_group(tower.parse("t a t^-1"), tower.parse("a^2"))
     down = hnn.equal_in_group(tower.parse("t^-1 a^2 t"), tower.parse("a"))

@@ -296,15 +296,10 @@ class FreeProductCtx:
             return ()
         return ((label, payload),)
 
-    def free_word(self, letters: Iterable[int] | Word | str) -> Element:
+    def free_word(self, letters: Iterable[int] | Word) -> Element:
         if self.free_alphabet is None:
             raise FreeProductError("this product has no free part")
-        if isinstance(letters, str):
-            w = self.free_alphabet.parse_word(letters)
-        elif isinstance(letters, Word):
-            w = letters
-        else:
-            w = self.free_alphabet.word(letters)
+        w = letters if isinstance(letters, Word) else self.free_alphabet.word(letters)
         return ((None, w.letters),) if w.letters else ()
 
     def merge(self, out: list, label: str | None, payload) -> None:
@@ -413,9 +408,6 @@ class SyllablePath:
     def product(self) -> Element:
         return self.ctx.product(self.ctx.letter_element(l) for l in self.letters)
 
-    def is_cycle(self) -> bool:
-        return self.product() == ()
-
     def __str__(self) -> str:
         return " ".join(self.ctx.format_letter(l) for l in self.letters) or "1"
 
@@ -500,9 +492,9 @@ def _walk(
     return comps, tuple(stack)
 
 
-def path_components(path: SyllablePath, segment: str = "") -> list[Component]:
+def path_components(path: SyllablePath) -> list[Component]:
     """Maximal same-factor runs; identity run products are ill-formed."""
-    return _walk(path.ctx, ((segment, path.letters),))[0]
+    return _walk(path.ctx, (("", path.letters),))[0]
 
 
 def _coset_key(ctx: FreeProductCtx, vertex: Sequence, label: str) -> Sequence:
@@ -661,10 +653,6 @@ def conjugacy_witness_fp(ctx: FreeProductCtx, u: Element, v: Element) -> Element
     return None
 
 
-def is_conjugate_fp(ctx: FreeProductCtx, u: Element, v: Element) -> bool:
-    return conjugacy_witness_fp(ctx, u, v) is not None
-
-
 # -- regularity of four-segment cycles -------------------------------------
 
 
@@ -749,29 +737,6 @@ def regularity_audit(
         pair_violations=violations,
         matched_pairs=sorted(matched),
     )
-
-
-def matched_run_lengths(report: RegularityReport) -> list[int]:
-    """Lengths of maximal q-ascending, q'-descending chains of matched pairs.
-
-    Matched pairs are mirrors: walking forward through q should walk
-    backward through q'.  A chain extends while both sides move by one
-    component in their respective directions.
-    """
-    pairs = report.matched_pairs
-    runs: list[int] = []
-    i = 0
-    while i < len(pairs):
-        j = i
-        while (
-            j + 1 < len(pairs)
-            and pairs[j + 1][0] == pairs[j][0] + 1
-            and pairs[j + 1][1] == pairs[j][1] - 1
-        ):
-            j += 1
-        runs.append(j - i + 1)
-        i = j + 1
-    return runs
 
 
 # -- randomized audit instances -------------------------------------------

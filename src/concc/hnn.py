@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import words as W
 from .words import Alphabet, Word
@@ -192,9 +192,6 @@ class Tower:
         e = self.base.identity()
         return TowerWord(self, (e, (i, eps), e))
 
-    def assoc_of(self, name: str) -> CyclicAssociation:
-        return self._assocs[self._position(name)]
-
     def parse(self, text: str) -> "TowerWord":
         """Parse word text (``W.read_tokens``) over base and stable letters."""
         try:
@@ -252,24 +249,6 @@ class Tower:
                 raise HnnError(_token_problem(tok))
         items.append(Word(base, tuple(run)))
         return TowerWord(self, tuple(items))
-
-    def to_json(self) -> dict:
-        return {
-            "base": list(self.base.names),
-            "associations": [
-                {"stable": a.stable, "source": str(a.source), "target": str(a.target)}
-                for a in self.assocs
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "Tower":
-        base = Alphabet(doc["base"])
-        assocs = [
-            CyclicAssociation(a["stable"], base.parse_word(a["source"]), base.parse_word(a["target"]))
-            for a in doc["associations"]
-        ]
-        return cls(base, assocs)
 
 
 Item = object  # Word or (index, eps) pair
@@ -381,9 +360,6 @@ class TowerWord:
         assocs = self.tower._assocs
         return tuple((assocs[it[0]].stable, it[1]) for it in self.items if _is_letter(it))
 
-    def letter_count(self) -> int:
-        return len(self.items) // 2
-
     def base_word(self) -> Word:
         if self.has_stable_letters:
             raise HnnError(f"{self} carries stable letters; not a base word")
@@ -478,16 +454,8 @@ class Verdict3:
     def is_yes(self) -> bool:
         return self.status == "yes"
 
-    @property
-    def is_no(self) -> bool:
-        return self.status == "no"
-
     def __str__(self) -> str:
         return self.status + (f" ({self.detail})" if self.detail else "")
-
-
-def is_base_element(w: TowerWord) -> bool:
-    return not britton_reduce(w).has_stable_letters
 
 
 def is_trivial(w: TowerWord) -> Verdict3:

@@ -20,7 +20,6 @@ mismatch of images yields a self-contained non-conjugacy certificate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -113,11 +112,6 @@ def parse_presentation(text: str) -> FinitePresentation:
     return FinitePresentation(alphabet, tuple(relators))
 
 
-def exponent_sum(w: Word, name: str) -> int:
-    idx = w.alphabet.letter(name)
-    return sum(1 if l == idx else -1 if l == -idx else 0 for l in w.letters)
-
-
 @dataclass(frozen=True)
 class KillSpec:
     """Quotient that deletes a set of generators and keeps the rest free.
@@ -161,9 +155,6 @@ class KillSpec:
                 continue
             out.append(tgt.letter(name, 1 if l > 0 else -1))
         return tgt.word(out)
-
-    def images_equal(self, u: Word, v: Word) -> bool:
-        return self.image(u) == self.image(v)
 
     def conjugacy_invariant(self, w: Word) -> CyclicWord:
         return CyclicWord.of(self.image(w))
@@ -216,9 +207,6 @@ class CyclicSpec:
             total += self.residues[name] if l > 0 else -self.residues[name]
         return total % self.modulus
 
-    def images_equal(self, u: Word, v: Word) -> bool:
-        return self.image(u) == self.image(v)
-
     def conjugacy_invariant(self, w: Word) -> int:
         return self.image(w)
 
@@ -265,22 +253,18 @@ class NonConjugacyCertificate:
         iu, iv = spec.conjugacy_invariant(u), spec.conjugacy_invariant(v)
         return str(spec.image(u)) == self.u_image and str(spec.image(v)) == self.v_image and iu != iv
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "certificate": "non-conjugacy",
-                "presentation": self.presentation_text,
-                "quotient": self.quotient,
-                "words": [self.u_text, self.v_text],
-                "images": [self.u_image, self.v_image],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def to_json(self) -> dict:
+        # keys in sorted order, as the run reports have always printed them
+        return {
+            "certificate": "non-conjugacy",
+            "images": [self.u_image, self.v_image],
+            "presentation": self.presentation_text,
+            "quotient": dict(sorted(self.quotient.items())),
+            "words": [self.u_text, self.v_text],
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "NonConjugacyCertificate":
-        doc = json.loads(text)
+    def from_json(cls, doc: Mapping) -> "NonConjugacyCertificate":
         return cls(
             presentation_text=doc["presentation"],
             quotient=doc["quotient"],

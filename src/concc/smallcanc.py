@@ -298,9 +298,8 @@ class _PieceIndex:
     the last r of each segment and of each run's own-run stretch, where the
     stretch's longest piece and the first member with it sit: all that
     ``max_pieces`` and ``check_metric`` read.  ``piece_at`` answers one
-    member; ``best``, ``partner`` (-1 where ``best`` is 0) and
-    ``member_len`` answer every member and are built only when read, the
-    first two together as ``all_answers``.
+    member; ``best`` and ``partner`` (-1 where ``best`` is 0) answer every
+    member and are built together, as ``all_answers``, only when read.
     ``checked`` tells whether the suffix array and LCP array of the run
     tokens passed their self-check, and ``check_detail`` says what was
     checked or where it failed; Dehn reduction searches those arrays
@@ -371,10 +370,6 @@ class _PieceIndex:
     @property
     def partner(self) -> np.ndarray:
         return self.all_answers[1]
-
-    @cached_property
-    def member_len(self) -> np.ndarray:
-        return np.repeat(self.S.lengths, self.S.lengths)
 
     def _answers(self, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Longest piece and partner of each member of runs first .. stop - 1,
@@ -712,26 +707,17 @@ class DehnReduction:
         return not self.steps and not self.word.is_identity
 
 
-def dehn_reduce(w: Word, S: SymmetrizedSet, verify_metric: bool = False) -> Word:
+def dehn_reduce(w: Word, S: SymmetrizedSet) -> Word:
     """Greedy Dehn reduction; result is empty iff w = 1 in the quotient.
 
-    Requires C'(1/6); pass ``verify_metric=True`` to have it checked here
-    instead of by the caller.  The result is cyclically reduced, so for
-    nontrivial input it represents a conjugate of w.
+    Requires C'(1/6), which the caller checks with ``check_metric``.  The
+    result is cyclically reduced, so for nontrivial input it represents a
+    conjugate of w.
     """
-    return dehn_reduce_traced(w, S, verify_metric).word
+    return dehn_reduce_traced(w, S).word
 
 
-def dehn_reduce_traced(
-    w: Word, S: SymmetrizedSet, verify_metric: bool = False
-) -> DehnReduction:
-    if verify_metric:
-        mc = check_metric(S, Fraction(1, 6))
-        if not mc.ok:
-            raise SmallCancellationError(
-                f"relator set fails C'(1/6): piece {mc.witness.piece} in a length-"
-                f"{mc.carrier_length} member"
-            )
+def dehn_reduce_traced(w: Word, S: SymmetrizedSet) -> DehnReduction:
     if w.alphabet != S.alphabet:
         raise SmallCancellationError("word and relator set use different alphabets")
     idx = S.index()

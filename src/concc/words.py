@@ -396,13 +396,6 @@ class CyclicWord:
         return f"CyclicWord{self}"
 
 
-def is_conjugate(u: Word, v: Word) -> bool:
-    """True iff u and v are conjugate in the free group."""
-    if u.alphabet != v.alphabet:
-        raise WordError("words over different alphabets")
-    return CyclicWord.of(u) == CyclicWord.of(v)
-
-
 def conjugacy_witness(u: Word, v: Word) -> Word | None:
     """A word g with g u g^-1 = v, or None if u, v are not conjugate."""
     if u.alphabet != v.alphabet:

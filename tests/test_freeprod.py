@@ -265,7 +265,6 @@ class TestConjugacy:
         v = ctx.mul(ctx.free_word([1]), ctx.syllable("A", (1,)))
         g = fp.conjugacy_witness_fp(ctx, u, v)
         assert g is not None and ctx.conj(g, u) == v
-        assert fp.is_conjugate_fp(ctx, u, v)
 
     def test_parabolic_delegates_to_factor(self):
         ctx = make_ctx()
@@ -329,7 +328,7 @@ class TestPaths:
         rng = random.Random(23)
         for _ in range(500):
             path = fp.random_trivial_cycle(ctx, rng, size=rng.randint(4, 16))
-            assert path.is_cycle()
+            assert path.product() == ()
             assert fp.connectivity(path).isolated_count == 0
 
     def test_admissible_word_components_lie_in_distinct_cosets(self):
@@ -418,10 +417,9 @@ class TestPowerProbe:
                 r, q, rp, qp = fp.aligned_power_instance(ctx, lab, a, t, u, k, l)
                 rep = fp.regularity_audit(ctx, r, q, rp, qp)
                 pairs = rep.matched_pairs
-                runs = fp.matched_run_lengths(rep)
                 assert len(pairs) >= 2
                 assert all(pairs[i + 1][1] < pairs[i][1] for i in range(len(pairs) - 1))
-                assert max(runs) >= 2
+                assert any(y[0] - x[0] == 1 == x[1] - y[1] for x, y in zip(pairs, pairs[1:]))
 
 
 CTX = make_ctx()

@@ -16,7 +16,6 @@ from concc.hnn import (
     cyclic_membership,
     equal_in_group,
     find_pinch,
-    is_base_element,
     is_trivial,
     klein_bottle_tower,
     verify_conjugator,
@@ -65,8 +64,8 @@ class TestBS12:
 
     def test_non_relations(self):
         t = bs12_tower()
-        assert is_trivial(t.parse("t a t^-1 a^-1")).is_no
-        assert is_trivial(t.parse("t")).is_no
+        assert not is_trivial(t.parse("t a t^-1 a^-1")).is_yes
+        assert not is_trivial(t.parse("t")).is_yes
 
     def test_agreement_with_affine_oracle(self):
         tower = bs12_tower()
@@ -93,7 +92,7 @@ class TestBritton:
         for _ in range(200):
             w = rand_tower_word(tower, rng)
             r, r_inv = britton_reduce(w), britton_reduce(w.inverse())
-            assert r.letter_count() == r_inv.letter_count()
+            assert len(r.signature()) == len(r_inv.signature())
             trivial = oracles.klein_pair(oracles.flatten_one_level(w)) == (0, 0)
             assert is_trivial(r).is_yes == is_trivial(r_inv).is_yes == trivial
             for x in (r, r_inv):
@@ -122,7 +121,7 @@ class TestTowers:
         t2 = t1.extend(CyclicAssociation("s", a, a**3))
         w = t2.parse("s t a t^-1 s^-1")
         r = britton_reduce(w)
-        assert is_base_element(r) is False or r.base_word()
+        assert r.has_stable_letters or r.base_word()
         # t a t^-1 pinches to a^2; s a^2 s^-1 does not pinch (a^2 not a power of a? it is)
         assert equal_in_group(w, t2.parse("a^6")).is_yes
 
@@ -154,11 +153,6 @@ class TestTowers:
         T = Tower(A, [CyclicAssociation(name, A.gen("a"), A.gen("b"))])
         w = T.stable(name) * T.embed(A.parse_word("a b^-1")) * T.stable(name, -1)
         assert T.parse(str(w)) == w
-
-    def test_json_round_trip(self):
-        t = bs12_tower()
-        doc = t.to_json()
-        assert Tower.from_json(doc) == t
 
     def test_parse_rejects_unknown_letters(self):
         t = klein_bottle_tower()
@@ -298,7 +292,6 @@ class TestBrittonNormalForm:
         # leave the same stable letters and the same element
         w = two_level_tower().parse(text)
         r, r_inv = britton_reduce(w), britton_reduce(w.inverse())
-        assert r.letter_count() == r_inv.letter_count()
         assert r.signature() == r_inv.inverse().signature()
         assert equal_in_group(r, r_inv.inverse()).is_yes
         assert is_trivial(r).is_yes == is_trivial(r_inv).is_yes == is_trivial(w).is_yes
@@ -510,7 +503,7 @@ class TestAppendOnlyChain:
     def test_letters_above_the_height_are_unknown(self):
         root = Tower(self.A).extend(self.t)
         root.extend(self.s)
-        for lookup in (root.stable, root.parse, root.assoc_of):
+        for lookup in (root.stable, root.parse):
             with pytest.raises(HnnError):
                 lookup("s")
-        assert root.assoc_of("t") == self.t
+        assert root.assocs == (self.t,)

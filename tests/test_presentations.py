@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +8,6 @@ from concc.presentations import (
     NonConjugacyCertificate,
     PresentationError,
     conjugacy_obstruction,
-    exponent_sum,
     parse_presentation,
     quotient_spec_from_json,
 )
@@ -93,11 +90,6 @@ class TestParsing:
         with pytest.raises(WordError, match="reserved"):
             Alphabet([f"a{mark}b", "c"])
 
-    def test_exponent_sum(self):
-        p = parse_presentation(KLEIN)
-        r = p.relators[0]
-        assert exponent_sum(r, "a") == 2 and exponent_sum(r, "t") == 0
-
 
 class TestKillSpec:
     def test_klein_kill_a(self):
@@ -106,7 +98,7 @@ class TestKillSpec:
         t = p.alphabet.parse_word("t")
         assert str(spec.image(t)) == "t"
         assert str(spec.image(p.alphabet.parse_word("a t a"))) == "t"
-        assert not spec.images_equal(t, t.inverse())
+        assert spec.image(t) != spec.image(t.inverse())
         assert spec.conjugacy_invariant(t) != spec.conjugacy_invariant(t.inverse())
 
     def test_killed_generators_must_die_in_relators(self):
@@ -174,9 +166,9 @@ class TestObstruction:
         spec = KillSpec(p, frozenset({"a"}))
         t = p.alphabet.parse_word("t")
         cert = conjugacy_obstruction(p, spec, t, t.inverse())
-        doc = json.loads(cert.to_json())
+        doc = cert.to_json()
         doc["images"][1] = "t"  # claim both map to t
-        forged = NonConjugacyCertificate.from_json(json.dumps(doc))
+        forged = NonConjugacyCertificate.from_json(doc)
         assert not forged.verify()
 
     def test_certificate_json_round_trip(self):

@@ -17,7 +17,6 @@ from concc.words import (
     conjugacy_witness,
     cyclic_reduce,
     free_reduce,
-    is_conjugate,
     is_cyclically_reduced,
     is_power_of,
     letter_code,
@@ -135,13 +134,13 @@ class TestCyclic:
 
 class TestConjugacy:
     def test_shift_pair(self):
-        assert is_conjugate(w("a b"), w("b a"))
+        assert conjugacy_witness(w("a b"), w("b a")) is not None
         g = conjugacy_witness(w("a b"), w("b a"))
         assert g * w("a b") * g.inverse() == w("b a")
         assert str(g) == "a^-1"
 
     def test_inverse_not_conjugate(self):
-        assert not is_conjugate(w("a"), w("a^-1"))
+        assert conjugacy_witness(w("a"), w("a^-1")) is None
 
     @given(letters, letters)
     def test_witness_or_rotations_disagree(self, us, gs):
@@ -156,7 +155,7 @@ class TestConjugacy:
     def test_agrees_with_rotation_oracle(self, us, vs):
         u = Word(AB, free_reduce(tuple(us)))
         v = Word(AB, free_reduce(tuple(vs)))
-        assert is_conjugate(u, v) == oracles.rotation_conjugate(u, v)
+        assert (conjugacy_witness(u, v) is not None) == oracles.rotation_conjugate(u, v)
 
 
 class TestPrimitiveRoot:
