@@ -75,6 +75,16 @@ more than half its necklace is tried against every word run of its
 letter; any other run p needs h >= M - l_p, so only the block of the S_p
 order around that place whose neighbours share as much is read.  The
 longest match wins, then the smallest cyclic start, necklace and offset.
+
+A round finds the best match of every word run, and the next round keeps
+most of them.  A match from run i ends by run i + k, k the most runs of a
+necklace, so run i's best match reads only runs i .. i + k, and n while n
+is below the longest necklace.  A step rewrites its match, cancels or
+merges runs at the two seams, and rotates the word; the runs it left whole
+keep their answers, shifted, and only the new runs, the seams and the k
+runs before them are searched again (``_RunSearch``).  Each step is
+checked on runs before it is applied: the word's letters from its start
+must be those of its member, more than half of it.
 """
 
 from __future__ import annotations
@@ -172,7 +182,7 @@ class SymmetrizedSet:
         """Rotation ``offset`` of necklace ``neck``, or its first ``count`` letters."""
         L = int(self.lengths[neck])
         count = L if count is None else min(count, L)
-        return Word(self.alphabet, _spell(*_cut(*_cyclic(*self.runs[neck]), L, offset, count)))
+        return Word(self.alphabet, _spell(*_cut(*_cyclic(*self.runs[neck]), L, offset, count)[:2]))
 
     def member_word(self, i: int, count: int | None = None) -> Word:
         """Member ``i``, or its first ``count`` letters."""
@@ -718,6 +728,16 @@ def dehn_reduce(w: Word, S: SymmetrizedSet) -> Word:
 
 
 def dehn_reduce_traced(w: Word, S: SymmetrizedSet) -> DehnReduction:
+    """Greedy Dehn reduction with its steps (see ``dehn_reduce``).
+
+    Each round keeps the best match of every run of the cyclic word.  A step
+    rewrites the runs around its match and rotates the word, so the next
+    round takes the answers of the runs it left whole, shifted, and asks
+    ``_RunSearch.best`` only for the rest (see ``_RunSearch``).  Every step
+    is checked on runs before the rewrite: it must match more than half of
+    its member, letter for letter.  A step that does not raises
+    ``SmallCancellationError`` naming it.
+    """
     if w.alphabet != S.alphabet:
         raise SmallCancellationError("word and relator set use different alphabets")
     idx = S.index()
@@ -727,20 +747,55 @@ def dehn_reduce_traced(w: Word, S: SymmetrizedSet) -> DehnReduction:
     letters = np.fromiter(w.letters, np.int64, len(w))
     letter, length = _join(letters[:0], letters[:0], *_linear_runs(letters))
     n = int(length.sum())
+    # after a step: runs q0 .. q1 - 1 of the word are the last round's runs
+    # at, at + 1, .. whole, and best holds that round's answers
+    kept = None
     while n >= search.least:
         cyclic = _cyclic(letter, length)
-        found = search.step(*cyclic, n)
-        if found is None:
+        R = len(cyclic[0])
+        if kept is not None:
+            q0, q1, old, at = kept
+            drop = len(letter) - R  # the first run went into the last
+            q0, stop = q0 - drop, q1 - drop - search.look
+        if kept is None or stop <= q0 or n < search.longest:
+            best, linear = search.best(*cyclic, n, 0, R)
+        else:
+            # runs q0 .. stop - 1 see only kept runs up to look runs on: reuse
+            fresh, linear = search.best(*cyclic, n, stop, R + q0)
+            reused = old.take(np.arange(at, at + stop - q0), axis=1, mode="wrap")
+            best = np.concatenate((fresh[:, R - stop :], reused, fresh[:, : R - stop]), axis=1)
+        # the longest match, then the smallest start: starts grow with the run,
+        # except that the run holding position 0 may start a match at or after 0
+        b = int(best[0].argmax())
+        if linear is not None and best[0, -1] == best[0, b]:
+            b = min(b, R - 1, key=lambda r: (cyclic[2][r] + cyclic[1][r] - best[1, r]) % n)
+        used, a, k, off = best[:, b].tolist()
+        if not used:
             break
-        used, start, k, off = found
-        L = int(S.lengths[k])
-        rl, rn = _cut(*_cyclic(*S.runs[k]), L, off + used, L - used)
-        letter, length = _join(-rl[::-1], rn[::-1], *_cut(*cyclic, n, start + used, n - used))
+        start = int(cyclic[2][b] + cyclic[1][b] - a) % n
+        if linear is not None:
+            best[:, -1] = linear  # the run that holds position 0, as any other run
+        L, member = int(S.lengths[k]), search.necklaces[k]
+        fits = L < 2 * used <= 2 * min(L, n) and 0 <= off < L
+        if not (fits and _same(_cut(*cyclic, n, start, used), _cut(*member, L, off, used))):
+            raise SmallCancellationError(
+                f"Dehn step {len(out.steps) + 1} (position {start}, {used} letters, necklace {k}, "
+                f"offset {off}) does not match more than half of its member"
+            )
+        rl, rn, _ = _cut(*member, L, off + used, L - used)
+        yl, yn, first = _cut(*cyclic, n, start + used, n - used)
+        letter, length, shift, q0, q1 = _splice(-rl[::-1], rn[::-1], yl, yn)
+        kept = q0, q1, best, (first + q0 - shift) % R
         n = int(length.sum())
         out.steps.append(DehnStep(start, used, k, off))
     if out.steps or n < len(w):
         out.word = Word(S.alphabet, _spell(letter, length))
     return out
+
+
+def _same(x: tuple, y: tuple) -> bool:
+    """Whether two cuts (``_cut``) have the same runs."""
+    return x[0].tolist() == y[0].tolist() and x[1].tolist() == y[1].tolist()
 
 
 def _linear_runs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -763,26 +818,49 @@ def _cyclic(letter: np.ndarray, length: np.ndarray):
 
 
 def _cut(letter: np.ndarray, length: np.ndarray, begin: np.ndarray, n: int, t: int, count: int):
-    """Runs of count letters from position t of the cyclic word of n letters."""
+    """Runs of count <= n letters from position t of the cyclic word of n
+    letters, and the index of the run that holds letter t."""
+    R, b0 = len(letter), int(begin[0])
+    t = (t - b0) % n + b0  # the runs cover b0 .. b0 + n - 1 once
+    i = int(begin.searchsorted(t, "right")) - 1
     if not count:
-        return letter[:0], length[:0]
-    t = t % n + n * (t % n < begin[0])
-    b = np.concatenate((begin, begin + n))
-    e = b + np.concatenate((length, length))
-    lo, hi = e.searchsorted(t, "right"), b.searchsorted(t + count)
-    return np.concatenate((letter, letter))[lo:hi], np.minimum(e[lo:hi], t + count) - np.maximum(b[lo:hi], t)
+        return letter[:0], length[:0], i
+    u = t + count  # past the last letter, which may lie in the second lap
+    lap = u > b0 + n
+    j = int(begin.searchsorted(u - 1 - n * lap, "right")) + R * lap  # past its run
+    if j <= R:
+        cut, size = letter[i:j], length[i:j].copy()
+    else:
+        cut, size = np.concatenate((letter[i:], letter[: j - R])), np.concatenate((length[i:], length[: j - R]))
+    size[0] -= t - begin[i]
+    size[-1] -= begin[(j - 1) % R] + length[(j - 1) % R] + n * (j > R) - u
+    return cut, size, i
 
 
 def _join(xl: np.ndarray, xn: np.ndarray, yl: np.ndarray, yn: np.ndarray):
     """Runs of the cyclic core of x y, for reduced x and y given by runs."""
+    return _splice(xl, xn, yl, yn)[:2]
+
+
+def _splice(xl: np.ndarray, xn: np.ndarray, yl: np.ndarray, yn: np.ndarray):
+    """``_join``, and the runs of y it leaves whole: for q0 <= q < q1, run q
+    of the result is run q - shift of y, and no cancellation or merge
+    touched it.  The first and last runs of y and of the result never count,
+    as they may be cut."""
+    X = len(xl)
     letter, length = np.concatenate((xl, yl)), np.concatenate((xn, yn))
-    i, j = _cancel(letter, length, len(xl) - 1, len(xl), -1)
-    if 0 <= i < j < len(letter) and letter[i] == letter[j]:
+    i, j = _cancel(letter, length, X - 1, X, -1)
+    merged = bool(0 <= i < j < len(letter) and letter[i] == letter[j])
+    if merged:
         length[j] += length[i]  # the runs between went whole, and these two share a letter
         length[i] = 0
     letter, length = letter[length > 0], length[length > 0]
-    i, j = _cancel(letter, length, 0, len(letter) - 1, 1)
-    return letter[i : j + 1], length[i : j + 1]
+    i2, j2 = _cancel(letter, length, 0, len(letter) - 1, 1)
+    # a run of y past j lost the j - i - 1 runs between the seam's ends, run
+    # i if merged, and the i2 runs before the cyclic core
+    shift = X - (j - i - 1) - merged - i2
+    q0, q1 = max(1, j - X + 1 + shift), min(j2 - i2, len(yl) - 1 + shift)
+    return letter[i2 : j2 + 1], length[i2 : j2 + 1], shift, q0, q1
 
 
 def _cancel(letter: np.ndarray, length: np.ndarray, i: int, j: int, d: int) -> tuple[int, int]:
@@ -806,7 +884,28 @@ class _RunSearch:
     of each class (its token key, or its halves' codes packed with
     ``base[j - 1]``), so one binary search codes a word's window.
     ``group_*`` list the runs in per-letter S_p order, with an entry of no
-    letter at either end."""
+    letter at either end.
+
+    What a run's answer reads.  A member of necklace k has at most count_k
+    + 1 runs, the first and last cut, so a match that starts inside word
+    run i passes whole runs, one per run of the member, and ends inside run
+    i + count_k at the latest.  The best match of run i (``best``) thus
+    depends on the word only through the letters and lengths of runs i ..
+    i + ``look`` (cyclically), ``look`` the most runs of a necklace, and,
+    while n is below ``longest``, the longest necklace, through n, which
+    caps a match.  Its start depends on where the run lies, so ``best``
+    gives it as a, letters before the run's end.
+
+    Coding reads further, and finds the same answer.  Lifting measures up
+    to 2^``lift`` - 1 tokens, more than the text's longest LCP, which is at
+    least count_p (the two copies of a necklace share count_p tokens).  So
+    a word text cut there still covers the necklace of p, whose match is
+    capped at its length either way, and it still shares with each
+    neighbour q what S_p does, at most the longest LCP plus one token of
+    S_p.  The top-level code, which places the text after a run among the
+    S_p, reads 2^J tokens, J the last level.  So ``best`` codes ``ahead``
+    tokens past the last run it answers.
+    """
 
     def __init__(self, idx: _PieceIndex):
         self.idx, n = idx, len(idx.key)
@@ -820,7 +919,11 @@ class _RunSearch:
             self.find.append(np.stack((2 * value - 1, 2 * value), axis=1).ravel())
             self.odd.append(np.append(2 * ids[idx.rank] + 1, -1))
             self.base.append(4 * int(ids[-1]) + 8)  # twice the base that packs the next level
-        self.span = 1 << len(self.odd)  # binary lifting moves fewer tokens than this
+        self.lift = (int(idx.lcp.max(initial=0)) + 1).bit_length()
+        self.ahead = max(1 << len(self.odd) - 1, 1 << self.lift)
+        self.look = int(np.bincount(idx.neck).max())
+        self.longest = int(idx.run_cap.max())
+        self.necklaces = [_cyclic(*runs) for runs in idx.S.runs]
         g, run_code = idx.group, idx.code[idx.after - 1]
         self.stride = 2 * n + 2
         self.group_key = run_code[g] * self.stride + 2 * idx.rank[idx.after[g]] + 1
@@ -834,73 +937,98 @@ class _RunSearch:
         # a match against a shorter run shares at least reach letters of text
         self.reach = int((self.least_of - idx.run_len)[~long].min(initial=np.iinfo(np.int64).max))
 
-    def step(self, letter: np.ndarray, length: np.ndarray, begin: np.ndarray, n: int):
-        """(used, start, necklace, offset) of the Dehn step the cyclic word
-        with these runs takes, or None if no member matches more than half."""
-        idx, R = self.idx, len(letter)
-        code = _letter_codes(letter)
-        # each word run's token key, its length and next letter cut to the
-        # spare ones above the text's (``_token_text``)
+    def best(self, letter: np.ndarray, length: np.ndarray, begin: np.ndarray, n: int, lo: int, hi: int):
+        """The best match of each run lo .. hi - 1 of the cyclic word with
+        these runs, run indices taken mod their number R: an array of rows
+        used, a, necklace and offset, one column per run.  The match starts a
+        letters before the end of the run; used is 0 where no member matches
+        more than half.
+
+        Of a run's matches the longest wins, then the smallest start,
+        necklace and offset.  Within a run a smaller a is a later start,
+        except in a run that holds position 0 inside it: there starts from 0
+        on come first.  That run's column is its answer in this word; the
+        second value returned is its answer as any other run (None if no
+        run in range holds 0), which is what a later round may reuse.
+        """
+        idx, R, W = self.idx, len(letter), hi - lo
+        tok = np.arange(lo, hi + self.ahead + 1) % R
+        code, size = _letter_codes(letter[tok]), length[tok]
+        # each token's key, its length and next letter cut to the spare ones
+        # above the text's (``_token_text``)
         M, D = idx.scale
-        nxt = np.minimum(np.concatenate((code[1:], code[:1])), D - 1)
-        key = len(idx.S.runs) + _run_keys(code, np.minimum(length, M - 1), nxt, M, D)
-        # the codes of the word's windows, over its runs repeated as far as lifting reads
-        ext = [self.find[0].searchsorted(np.concatenate((2 * key,) * (2 + 2 * self.span // R)))]
+        key = len(idx.S.runs) + _run_keys(code[:-1], np.minimum(size[:-1], M - 1), np.minimum(code[1:], D - 1), M, D)
+        # the codes of the windows of 2^j tokens from each token on
+        ext = [self.find[0].searchsorted(2 * key)]
         for j, (find, base, e) in enumerate(zip(self.find[1:], self.base, ext)):
             ext.append(find.searchsorted(e[: -(1 << j)] * base + 2 * e[1 << j :]))
         # the entries of each run's letter whose texts S_p rank just below and
         # just above the text after the run, which starts at the next run
-        u = self.group_key.searchsorted(code * self.stride + ext[-1][1 : R + 1], "right")
+        c = code[:W]
+        u = self.group_key.searchsorted(c * self.stride + ext[-1][1 : W + 1], "right")
         near = np.concatenate((u, u + 1))
-        pick = (self.group_code[near] == np.concatenate((code, code))).nonzero()[0]
-        near, i = near[pick], pick % R
+        pick = (self.group_code[near] == np.concatenate((c, c))).nonzero()[0]
+        near, i = near[pick], pick % W
         x = self.group_x[near]
         if len(self.long_run):
-            li, lj = (code[:, None] == self.long_code).nonzero()
+            li, lj = (c[:, None] == self.long_code).nonzero()
             i, x = np.concatenate((i, li)), np.concatenate((x, self.long_x[lj]))
         # the letters each shares with the text after its word run: equal tokens
         # by binary lifting, then the shorter next ones if they share a letter
         at, y = i + 1, x
-        for j in range(min(len(self.odd), R.bit_length()) - 1, -1, -1):  # up to R tokens or more
+        for j in range(min(self.lift, R.bit_length()) - 1, -1, -1):  # up to R tokens or more
             d = (ext[j][at] == self.odd[j][y]) * (1 << j)
             at, y = at + d, y + d
         t = np.minimum(y - x, R)  # R tokens are the whole word
         last, y = i + t, x + t
-        z = (last + 1) % R
-        prefix = np.concatenate((length, length)).cumsum()
-        h = prefix[last] - prefix[i] + np.minimum(length[z], idx.size[y]) * (code[z] == idx.code[y])
+        prefix = size.cumsum()
+        h = prefix[last] - prefix[i] + np.minimum(size[last + 1], idx.size[y]) * (code[last + 1] == idx.code[y])
         found = [(i[len(pick) :], self.long_run[lj], h[len(pick) :])] if len(self.long_run) else []
         # walk away from the nearest entries while the texts share reach letters
-        i, h, below = i[: len(pick)], h[: len(pick)], pick < R
+        i, h, below = i[: len(pick)], h[: len(pick)], pick < W
         while (keep := h >= self.reach).any():
             s = keep.nonzero()[0]
             i, near, h, below = i[s], near[s], h[s], below[s]
             found.append((i, self.group_run[near], h))
             h = np.minimum(h, self.flcp[near - below])
             near = near + 1 - 2 * below
+        out = np.zeros((4, W), dtype=np.int64)
         if not found:
-            return None
+            return out, None
         i, p, h = (np.concatenate(c) for c in zip(*found)) if len(found) > 1 else found[0]
         # the start a letters before the end of run i meets member (p, r) for
         # min(a, r) letters if a != r, min(a + h, L_p, n) if a = r: most at
         # a = r = m = min(l_i, l_p).  If that fires, so do a = r from cap - h
         # when that most is the cap, and a = m < r or r = m < a when it is m;
-        # the longest (0 if it does not fire), then smallest start and offset win
+        # the longest, then the latest start, the smallest a, wins
         lp, cap = idx.run_len[p], np.minimum(idx.run_cap[p], n)
-        m = np.minimum(length[i], lp)
+        m = np.minimum(size[i], lp)
         used = np.minimum(m + h, cap)
-        used *= used >= self.least_of[p]
-        if not used.any():
-            return None
+        s = (used >= self.least_of[p]).nonzero()[0]
+        if not len(s):
+            return out, None
+        i, p, h, lp, cap, m, used = i[s], p[s], h[s], lp[s], cap[s], m[s], used[s]
         flat = m == used
-        a_lo, a_hi = np.maximum(np.minimum(m, cap - h), 1), m + (length[i] - m) * flat
-        # starts end - a_hi .. end - a_lo; past n they wrap, and n itself is start 0
-        end = begin[i] + length[i]
-        a = a_hi - (a_hi - end + n) * ((end - a_hi <= n) & (n <= end - a_lo))
-        r = np.minimum(a, m) + (lp - m) * ((a == m) & flat)
-        start, neck, off = (end - a) % n, idx.neck[p], self.end_off[p] - r
-        b = np.lexsort((off, neck, start, -used))[0]
-        return int(used[b]), int(start[b]), int(neck[b]), int(off[b])
+        a = m + (size[i] - m) * flat
+        neck = idx.neck[p]
+        off = self.end_off[p] - np.minimum(a, m) - (lp - m) * ((a == m) & flat)
+        o = np.lexsort((off, neck, -a, -used, i))
+        io = i[o]
+        o = o[np.append(True, io[1:] != io[:-1])]  # each run's first
+        out[:, i[o]] = used[o], a[o], neck[o], off[o]
+        w, end = (R - 1 - lo) % R, int(begin[-1] + length[-1])
+        s = (i == w).nonzero()[0] if w < W and end > n else ()
+        if not len(s):
+            return out, None
+        # starts end - a .. end - a_lo; past n they wrap, and n itself is start 0
+        a, m, lp, flat = a[s], m[s], lp[s], flat[s]
+        a_lo = np.maximum(np.minimum(m, cap[s] - h[s]), 1)
+        a -= (a - end + n) * ((end - a <= n) & (n <= end - a_lo))
+        off = self.end_off[p[s]] - np.minimum(a, m) - (lp - m) * ((a == m) & flat)
+        b = np.lexsort((off, neck[s], (end - a) % n, -used[s]))[0]
+        linear = out[:, w].copy()
+        out[:, w] = used[s[b]], a[b], neck[s[b]], off[b]
+        return out, linear
 
 
 @dataclass
@@ -935,8 +1063,9 @@ def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
     R(a, b) itself must be Dehn-irreducible, which certifies it nontrivial
     in the quotient.  The report also carries ``piece-index-checked``, the
     self-check of the piece index behind the metric and Dehn reduction; if
-    it fails, the four Dehn checks fail unrun.  Metric failure at small
-    scales is reported as a failing check with its witness piece, not
+    it fails, the four Dehn checks fail unrun.  A Dehn step that fails its
+    own check fails its Dehn check with the step named.  Metric failure at
+    small scales is reported as a failing check with its witness piece, not
     raised.
     """
     A = Alphabet(["a", "b"])
@@ -963,7 +1092,11 @@ def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
         checks += [FamilyCheck(name, False, "not run: the piece index failed its self-check") for name in names]
     else:
         for name, r in trio.items():
-            red = dehn_reduce_traced(r, S)
+            try:
+                red = dehn_reduce_traced(r, S)
+            except SmallCancellationError as e:  # a step that failed its check
+                checks.append(FamilyCheck(f"reduces-to-empty {name}", False, str(e)))
+                continue
             checks.append(
                 FamilyCheck(
                     f"reduces-to-empty {name}",
@@ -971,16 +1104,20 @@ def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
                     "" if red.is_empty else f"left {len(red.word)} letters",
                 )
             )
-        sur = dehn_reduce_traced(survivor, S)
-        checks.append(
-            FamilyCheck(
-                "survivor-irreducible R(a,b)",
-                sur.irreducible and sur.word == survivor,
-                f"no replacement applies across {len(survivor)} letters"
-                if sur.irreducible
-                else f"reduced by {len(sur.steps)} steps to {len(sur.word)} letters",
+        try:
+            sur = dehn_reduce_traced(survivor, S)
+        except SmallCancellationError as e:
+            checks.append(FamilyCheck("survivor-irreducible R(a,b)", False, str(e)))
+        else:
+            checks.append(
+                FamilyCheck(
+                    "survivor-irreducible R(a,b)",
+                    sur.irreducible and sur.word == survivor,
+                    f"no replacement applies across {len(survivor)} letters"
+                    if sur.irreducible
+                    else f"reduced by {len(sur.steps)} steps to {len(sur.word)} letters",
+                )
             )
-        )
     return HypSpecGenReport(
         scale=s,
         relator_length=len(survivor),

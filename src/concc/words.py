@@ -193,15 +193,36 @@ class Alphabet:
         return ls
 
     def parse_word(self, text: str) -> "Word":
-        """Parse word text (``read_tokens``): ``a b^-1 a^3``, ``a*b^-1*a^3`` or ``1``."""
+        """Parse word text (``read_tokens``): ``a b^-1 a^3``, ``a*b^-1*a^3`` or ``1``.
+
+        Free reduction runs on the tokens: a stack of [letter, count] runs,
+        no two adjacent sharing or cancelling a letter, takes each token
+        whole, and the letters are written out once at the end.
+        """
         index = self._index
-        letters: list[int] = []
+        runs: list[list[int]] = []
         for name, exp in read_tokens(text):
             if name not in index:
                 raise WordError(f"unknown generator {name!r} in word {text!r}")
-            letters.extend([index[name] if exp >= 0 else -index[name]] * abs(exp))
-        # every letter came from the index, so only free reduction is left
-        return Word(self, free_reduce(letters))
+            if not exp:
+                continue
+            l, k = (index[name], exp) if exp > 0 else (-index[name], -exp)
+            top = runs[-1] if runs else None
+            if top is None or top[0] not in (l, -l):
+                runs.append([l, k])
+            elif top[0] == l:
+                top[1] += k
+            elif top[1] > k:
+                top[1] -= k
+            else:
+                # the run below the one that went neither shares nor cancels l
+                runs.pop()
+                if k > top[1]:
+                    runs.append([l, k - top[1]])
+        letters: list[int] = []
+        for l, k in runs:
+            letters += [l] * k
+        return Word(self, tuple(letters))
 
 
 class Word:

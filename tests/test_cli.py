@@ -462,6 +462,23 @@ class TestRelpathAudit:
         assert "1000 instances, 0 irregular, 0 pairing violations" in done.stdout
 
 
+class TestDehnRounds:
+    def test_script_prints_one_line(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "dehn_rounds.py"),
+             "--conjugates", "3", "--max-length", "5", "--repeat", "1"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        line = json.loads(done.stdout)
+        # one whole-relator step per conjugate; the reduced words of five
+        # letters with a rotation inside a member of the one relator's closure
+        assert line["rounds"] == 3 and line["short_words"] == 60
+        assert line["ms_per_round"] > 0 and line["short_cpu_s"] >= 0
+
+
 class TestTowerDemo:
     def test_script_runs(self, tmp_path):
         # the output directory does not exist yet: the script makes it

@@ -25,7 +25,7 @@ import inspect
 
 import numpy as np
 
-from concc import smallcanc, substrings, words
+from concc import cli, smallcanc, substrings, words
 from oracles import (
     bfs_trivial_set,
     brute_dehn,
@@ -881,6 +881,102 @@ class TestDehnOracle:
             (4, 820, 1, 1), (818, 820, 3, 39), (3, 820, 0, 40),
             (4, 820, 5, 60), (822, 820, 2, 781), (0, 820, 5, 60),
         ]
+
+
+def trio_product(seed, count):
+    """The scale-20 trio's closure and a product of count conjugates of its
+    relators and their inverses by short random words, as
+    ``scripts/dehn_rounds.py`` makes it."""
+    S = symmetrize(trio(20))
+    rng = random.Random(seed)
+    word = []
+    for _ in range(count):
+        r = rng.choice(S.origins)
+        g = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(2, 8))]
+        word += g + list(r.letters if rng.random() < 0.5 else r.inverse().letters)
+        word += [-l for l in reversed(g)]
+    return S, AB.word(word)
+
+
+# the steps of trio_product(22, 32), one whole relator each
+PRODUCT_STEPS = [
+    (3, 820, 2, 780), (4, 820, 1, 1), (4, 820, 3, 39), (5, 820, 5, 59), (4, 820, 3, 40),
+    (0, 820, 5, 59), (4, 820, 0, 39), (1, 820, 4, 1), (5, 820, 5, 60), (5, 820, 3, 39),
+    (0, 820, 5, 59), (7, 820, 2, 780), (7, 820, 3, 40), (3, 820, 0, 40), (0, 820, 2, 780),
+    (0, 820, 2, 778), (1, 820, 1, 0), (3, 820, 1, 0), (3, 820, 2, 778), (1, 820, 3, 40),
+    (6, 820, 5, 62), (6, 820, 4, 1), (5, 820, 3, 41), (4, 820, 5, 60), (1, 820, 0, 41),
+    (5, 820, 3, 40), (5, 820, 1, 819), (4, 820, 0, 40), (2, 820, 5, 60), (0, 820, 2, 779),
+    (0, 820, 2, 781), (0, 820, 0, 39),
+]
+
+
+@st.composite
+def c16_products(draw):
+    """A product of 10 to 40 conjugates of members of the C'(1/6) set, some
+    cut short, so that rounds reuse answers across seams of every kind."""
+    S = c16_set()
+    letter = st.sampled_from([1, -1, 2, -2, 3, -3])
+    word = []
+    for _ in range(draw(st.integers(10, 40))):
+        neck = S.necklaces[draw(st.integers(0, len(S.necklaces) - 1))].letters
+        off = draw(st.integers(0, len(neck) - 1))
+        member = (neck[off:] + neck[:off])[: draw(st.sampled_from([len(neck), len(neck), 6, 5, 3]))]
+        g = draw(st.lists(letter, max_size=4))
+        word += g + list(member) + [-l for l in reversed(g)]
+    return S, ABC.word(word)
+
+
+class TestDehnRounds:
+    """Rounds that take the answers of the runs a step left whole."""
+
+    def test_product_steps_are_pinned(self):
+        S, word = trio_product(22, 32)
+        red = dehn_reduce_traced(word, S)
+        assert red.is_empty
+        assert [(s.position, s.matched, s.necklace, s.offset) for s in red.steps] == PRODUCT_STEPS
+
+    def test_rounds_recompute_only_what_a_step_touched(self, monkeypatch):
+        S, word = trio_product(22, 32)
+        asked = []
+        best = smallcanc._RunSearch.best
+
+        def spy(self, letter, length, begin, n, lo, hi):
+            asked.append((len(letter), hi - lo))
+            return best(self, letter, length, begin, n, lo, hi)
+
+        monkeypatch.setattr(smallcanc._RunSearch, "best", spy)
+        red = dehn_reduce_traced(word, S)
+        assert len(asked) == len(red.steps) == 32
+        assert asked[0][0] == asked[0][1]  # the first round asks for every run
+        # each step removed a whole relator and added no runs, so a later
+        # round asks for the look runs before the seam and at most two more
+        look = S.index().search.look
+        assert all(s.matched == int(S.lengths[s.necklace]) for s in red.steps)
+        assert all(count <= look + 2 for _, count in asked[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(c16_products())
+    def test_reused_rounds_match_brute_dehn(self, case):
+        assert_matches_brute(*case)
+
+    def test_a_forged_step_fails_its_check(self, monkeypatch, tmp_path, capsys):
+        best = smallcanc._RunSearch.best
+
+        def neighbour(self, *args):
+            out, linear = best(self, *args)
+            out[3] += out[0] > 0  # every match moved to the next offset
+            return out, linear
+
+        monkeypatch.setattr(smallcanc._RunSearch, "best", neighbour)
+        with pytest.raises(SmallCancellationError, match=r"Dehn step 1 \(position 0, 8 letters, necklace 0, offset 1\)"):
+            dehn_reduce_traced(w("b " + C16_RELATOR + " b^-1", ABC), c16_set())
+        rep = verify_hyp_spec_gen(20)
+        failed = {c.name: c.detail for c in rep.checks if not c.ok}
+        assert sorted(failed) == [f"reduces-to-empty {name}" for name in ("R(a^-1,b^-1)", "R(b,a)", "R(b^-1,a^-1)")]
+        assert all(d.startswith("Dehn step 1 (") for d in failed.values())
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "hyp-spec-gen", "--scale", "20", "--out", "r.json"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestGeneratorReport:

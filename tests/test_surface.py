@@ -28,15 +28,12 @@ KEPT = {
     "hnn.cyclic_membership": "paper table: cyclic membership",
     "hnn.find_pinch": "paper table: Britton pinch detection",
     "presentations.NonConjugacyCertificate.from_json": "differential-test reader: forged and round-tripped certificates",
-    "smallcanc.SymmetrizedSet.members": "acceptance test 7 reads the closure",
-    "smallcanc.dehn_reduce": "paper table: Dehn reduction; acceptance test 7",
     "smallcanc.word_family_w": "paper table: the scaled relator family",
     "substrings.SuffixAutomaton.matching_statistics":
         "perfbench rebinding: SuffixAutomaton stays while perfbench/spans.py rebinds its __init__",
     "substrings.SuffixAutomaton.occurrence_end":
         "perfbench rebinding: SuffixAutomaton stays while perfbench/spans.py rebinds its __init__",
     "towers.bounded_simple_witness": "paper table: bounded simplicity witnesses",
-    "words.all_reduced_words": "acceptance test 7 and tests/oracles.py enumerate words with it",
 }
 
 

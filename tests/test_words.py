@@ -258,6 +258,18 @@ class TestWordText:
             ("a", sys.maxsize), ("b", -sys.maxsize)
         ]
 
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b"]), st.integers(-6, 6)), max_size=14))
+    def test_run_reduction_matches_letter_reduction(self, tokens):
+        # zero exponents, runs that cancel in part and cascades of cancels
+        text = " ".join(f"{name}^{exp}" for name, exp in tokens)
+        letters = [AB.letter(name) * (1 if exp > 0 else -1) for name, exp in tokens for _ in range(abs(exp))]
+        assert w(text).letters == free_reduce(letters)
+
+    def test_cancels_cascade_across_runs(self):
+        assert str(w("a^3 a^-5 b b^-1 a^2")) == "1"
+        assert str(w("a^3 b^2 b^0 b^-2 a^-1 b")) == "a a b"
+        assert str(w("b a^2 a^-3 a^1 b^-1")) == "1"
+
 
 class TestCommensurability:
     def test_basic_relations(self):
