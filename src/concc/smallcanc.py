@@ -924,6 +924,17 @@ class _RunSearch:
         self.look = int(np.bincount(idx.neck).max())
         self.longest = int(idx.run_cap.max())
         self.necklaces = [_cyclic(*runs) for runs in idx.S.runs]
+        # a word token's key (``_token_text``), its letter, length and next
+        # letter cut to the spare ones above the text's, is linear in its
+        # length for each pair of letter codes; kept doubled, as ``find`` is.
+        # ``code_of`` holds the cut code of each signed letter, by index.
+        M, D = idx.scale
+        A = idx.S.alphabet.size
+        self.code_of = np.roll(np.minimum(_letter_codes(np.arange(-A, A + 1)), D - 1), -A)
+        self.code_count, self.length_cap = D, M - 1
+        code, nxt = np.divmod(np.arange(D * D), D)
+        key = [2 * (len(idx.S.runs) + _run_keys(code, length, nxt, M, D)) for length in (0, 1)]
+        self.key_base, self.key_step = key[0], key[1] - key[0]
         g, run_code = idx.group, idx.code[idx.after - 1]
         self.stride = 2 * n + 2
         self.group_key = run_code[g] * self.stride + 2 * idx.rank[idx.after[g]] + 1
@@ -953,13 +964,11 @@ class _RunSearch:
         """
         idx, R, W = self.idx, len(letter), hi - lo
         tok = np.arange(lo, hi + self.ahead + 1) % R
-        code, size = _letter_codes(letter[tok]), length[tok]
-        # each token's key, its length and next letter cut to the spare ones
-        # above the text's (``_token_text``)
-        M, D = idx.scale
-        key = len(idx.S.runs) + _run_keys(code[:-1], np.minimum(size[:-1], M - 1), np.minimum(code[1:], D - 1), M, D)
+        code, size = self.code_of[letter[tok]], length[tok]
         # the codes of the windows of 2^j tokens from each token on
-        ext = [self.find[0].searchsorted(2 * key)]
+        pair = code[:-1] * self.code_count + code[1:]
+        key = self.key_base[pair] + self.key_step[pair] * np.minimum(size[:-1], self.length_cap)
+        ext = [self.find[0].searchsorted(key)]
         for j, (find, base, e) in enumerate(zip(self.find[1:], self.base, ext)):
             ext.append(find.searchsorted(e[: -(1 << j)] * base + 2 * e[1 << j :]))
         # the entries of each run's letter whose texts S_p rank just below and
