@@ -747,23 +747,19 @@ def dehn_reduce_traced(w: Word, S: SymmetrizedSet) -> DehnReduction:
     letters = np.fromiter(w.letters, np.int64, len(w))
     letter, length = _join(letters[:0], letters[:0], *_linear_runs(letters))
     n = int(length.sum())
-    # after a step: runs q0 .. q1 - 1 of the word are the last round's runs
-    # at, at + 1, .. whole, and best holds that round's answers
-    kept = None
+    q0 = q1 = 0  # after a step, runs q0 .. q1 - 1 are the last round's runs at, at + 1, .. whole
     while n >= search.least:
         cyclic = _cyclic(letter, length)
         R = len(cyclic[0])
-        if kept is not None:
-            q0, q1, old, at = kept
-            drop = len(letter) - R  # the first run went into the last
-            q0, stop = q0 - drop, q1 - drop - search.look
-        if kept is None or stop <= q0 or n < search.longest:
+        drop = len(letter) - R  # the first run went into the last
+        # runs lo .. hi - 1 see only whole runs up to look runs on: their answers stand
+        lo, hi = q0 - drop, q1 - drop - search.look
+        if hi <= lo or n < search.longest:
             best, linear = search.best(*cyclic, n, 0, R)
         else:
-            # runs q0 .. stop - 1 see only kept runs up to look runs on: reuse
-            fresh, linear = search.best(*cyclic, n, stop, R + q0)
-            reused = old.take(np.arange(at, at + stop - q0), axis=1, mode="wrap")
-            best = np.concatenate((fresh[:, R - stop :], reused, fresh[:, : R - stop]), axis=1)
+            fresh, linear = search.best(*cyclic, n, hi, R + lo)
+            kept = best.take(np.arange(at, at + hi - lo), axis=1, mode="wrap")
+            best = np.concatenate((fresh[:, R - hi :], kept, fresh[:, : R - hi]), axis=1)
         # the longest match, then the smallest start: starts grow with the run,
         # except that the run holding position 0 may start a match at or after 0
         b = int(best[0].argmax())
@@ -785,7 +781,7 @@ def dehn_reduce_traced(w: Word, S: SymmetrizedSet) -> DehnReduction:
         rl, rn, _ = _cut(*member, L, off + used, L - used)
         yl, yn, first = _cut(*cyclic, n, start + used, n - used)
         letter, length, shift, q0, q1 = _splice(-rl[::-1], rn[::-1], yl, yn)
-        kept = q0, q1, best, (first + q0 - shift) % R
+        at = (first + q0 - shift) % R
         n = int(length.sum())
         out.steps.append(DehnStep(start, used, k, off))
     if out.steps or n < len(w):
