@@ -771,7 +771,7 @@ def dehn_reduce_traced(w: Word, S: SymmetrizedSet) -> DehnReduction:
         start = int(cyclic[2][b] + cyclic[1][b] - a) % n
         if linear is not None:
             best[:, -1] = linear  # the run that holds position 0, as any other run
-        L, member = int(S.lengths[k]), search.necklaces[k]
+        L, member = int(S.lengths[k]), _cyclic(*S.runs[k])
         fits = L < 2 * used <= 2 * min(L, n) and 0 <= off < L
         if not (fits and _same(_cut(*cyclic, n, start, used), _cut(*member, L, off, used))):
             raise SmallCancellationError(
@@ -919,7 +919,6 @@ class _RunSearch:
         self.ahead = max(1 << len(self.odd) - 1, 1 << self.lift)
         self.look = int(np.bincount(idx.neck).max())
         self.longest = int(idx.run_cap.max())
-        self.necklaces = [_cyclic(*runs) for runs in idx.S.runs]
         # a word token's key (``_token_text``), its letter, length and next
         # letter cut to the spare ones above the text's, is linear in its
         # length for each pair of letter codes; kept doubled, as ``find`` is.
@@ -1005,7 +1004,8 @@ class _RunSearch:
         # min(a, r) letters if a != r, min(a + h, L_p, n) if a = r: most at
         # a = r = m = min(l_i, l_p).  If that fires, so do a = r from cap - h
         # when that most is the cap, and a = m < r or r = m < a when it is m;
-        # the longest, then the latest start, the smallest a, wins
+        # the longest, then the earliest start (the largest a), then
+        # necklace and offset, wins
         lp, cap = idx.run_len[p], np.minimum(idx.run_cap[p], n)
         m = np.minimum(size[i], lp)
         used = np.minimum(m + h, cap)

@@ -1,6 +1,8 @@
 """Symmetrized closures, piece metrics, and Dehn reduction."""
 
+import pathlib
 import random
+import runpy
 from fractions import Fraction
 
 import pytest
@@ -883,22 +885,14 @@ class TestDehnOracle:
         ]
 
 
-def trio_product(seed, count):
-    """The scale-20 trio's closure and a product of count conjugates of its
-    relators and their inverses by short random words, as
-    ``scripts/dehn_rounds.py`` makes it."""
-    S = symmetrize(trio(20))
-    rng = random.Random(seed)
-    word = []
-    for _ in range(count):
-        r = rng.choice(S.origins)
-        g = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(2, 8))]
-        word += g + list(r.letters if rng.random() < 0.5 else r.inverse().letters)
-        word += [-l for l in reversed(g)]
-    return S, AB.word(word)
+# the scale-20 trio's closure and a product of count conjugates of its
+# relators and their inverses, drawn with a fixed seed by the script that
+# times Dehn rounds on it
+DEHN_ROUNDS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "dehn_rounds.py"
+trio_product = runpy.run_path(str(DEHN_ROUNDS))["trio_product"]
 
 
-# the steps of trio_product(22, 32), one whole relator each
+# the steps of trio_product(32), one whole relator each
 PRODUCT_STEPS = [
     (3, 820, 2, 780), (4, 820, 1, 1), (4, 820, 3, 39), (5, 820, 5, 59), (4, 820, 3, 40),
     (0, 820, 5, 59), (4, 820, 0, 39), (1, 820, 4, 1), (5, 820, 5, 60), (5, 820, 3, 39),
@@ -930,13 +924,13 @@ class TestDehnRounds:
     """Rounds that take the answers of the runs a step left whole."""
 
     def test_product_steps_are_pinned(self):
-        S, word = trio_product(22, 32)
+        S, word = trio_product(32)
         red = dehn_reduce_traced(word, S)
         assert red.is_empty
         assert [(s.position, s.matched, s.necklace, s.offset) for s in red.steps] == PRODUCT_STEPS
 
     def test_rounds_recompute_only_what_a_step_touched(self, monkeypatch):
-        S, word = trio_product(22, 32)
+        S, word = trio_product(32)
         asked = []
         best = smallcanc._RunSearch.best
 
