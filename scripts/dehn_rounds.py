@@ -39,7 +39,7 @@ def trio_product(count: int):
     rng = random.Random(SEED)
     word = []
     for _ in range(count):
-        r = rng.choice(S.origins)
+        r = rng.choice(S.origins).word()
         g = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(2, 8))]
         word += g + list(r.letters if rng.random() < 0.5 else r.inverse().letters)
         word += [-l for l in reversed(g)]

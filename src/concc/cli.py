@@ -39,11 +39,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _at_least(low: int):
-    """argparse type: an int no smaller than low; argparse names the flag when it is not."""
+def _at_least(low: int, most=None):
+    """argparse type: an int no smaller than low and, if ``most`` is given,
+    no larger than ``most()``, computed only when the flag is read; argparse
+    names the flag when it is not."""
     def parse(text: str) -> int:
         if (value := int(text)) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if most is not None and value > (high := most()):
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"  # a non-number still reads "invalid int value"
     return parse
@@ -74,7 +78,7 @@ def build_parser() -> _Parser:
         "hyp-spec-gen",
         help="small-cancellation generation step: metric, collapses, survivor",
     )
-    hsg.add_argument("--scale", type=_at_least(1), default=100, metavar="S")
+    hsg.add_argument("--scale", type=_at_least(1, smallcanc.max_scale), default=100, metavar="S")
     _add_common(hsg)
 
     tower = sub.add_parser("tower", help="build or re-verify class towers")
@@ -110,7 +114,7 @@ def build_parser() -> _Parser:
     sc = sub.add_parser("smallcanc", help="piece statistics for relator families")
     ssub = sc.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
     pieces = ssub.add_parser("pieces", help="exact piece lengths and metric margins")
-    pieces.add_argument("--scale", type=_at_least(1), default=20, metavar="S")
+    pieces.add_argument("--scale", type=_at_least(1, smallcanc.max_scale), default=20, metavar="S")
     _add_common(pieces)
 
     return top
@@ -373,10 +377,10 @@ def _cmd_relpaths_audit(argv, args) -> int:
     return _run(argv, args.out, checks, artifacts, seed=args.seed, started=t0)
 
 
-def _abbrev(w: Word, limit: int = 60) -> str:
-    """``str(w)`` cut to ``limit`` characters; prints only a prefix of w."""
+def _abbrev(w: Word | smallcanc.RunWord, limit: int = 60) -> str:
+    """``str(w)`` cut to ``limit`` characters; spells only a prefix of w."""
     # each letter prints as at least one character and a separating blank
-    text = str(Word(w.alphabet, w.letters[:limit]))
+    text = str(smallcanc.RunWord.of(w).word(limit))
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 

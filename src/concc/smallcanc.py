@@ -1,12 +1,14 @@
 """Classical metric small cancellation over free groups, at full family scale.
 
-A symmetrized set is stored as runs, the maximal blocks of one letter, of
-one canonical rotation per orbit of cyclic permutation (a necklace), with
-the inverse word's orbit added alongside.  Letters are spelled only on
-read, one member or necklace at a time.  The piece index and Dehn reduction
-work on the runs, so they grow with the number of runs even when the
-closure has seven figures of members.  At scale s the relator family has
-2s runs for 2s^2 + s letters.
+Words are read as runs, the maximal blocks of one letter (``RunWord``).
+The relator family is built as runs, 2s of them for 2s^2 + s letters at
+scale s, and a ``Word`` enters through one adapter, ``RunWord.of``.  A
+symmetrized set is stored as the runs of one canonical rotation per orbit
+of cyclic permutation (a necklace), with the inverse word's orbit added
+alongside.  Letters are spelled only on read: one member or necklace at a
+time, a reduced word when its caller reads it.  The piece index and Dehn
+reduction work on the runs, so they grow with the number of runs even when
+the closure has seven figures of members.
 
 Piece = common initial segment of two distinct closure members.  The index
 finds, for every member, the longest piece it starts with.  A witness names
@@ -97,34 +99,86 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .substrings import lcp_array, suffix_array
-from .words import Alphabet, CyclicWord, Word, _least_rotation, is_cyclically_reduced
+from .words import Alphabet, CyclicWord, Word, _least_rotation
 
 
 class SmallCancellationError(ValueError):
     """Raised for relator sets outside the classical hypotheses."""
 
 
-def r_family(s: int, x: Word, y: Word) -> Word:
-    """x y^{s+1} x^2 y^{s+2} ... x^s y^{2s}; length 2s^2 + s for letters x, y."""
+class RunWord:
+    """A reduced word kept as its runs: letter ``letter[i]`` written
+    ``length[i]`` times, adjacent runs of different letters.  Immutable;
+    ``len`` counts letters and ``word`` spells them.  It equals only run
+    words; spell it to compare it with a ``Word``."""
+
+    __slots__ = ("alphabet", "letter", "length", "_size")
+
+    def __init__(self, alphabet: Alphabet, letter: np.ndarray, length: np.ndarray):
+        # the runs are trusted to be maximal and reduced; go through ``of`` otherwise
+        letter.flags.writeable = length.flags.writeable = False
+        self.alphabet, self.letter, self.length = alphabet, letter, length
+        self._size = int(length.sum())
+
+    @classmethod
+    def of(cls, w: "Word | RunWord") -> "RunWord":
+        """The runs of w: the one way a ``Word`` reaches the run code."""
+        if isinstance(w, RunWord):
+            return w
+        return cls(w.alphabet, *_linear_runs(np.fromiter(w.letters, np.int64, len(w))))
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def is_identity(self) -> bool:
+        return not self._size
+
+    def word(self, count: int | None = None) -> Word:
+        """The letters, or the first ``count`` of them."""
+        letter, length = self.letter, self.length
+        if count is not None and count < self._size:
+            end = length.cumsum()
+            k = int(end.searchsorted(count, "right"))  # the runs wholly inside the prefix
+            letter, length = letter[: k + 1], np.append(length[:k], count - (end[k] - length[k]))
+        return Word(self.alphabet, _spell(letter, length))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunWord):
+            return NotImplemented
+        return (
+            self.alphabet == other.alphabet
+            and np.array_equal(self.letter, other.letter)
+            and np.array_equal(self.length, other.length)
+        )
+
+    def __str__(self) -> str:
+        return str(self.word())
+
+    def __repr__(self) -> str:
+        return f"RunWord({self})"
+
+
+def r_family(s: int, x: Word, y: Word) -> RunWord:
+    """x y^{s+1} x^2 y^{s+2} ... x^s y^{2s}; 2s runs of 2s^2 + s letters for
+    letters x, y."""
     if s < 1:
         raise SmallCancellationError(f"scale must be >= 1, got {s}")
     if x.alphabet != y.alphabet:
         raise SmallCancellationError("x and y must share an alphabet")
-    if len(x.letters) == 1 and len(y.letters) == 1 and x.letters[0] != -y.letters[0]:
-        # letters that are not inverses cannot cancel: the word is reduced as written
-        lx, ly = x.letters[0], y.letters[0]
-        out: list[int] = []
-        for i in range(1, s + 1):
-            out.extend([lx] * i)
-            out.extend([ly] * (s + i))
-        return Word(x.alphabet, tuple(out))
+    if len(x) == 1 and len(y) == 1 and abs(x.letters[0]) != abs(y.letters[0]):
+        # letters that are neither equal nor inverses neither merge nor
+        # cancel: the runs are x^i and y^(s+i) as written
+        i = np.arange(1, s + 1, dtype=np.int64)
+        letter = np.tile(np.array([x.letters[0], y.letters[0]], dtype=np.int64), s)
+        return RunWord(x.alphabet, letter, np.stack((i, s + i), axis=1).ravel())
     w = x.alphabet.identity()
     for i in range(1, s + 1):
         w = w * x ** i * y ** (s + i)
-    return w
+    return RunWord.of(w)
 
 
-def relator_trio(s: int, a: Word, b: Word) -> dict[str, Word]:
+def relator_trio(s: int, a: Word, b: Word) -> dict[str, RunWord]:
     """The scale-s relators R(a^-1, b^-1), R(b, a), R(b^-1, a^-1), by name."""
     return {
         "R(a^-1,b^-1)": r_family(s, a.inverse(), b.inverse()),
@@ -152,16 +206,18 @@ class SymmetrizedSet:
     necklace by necklace, then by rotation offset: member ``starts[k] + off``
     is rotation ``off`` of necklace ``k``.  Letters are spelled on read:
     ``member`` (by necklace and offset) and ``member_word`` (by id) spell one
-    member or its first letters, ``necklaces`` all, when first read."""
+    member or its first letters, ``necklaces`` all, when first read.
+    ``origins`` are the relators it was built from, as run words."""
 
     def __init__(
         self,
-        origins: Sequence[Word],
+        alphabet: Alphabet,
+        origins: Sequence[RunWord],
         origin_necklaces: Sequence[tuple[int, int]],
         runs: Sequence[tuple[np.ndarray, np.ndarray]],
     ):
+        self.alphabet = alphabet
         self.origins = tuple(origins)
-        self.alphabet: Alphabet = self.origins[0].alphabet
         # indices of the necklaces of each origin relator and of its inverse
         self.origin_necklaces = tuple(origin_necklaces)
         self.runs = tuple(runs)
@@ -195,7 +251,7 @@ class SymmetrizedSet:
         return self._index
 
 
-def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
+def symmetrize(relators: Sequence[Word | RunWord]) -> SymmetrizedSet:
     """Build the closure; rejects identity, non-cyclically-reduced, and proper powers.
 
     Works on each relator's cyclic runs (see the module docstring): the
@@ -204,6 +260,7 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
     """
     if not relators:
         raise SmallCancellationError("need at least one relator")
+    relators = [RunWord.of(r) for r in relators]
     alphabet = relators[0].alphabet
     # every run is shorter than M and every letter code below D, so the keys
     # of all necklaces of one call compare on one scale
@@ -215,9 +272,9 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
             raise SmallCancellationError("relators over different alphabets")
         if r.is_identity:
             raise SmallCancellationError("identity relator")
-        if not is_cyclically_reduced(r):
+        if r.letter[0] == -r.letter[-1]:
             raise SmallCancellationError(f"relator {r} is not cyclically reduced")
-        letter, length, _ = _cyclic(*_linear_runs(np.fromiter(r.letters, np.int64, len(r))))
+        letter, length, _ = _cyclic(r.letter, r.length)
         e = int(length[0]) if len(letter) == 1 else _power(_cyclic_keys(letter, length, M, D))
         if e > 1:
             raise SmallCancellationError(
@@ -232,6 +289,7 @@ def symmetrize(relators: Sequence[Word]) -> SymmetrizedSet:
     ordered = sorted(necklaces)
     position = {key: k for k, key in enumerate(ordered)}
     return SymmetrizedSet(
+        alphabet,
         relators,
         [(position[a], position[b]) for a, b in origin_keys],
         [necklaces[key] for key in ordered],
@@ -705,19 +763,26 @@ class DehnStep:
 
 @dataclass
 class DehnReduction:
-    word: Word
+    """The reduced word, kept as runs, and the steps that reached it;
+    ``word`` spells it when first read."""
+
+    runs: RunWord
     steps: list[DehnStep] = field(default_factory=list)
+
+    @cached_property
+    def word(self) -> Word:
+        return self.runs.word()
 
     @property
     def is_empty(self) -> bool:
-        return self.word.is_identity
+        return self.runs.is_identity
 
     @property
     def irreducible(self) -> bool:
-        return not self.steps and not self.word.is_identity
+        return not self.steps and not self.runs.is_identity
 
 
-def dehn_reduce(w: Word, S: SymmetrizedSet) -> Word:
+def dehn_reduce(w: Word | RunWord, S: SymmetrizedSet) -> Word:
     """Greedy Dehn reduction; result is empty iff w = 1 in the quotient.
 
     Requires C'(1/6), which the caller checks with ``check_metric``.  The
@@ -727,7 +792,7 @@ def dehn_reduce(w: Word, S: SymmetrizedSet) -> Word:
     return dehn_reduce_traced(w, S).word
 
 
-def dehn_reduce_traced(w: Word, S: SymmetrizedSet) -> DehnReduction:
+def dehn_reduce_traced(w: Word | RunWord, S: SymmetrizedSet) -> DehnReduction:
     """Greedy Dehn reduction with its steps (see ``dehn_reduce``).
 
     Each round keeps the best match of every run of the cyclic word.  A step
@@ -738,14 +803,14 @@ def dehn_reduce_traced(w: Word, S: SymmetrizedSet) -> DehnReduction:
     its member, letter for letter.  A step that does not raises
     ``SmallCancellationError`` naming it.
     """
+    w = RunWord.of(w)
     if w.alphabet != S.alphabet:
         raise SmallCancellationError("word and relator set use different alphabets")
     idx = S.index()
     if not idx.checked:
         raise SmallCancellationError(f"Dehn reduction needs a checked piece index: {idx.check_detail}")
-    search, out = idx.search, DehnReduction(w)
-    letters = np.fromiter(w.letters, np.int64, len(w))
-    letter, length = _join(letters[:0], letters[:0], *_linear_runs(letters))
+    search, steps = idx.search, []
+    letter, length = _join(w.letter[:0], w.length[:0], w.letter, w.length)
     n = int(length.sum())
     q0 = q1 = 0  # after a step, runs q0 .. q1 - 1 are the last round's runs at, at + 1, .. whole
     while n >= search.least:
@@ -775,7 +840,7 @@ def dehn_reduce_traced(w: Word, S: SymmetrizedSet) -> DehnReduction:
         fits = L < 2 * used <= 2 * min(L, n) and 0 <= off < L
         if not (fits and _same(_cut(*cyclic, n, start, used), _cut(*member, L, off, used))):
             raise SmallCancellationError(
-                f"Dehn step {len(out.steps) + 1} (position {start}, {used} letters, necklace {k}, "
+                f"Dehn step {len(steps) + 1} (position {start}, {used} letters, necklace {k}, "
                 f"offset {off}) does not match more than half of its member"
             )
         rl, rn, _ = _cut(*member, L, off + used, L - used)
@@ -783,10 +848,10 @@ def dehn_reduce_traced(w: Word, S: SymmetrizedSet) -> DehnReduction:
         letter, length, shift, q0, q1 = _splice(-rl[::-1], rn[::-1], yl, yn)
         at = (first + q0 - shift) % R
         n = int(length.sum())
-        out.steps.append(DehnStep(start, used, k, off))
-    if out.steps or n < len(w):
-        out.word = Word(S.alphabet, _spell(letter, length))
-    return out
+        steps.append(DehnStep(start, used, k, off))
+    if steps or n < len(w):
+        w = RunWord(S.alphabet, letter, length)
+    return DehnReduction(w, steps)
 
 
 def _same(x: tuple, y: tuple) -> bool:
@@ -1060,6 +1125,30 @@ class HypSpecGenReport:
         return all(c.ok for c in self.checks)
 
 
+def max_scale() -> int:
+    """The largest scale whose relator trio's integer codes fit int64.
+
+    ``symmetrize`` keys the runs with ``_run_keys`` on the scale M = 2s^2 +
+    s + 1, one above the relator length, and D = 5, one above the letter
+    codes of a, b.  Its largest key there has the largest letter code, a
+    smaller next letter and a run of M - 1 letters, and grows linearly with
+    M.  Dehn reduction packs two window classes of the n <= 24s + 6 index
+    tokens (six necklaces of 2s runs, each written twice and closed by a
+    separator) into one code below 8 (n + 1)^2 (``_RunSearch``).  The other
+    codes, the index keys on the scale of the longest run and the suffix
+    array's pairs of ranks below (n + 1)^2, are smaller.
+    """
+    D, big = 5, 1 << 63
+    top = lambda M: int(_run_keys(*np.array([[D - 1], [M - 1], [D - 2]], dtype=object), M, D)[0])
+    most = (big - 1 - top(0)) // (top(1) - top(0))  # the largest M whose keys fit
+    lo, hi = 1, 1 << 32  # lo fits, hi does not
+    while hi - lo > 1:
+        s = (lo + hi) // 2
+        fits = 2 * s * s + s + 1 <= most and 8 * (24 * s + 7) ** 2 < big
+        lo, hi = (s, hi) if fits else (lo, s)
+    return lo
+
+
 def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
     """Generate the scale-s relator family and verify its four defining facts.
 
@@ -1106,7 +1195,7 @@ def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
                 FamilyCheck(
                     f"reduces-to-empty {name}",
                     red.is_empty,
-                    "" if red.is_empty else f"left {len(red.word)} letters",
+                    "" if red.is_empty else f"left {len(red.runs)} letters",
                 )
             )
         try:
@@ -1117,10 +1206,10 @@ def verify_hyp_spec_gen(s: int) -> HypSpecGenReport:
             checks.append(
                 FamilyCheck(
                     "survivor-irreducible R(a,b)",
-                    sur.irreducible and sur.word == survivor,
+                    sur.irreducible and sur.runs == survivor,
                     f"no replacement applies across {len(survivor)} letters"
                     if sur.irreducible
-                    else f"reduced by {len(sur.steps)} steps to {len(sur.word)} letters",
+                    else f"reduced by {len(sur.steps)} steps to {len(sur.runs)} letters",
                 )
             )
     return HypSpecGenReport(

@@ -148,6 +148,20 @@ class TestUsageErrors:
         assert code == 64
         assert "argument --scale: must be at least 1, got 0" in err
 
+    def test_scale_above_the_int64_bound(self, capsys, monkeypatch):
+        top = smallcanc.max_scale()
+
+        def no_work(*args):
+            raise AssertionError("work started before the scale was refused")
+
+        for name in ("verify_hyp_spec_gen", "relator_trio", "symmetrize"):
+            monkeypatch.setattr(smallcanc, name, no_work)
+        for argv in (["verify", "hyp-spec-gen"], ["smallcanc", "pieces"]):
+            code, err = usage_error(capsys, argv + ["--scale", str(top + 1)])
+            assert code == 64
+            assert err.startswith(f"usage: concc {argv[0]} {argv[1]}")
+            assert f"argument --scale: must be at most {top}, got {top + 1}" in err
+
     def test_nonpositive_instances(self, capsys):
         code, err = usage_error(capsys, ["relpaths", "audit", "--instances", "0"])
         assert code == 64
@@ -477,6 +491,22 @@ class TestDehnRounds:
         # letters with a rotation inside a member of the one relator's closure
         assert line["rounds"] == 3 and line["short_words"] == 60
         assert line["ms_per_round"] > 0 and line["short_cpu_s"] >= 0
+
+
+class TestHypScale:
+    def test_script_prints_one_line(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "hyp_scale.py"), "--scales", "20"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        (row,) = json.loads(done.stdout)["scales"]
+        assert row["scale"] == 20 and row["ok"] and row["max_piece"] == 98
+        phases = ("family_s", "symmetrize_s", "index_s", "dehn_s")
+        assert all(row[p] >= 0 for p in phases) and row["total_s"] > 0
+        assert row["peak_rss_mb"] > 0
 
 
 class TestTowerDemo:

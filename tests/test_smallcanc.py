@@ -1,5 +1,6 @@
 """Symmetrized closures, piece metrics, and Dehn reduction."""
 
+import itertools
 import pathlib
 import random
 import runpy
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from concc.smallcanc import (
     PieceWitness,
+    RunWord,
     SmallCancellationError,
     check_metric,
     dehn_reduce,
@@ -55,6 +57,12 @@ def trio(s):
     ]
 
 
+def grouped(word):
+    """The run word of word, its runs counted by itertools.groupby."""
+    runs = [(l, len(list(g))) for l, g in itertools.groupby(word.letters)]
+    return RunWord(word.alphabet, *(np.array([r[i] for r in runs], dtype=np.int64) for i in (0, 1)))
+
+
 class TestFamilies:
     def test_r_family_lengths(self):
         a, b = w("a"), w("b")
@@ -89,7 +97,42 @@ class TestFamilies:
                 spelled = []
                 for i in range(1, s + 1):
                     spelled += [x] * i + [y] * (s + i)
-                assert r_family(s, ABC.word([x]), ABC.word([y])) == ABC.word(spelled)
+                assert r_family(s, ABC.word([x]), ABC.word([y])).word() == ABC.word(spelled)
+
+    def test_runs_spell_the_letter_loop(self):
+        # the letter pairs of the trio and of the survivor R(a, b), against
+        # the family written out letter by letter
+        for s in range(1, 31):
+            for x, y in ((-1, -2), (2, 1), (-2, -1), (1, 2)):
+                spelled = []
+                for i in range(1, s + 1):
+                    spelled += [x] * i + [y] * (s + i)
+                r = r_family(s, AB.word([x]), AB.word([y]))
+                assert r.word().letters == tuple(spelled)
+                assert len(r) == len(spelled) and len(r.letter) == 2 * s
+
+
+class TestRunWord:
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=40))
+    def test_adapter_keeps_the_letters(self, letters):
+        word = AB.word(letters)
+        r = RunWord.of(word)
+        assert RunWord.of(r) is r
+        assert r.word() == word and len(r) == len(word) and str(r) == str(word)
+        assert all(r.letter[1:] != r.letter[:-1]) and all(r.length > 0)
+        for count in range(len(word) + 2):
+            assert r.word(count).letters == word.letters[:count]
+        assert cli._abbrev(r) == cli._abbrev(word)
+        assert r == grouped(word)
+        # it equals run words only
+        assert r != word
+
+    def test_runs_are_read_only(self):
+        r = r_family(3, w("a"), w("b"))
+        for array in (r.letter, r.length):
+            with pytest.raises(ValueError):
+                array[0] = 2
 
 
 class TestSymmetrize:
@@ -135,7 +178,7 @@ class TestPieces:
         rep = max_pieces(symmetrize([w("a b a^-1 b^-1")]))
         assert rep.max_piece_length == 1
         assert [str(row["ratio"]) for row in rep.per_relator] == ["1/4"]
-        assert [row["relator"] for row in rep.per_relator] == [w("a b a^-1 b^-1")]
+        assert [row["relator"].word() for row in rep.per_relator] == [w("a b a^-1 b^-1")]
 
     @pytest.mark.parametrize("s", [1, 3, 8])
     def test_relator_trio_is_the_spelled_out_trio(self, s):
@@ -191,7 +234,7 @@ class TestPieces:
         # ratio seen inside each orbit against the reported per-relator row.
         orbit_of = {}
         for i, r in enumerate(relators):
-            for v in (r, r.inverse()):
+            for v in (r.word(), r.word().inverse()):
                 orbit_of[str(CyclicWord(v).word())] = i
         worst = {}
         for letters, ratio in ratios.items():
@@ -279,7 +322,7 @@ class TestRunRotation:
     @pytest.mark.parametrize("s", [*range(1, 31), 200])
     def test_trio_matches_letter_symmetrize(self, s):
         assert symmetrize_outcome(symmetrize, trio(s)) == symmetrize_outcome(
-            letter_symmetrize, trio(s)
+            letter_symmetrize, [r.word() for r in trio(s)]
         )
 
     @pytest.mark.parametrize(
@@ -305,6 +348,23 @@ class TestRunRotation:
         assert S.origin_necklaces[0] == S.origin_necklaces[2] == S.origin_necklaces[1][::-1]
         assert symmetrize_outcome(symmetrize, [r, again, r]) == symmetrize_outcome(
             letter_symmetrize, [r, again, r]
+        )
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 7, 19, 20, 100])
+    def test_run_words_and_words_give_one_closure(self, s):
+        runs, words = symmetrize(trio(s)), symmetrize([r.word() for r in trio(s)])
+        assert runs.closure_size == words.closure_size
+        assert runs.origin_necklaces == words.origin_necklaces
+        assert runs.origins == words.origins
+        assert len(runs.runs) == len(words.runs)
+        for (l1, n1), (l2, n2) in zip(runs.runs, words.runs):
+            assert np.array_equal(l1, l2) and np.array_equal(n1, n2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rotation_sets())
+    def test_run_words_give_the_outcome_of_words(self, relators):
+        assert symmetrize_outcome(symmetrize, [grouped(r) for r in relators]) == symmetrize_outcome(
+            symmetrize, relators
         )
 
     def test_booth_runs_over_runs(self, monkeypatch):
@@ -531,7 +591,7 @@ class TestSegmentReaders:
         for r in trio(s):
             assert dehn_reduce(r, S).is_identity
         survivor = r_family(s, w("a"), w("b"))
-        assert dehn_reduce(survivor, S) == survivor
+        assert dehn_reduce(survivor, S) == survivor.word()
         # the closure is kept as runs: no necklace was spelled out
         assert "necklaces" not in vars(S)
 
@@ -835,6 +895,14 @@ def test_run_rewrite_matches_letter_reduction(x, y):
 class TestDehnOracle:
     """The run-token matcher against plain enumeration, step by step."""
 
+    @settings(max_examples=200)
+    @given(dehn_cases())
+    def test_run_words_reduce_as_their_words(self, case):
+        S, word = case
+        by_word, by_runs = dehn_reduce_traced(word, S), dehn_reduce_traced(grouped(word), S)
+        assert by_runs.steps == by_word.steps
+        assert by_runs.runs == by_word.runs and by_runs.word == by_word.word
+
     @settings(max_examples=300)
     @given(dehn_cases())
     def test_matches_brute_dehn(self, case):
@@ -872,7 +940,7 @@ class TestDehnOracle:
         rng = random.Random(5)
         word = []
         for _ in range(6):
-            r = rng.choice(S.origins)
+            r = rng.choice(S.origins).word()
             g = [rng.choice([1, -1, 2, -2]) for _ in range(5)]
             word += g + list(r.letters if rng.random() < 0.5 else r.inverse().letters)
             word += [-l for l in reversed(g)]
@@ -974,6 +1042,35 @@ class TestDehnRounds:
 
 
 class TestGeneratorReport:
+    @pytest.mark.parametrize("s", [20, 100, 300, 1000, 3000])
+    def test_scale_ladder(self, s):
+        rep = verify_hyp_spec_gen(s)
+        assert rep.ok, [(c.name, c.detail) for c in rep.checks if not c.ok]
+        assert rep.max_piece == 5 * s - 2
+        assert rep.relator_length == 2 * s * s + s and rep.closure_size == 6 * rep.relator_length
+
+    def test_scale_bound_is_where_codes_leave_int64(self):
+        def fits(s):
+            # every key symmetrize can give the trio, with Python integers
+            M, D = 2 * s * s + s + 1, 5
+            code, size, nxt = (np.array(c, dtype=object).ravel() for c in np.meshgrid(
+                range(1, D), [1, M - 1], range(1, D)))
+            keys = smallcanc._run_keys(code, size, nxt, M, D)
+            return max(keys) < 2**63 and 8 * (24 * s + 7) ** 2 < 2**63
+
+        s = smallcanc.max_scale()
+        assert fits(s) and not fits(s + 1)
+
+    @pytest.mark.parametrize("s", [3, 20])
+    def test_codes_stay_below_the_bounds_of_the_scale_limit(self, s):
+        S = symmetrize(trio(s))
+        idx = S.index()
+        n = len(idx.key)
+        assert n <= 24 * s + 6
+        assert max(int(f.max()) for f in idx.search.find) < 8 * (n + 1) ** 2
+        M = 2 * s * s + s + 1
+        assert max(int(smallcanc._cyclic_keys(l, k, M, 5).max()) for l, k in S.runs) <= 45 * M - 2
+
     def test_small_scale_fails_metric(self):
         rep = verify_hyp_spec_gen(3)
         assert not rep.ok
