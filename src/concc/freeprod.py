@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
-from itertools import groupby
 from typing import Iterable, Sequence
 
 from . import hnn
@@ -100,7 +98,7 @@ class Factor:
         raise NotImplementedError
 
     def sample(self, rng: random.Random) -> Payload:
-        """A random nonidentity element."""
+        """A random nonidentity element, uniform over a support the factor names."""
         raise NotImplementedError
 
 
@@ -138,7 +136,8 @@ class CyclicFactor(Factor):
         return read_int(text.strip(), "residue") % self.modulus
 
     def sample(self, rng):
-        return rng.randrange(1, self.modulus)
+        """Uniform over the nonzero residues 1..m-1."""
+        return 1 + int(rng.random() * (self.modulus - 1))
 
 
 class FreeAbelianFactor(Factor):
@@ -178,9 +177,10 @@ class FreeAbelianFactor(Factor):
         return tuple(parts)
 
     def sample(self, rng):
+        """Uniform over the nonzero vectors with coordinates in -3..3."""
         while True:
-            p = tuple([rng.randint(-3, 3) for _ in range(self.rank)])
-            if not self.is_identity(p):
+            p = tuple([int(rng.random() * 7) - 3 for _ in range(self.rank)])
+            if any(p):
                 return p
 
 
@@ -193,6 +193,9 @@ class KleinBottleFactor(Factor):
     the matching HNN tower, so the closed-form arithmetic never drifts
     from the honest word problem.
     """
+
+    # the sampling support: a^p t^q with |p|, |q| <= 2, less the identity
+    _SUPPORT = tuple((p, q) for p in range(-2, 3) for q in range(-2, 3) if p or q)
 
     def __init__(self, label: str):
         self.label = label
@@ -261,10 +264,8 @@ class KleinBottleFactor(Factor):
         return out
 
     def sample(self, rng):
-        while True:
-            p = (rng.randint(-2, 2), rng.randint(-2, 2))
-            if p != (0, 0):
-                return p
+        """Uniform over the 24 pairs (p, q) with |p|, |q| <= 2, less (0, 0)."""
+        return self._SUPPORT[int(rng.random() * len(self._SUPPORT))]
 
 
 class FreeProductCtx:
@@ -279,6 +280,11 @@ class FreeProductCtx:
         self.factors = tuple(factors)
         self.by_label: dict[str, Factor] = {f.label: f for f in factors}
         self.free_alphabet = free_alphabet
+        # (letter, inverse) for each of the 2n free-part letters
+        n = free_alphabet.size if free_alphabet is not None else 0
+        self.free_pairs = tuple(
+            (("x", s * i), ("x", -s * i)) for i in range(1, n + 1) for s in (1, -1)
+        )
 
     def factor(self, label: str) -> Factor:
         if label not in self.by_label:
@@ -469,26 +475,33 @@ def _walk(
     """
     stack: list[Syllable] = []
     comps: list[Component] = []
-    pos = 0
+    pos = 0  # index of letters[0] in the whole path
     for name, letters in segments:
-        for lab, run in groupby(letters, lambda l: l[1] if l[0] == "h" else None):
-            if lab is None:
-                run = tuple([l for _, l in run])
-                ctx.merge(stack, None, run)
-                pos += len(run)
+        n, i = len(letters), 0
+        while i < n:
+            letter = letters[i]
+            j = i + 1
+            if letter[0] == "x":
+                while j < n and letters[j][0] == "x":
+                    j += 1
+                ctx.merge(stack, None, tuple([l[1] for l in letters[i:j]]))
+                i = j
                 continue
+            lab, payload = letter[1], letter[2]
             f = ctx.factor(lab)
-            key = tuple(_coset_key(ctx, stack, lab))
-            ps = [l[2] for l in run]
-            payload = reduce(f.multiply, ps)
+            while j < n and letters[j][0] == "h" and letters[j][1] == lab:
+                payload = f.multiply(payload, letters[j][2])
+                j += 1
             if f.is_identity(payload):
                 raise FreeProductError(
-                    f"letters {pos}..{pos + len(ps) - 1} in factor {lab!r} multiply "
+                    f"letters {pos + i}..{pos + j - 1} in factor {lab!r} multiply "
                     "to the identity; the path is ill-formed"
                 )
-            comps.append(Component(lab, pos, pos + len(ps), payload, name, key))
+            key = tuple(_coset_key(ctx, stack, lab))
+            comps.append(Component(lab, pos + i, pos + j, payload, name, key))
             ctx.merge(stack, lab, payload)
-            pos += len(ps)
+            i = j
+        pos += n
     return comps, tuple(stack)
 
 
@@ -745,44 +758,64 @@ def regularity_audit(
 def random_trivial_cycle(ctx: FreeProductCtx, rng: random.Random, size: int = 12) -> SyllablePath:
     """Random closed path whose letter product is the identity.
 
-    Built from nested conjugated cancelling pairs and concatenations, then
-    scrubbed in one stack pass: same-factor letter runs multiplying to the
-    identity are deleted (the product is unchanged) until the path is well
-    formed.  The builder draws from ``rng`` in a fixed order, so a seed
-    fixes the whole sequence of cycles.
+    The word nests conjugated cancelling pairs and concatenates blocks under
+    a letter budget; with factors present a pair is free-part with
+    probability 0.4.  Shape first, payloads last: an attempt draws only its
+    shape (the order in which pairs open and close) and each pair's kind,
+    and is rejected when no pair is free, since the scrub below would empty
+    it.  Acceptance reads only the shape and the kinds, and letters and
+    payloads are independent of both, so drawing them for the kept attempt
+    alone, in the recorded order, gives exactly the distribution of building
+    whole words and rejecting them.  The kept word is scrubbed in one stack
+    pass: same-factor runs multiplying to the identity are deleted (the
+    product is unchanged).  A seed fixes the whole sequence of cycles.
     """
-    free, factors = ctx.free_alphabet, ctx.factors
-
-    def rand_pair() -> tuple[Letter, Letter]:  # a random letter and its inverse
-        if free is not None and (not factors or rng.random() < 0.4):
-            x = free.letter(rng.choice(free.names), rng.choice((1, -1)))
-            return ("x", x), ("x", -x)
-        f = rng.choice(factors)
-        p = f.sample(rng)
-        return ("h", f.label, p), ("h", f.label, f.inverse(p))
-
-    def build(budget: int, out: list[Letter]) -> None:
-        # a budget below 2 draws nothing and adds nothing
-        while budget >= 2:
-            if rng.random() < 0.55:
-                l, l_inv = rand_pair()
-                out.append(l)
-                build(budget - 2, out)
-                out.append(l_inv)
-                return
-            if rng.random() >= 0.5:
-                return
-            cut = rng.randint(1, budget - 1)
-            build(cut, out)
-            budget -= cut
-
+    if ctx.free_alphabet is None:
+        raise FreeProductError(
+            "a trivial cycle needs a free part: without free letters every word scrubs to empty"
+        )
+    if size < 2:
+        raise FreeProductError(f"a trivial cycle needs size >= 2 to hold a pair, got {size}")
+    rand = rng.random
+    mixed = bool(ctx.factors)
     for _ in range(200):
-        letters: list[Letter] = []
-        build(size, letters)
-        # the scrub empties a trivial word exactly when it has no free letter
-        if any(l[0] == "x" for l in letters):
-            return SyllablePath(ctx, tuple(_scrub_identity_runs(ctx, letters)))
-    raise FreeProductError("could not generate a nonempty trivial cycle")
+        order: list[int] = []  # pair i opens as i and closes as ~i
+        kinds: list[bool] = []  # per pair in opening order: free-part or not
+        # budgets still to build, and ~i for a pair still to close; a budget
+        # below 2 draws nothing, so none is pushed
+        todo = [size]
+        while todo:
+            b = todo.pop()
+            if b < 0:
+                order.append(b)
+            elif rand() < 0.55:
+                i = len(kinds)
+                kinds.append(not mixed or rand() < 0.4)
+                order.append(i)
+                todo.append(~i)
+                if b >= 4:
+                    todo.append(b - 2)
+            elif rand() < 0.5:
+                cut = 1 + int(rand() * (b - 1))
+                if b - cut >= 2:
+                    todo.append(b - cut)
+                if cut >= 2:
+                    todo.append(cut)
+        if True in kinds:
+            break
+    else:
+        raise FreeProductError("could not generate a nonempty trivial cycle")
+    free_pairs, factors = ctx.free_pairs, ctx.factors
+    pairs = []
+    for is_free in kinds:
+        if is_free:
+            pairs.append(free_pairs[int(rand() * len(free_pairs))])
+        else:
+            f = factors[int(rand() * len(factors))]
+            p = f.sample(rng)
+            pairs.append((("h", f.label, p), ("h", f.label, f.inverse(p))))
+    letters = [pairs[i][0] if i >= 0 else pairs[~i][1] for i in order]
+    return SyllablePath(ctx, tuple(_scrub_identity_runs(ctx, letters)))
 
 
 def _scrub_identity_runs(ctx: FreeProductCtx, letters: Iterable[Letter]) -> list[Letter]:

@@ -9,15 +9,27 @@ scan can: ``letter_piece_best`` reads the suffix and LCP arrays of
 ``concc.substrings``, which test_substrings checks against naive sorting,
 and ``letter_symmetrize`` reads the letter-level ``CyclicWord`` and
 ``primitive_root`` of ``concc.words``, which test_words checks against
-rotation and power enumeration.
+rotation and power enumeration.  ``rejection_trivial_cycle`` hands its
+word to ``freeprod._scrub_identity_runs``, which test_freeprod checks on
+its own, since it stands in only for the drawing of the word.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
 
+from concc.freeprod import (
+    CyclicFactor,
+    FreeAbelianFactor,
+    FreeProductError,
+    KleinBottleFactor,
+    Letter,
+    SyllablePath,
+    _scrub_identity_runs,
+)
 from concc.substrings import lcp_array, suffix_array
 from concc.words import (
     Alphabet,
@@ -491,3 +503,65 @@ def brute_connectivity(ctx, letters, cuts=()):
     classes = sorted(groups.values())
     isolated = [g[0] for g in classes if len(g) == 1]
     return comps, classes, isolated, vertices[-1]
+
+
+def rejection_sample(f, rng: random.Random):
+    """A nonidentity factor element by the rejection and ``randrange`` draws
+    the factors used before their samplers became single picks."""
+    if isinstance(f, CyclicFactor):
+        return rng.randrange(1, f.modulus)
+    if isinstance(f, FreeAbelianFactor):
+        while True:
+            p = tuple([rng.randint(-3, 3) for _ in range(f.rank)])
+            if not f.is_identity(p):
+                return p
+    if isinstance(f, KleinBottleFactor):
+        while True:
+            p = (rng.randint(-2, 2), rng.randint(-2, 2))
+            if p != (0, 0):
+                return p
+    raise TypeError(f"no rejection sampler for {type(f).__name__}")
+
+
+def rejection_trivial_cycle(ctx, rng: random.Random, size: int = 12) -> SyllablePath:
+    """The trivial-cycle sampler that builds whole words and rejects them.
+
+    The recursive sampler ``freeprod.random_trivial_cycle`` used before it
+    drew shapes first, kept word for word except that factor payloads come
+    from ``rejection_sample``.  Every attempt draws its letters and payloads
+    as it builds, and an attempt with no free letter is thrown away whole,
+    so its output distribution is the definition the shape-first sampler
+    must match.
+    """
+    free, factors = ctx.free_alphabet, ctx.factors
+
+    def rand_pair() -> tuple[Letter, Letter]:  # a random letter and its inverse
+        if free is not None and (not factors or rng.random() < 0.4):
+            x = free.letter(rng.choice(free.names), rng.choice((1, -1)))
+            return ("x", x), ("x", -x)
+        f = rng.choice(factors)
+        p = rejection_sample(f, rng)
+        return ("h", f.label, p), ("h", f.label, f.inverse(p))
+
+    def build(budget: int, out: list[Letter]) -> None:
+        # a budget below 2 draws nothing and adds nothing
+        while budget >= 2:
+            if rng.random() < 0.55:
+                l, l_inv = rand_pair()
+                out.append(l)
+                build(budget - 2, out)
+                out.append(l_inv)
+                return
+            if rng.random() >= 0.5:
+                return
+            cut = rng.randint(1, budget - 1)
+            build(cut, out)
+            budget -= cut
+
+    for _ in range(200):
+        letters: list[Letter] = []
+        build(size, letters)
+        # the scrub empties a trivial word exactly when it has no free letter
+        if any(l[0] == "x" for l in letters):
+            return SyllablePath(ctx, tuple(_scrub_identity_runs(ctx, letters)))
+    raise FreeProductError("could not generate a nonempty trivial cycle")

@@ -1,10 +1,11 @@
 """Free products with pluggable factors, path audits, and the power probe."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import brute_connectivity
+from oracles import brute_connectivity, rejection_trivial_cycle
 
 from concc import freeprod as fp
 from concc import hnn
@@ -318,6 +319,14 @@ class TestPaths:
         assert rep.isolated_count == 0
         assert len(rep.classes) == 1
 
+    def test_identity_run_after_free_letters_names_its_positions(self):
+        p = fp.parse_path(make_ctx(), "x1 x2 [A: 1] [A: -1]")
+        with pytest.raises(fp.FreeProductError) as err:
+            fp.path_components(p)
+        assert str(err.value) == (
+            "letters 2..3 in factor 'A' multiply to the identity; the path is ill-formed"
+        )
+
     def test_connectivity_requires_cycle(self):
         ctx = make_ctx()
         with pytest.raises(fp.FreeProductError, match="closed path"):
@@ -342,6 +351,82 @@ class TestPaths:
             keys = [(c.factor_label, fp._coset_key(ctx, vs[c.start], c.factor_label))
                     for c in comps]
             assert len(set(keys)) == len(keys)
+
+
+class TestTrivialCycleSampler:
+    """The shape-first sampler against the whole-word rejection sampler."""
+
+    # fixed before the first run: seeds, cycles per sampler, level per statistic
+    SEEDS, CYCLES, ALPHA = (2501, 2502), 20000, 0.001
+
+    @staticmethod
+    def statistics(sample, seed, n):
+        ctx, rng = fp.audit_ctx(), random.Random(seed)
+        stats = {"length": Counter(), "free letters": Counter(),
+                 "factor mix": Counter(), "Klein payloads": Counter()}
+        for _ in range(n):
+            letters = sample(ctx, rng, size=rng.randint(4, 16)).letters
+            stats["length"][len(letters)] += 1
+            stats["free letters"][sum(l[0] == "x" for l in letters)] += 1
+            for l in letters:
+                if l[0] == "h":
+                    stats["factor mix"][l[1]] += 1
+                    if l[1] == "K":
+                        stats["Klein payloads"][l[2]] += 1
+        return stats
+
+    @staticmethod
+    def pooled_table(a, b, least=20):
+        """Two rows of counts; categories under ``least`` in total share one column."""
+        cats = sorted(set(a) | set(b), key=repr)
+        big = [c for c in cats if a[c] + b[c] >= least]
+        rest = [c for c in cats if a[c] + b[c] < least]
+        return [[h[c] for c in big] + ([sum(h[c] for c in rest)] if rest else []) for h in (a, b)]
+
+    def test_matches_the_rejection_oracle(self):
+        from scipy.stats import chi2_contingency
+
+        new = self.statistics(fp.random_trivial_cycle, self.SEEDS[0], self.CYCLES)
+        old = self.statistics(rejection_trivial_cycle, self.SEEDS[1], self.CYCLES)
+        for name in new:
+            table = self.pooled_table(new[name], old[name])
+            assert len(table[0]) >= 2, name
+            p = chi2_contingency(table).pvalue
+            assert p >= self.ALPHA, f"{name}: p = {p:.2e} against the rejection sampler"
+
+    def test_no_free_part_fails_at_once(self):
+        ctx = fp.FreeProductCtx([fp.CyclicFactor("B", 5)])
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(fp.FreeProductError, match="needs a free part"):
+            fp.random_trivial_cycle(ctx, rng)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("size", [1, 0, -3])
+    def test_size_below_two_fails_at_once(self, size):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(fp.FreeProductError, match=f"needs size >= 2 to hold a pair, got {size}"):
+            fp.random_trivial_cycle(fp.audit_ctx(), rng, size=size)
+        assert rng.getstate() == state
+
+    def test_factor_samples_cover_their_documented_supports(self):
+        ctx, rng = fp.audit_ctx(), random.Random(2503)
+        supports = {
+            "A": {(k,) for k in range(-3, 4) if k},
+            "B": {1, 2, 3, 4},
+            "K": {(p, q) for p in range(-2, 3) for q in range(-2, 3) if (p, q) != (0, 0)},
+        }
+        assert [f.label for f in ctx.factors] == list(supports)
+        for f in ctx.factors:
+            assert {f.sample(rng) for _ in range(5000)} == supports[f.label], f.label
+
+    def test_free_letters_cover_every_generator_and_inverse(self):
+        ctx, rng = fp.audit_ctx(), random.Random(2504)
+        seen = set()
+        for _ in range(2000):
+            seen |= {l[1] for l in fp.random_trivial_cycle(ctx, rng).letters if l[0] == "x"}
+        assert seen == {1, -1, 2, -2}
 
 
 class TestRegularity:
@@ -505,7 +590,7 @@ class TestScrub:
         ctx, rng = fp.audit_ctx(), random.Random(20260405)
         for _ in range(1000):
             fp.random_trivial_cycle(ctx, rng, size=rng.randint(4, 16))
-        assert rng.random() == 0.3198593663151076
+        assert rng.random() == 0.44898676387147896
 
 
 class TestPowers:
