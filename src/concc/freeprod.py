@@ -194,7 +194,6 @@ class KleinBottleFactor(Factor):
     from the honest word problem.
     """
 
-    # the sampling support: a^p t^q with |p|, |q| <= 2, less the identity
     _SUPPORT = tuple((p, q) for p in range(-2, 3) for q in range(-2, 3) if p or q)
 
     def __init__(self, label: str):
