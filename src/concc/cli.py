@@ -70,6 +70,8 @@ def _add_common(p: _Parser) -> None:
 
 def build_parser() -> _Parser:
     top = _Parser(prog="concc", description=__doc__)
+    # the report goes to --out where a subcommand has it; only the audit has a seed
+    top.set_defaults(out=None, seed=None)
     sub = top.add_subparsers(dest="group", required=True, parser_class=_Parser)
 
     verify = sub.add_parser("verify", help="run a verification suite")
@@ -89,6 +91,7 @@ def build_parser() -> _Parser:
     tb.add_argument("--mode", default="ncc", choices=["ncc", "coset"])
     tb.add_argument(
         "--out",
+        dest="cert_out",  # it names the certificate, so the report goes to stdout
         type=_out_file,
         metavar="FILE",
         help="write the certificate here (default tower-cert.json); the report goes to stdout",
@@ -147,31 +150,10 @@ def _emit(doc: dict, out: str | None) -> None:
         print(text)
 
 
-def _run(argv: list[str], out: str | None, checks: list[dict], artifacts: dict, *,
-         started: float, seed=None) -> int:
-    """Emit the run report to ``out`` or stdout; ``started`` is the
-    subcommand's ``perf_counter``."""
-    doc = {
-        "version": REPORT_VERSION,
-        "kind": "run-report",
-        "command": argv,
-        "seed": seed,
-        "checks": checks,
-        "artifacts": artifacts,
-        "timing": {"elapsed_seconds": round(time.perf_counter() - started, 3)},
-    }
-    _emit(doc, out)
-    if out:
-        for c in checks:
-            print(f"{c['status']:7s} {c['name']}")
-    return _exit_code(checks)
-
-
 # -- subcommands -----------------------------------------------------------
 
 
-def _cmd_hyp_spec_gen(argv, args) -> int:
-    t0 = time.perf_counter()
+def _cmd_hyp_spec_gen(args) -> tuple[list[dict], dict]:
     rep = smallcanc.verify_hyp_spec_gen(args.scale)
     checks = [_check(c.name, c.ok, c.detail) for c in rep.checks]
     artifacts = {
@@ -181,7 +163,7 @@ def _cmd_hyp_spec_gen(argv, args) -> int:
         "max_piece": rep.max_piece,
         "bound": str(rep.bound),
     }
-    return _run(argv, args.out, checks, artifacts, started=t0)
+    return checks, artifacts
 
 
 def _ncc_config(classes: int, stages: int) -> towers.TowerConfig:
@@ -202,8 +184,7 @@ def _ncc_config(classes: int, stages: int) -> towers.TowerConfig:
     )
 
 
-def _cmd_tower_build(argv, args) -> int:
-    t0 = time.perf_counter()
+def _cmd_tower_build(args) -> tuple[list[dict], dict]:
     if args.mode == "coset":
         config = towers.klein_coset_config(args.stages)
     elif args.classes < 2:
@@ -211,7 +192,7 @@ def _cmd_tower_build(argv, args) -> int:
     else:
         config = _ncc_config(args.classes, args.stages)
     build = towers.build_tower(config)
-    out_path = args.out or "tower-cert.json"
+    out_path = args.cert_out or "tower-cert.json"
 
     checks = [
         _check(
@@ -255,12 +236,10 @@ def _cmd_tower_build(argv, args) -> int:
         "attachments": sum(1 for r in build.records if r.action == "attach"),
         "skips": sum(1 for r in build.records if r.action == "skip"),
     }
-    # --out named the certificate, so the report goes to stdout
-    return _run(argv, None, checks, artifacts, started=t0)
+    return checks, artifacts
 
 
-def _cmd_tower_verify(argv, args) -> int:
-    t0 = time.perf_counter()
+def _cmd_tower_verify(args) -> tuple[list[dict], dict]:
     try:
         with open(args.certificate) as fh:
             doc = towers.load_certificate(fh.read())
@@ -268,18 +247,17 @@ def _cmd_tower_verify(argv, args) -> int:
         # ValueError covers bad JSON, bad UTF-8, over-long integer literals and
         # repeated keys; RecursionError covers nesting deeper than the decoder allows
         checks = [_check("certificate-readable", False, str(e))]
-        return _run(argv, args.out, checks, {"certificate_file": args.certificate}, started=t0)
+        return checks, {"certificate_file": args.certificate}
     rep = towers.reverify_certificate(doc)
     checks = [_check(c["name"], c["ok"], c["detail"]) for c in rep.checks]
     artifacts = {
         "certificate_file": args.certificate,
         "failures": rep.failures,
     }
-    return _run(argv, args.out, checks, artifacts, started=t0)
+    return checks, artifacts
 
 
-def _cmd_klein_bottle(argv, args) -> int:
-    t0 = time.perf_counter()
+def _cmd_klein_bottle(args) -> tuple[list[dict], dict]:
     pres = parse_presentation("< a , t | t a t^-1 a >")
     spec = KillSpec(pres, frozenset({"a"}))
     A = pres.alphabet
@@ -315,11 +293,10 @@ def _cmd_klein_bottle(argv, args) -> int:
         )
     )
     artifacts = {"certificate": cert_json}
-    return _run(argv, args.out, checks, artifacts, started=t0)
+    return checks, artifacts
 
 
-def _cmd_bs12(argv, args) -> int:
-    t0 = time.perf_counter()
+def _cmd_bs12(args) -> tuple[list[dict], dict]:
     pres = parse_presentation("< a , t | t a t^-1 a^-2 >")
     spec = KillSpec(pres, frozenset({"a"}))
     A = pres.alphabet
@@ -343,11 +320,10 @@ def _cmd_bs12(argv, args) -> int:
     down = hnn.equal_in_group(tower.parse("t^-1 a^2 t"), tower.parse("a"))
     checks.append(_check("relation t a t^-1 = a^2", up.is_yes, "Britton reduction"))
     checks.append(_check("relation t^-1 a^2 t = a", down.is_yes, "Britton reduction"))
-    return _run(argv, args.out, checks, {"certificates": certs}, started=t0)
+    return checks, {"certificates": certs}
 
 
-def _cmd_relpaths_audit(argv, args) -> int:
-    t0 = time.perf_counter()
+def _cmd_relpaths_audit(args) -> tuple[list[dict], dict]:
     ctx = fp.audit_ctx()
     audit = fp.path_audit(ctx, random.Random(args.seed), args.instances)
     checks = [
@@ -374,7 +350,7 @@ def _cmd_relpaths_audit(argv, args) -> int:
         "regularity_instances": audit.regularity_instances,
         "factors": [f.label for f in ctx.factors],
     }
-    return _run(argv, args.out, checks, artifacts, seed=args.seed, started=t0)
+    return checks, artifacts
 
 
 def _abbrev(w: Word | smallcanc.RunWord, limit: int = 60) -> str:
@@ -384,8 +360,7 @@ def _abbrev(w: Word | smallcanc.RunWord, limit: int = 60) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _cmd_smallcanc_pieces(argv, args) -> int:
-    t0 = time.perf_counter()
+def _cmd_smallcanc_pieces(args) -> tuple[list[dict], dict]:
     A = Alphabet(["a", "b"])
     trio = smallcanc.relator_trio(args.scale, A.gen("a"), A.gen("b"))
     S = smallcanc.symmetrize(list(trio.values()))
@@ -416,7 +391,7 @@ def _cmd_smallcanc_pieces(argv, args) -> int:
             for row in pieces.per_relator
         ],
     }
-    return _run(argv, args.out, checks, artifacts, started=t0)
+    return checks, artifacts
 
 
 _HANDLERS = {
@@ -431,11 +406,26 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and emit its report to ``--out`` or stdout; the
+    exit code follows the report's checks."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[(args.group, args.cmd)]
-    return handler(argv, args)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
+    checks, artifacts = _HANDLERS[(args.group, args.cmd)](args)
+    doc = {
+        "version": REPORT_VERSION,
+        "kind": "run-report",
+        "command": argv,
+        "seed": args.seed,
+        "checks": checks,
+        "artifacts": artifacts,
+        "timing": {"elapsed_seconds": round(time.perf_counter() - started, 3)},
+    }
+    _emit(doc, args.out)
+    if args.out:
+        for c in checks:
+            print(f"{c['status']:7s} {c['name']}")
+    return _exit_code(checks)
 
 
 if __name__ == "__main__":

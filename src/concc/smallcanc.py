@@ -378,8 +378,9 @@ class _PieceIndex:
         self.S = S
         letter, self.run_len, self.run_end, neck = _runs(S.runs)
         key, size, code, self.after, self.scale = _token_text(letter, self.run_len, neck)
-        sa = suffix_array(key)
-        lcp = lcp_array(key, sa)
+        sa, levels = suffix_array(key)
+        lcp = lcp_array(sa, levels)
+        del levels  # freed: the check below covers only the entries the lift read
         fault = _index_fault(key, sa, lcp)
         self.checked = fault is None
         self.check_detail = fault or f"suffix and LCP arrays of {len(key)} run tokens checked"
@@ -400,8 +401,7 @@ class _PieceIndex:
         self.group = g = np.lexsort((rank[self.after], first))
         pos = rank[self.after][g]
         # letter LCP of group neighbours: a range minimum; -1 between groups
-        bounds = np.stack((pos[:-1], pos[1:]), axis=1).ravel()
-        self.flcp = flcp = np.minimum.reduceat(np.append(letter_lcp, 0), bounds)[::2]
+        self.flcp = flcp = _span_min(np.append(letter_lcp, 0), pos[:-1], pos[1:])
         flcp[first[g][1:] != first[g][:-1]] = -1
         self.neck = neck
         self.run_cap = S.lengths[neck]

@@ -2,13 +2,13 @@
 
 Everything here works on plain integer sequences, no group theory.  The
 suffix array uses prefix doubling (Manber-Myers) with one numpy argsort of
-a single int64 key per round, so O(log n) rounds of O(n log n).  The LCP
-array reuses the same doubling idea without sorting: prefix classes are
-read off the finished suffix array, then every adjacent pair is measured
-at once by binary lifting.  The piece index in ``smallcanc`` runs both
-over one token per relator run, not per letter: at scale 200 that is a
-4 806-token text for 481 200 closure members, and both arrays take a few
-milliseconds.  Dehn reduction searches the same arrays, once checked.
+a single int64 key per round, so O(log n) rounds of O(n log n).  The
+rounds' prefix classes come out with it, and the LCP array is binary
+lifting over them, every adjacent pair measured at once.  The piece index
+in ``smallcanc`` runs both over one token per relator run, not per letter:
+at scale 200 that is a 4 806-token text for 481 200 closure members, and
+both arrays take a few milliseconds.  Dehn reduction searches the same
+arrays, once checked.
 
 The suffix automaton is the usual online construction, kept per string,
 with the earliest end position of each state retained so matches can be
@@ -20,16 +20,25 @@ from __future__ import annotations
 import numpy as np
 
 
-def suffix_array(seq) -> np.ndarray:
-    """Indices of suffixes of seq in increasing lexicographic order."""
+def suffix_array(seq) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Indices of suffixes of seq in increasing lexicographic order, and
+    ``levels``: levels[j][p] is the dense rank of the 2^j symbols from p
+    (fewer near the end), -1 at p = n, one level per round until the
+    prefixes are all distinct, and always level 0."""
     n = len(seq)
     if n == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), [np.full(1, -1, dtype=np.int32)]
     arr = np.asarray(seq, dtype=np.int64)
     # dense ranks keep the sort keys small
     rank = np.unique(arr, return_inverse=True)[1].astype(np.int64)
+    levels = []
     k = 1
     while True:
+        # written straight into int32, with no int64 copy
+        level = np.empty(n + 1, dtype=np.int32)
+        level[:n] = rank
+        level[n] = -1
+        levels.append(level)
         # one key per suffix: (rank, rank k further on or -1 past the end)
         key = rank * (n + 1)
         key[: n - k] += rank[k:] + 1
@@ -37,39 +46,16 @@ def suffix_array(seq) -> np.ndarray:
         key = key[order]
         rank[order] = np.concatenate(([0], np.cumsum(key[1:] != key[:-1])))
         if rank[order[-1]] == n - 1:
-            return order
+            return order, levels
         k *= 2
 
 
-def lcp_array(seq, sa: np.ndarray) -> np.ndarray:
-    """lcp[i] = longest common prefix of suffixes sa[i] and sa[i+1].
-
-    Prefix classes by doubling, read off sa itself: suffixes that share
-    their first 2^j symbols are neighbours in sa, so the class of each
-    length-2^(j+1) prefix follows from two length-2^j classes without a
-    sort.  Binary lifting over those levels then measures every adjacent
-    pair at once.
-    """
-    n = len(sa)
-    if n < 2:
-        return np.zeros(max(n - 1, 0), dtype=np.int64)
-    sa = np.asarray(sa, dtype=np.int64)
-    first = np.asarray(seq, dtype=np.int64)[sa]
-    ids = np.cumsum(first[1:] != first[:-1])  # class of sa[r + 1], in sa order
-    # levels[j][p] = class of the 2^j symbols from p; the end, p = n, matches nothing
-    levels = []
-    h = 1
-    while ids[-1] < n - 1:
-        cls = np.empty(n + 1, dtype=np.int32)
-        cls[sa[0]] = 0
-        cls[sa[1:]] = ids
-        cls[n] = -1
-        levels.append(cls)
-        second = cls[np.minimum(sa + h, n)]
-        ids = np.cumsum((ids != np.concatenate(([0], ids[:-1]))) | (second[1:] != second[:-1]))
-        h *= 2
+def lcp_array(sa: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
+    """lcp[i] = longest common prefix of suffixes sa[i] and sa[i+1], by
+    binary lifting over the levels of ``suffix_array``: each pair whose next
+    2^j symbols share a class moves on 2^j, from the top level down."""
     a, b = sa[:-1], sa[1:]
-    lcp = np.zeros(n - 1, dtype=np.int64)
+    lcp = np.zeros(len(a), dtype=np.int64)
     for j in range(len(levels) - 1, -1, -1):
         cls = levels[j]
         lcp += (cls[a + lcp] == cls[b + lcp]).astype(np.int64) << j

@@ -177,8 +177,8 @@ def letter_piece_best(necklaces) -> tuple[np.ndarray, np.ndarray]:
     ids = np.arange(m)
     neck = np.repeat(np.arange(len(necklaces)), lengths)
     member[ids + starts[neck] + neck] = ids
-    sa = suffix_array(text)
-    lcp = lcp_array(text, sa)
+    sa, levels = suffix_array(text)
+    lcp = lcp_array(sa, levels)
     by_rank = member[sa]
     ranks = np.flatnonzero(by_rank >= 0)
     order = by_rank[ranks]

@@ -614,7 +614,7 @@ class TestSegmentReaders:
         assert longest[0] <= 5 * s - 2
 
 
-def _wrong_lifting_level(seq, sa):
+def _wrong_lifting_level(sa, levels):
     """lcp_array with each lifting step reading the class level above its own."""
     source = inspect.getsource(substrings.lcp_array).replace(
         "cls = levels[j]\n", "cls = levels[min(j + 1, len(levels) - 1)]\n"
@@ -622,15 +622,15 @@ def _wrong_lifting_level(seq, sa):
     assert "levels[min(j + 1, len(levels) - 1)]" in source
     scope = {"np": np}
     exec(source, scope)
-    return scope["lcp_array"](seq, sa)
+    return scope["lcp_array"](sa, levels)
 
 
 def token_index(s):
     S = symmetrize(trio(s))
     letter, length, _, neck = smallcanc._runs(S.runs)
     key = smallcanc._token_text(letter, length, neck)[0]
-    sa = substrings.suffix_array(key)
-    return key, sa, substrings.lcp_array(key, sa)
+    sa, levels = substrings.suffix_array(key)
+    return key, sa, substrings.lcp_array(sa, levels)
 
 
 class TestIndexSelfCheck:
@@ -683,20 +683,38 @@ class TestIndexSelfCheck:
     @pytest.mark.parametrize("s", [3, 20])
     def test_wrong_lifting_level_fails_the_report(self, s, monkeypatch):
         key, sa, lcp = token_index(s)
-        assert _wrong_lifting_level(key, sa).tolist() != lcp.tolist()
+        assert _wrong_lifting_level(*substrings.suffix_array(key)).tolist() != lcp.tolist()
         monkeypatch.setattr(smallcanc, "lcp_array", _wrong_lifting_level)
         rep = verify_hyp_spec_gen(s)
         check = {c.name: c for c in rep.checks}["piece-index-checked"]
         assert not check.ok and not rep.ok
         assert "LCP" in check.detail
 
+    def test_nothing_after_the_lift_reads_the_levels(self, monkeypatch):
+        # the check covers only the levels the lift reads, so the index,
+        # its search tables and the report must not read them again
+        honest = verify_hyp_spec_gen(20)
+        lifted = []
+
+        def lift_then_scramble(sa, levels):
+            lcp = substrings.lcp_array(sa, levels)
+            for level in levels:
+                level.fill(0)
+            lifted.append(len(levels))
+            return lcp
+
+        monkeypatch.setattr(smallcanc, "lcp_array", lift_then_scramble)
+        rep = verify_hyp_spec_gen(20)
+        assert lifted and min(lifted) > 1
+        assert rep.ok and rep == honest
+
     @settings(max_examples=200)
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.data())
     def test_hypothesis_texts(self, text, data):
         # the check needs a text that ends in a token found nowhere else
         key = np.array(text + [-1], dtype=np.int64)
-        sa = substrings.suffix_array(key)
-        lcp = substrings.lcp_array(key, sa)
+        sa, levels = substrings.suffix_array(key)
+        lcp = substrings.lcp_array(sa, levels)
         assert smallcanc._index_fault(key, sa, lcp) is None
         i = data.draw(st.integers(0, len(key) - 2))
         j = data.draw(st.integers(i + 1, len(key) - 1))

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,22 +25,40 @@ def naive_lcp(seq, sa):
     return out
 
 
+def check_levels(seq, levels):
+    # level j ranks the 2^j-symbol prefixes (cut short at the end), with -1
+    # past the end; one level up to the first J whose prefixes are distinct
+    n = len(seq)
+
+    def prefixes(j):
+        return [tuple(seq[p : p + 2**j]) for p in range(n)]
+
+    distinct = next(J for J in itertools.count() if len(set(prefixes(J))) == n)
+    assert len(levels) == max(distinct, 1)
+    for j, level in enumerate(levels):
+        dense = {t: r for r, t in enumerate(sorted(set(prefixes(j))))}
+        assert level.dtype == np.int32 and len(level) == n + 1 and level[n] == -1
+        assert level[:n].tolist() == [dense[t] for t in prefixes(j)]
+
+
 @given(st.lists(st.integers(min_value=0, max_value=5), max_size=40))
 def test_suffix_array_matches_naive(seq):
     seq = list(seq)
-    assert list(suffix_array(seq)) == naive_sa(seq)
+    sa, levels = suffix_array(seq)
+    assert list(sa) == naive_sa(seq)
+    check_levels(seq, levels)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40))
 def test_lcp_matches_naive(seq):
     seq = list(seq)
-    sa = suffix_array(seq)
-    assert list(lcp_array(seq, sa)) == naive_lcp(seq, list(sa))
+    sa, levels = suffix_array(seq)
+    assert list(lcp_array(sa, levels)) == naive_lcp(seq, list(sa))
 
 
 def test_negative_separators_supported():
     seq = [3, 1, -1, 3, 1, -2, 1]
-    assert list(suffix_array(seq)) == naive_sa(seq)
+    assert list(suffix_array(seq)[0]) == naive_sa(seq)
 
 
 def _fibonacci_word(n):
@@ -81,9 +101,10 @@ def test_deep_doubling_matches_naive(name):
     # long common prefixes need many doubling rounds and lifting levels
     seq = DEEP_CASES[name]
     assert 500 <= len(seq) <= 2000
-    sa = suffix_array(seq)
+    sa, levels = suffix_array(seq)
     assert list(sa) == naive_sa(seq)
-    lcp = lcp_array(seq, sa)
+    check_levels(seq, levels)
+    lcp = lcp_array(sa, levels)
     assert list(lcp) == naive_lcp(seq, list(sa))
     assert max(lcp) >= 128
 
