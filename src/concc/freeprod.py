@@ -15,8 +15,13 @@ read off normal forms exactly, so the audits in this module test the
 combinatorial statements rather than assume them.
 
 The audits read each path once, left to right: the running vertex is kept
-as a syllable stack that changes only at its top, and each component's
-coset key is taken from that stack as the component starts.
+as a syllable stack that changes only at its top, each free run is
+reduced onto that top letter by letter as it is read (``_merge_free``, the
+module's one free reduction, which ``merge`` also uses), and each
+component's coset key and (label, key) class are taken from the stack as
+the component starts.
+Random trivial cycles are scrubbed of identity runs in one loop over their
+letters, with the open run kept in a local.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .words import (
     WordError,
     conjugacy_witness,
     cyclic_reduce,
-    free_reduce,
     read_int,
     read_tokens,
 )
@@ -267,6 +271,23 @@ class KleinBottleFactor(Factor):
         return self._SUPPORT[int(rng.random() * len(self._SUPPORT))]
 
 
+def _merge_free(out: list, word: Iterable[int]) -> None:
+    """Multiply the normal form in ``out`` by a free word, reducing it onto the top letter by letter.
+
+    The module's one free reduction.  The top is copied into a list once per
+    call, so a word costs its length plus the top's: reducing a long free
+    run one letter per call onto a tuple top would copy the top every time.
+    """
+    top = list(out.pop()[1]) if out and out[-1][0] is None else []
+    for a in word:
+        if top and top[-1] == -a:
+            top.pop()
+        else:
+            top.append(a)
+    if top:
+        out.append((None, tuple(top)))
+
+
 class FreeProductCtx:
     """Factors plus an optional free part; owns all element arithmetic."""
 
@@ -284,6 +305,9 @@ class FreeProductCtx:
         self.free_pairs = tuple(
             (("x", s * i), ("x", -s * i)) for i in range(1, n + 1) for s in (1, -1)
         )
+        # (letter, inverse) for each factor payload a trivial cycle has drawn,
+        # by (label, payload): built once, so a pair costs no inverse
+        self.h_pairs: dict[tuple, tuple[Letter, Letter]] = {}
 
     def factor(self, label: str) -> Factor:
         if label not in self.by_label:
@@ -312,11 +336,7 @@ class FreeProductCtx:
 
         A free-part payload may be any letter tuple; a factor payload is not 1."""
         if label is None:
-            if out and out[-1][0] is None:
-                payload = out.pop()[1] + payload
-            payload = free_reduce(payload)
-            if payload:
-                out.append((None, payload))
+            _merge_free(out, payload)
         elif out and out[-1][0] == label:
             f = self.by_label[label]
             payload = f.multiply(out.pop()[1], payload)
@@ -465,15 +485,21 @@ class Component:
 
 def _walk(
     ctx: FreeProductCtx, segments: Iterable[tuple[str, Sequence[Letter]]]
-) -> tuple[list[Component], Element]:
-    """Read the segments' letters once, left to right: (components, end vertex).
+) -> tuple[ConnectivityReport, Element]:
+    """Read the segments' letters once, left to right: (report, end vertex).
 
-    The running vertex is a syllable stack merged only at its top.  Each
-    component (a maximal same-factor run inside one segment) gets its payload
-    and coset key as it starts: the stack less a trailing own-factor syllable.
+    The running vertex is a syllable stack changed only at its top: each
+    free run is reduced onto it letter by letter (``_merge_free``, the
+    reduction ``merge`` uses), and each component (a maximal same-factor
+    run inside one segment) is merged as one syllable.  As a component
+    starts it gets its payload, its coset key (the stack less a trailing
+    own-factor syllable) and its place in the class of its (label, key), so
+    the classes come sorted by first member.
     """
+    by_label, merge = ctx.by_label, ctx.merge
     stack: list[Syllable] = []
     comps: list[Component] = []
+    groups: dict[tuple, list[int]] = {}
     pos = 0  # index of letters[0] in the whole path
     for name, letters in segments:
         n, i = len(letters), 0
@@ -483,11 +509,11 @@ def _walk(
             if letter[0] == "x":
                 while j < n and letters[j][0] == "x":
                     j += 1
-                ctx.merge(stack, None, tuple([l[1] for l in letters[i:j]]))
+                _merge_free(stack, [l[1] for l in letters[i:j]])
                 i = j
                 continue
             lab, payload = letter[1], letter[2]
-            f = ctx.factor(lab)
+            f = by_label.get(lab) or ctx.factor(lab)  # ctx.factor names an unknown label
             while j < n and letters[j][0] == "h" and letters[j][1] == lab:
                 payload = f.multiply(payload, letters[j][2])
                 j += 1
@@ -497,16 +523,19 @@ def _walk(
                     "to the identity; the path is ill-formed"
                 )
             key = tuple(_coset_key(ctx, stack, lab))
+            groups.setdefault((lab, key), []).append(len(comps))
             comps.append(Component(lab, pos + i, pos + j, payload, name, key))
-            ctx.merge(stack, lab, payload)
+            merge(stack, lab, payload)
             i = j
         pos += n
-    return comps, tuple(stack)
+    classes = list(groups.values())
+    isolated = [g[0] for g in classes if len(g) == 1]
+    return ConnectivityReport(comps, classes, isolated), tuple(stack)
 
 
 def path_components(path: SyllablePath) -> list[Component]:
     """Maximal same-factor runs; identity run products are ill-formed."""
-    return _walk(path.ctx, (("", path.letters),))[0]
+    return _walk(path.ctx, (("", path.letters),))[0].components
 
 
 def _coset_key(ctx: FreeProductCtx, vertex: Sequence, label: str) -> Sequence:
@@ -533,25 +562,16 @@ def connectivity(path: SyllablePath) -> ConnectivityReport:
     Two components of factor H are connected exactly when their start
     vertices differ by right multiplication inside H; that is a normal-form
     comparison after stripping a trailing H-syllable, no search involved.
-    One left-to-right walk records each component's coset key as it starts
-    and reads closure off the empty final stack.
+    One left-to-right walk records each component's coset key and class as
+    it starts and reads closure off the empty final stack.
     """
-    comps, end = _walk(path.ctx, (("", path.letters),))
+    rep, end = _walk(path.ctx, (("", path.letters),))
     if end:
         raise FreeProductError(
             f"connectivity needs a closed path; this one ends at "
             f"{path.ctx.format_element(end)}"
         )
-    return _classes_of(comps)
-
-
-def _classes_of(comps: list[Component]) -> ConnectivityReport:
-    groups: dict[tuple, list[int]] = {}
-    for idx, c in enumerate(comps):
-        groups.setdefault((c.factor_label, c.coset_key), []).append(idx)
-    # dicts keep insertion order, so the classes come sorted by first member
-    classes = list(groups.values())
-    return ConnectivityReport(comps, classes, [g[0] for g in classes if len(g) == 1])
+    return rep
 
 
 def check_W_membership(path: SyllablePath) -> bool:
@@ -710,7 +730,7 @@ def regularity_audit(
         if not check_W_membership(SyllablePath(ctx, tuple(seg))):
             raise FreeProductError(f"segment {name} is not an admissible word")
     segments = (("r", r), ("q", q), ("r'", rp), ("q'", qp))
-    comps, end = _walk(ctx, segments)
+    rep, end = _walk(ctx, segments)
     if end:
         end = ctx.format_element(end)
         if not r and not rp and not qp:
@@ -723,7 +743,7 @@ def regularity_audit(
     for name, seg in segments:
         bounds[name] = (off, off + len(seg))
         off += len(seg)
-    rep = _classes_of(comps)
+    comps = rep.components
 
     irregular: list[int] = []
     violations = 0
@@ -733,12 +753,17 @@ def regularity_audit(
             if comps[cls[0]].segment in ("q", "q'"):
                 irregular.append(cls[0])
             continue
-        qs = [i for i in cls if comps[i].segment == "q"]
-        qps = [i for i in cls if comps[i].segment == "q'"]
-        if (len(qs) >= 2 and qps) or (len(qps) >= 2 and qs):
+        nq = nqp = 0  # q and q' members, with the last of each in iq, iqp
+        for i in cls:
+            seg = comps[i].segment
+            if seg == "q":
+                nq, iq = nq + 1, i
+            elif seg == "q'":
+                nqp, iqp = nqp + 1, i
+        if (nq >= 2 and nqp) or (nqp >= 2 and nq):
             violations += 1
-        elif len(qs) == 1 and len(qps) == 1 and len(cls) == 2:
-            matched.append((qs[0], qps[0]))
+        elif nq == 1 == nqp and len(cls) == 2:
+            matched.append((iq, iqp))
     constant = max(len(r), len(rp))
     return RegularityReport(
         segments=bounds,
@@ -765,9 +790,11 @@ def random_trivial_cycle(ctx: FreeProductCtx, rng: random.Random, size: int = 12
     it.  Acceptance reads only the shape and the kinds, and letters and
     payloads are independent of both, so drawing them for the kept attempt
     alone, in the recorded order, gives exactly the distribution of building
-    whole words and rejecting them.  The kept word is scrubbed in one stack
-    pass: same-factor runs multiplying to the identity are deleted (the
-    product is unchanged).  A seed fixes the whole sequence of cycles.
+    whole words and rejecting them.  A factor pair's two letters are built
+    once per (label, payload) and kept in ``ctx.h_pairs``.  The kept word is
+    scrubbed in one stack pass: same-factor runs multiplying to the identity
+    are deleted (the product is unchanged).  A seed fixes the whole sequence
+    of cycles.
     """
     if ctx.free_alphabet is None:
         raise FreeProductError(
@@ -804,15 +831,19 @@ def random_trivial_cycle(ctx: FreeProductCtx, rng: random.Random, size: int = 12
             break
     else:
         raise FreeProductError("could not generate a nonempty trivial cycle")
-    free_pairs, factors = ctx.free_pairs, ctx.factors
+    free_pairs, factors, h_pairs = ctx.free_pairs, ctx.factors, ctx.h_pairs
     pairs = []
     for is_free in kinds:
         if is_free:
             pairs.append(free_pairs[int(rand() * len(free_pairs))])
         else:
             f = factors[int(rand() * len(factors))]
-            p = f.sample(rng)
-            pairs.append((("h", f.label, p), ("h", f.label, f.inverse(p))))
+            key = (f.label, f.sample(rng))
+            pair = h_pairs.get(key)
+            if pair is None:
+                lab, p = key
+                pair = h_pairs[key] = (("h", lab, p), ("h", lab, f.inverse(p)))
+            pairs.append(pair)
     letters = [pairs[i][0] if i >= 0 else pairs[~i][1] for i in order]
     return SyllablePath(ctx, tuple(_scrub_identity_runs(ctx, letters)))
 
@@ -820,25 +851,47 @@ def random_trivial_cycle(ctx: FreeProductCtx, rng: random.Random, size: int = 12
 def _scrub_identity_runs(ctx: FreeProductCtx, letters: Iterable[Letter]) -> list[Letter]:
     """Delete same-factor runs whose product is the identity, in one stack pass.
 
-    A run is deleted when it closes with the identity product, and the run
-    below it reopens if the next letter has its label; the product is kept.
+    A run is deleted when it closes with the identity product (a letter of
+    another kind arrives, or the letters end), and the run below it reopens
+    if the next letter has its label; the product is kept.  The open run is
+    kept in a local and read off ``out`` only after a deletion.
     """
     by_label = ctx.by_label
     out: list[Letter] = []
-    runs: list[list] = []  # [label, start in out, product], one per factor run of out
-    for letter in [*letters, ("x", 0)]:  # the sentinel closes the last run
-        lab = letter[1] if letter[0] == "h" else None
-        top = runs[-1] if out and out[-1][0] == "h" else None  # the open run
-        if top is not None and top[0] != lab and by_label[top[0]].is_identity(top[2]):
+    runs: list[list] = []  # [label, start in out, product, factor], one per factor run of out
+    top = None  # the open run: the one out ends in, None after a free letter
+    for letter in letters:
+        if letter[0] == "x":
+            if top is not None:
+                if top[3].is_identity(top[2]):
+                    del out[runs.pop()[1]:]
+                top = None
+            out.append(letter)
+            continue
+        lab = letter[1]
+        if top is not None and top[0] != lab and top[3].is_identity(top[2]):
             del out[runs.pop()[1]:]
             top = runs[-1] if out and out[-1][0] == "h" else None
         if top is not None and top[0] == lab:
-            top[2] = by_label[lab].multiply(top[2], letter[2])
-        elif lab is not None:
-            runs.append([lab, len(out), letter[2]])
+            top[2] = top[3].multiply(top[2], letter[2])
+        else:
+            top = [lab, len(out), letter[2], by_label[lab]]
+            runs.append(top)
         out.append(letter)
-    out.pop()
+    if top is not None and top[3].is_identity(top[2]):
+        del out[top[1]:]
     return out
+
+
+def _check_admissible_sampling(ctx: FreeProductCtx) -> None:
+    """Fail before any draw unless the product has factor letters and free separators."""
+    if ctx.free_alphabet is None:
+        raise FreeProductError("admissible-word sampling needs a free part")
+    if not ctx.factors:
+        raise FreeProductError(
+            "admissible-word sampling needs a factor: its words are factor letters "
+            "between free ones"
+        )
 
 
 def random_admissible_word(
@@ -854,8 +907,7 @@ def random_admissible_word(
     letter, which keeps its inverse admissible after wrapping in extra
     boundary letters.
     """
-    if ctx.free_alphabet is None:
-        raise FreeProductError("admissible-word sampling needs a free part")
+    _check_admissible_sampling(ctx)
 
     def x() -> Letter:
         return ctx.x_letter(rng.choice(ctx.free_alphabet.names), rng.choice((1, -1)))
@@ -883,6 +935,7 @@ def mirrored_instance(ctx: FreeProductCtx, rng: random.Random) -> tuple[tuple[Le
     construction.  Boundary segments are single factor letters, or empty
     a quarter of the time, keeping the constant at most 1.
     """
+    _check_admissible_sampling(ctx)
     q = random_admissible_word(ctx, rng, blocks=rng.randint(2, 5), x_ends=True)
 
     def boundary() -> tuple[Letter, ...]:

@@ -9,9 +9,10 @@ scan can: ``letter_piece_best`` reads the suffix and LCP arrays of
 ``concc.substrings``, which test_substrings checks against naive sorting,
 and ``letter_symmetrize`` reads the letter-level ``CyclicWord`` and
 ``primitive_root`` of ``concc.words``, which test_words checks against
-rotation and power enumeration.  ``rejection_trivial_cycle`` hands its
-word to ``freeprod._scrub_identity_runs``, which test_freeprod checks on
-its own, since it stands in only for the drawing of the word.
+rotation and power enumeration.  ``rejection_trivial_cycle`` scrubs its
+word with ``sentinel_scrub``, the scrub ``freeprod`` used before its
+one-loop form, kept here word for word, so the distribution gate shares
+no code with the scrub it tests.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from concc.freeprod import (
     KleinBottleFactor,
     Letter,
     SyllablePath,
-    _scrub_identity_runs,
 )
 from concc.substrings import lcp_array, suffix_array
 from concc.words import (
@@ -505,6 +505,33 @@ def brute_connectivity(ctx, letters, cuts=()):
     return comps, classes, isolated, vertices[-1]
 
 
+def sentinel_scrub(ctx, letters):
+    """Delete same-factor runs whose product is the identity, in one stack pass.
+
+    A run is deleted when it closes with the identity product, and the run
+    below it reopens if the next letter has its label; the product is kept.
+    The form ``freeprod._scrub_identity_runs`` had before it kept the open
+    run in a local: a sentinel free letter closes the last run, and the open
+    run is read off ``out`` at every letter.
+    """
+    by_label = ctx.by_label
+    out: list[Letter] = []
+    runs: list[list] = []  # [label, start in out, product], one per factor run of out
+    for letter in [*letters, ("x", 0)]:  # the sentinel closes the last run
+        lab = letter[1] if letter[0] == "h" else None
+        top = runs[-1] if out and out[-1][0] == "h" else None  # the open run
+        if top is not None and top[0] != lab and by_label[top[0]].is_identity(top[2]):
+            del out[runs.pop()[1]:]
+            top = runs[-1] if out and out[-1][0] == "h" else None
+        if top is not None and top[0] == lab:
+            top[2] = by_label[lab].multiply(top[2], letter[2])
+        elif lab is not None:
+            runs.append([lab, len(out), letter[2]])
+        out.append(letter)
+    out.pop()
+    return out
+
+
 def rejection_sample(f, rng: random.Random):
     """A nonidentity factor element by the rejection and ``randrange`` draws
     the factors used before their samplers became single picks."""
@@ -563,5 +590,5 @@ def rejection_trivial_cycle(ctx, rng: random.Random, size: int = 12) -> Syllable
         build(size, letters)
         # the scrub empties a trivial word exactly when it has no free letter
         if any(l[0] == "x" for l in letters):
-            return SyllablePath(ctx, tuple(_scrub_identity_runs(ctx, letters)))
+            return SyllablePath(ctx, tuple(sentinel_scrub(ctx, letters)))
     raise FreeProductError("could not generate a nonempty trivial cycle")

@@ -509,6 +509,25 @@ class TestHypScale:
         assert row["peak_rss_mb"] > 0
 
 
+class TestRelpathsPhases:
+    def test_script_prints_one_line(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "relpaths_phases.py"),
+             "--instances", "300", "--repeat", "2"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        (line,) = done.stdout.splitlines()
+        row = json.loads(line)
+        assert row["instances"] == 300 and row["regularity_instances"] == 1000
+        assert row["repeat"] == 2 and row["components"] > 0
+        assert row["isolated"] == row["irregular"] == row["pair_violations"] == 0
+        phases = ("cycle_gen_s", "connectivity_s", "mirrored_gen_s", "regularity_s")
+        assert all(row[p] > 0 for p in phases)
+
+
 class TestTowerDemo:
     def test_script_runs(self, tmp_path):
         # the output directory does not exist yet: the script makes it

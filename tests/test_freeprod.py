@@ -2,14 +2,15 @@
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import brute_connectivity, rejection_trivial_cycle
+from oracles import brute_connectivity, rejection_trivial_cycle, sentinel_scrub
 
 from concc import freeprod as fp
 from concc import hnn
-from concc.words import Alphabet
+from concc.words import Alphabet, free_reduce
 
 X = Alphabet(["x1", "x2"])
 
@@ -130,7 +131,7 @@ class TestContext:
             for e in (a, b, c):
                 for i, (lab, payload) in enumerate(e):
                     if lab is None:
-                        assert payload and fp.free_reduce(tuple(payload)) == tuple(payload)
+                        assert payload and free_reduce(tuple(payload)) == tuple(payload)
                     else:
                         assert not ctx.factor(lab).is_identity(payload)
                     if i:
@@ -441,6 +442,18 @@ class TestRegularity:
             assert rep.irregular_count == 0
             assert rep.pair_violations == 0
 
+    @pytest.mark.parametrize("sampler", [fp.random_admissible_word, fp.mirrored_instance])
+    @pytest.mark.parametrize("ctx, cause", [
+        (fp.FreeProductCtx([], X), "needs a factor"),
+        (fp.FreeProductCtx([fp.CyclicFactor("B", 5)]), "needs a free part"),
+    ])
+    def test_samplers_fail_at_once_without_factors_or_free_part(self, sampler, ctx, cause):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(fp.FreeProductError, match=f"admissible-word sampling {cause}"):
+            sampler(ctx, rng)
+        assert rng.getstate() == state
+
     def test_segment_slicing(self):
         ctx = make_ctx()
         rng = random.Random(37)
@@ -510,6 +523,26 @@ class TestPowerProbe:
 CTX = make_ctx()
 SEEDS = st.integers(0, 2**32 - 1)
 
+LETTERS = [CTX.x_letter(n, e) for n in ("x1", "x2") for e in (1, -1)] + [
+    CTX.h_letter(lab, p)
+    for lab, ps in (
+        ("A", [(1,), (-1,), (2,), (-2,)]),
+        ("B", [1, 2, 3, 4]),
+        ("K", [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)]),
+    )
+    for p in ps
+]
+WORDS = st.lists(st.sampled_from(LETTERS), max_size=14)
+FREE_LETTERS = [l for l in LETTERS if l[0] == "x"]
+# long free runs between short mixed stretches
+FREE_RUN_WORDS = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(FREE_LETTERS), min_size=2, max_size=16),
+        st.lists(st.sampled_from(LETTERS), max_size=3),
+    ),
+    max_size=5,
+).map(lambda parts: [l for part in parts for l in part])
+
 
 def assert_walk_matches_brute(ctx, report, letters, cuts=()):
     comps, classes, isolated, end = brute_connectivity(ctx, letters, cuts)
@@ -552,17 +585,25 @@ class TestWalkAgainstBrute:
         lab, a = ("K", (1, 0)) if klein else ("A", (1,))
         self._check_regularity(ctx, *fp.aligned_power_instance(ctx, lab, a, t, u, k, power))
 
-
-LETTERS = [CTX.x_letter(n, e) for n in ("x1", "x2") for e in (1, -1)] + [
-    CTX.h_letter(lab, p)
-    for lab, ps in (
-        ("A", [(1,), (-1,), (2,), (-2,)]),
-        ("B", [1, 2, 3, 4]),
-        ("K", [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)]),
-    )
-    for p in ps
-]
-WORDS = st.lists(st.sampled_from(LETTERS), max_size=14)
+    @given(st.one_of(WORDS, FREE_RUN_WORDS))
+    def test_open_paths_with_long_free_runs(self, letters):
+        letters = tuple(fp._scrub_identity_runs(CTX, letters))
+        report, end = fp._walk(CTX, (("", letters),))
+        comps, classes, isolated, brute_end = brute_connectivity(CTX, letters)
+        assert [
+            (c.factor_label, c.start, c.end, c.payload, c.coset_key) for c in report.components
+        ] == comps
+        assert report.classes == classes
+        assert report.isolated == isolated
+        assert end == brute_end
+        # the brute vertices come from ctx.mul, which reduces free letters as
+        # the walk does, so check the normal form against words.free_reduce too
+        for i, (lab, payload) in enumerate(end):
+            assert lab is not None or (payload and free_reduce(payload) == payload)
+            assert i == 0 or end[i - 1][0] != lab
+        if all(l[0] == "x" for l in letters):
+            word = free_reduce([l[1] for l in letters])
+            assert end == (((None, word),) if word else ())
 
 
 def product(letters):
@@ -583,6 +624,24 @@ class TestScrub:
         letters = u + v + [CTX.letter_inverse(l) for l in reversed(u + v)]
         out = fp._scrub_identity_runs(CTX, letters)
         assert (not out) == (not any(l[0] == "x" for l in letters))
+
+    @given(st.one_of(WORDS, WORDS.map(lambda u: u + [CTX.letter_inverse(l) for l in reversed(u)])))
+    def test_scrub_matches_the_sentinel_scrub(self, letters):
+        assert fp._scrub_identity_runs(CTX, letters) == sentinel_scrub(CTX, letters)
+
+    @given(SEEDS, st.integers(2, 24))
+    def test_generated_words_scrub_as_with_the_sentinel(self, seed, size):
+        seen = []
+        scrub = fp._scrub_identity_runs
+
+        def spy(ctx, letters):
+            seen.append(list(letters))
+            return scrub(ctx, letters)
+
+        with mock.patch.object(fp, "_scrub_identity_runs", spy):
+            path = fp.random_trivial_cycle(CTX, random.Random(seed), size=size)
+        (letters,) = seen
+        assert list(path.letters) == scrub(CTX, letters) == sentinel_scrub(CTX, letters)
 
     def test_generation_draws_are_pinned(self):
         # the builder's draw order is part of the report contract: a fixed
