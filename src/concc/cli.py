@@ -10,6 +10,7 @@ check failed, 3 checks ended unknown but none failed, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import random
@@ -411,7 +412,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
-    checks, artifacts = _HANDLERS[(args.group, args.cmd)](args)
+    # the handlers make no reference cycles worth collecting, and a full
+    # collection walks every live word and record, so the cyclic collector
+    # is off while one runs and back as the caller had it after
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        checks, artifacts = _HANDLERS[(args.group, args.cmd)](args)
+    finally:
+        if collecting:
+            gc.enable()
     doc = {
         "version": REPORT_VERSION,
         "kind": "run-report",

@@ -22,7 +22,9 @@ only the new association.  Tower words have one normal form (chunk,
 letter, chunk, ..., chunk, with every chunk freely reduced), and every
 operation keeps it by merging only the chunks at a junction: a product
 merges two, a power one per seam, and an inverse needs none;
-``verify_conjugator`` joins g w g^-1 target^-1 that way in one pass.
+``verify_conjugator`` joins g w g^-1 target^-1 that way in one pass,
+Britton-reduces the joined items and accepts exactly when one empty chunk
+is left, with no ``Verdict3`` made.
 They are read in two ways.  ``Tower.parse`` reads any word text
 (``words.read_tokens``), exponents included.  ``Tower.read_printed``
 reads only the printed form, ``str`` of a word: one dictionary lookup per
@@ -175,7 +177,7 @@ class Tower:
         return TowerWord(self, (self.base.identity(),))
 
     def embed(self, w: Word) -> "TowerWord":
-        if w.alphabet != self.base:
+        if w.alphabet is not self.base and w.alphabet != self.base:
             raise HnnError("cannot embed a word over a different alphabet")
         return TowerWord(self, (w,))
 
@@ -523,11 +525,13 @@ def verify_conjugator(g: TowerWord, w: TowerWord, target: TowerWord) -> bool:
     """Check the claim g w g^-1 = target by Britton reduction.
 
     The items of g w g^-1 target^-1 are joined in one pass, where only the
-    chunks that meet at a junction merge, and reduced as they stand.
+    chunks that meet at a junction merge, and reduced as they stand; the
+    claim holds exactly when the reduced items are one empty chunk.
     """
     tower = _common_tower((g, w, target))
     items = _join((g.items, w.items, _inverse_items(g.items), _inverse_items(target.items)))
-    return is_trivial(TowerWord(tower, items)).is_yes
+    out = _britton_items(tower, items)
+    return len(out) == 1 and not out[0].letters
 
 
 def klein_bottle_tower() -> Tower:

@@ -61,8 +61,15 @@ class TowerBuildError(ValueError):
 
 
 def _conjugacy_class_key(w: Word) -> tuple:
-    """Canonical cyclic form: equal exactly for conjugate base words."""
-    return W.CyclicWord.of(w).letters
+    """Canonical cyclic form: equal exactly for conjugate base words.
+
+    The least rotation (Booth) of w's cyclically reduced core, read straight
+    off its letters through the alphabet's code table; the letters of
+    ``W.CyclicWord.of(w)``.
+    """
+    ls = w.letters
+    i = W._peel(ls)
+    return W.least_rotation_letters(ls[i : len(ls) - i], w.alphabet.codes)
 
 
 _KNOWN_CONJUGATOR = "conjugator-to-representative-known"  # the skip reason of the skip rule
@@ -82,7 +89,8 @@ class StageRecord:
     image: str | None = None  # coset mode only
 
     def fields(self) -> list[tuple[str, str | int]]:
-        """The record's JSON fields as (key, value) pairs."""
+        """The record's JSON fields as (key, value) pairs, sorted by key: the
+        order ``certificate_to_json_str`` writes them in."""
         out: list[tuple[str, str | int]] = [("action", self.action)]
         if self.case:
             out.append(("case", self.case))
@@ -346,31 +354,36 @@ class TowerBuild:
         self.records: list[StageRecord] = []
         # conjugacy-class key -> (class index, stored element, witness onto rep)
         self.witnesses: dict[tuple, tuple[int, Word, TowerWord]] = {}
+        # every later tower of the chain extends this one, so each target is embedded once
+        self._targets = tuple(self.tower.embed(r) for r in config.representatives)
 
     # -- conjugator witnesses ---------------------------------------------
 
-    def _remember_witness(self, g: Word, ci: int, witness: TowerWord) -> None:
-        self.witnesses.setdefault(_conjugacy_class_key(g), (ci, g, witness))
+    def _remember_witness(self, key: tuple, g: Word, ci: int, witness: TowerWord) -> None:
+        """Store g's witness under its class key ``_conjugacy_class_key(g)``."""
+        self.witnesses.setdefault(key, (ci, g, witness))
 
-    def conjugator_witness(self, g: Word) -> ConjugatorAnswer:
+    def conjugator_witness(self, g: Word, key: tuple | None = None) -> ConjugatorAnswer:
         """Conjugator taking g onto its class representative, if derivable.
 
         Derivable means: g is freely conjugate to some element whose stage
         already ran.  The composed conjugator is re-verified by Britton
-        reduction before it is returned.
+        reduction before it is returned.  ``key`` is
+        ``_conjugacy_class_key(g)`` when the caller already has it.
         """
         if g.is_identity:
             raise TowerBuildError("the identity needs no conjugator")
-        hit = self.witnesses.get(_conjugacy_class_key(g))
+        hit = self.witnesses.get(_conjugacy_class_key(g) if key is None else key)
         if hit is None:
             return ConjugatorAnswer("unknown")
         ci, g0, w0 = hit
         h = W.conjugacy_witness(g, g0)
         assert h is not None  # same conjugacy-class key
-        full = w0.lift_to(self.tower) * self.tower.embed(h)
-        target = self.config.representatives[ci - 1]
-        if not hnn.verify_conjugator(full, self.tower.embed(g), self.tower.embed(target)):
+        tower = self.tower
+        full = w0 * tower.embed(h)  # w0 lifted to the tip: a product lives in the taller tower
+        if not hnn.verify_conjugator(full, tower.embed(g), self._targets[ci - 1]):
             raise TowerBuildError(f"stored conjugator for {g} failed verification")
+        target = self.config.representatives[ci - 1]
         return ConjugatorAnswer("yes", class_index=ci, target=target, witness=full)
 
     # -- serialization -----------------------------------------------------
@@ -412,28 +425,31 @@ def build_tower(config: TowerConfig) -> TowerBuild:
 
     Each stage records what ``_StageRule`` allows, first fit: the skip the
     image forces, a known conjugator where the rule reuses them (each one
-    verified by Britton reduction), else an attach.
+    verified by Britton reduction), else an attach.  A stage that may attach
+    computes its element's class key once, for both the conjugator lookup
+    and the witness an attach stores.
     """
     config.validate()
     b = TowerBuild(config)
     rule = _StageRule(config)
     for i, r in enumerate(config.representatives, start=1):
-        b._remember_witness(r, i, b.tower.identity())
+        b._remember_witness(_conjugacy_class_key(r), r, i, b.tower.identity())
     stream = W.shortlex_words(config.base.alphabet)
     for idx in range(1, config.stages + 1):
         g = next(stream)
         img, ci, kinds = rule.choice(g)
-        if kinds[0] != "attach":  # g has no representative, or is one
+        key = _conjugacy_class_key(g) if kinds[0] == "attach" else None
+        if key is None:  # g has no representative, or is one
             reason, ans = kinds[0], ConjugatorAnswer("unknown")
             if ci is not None:
                 ans = ConjugatorAnswer("yes", ci, g, b.tower.identity())
-        elif rule.reuse and (ans := b.conjugator_witness(g)).status == "yes":
+        elif rule.reuse and (ans := b.conjugator_witness(g, key)).status == "yes":
             reason = _KNOWN_CONJUGATOR
         else:
             case, ci = rule.attach(g, ci)
             target, stable = config.representatives[ci - 1], f"t{b.tower.height + 1}"
             b.tower = b.tower.extend(CyclicAssociation(stable, g, target))
-            b._remember_witness(g, ci, b.tower.stable(stable))
+            b._remember_witness(key, g, ci, b.tower.stable(stable))
             b.records.append(
                 StageRecord.of_kind(
                     idx, g, "attach", ci, image=img, case=case, stable=stable, target=target
@@ -678,6 +694,8 @@ def _reverify(doc, rep: ReverifyReport) -> None:
     rep_texts = [str(r) for r in reps]
     check, relations = ("images", "stage-relations") if coset else ("replay", "replay")
     tower = Tower(base)
+    # every later tower of the chain extends this one, so each target is embedded once
+    targets = [tower.embed(r) for r in reps]
     for i, (s, g) in enumerate(zip(stages, elements), start=1):
         at = f"stage {i}"
         img, ci, kinds = rule.choice(g)
@@ -726,7 +744,7 @@ def _reverify(doc, rep: ReverifyReport) -> None:
             w = tower.read_printed(_text(s, "witness", at))
             if g == target and w != tower.identity():  # the writer's witness for it is 1
                 raise _Failed(relations, f"{at}: {g} is its own target: its witness is 1, not {w}")
-            good = hnn.verify_conjugator(w, tower.embed(g), tower.embed(target))
+            good = hnn.verify_conjugator(w, tower.embed(g), targets[ci - 1])
         except HnnError as e:
             raise _Failed("well-formed" if kind == "attach" else relations, f"{at}: {e}") from None
         if not good:
@@ -871,7 +889,8 @@ def certificate_to_json_str(build: TowerBuild) -> str:
 
     With ``indent`` the ``json`` module encodes in pure Python, so the
     stages, nearly all of the text, are written here instead: each record's
-    fields, sorted by key, with strings encoded by the C encoder that
+    fields in the order ``StageRecord.fields`` gives them, which is sorted
+    by key, with strings encoded by the C encoder that
     ``json.dumps`` uses, joined at the places and indents it would use.
     The few other fields go through ``json.dumps`` itself.
     """
@@ -880,7 +899,7 @@ def certificate_to_json_str(build: TowerBuild) -> str:
         [
             "    {\n"
             + ",\n".join(
-                [f"      {enc(k)}: {_json_scalar(v)}" for k, v in sorted(r.fields())]
+                [f"      {enc(k)}: {_json_scalar(v)}" for k, v in r.fields()]
             )
             + "\n    }"
             for r in build.records

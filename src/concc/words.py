@@ -17,6 +17,10 @@ The letter order used everywhere is
     g1 < g1^-1 < g2 < g2^-1 < ...
 
 so shortlex enumeration and canonical rotations are stable across runs.
+``letter_code`` gives each letter its place in it.  Each ``Alphabet``
+keeps a table of those codes, ``codes``, so canonical rotations and
+commensurability keys read a word's codes with one ``map`` over it rather
+than one Python call per letter.
 
 Word text has one grammar, ``read_tokens``; every parser in the package
 reads its words through it, so exponents are read in one place only, and
@@ -121,7 +125,7 @@ class Alphabet:
     sequences match exactly.
     """
 
-    __slots__ = ("names", "_index", "_text")
+    __slots__ = ("names", "codes", "_index", "_text")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -136,8 +140,11 @@ class Alphabet:
         self.names = names
         self._index = {n: i + 1 for i, n in enumerate(names)}
         self._text: dict[int, str] = {}  # letter -> its printed token
+        # letter -> letter_code(letter); a letter outside the alphabet has no code
+        self.codes: dict[int, int] = {}
         for i, n in enumerate(names, start=1):
             self._text[i], self._text[-i] = n, n + "^-1"
+            self.codes[i], self.codes[-i] = letter_code(i), letter_code(-i)
 
     @property
     def size(self) -> int:
@@ -266,16 +273,18 @@ class Word:
             return other
         if not b:
             return self
+        if a[-1] != -b[0]:
+            return Word(self.alphabet, a + b)
         # both factors are reduced: only a suffix of a can cancel a prefix of b
-        n, k, m = len(a), 0, min(len(a), len(b))
+        n, k, m = len(a), 1, min(len(a), len(b))
         while k < m and a[n - 1 - k] == -b[k]:
             k += 1
-        return Word(self.alphabet, a[: n - k] + b[k:] if k else a + b)
+        return Word(self.alphabet, a[: n - k] + b[k:])
 
     def inverse(self) -> "Word":
         if not self.letters:
             return self
-        return Word(self.alphabet, tuple(-l for l in reversed(self.letters)))
+        return Word(self.alphabet, tuple([-l for l in reversed(self.letters)]))
 
     def __pow__(self, n: int) -> "Word":
         if n == 1:
@@ -310,23 +319,37 @@ class Word:
 
 def _least_rotation(codes: Sequence[int]) -> int:
     """Index of the lexicographically least rotation (Booth's algorithm)."""
-    s = list(codes) + list(codes)
+    s = list(codes) * 2
     f = [-1] * len(s)
     k = 0
     for j in range(1, len(s)):
         sj = s[j]
         i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
+        while i != -1:
+            c = s[k + i + 1]
+            if sj == c:
+                break
+            if sj < c:
                 k = j - i - 1
             i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
+        else:  # i == -1: sj meets the candidate's first symbol
+            c = s[k]
+            if sj != c:
+                if sj < c:
+                    k = j
+                f[j - k] = -1
+                continue
+        f[j - k] = i + 1
     return k
+
+
+def least_rotation_letters(ls: tuple[int, ...], codes: dict[int, int]) -> tuple[int, ...]:
+    """The least rotation of ``ls`` in the letter order: Booth's algorithm over
+    the letters' codes, read from the alphabet's table ``codes``."""
+    if not ls:
+        return ls
+    k = _least_rotation(list(map(codes.__getitem__, ls)))
+    return ls[k:] + ls[:k]
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -363,12 +386,8 @@ class CyclicWord:
     def __init__(self, word: Word):
         if not is_cyclically_reduced(word):
             raise WordError(f"{word} is not cyclically reduced")
-        ls = word.letters
-        if ls:
-            k = _least_rotation([letter_code(l) for l in ls])
-            ls = ls[k:] + ls[:k]
         self.alphabet = word.alphabet
-        self.letters = ls
+        self.letters = least_rotation_letters(word.letters, word.alphabet.codes)
         self._hash = None
 
     @classmethod
@@ -443,17 +462,17 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     as a linear string divides its length exactly when the core is a proper
     power of the corresponding prefix.
     """
-    if w.is_identity:
+    ls = w.letters
+    if not ls:
         raise WordError("identity has no primitive root")
-    core, p = cyclic_reduce(w)
-    ls = core.letters
-    n = len(ls)
+    i = _peel(ls)  # ls is p, core, p^-1 with p = ls[:i]
+    n = len(ls) - 2 * i
+    core = ls[i : i + n]
     for d in range(1, n + 1):
-        if n % d:
-            continue
-        if ls == ls[:d] * (n // d):
-            root = Word(w.alphabet, p.letters + ls[:d] + p.inverse().letters)
-            return root, n // d
+        if n % d == 0 and core == core[:d] * (n // d):
+            if d == n:
+                return w, 1
+            return Word(w.alphabet, ls[:i] + core[:d] + ls[i + n :]), n // d
     raise AssertionError("unreachable: every word is a power of itself")
 
 
@@ -463,12 +482,13 @@ def commensurability_key(w: Word) -> tuple[int, ...]:
     Built from the canonical cyclic form of the primitive root, symmetrised
     under inversion, so w, w^-1, conjugates and proper powers all collide.
     """
-    root, _ = primitive_root(w)
-    c = CyclicWord.of(root)
-    ci = c.inverse()
-    a, b = c.letters, ci.letters
-    pick = a if [letter_code(l) for l in a] <= [letter_code(l) for l in b] else b
-    return pick
+    r = primitive_root(w)[0].letters
+    i = _peel(r)
+    core, codes = r[i : len(r) - i], w.alphabet.codes
+    a = least_rotation_letters(core, codes)
+    b = least_rotation_letters(tuple([-l for l in reversed(core)]), codes)
+    code = codes.__getitem__
+    return a if list(map(code, a)) <= list(map(code, b)) else b
 
 
 @dataclass(frozen=True)
@@ -523,9 +543,9 @@ def is_power_of(w: Word, c: Word, c_root: tuple[Word, int] | None = None) -> int
     written, so w's length fixes |k|, its letter after p fixes the sign,
     and one compare decides; w = c^m exactly when ec divides k.
     """
-    if c.is_identity:
+    if not c.letters:
         raise WordError("powers of the identity are degenerate")
-    if w.is_identity:
+    if not w.letters:
         return 0
     rc, ec = c_root if c_root is not None else primitive_root(c)
     r, ls = rc.letters, w.letters

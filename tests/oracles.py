@@ -9,7 +9,12 @@ scan can: ``letter_piece_best`` reads the suffix and LCP arrays of
 ``concc.substrings``, which test_substrings checks against naive sorting,
 and ``letter_symmetrize`` reads the letter-level ``CyclicWord`` and
 ``primitive_root`` of ``concc.words``, which test_words checks against
-rotation and power enumeration.  ``rejection_trivial_cycle`` scrubs its
+rotation and power enumeration.  ``class_key`` and
+``commensurability_key`` keep the keys' first formulas, with codes taken
+letter by letter and Booth's algorithm as ``words._least_rotation`` first
+wrote it, ``booth_least_rotation``; test_words checks both Booths against
+each other and against the least of all rotations.
+``rejection_trivial_cycle`` scrubs its
 word with ``sentinel_scrub``, the scrub ``freeprod`` used before its
 one-loop form, kept here word for word, so the distribution gate shares
 no code with the scrub it tests.
@@ -59,6 +64,52 @@ def cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
         i += 1
         j -= 1
     return letters[i:j]
+
+
+def booth_least_rotation(codes) -> int:
+    """Booth's least rotation index as ``words._least_rotation`` first wrote
+    it, word for word; smallcanc's member ids depend on the index it picks
+    on periodic keys."""
+    s = list(codes) + list(codes)
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
+
+
+def class_key(w: Word) -> tuple[int, ...]:
+    """The conjugacy class key as first written, ``CyclicWord.of(w).letters``
+    when ``CyclicWord`` coded each letter with a ``letter_code`` call of its
+    own: Booth's least rotation of w's cyclic core."""
+    core = cyclic_core(w.letters)
+    if not core:
+        return core
+    k = booth_least_rotation([letter_code(l) for l in core])
+    return core[k:] + core[:k]
+
+
+def commensurability_key(w: Word) -> tuple[int, ...]:
+    """``words.commensurability_key`` as first written: the class key of the
+    primitive root or of its inverse, whichever codes lower letter by letter.
+    The root's core is the core's least period, found by trying each divisor."""
+    core = cyclic_core(w.letters)
+    n = len(core)
+    d = min(d for d in range(1, n + 1) if n % d == 0 and core[:d] * (n // d) == core)
+    a = class_key(Word(w.alphabet, core[:d]))
+    b = class_key(Word(w.alphabet, reduce_inverse(core[:d])))
+    return a if [letter_code(l) for l in a] <= [letter_code(l) for l in b] else b
 
 
 def rotation_conjugate(u: Word, v: Word) -> bool:

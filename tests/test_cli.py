@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line reports and exit codes."""
 
+import gc
 import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -214,6 +216,31 @@ class TestExitCodeMapping:
 
     def test_all_pass(self):
         assert cli._exit_code([{"name": "a", "status": "pass"}]) == 0
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["check", "klein-bottle"], 0), (["tower", "build", "--classes", "1"], cli.USAGE_EXIT)],
+        ids=["report", "usage-exit"],
+    )
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, monkeypatch, argv, code, enabled):
+        handler = cli._HANDLERS[tuple(argv[:2])]
+        seen = []
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return handler(args)
+
+        monkeypatch.setitem(cli._HANDLERS, tuple(argv[:2]), spy)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert run(capsys, argv)[0] == code
+            assert seen == [False] and gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestTowerCommands:
@@ -507,6 +534,24 @@ class TestHypScale:
         phases = ("family_s", "symmetrize_s", "index_s", "dehn_s")
         assert all(row[p] >= 0 for p in phases) and row["total_s"] > 0
         assert row["peak_rss_mb"] > 0
+
+
+class TestTowerPhases:
+    def test_script_prints_one_line(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "tower_phases.py"),
+             "--stages", "300", "--repeat", "2"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        (line,) = done.stdout.splitlines()
+        row = json.loads(line)
+        assert row["repeat"] == 2 and row["stages"] == 300
+        assert row["attaches"] + row["skips"] == 300 and row["attaches"] > 0 and row["skips"] > 0
+        assert re.fullmatch("[0-9a-f]{64}", row["sha256"])
+        assert all(row[p] > 0 for p in ("build_s", "write_s", "load_s", "replay_s"))
 
 
 class TestRelpathsPhases:

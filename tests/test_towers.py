@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from concc import hnn, towers, words
 from concc.presentations import CyclicSpec, KillSpec, parse_presentation
+import oracles
 from concc.towers import (
     TowerBuildError,
     TowerConfig,
@@ -142,6 +143,52 @@ class TestNccBuild:
         A = build.config.base.alphabet
         ans = build.conjugator_witness(A.parse_word("x1 x2 x1 x2 x2"))
         assert ans.status == "unknown"
+
+
+ABC = words.Alphabet(["a", "b", "c"])
+abc_letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=10)
+
+
+class TestClassKey:
+    @given(abc_letters, st.integers(1, 4), abc_letters)
+    def test_matches_the_cyclic_word_formula(self, us, k, ps):
+        # periodic cores u^k, and their conjugates p u^k p^-1
+        u = ABC.word(us) ** k
+        for x in (u, u.conjugated_by(ABC.word(ps))):
+            key = towers._conjugacy_class_key(x)
+            assert key == oracles.class_key(x) == words.CyclicWord.of(x).letters
+            codes = [[words.letter_code(l) for l in key[r:] + key[:r]] for r in range(len(key))]
+            assert not codes or codes[0] == min(codes)
+
+    def test_single_letters_and_the_identity(self):
+        for size in range(1, 4):
+            A = words.Alphabet([f"g{i}" for i in range(1, size + 1)])
+            assert towers._conjugacy_class_key(A.identity()) == ()
+            for l in A.letters_in_order():
+                assert towers._conjugacy_class_key(A.word([l])) == (l,)
+
+
+class TestStageWork:
+    def test_build_computes_each_class_key_once(self, monkeypatch):
+        keys = []
+        key = towers._conjugacy_class_key
+        monkeypatch.setattr(towers, "_conjugacy_class_key", lambda w: keys.append(w) or key(w))
+        config = ncc_config(3, 300)
+        build = build_tower(config)
+        # once per stage, plus once per representative
+        assert len(keys) == 300 + len(config.representatives)
+        assert keys[len(config.representatives):] == [r.element for r in build.records]
+
+    def test_one_conjugator_check_per_skip(self, monkeypatch):
+        checks = []
+        verify = hnn.verify_conjugator
+        monkeypatch.setattr(hnn, "verify_conjugator", lambda *a: checks.append(a) or verify(*a))
+        build = build_tower(ncc_config(3, 300))
+        skips = sum(r.action == "skip" for r in build.records)
+        assert skips > 200 and len(checks) == skips
+        checks.clear()
+        assert reverify_certificate(json.loads(certificate_to_json_str(build))).ok
+        assert len(checks) == skips
 
 
 class TestReverify:
@@ -863,16 +910,29 @@ class TestCertificateWriter:
         if build.config.base.alphabet.names[0] == "α":
             assert "\\u03b1" in text and text.isascii()
 
-    def test_writer_sorts_fields_and_encodes_any_scalar(self, monkeypatch):
-        # the writer must not lean on the order fields() lists, nor on every
-        # value being a str or an int
+    def test_writer_encodes_any_scalar(self, monkeypatch):
+        # the writer must not lean on every value being a str or an int
         fields = towers.StageRecord.fields
         monkeypatch.setattr(
             towers.StageRecord,
             "fields",
-            lambda r: [(k, float(v) if k == "stage" else v) for k, v in reversed(fields(r))],
+            lambda r: [(k, float(v) if k == "stage" else v) for k, v in fields(r)],
         )
         build = build_tower(klein_coset_config(30))
         text = certificate_to_json_str(build)
         assert text == json.dumps(build.to_json(), indent=2, sort_keys=True)
         assert '"stage": 1.0' in text
+
+    @pytest.mark.parametrize("coset", [False, True], ids=["ncc", "coset"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["attach", towers._KNOWN_CONJUGATOR, towers._NO_REPRESENTATIVE, "element-is-representative"],
+    )
+    def test_fields_come_sorted_by_key(self, kind, coset):
+        # the writer writes a record's fields in the order fields() gives
+        # them, so that order is json.dumps's sort_keys order
+        record = towers.StageRecord.of_kind(
+            0, "", kind, 0, image="" if coset else None, case="-", stable="", target="", witness=""
+        )
+        keys = [k for k, _ in record.fields()]
+        assert keys == sorted(keys) and set(keys) == towers._record_keys(kind, coset)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -11,6 +12,7 @@ from concc.words import (
     CyclicWord,
     Word,
     WordError,
+    _least_rotation,
     all_reduced_words,
     commensurability_key,
     commensurable,
@@ -93,6 +95,15 @@ class TestReduction:
         # a < a^-1 < b < b^-1
         assert [letter_code(l) for l in (1, -1, 2, -2)] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_code_table_is_letter_code(self, size):
+        A = Alphabet([f"g{i}" for i in range(1, size + 1)])
+        letters = A.letters_in_order()
+        assert len(letters) == 2 * size
+        assert [A.codes[l] for l in letters] == [letter_code(l) for l in letters]
+        assert list(map(A.codes.__getitem__, letters)) == list(range(2 * size))
+        assert sorted(A.codes) == sorted(letters)  # no code for 0 or a letter past the alphabet
+
 
 class TestCyclic:
     def test_cyclic_reduce_round_trip_examples(self):
@@ -126,6 +137,16 @@ class TestCyclic:
         u = Word(ABC, tuple(l for k, x in blocks for l in [1] * k + [x]))
         codes = lambda r: tuple(letter_code(l) for l in r.letters)  # noqa: E731
         assert codes(CyclicWord(u)) == min(map(codes, CyclicWord(u).rotations()), default=())
+
+    def test_booth_matches_its_first_form_exhaustively(self):
+        for n in range(1, 9):
+            for codes in itertools.product(range(3), repeat=n):
+                assert _least_rotation(codes) == oracles.booth_least_rotation(codes), codes
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.integers(1, 6))
+    def test_booth_matches_its_first_form_on_periodic_keys(self, block, k):
+        for codes in (block, block * k):
+            assert _least_rotation(codes) == oracles.booth_least_rotation(codes)
 
     def test_unreduced_input_rejected(self):
         with pytest.raises(WordError):
@@ -310,6 +331,20 @@ class TestCommensurability:
             r.letters for c in (root, root.inverse()) for r in CyclicWord.of(c).rotations()
         ]
         assert commensurability_key(u) == min(rotations, key=codes)
+
+    @given(letters, st.integers(1, 4), letters)
+    def test_key_matches_its_first_formula(self, us, k, ps):
+        # periodic cores u^k, and their conjugates p u^k p^-1
+        u = Word(AB, free_reduce(tuple(us))) ** k
+        assume(not u.is_identity)
+        for x in (u, u.conjugated_by(Word(AB, free_reduce(tuple(ps))))):
+            assert commensurability_key(x) == oracles.commensurability_key(x)
+
+    def test_key_of_single_letters(self):
+        ABC = Alphabet(["a", "b", "c"])
+        for l in ABC.letters_in_order():
+            x = ABC.word([l])
+            assert commensurability_key(x) == oracles.commensurability_key(x) == (abs(l),)
 
     def test_brute_sample_agreement(self):
         # the exhaustive version runs in the acceptance suite
