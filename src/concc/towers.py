@@ -60,16 +60,20 @@ class TowerBuildError(ValueError):
     """Configuration or replay failure; message names the offending stage."""
 
 
-def _conjugacy_class_key(w: Word) -> tuple:
-    """Canonical cyclic form: equal exactly for conjugate base words.
+def _class_key_at(w: Word) -> tuple[tuple, int, int]:
+    """w's conjugacy class key and where it sits in w: ``(key, i, k)``.
 
-    The least rotation (Booth) of w's cyclically reduced core, read straight
-    off its letters through the alphabet's code table; the letters of
-    ``W.CyclicWord.of(w)``.
+    The key is the least rotation (Booth) of w's cyclically reduced core
+    ``ls[i:n-i]``, read straight off the letters through the alphabet's
+    code table, and starts at the core's k-th letter; it equals the letters
+    of ``W.CyclicWord.of(w)``, so keys are equal exactly for conjugate base
+    words.
     """
     ls = w.letters
     i = W._peel(ls)
-    return W.least_rotation_letters(ls[i : len(ls) - i], w.alphabet.codes)
+    core = ls[i : len(ls) - i]
+    k = W._least_rotation(list(map(w.alphabet.codes.__getitem__, core))) if core else 0
+    return core[k:] + core[:k], i, k
 
 
 _KNOWN_CONJUGATOR = "conjugator-to-representative-known"  # the skip reason of the skip rule
@@ -352,33 +356,44 @@ class TowerBuild:
         self.config = config
         self.tower = Tower(config.base.alphabet)
         self.records: list[StageRecord] = []
-        # conjugacy-class key -> (class index, stored element, witness onto rep)
-        self.witnesses: dict[tuple, tuple[int, Word, TowerWord]] = {}
+        # conjugacy-class key -> (class index, stored element, witness onto rep,
+        # and the element's i and k from _class_key_at, and the key's period)
+        self.witnesses: dict[tuple, tuple[int, Word, TowerWord, int, int, int]] = {}
         # every later tower of the chain extends this one, so each target is embedded once
         self._targets = tuple(self.tower.embed(r) for r in config.representatives)
 
     # -- conjugator witnesses ---------------------------------------------
 
-    def _remember_witness(self, key: tuple, g: Word, ci: int, witness: TowerWord) -> None:
-        """Store g's witness under its class key ``_conjugacy_class_key(g)``."""
-        self.witnesses.setdefault(key, (ci, g, witness))
+    def _remember_witness(self, at: tuple, g: Word, ci: int, witness: TowerWord) -> None:
+        """Store g's witness under its class key; ``at`` is ``_class_key_at(g)``.
+        The first element stored for a key stays."""
+        key, i, k = at
+        if key not in self.witnesses:
+            n = len(key)  # g is no identity, so n > 0
+            period = next(p for p in range(1, n + 1) if n % p == 0 and key[p:] + key[:p] == key)
+            self.witnesses[key] = (ci, g, witness, i, k, period)
 
-    def conjugator_witness(self, g: Word, key: tuple | None = None) -> ConjugatorAnswer:
+    def conjugator_witness(self, g: Word, at: tuple | None = None) -> ConjugatorAnswer:
         """Conjugator taking g onto its class representative, if derivable.
 
         Derivable means: g is freely conjugate to some element whose stage
         already ran.  The composed conjugator is re-verified by Britton
-        reduction before it is returned.  ``key`` is
-        ``_conjugacy_class_key(g)`` when the caller already has it.
+        reduction before it is returned.  ``at`` is ``_class_key_at(g)``
+        when the caller already has it.
         """
         if g.is_identity:
             raise TowerBuildError("the identity needs no conjugator")
-        hit = self.witnesses.get(_conjugacy_class_key(g) if key is None else key)
+        key, i, k = _class_key_at(g) if at is None else at
+        hit = self.witnesses.get(key)
         if hit is None:
             return ConjugatorAnswer("unknown")
-        ci, g0, w0 = hit
-        h = W.conjugacy_witness(g, g0)
-        assert h is not None  # same conjugacy-class key
+        ci, g0, w0, i0, k0, period = hit
+        # both keys are rotations of the one core, at k and k0, so rotating
+        # g's core by r gives g0's core, and this r is the least such, the
+        # one W.conjugacy_witness(g, g0) finds: h is the conjugator it returns
+        r = (k - k0) % period
+        ls, A = g.letters, g.alphabet
+        h = Word(A, g0.letters[:i0]) * Word(A, ls[i : i + r]).inverse() * Word(A, ls[:i]).inverse()
         tower = self.tower
         full = w0 * tower.embed(h)  # w0 lifted to the tip: a product lives in the taller tower
         if not hnn.verify_conjugator(full, tower.embed(g), self._targets[ci - 1]):
@@ -433,23 +448,23 @@ def build_tower(config: TowerConfig) -> TowerBuild:
     b = TowerBuild(config)
     rule = _StageRule(config)
     for i, r in enumerate(config.representatives, start=1):
-        b._remember_witness(_conjugacy_class_key(r), r, i, b.tower.identity())
+        b._remember_witness(_class_key_at(r), r, i, b.tower.identity())
     stream = W.shortlex_words(config.base.alphabet)
     for idx in range(1, config.stages + 1):
         g = next(stream)
         img, ci, kinds = rule.choice(g)
-        key = _conjugacy_class_key(g) if kinds[0] == "attach" else None
-        if key is None:  # g has no representative, or is one
+        at = _class_key_at(g) if kinds[0] == "attach" else None
+        if at is None:  # g has no representative, or is one
             reason, ans = kinds[0], ConjugatorAnswer("unknown")
             if ci is not None:
                 ans = ConjugatorAnswer("yes", ci, g, b.tower.identity())
-        elif rule.reuse and (ans := b.conjugator_witness(g, key)).status == "yes":
+        elif rule.reuse and (ans := b.conjugator_witness(g, at)).status == "yes":
             reason = _KNOWN_CONJUGATOR
         else:
             case, ci = rule.attach(g, ci)
             target, stable = config.representatives[ci - 1], f"t{b.tower.height + 1}"
             b.tower = b.tower.extend(CyclicAssociation(stable, g, target))
-            b._remember_witness(key, g, ci, b.tower.stable(stable))
+            b._remember_witness(at, g, ci, b.tower.stable(stable))
             b.records.append(
                 StageRecord.of_kind(
                     idx, g, "attach", ci, image=img, case=case, stable=stable, target=target

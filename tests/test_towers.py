@@ -155,24 +155,48 @@ class TestClassKey:
         # periodic cores u^k, and their conjugates p u^k p^-1
         u = ABC.word(us) ** k
         for x in (u, u.conjugated_by(ABC.word(ps))):
-            key = towers._conjugacy_class_key(x)
+            key, i, at = towers._class_key_at(x)
             assert key == oracles.class_key(x) == words.CyclicWord.of(x).letters
             codes = [[words.letter_code(l) for l in key[r:] + key[:r]] for r in range(len(key))]
             assert not codes or codes[0] == min(codes)
+            # the key is x's core, after the i peeled letters, rotated to its k-th letter
+            core, prefix = words.cyclic_reduce(x)
+            assert prefix.letters == x.letters[:i] and core.letters[at:] + core.letters[:at] == key
 
     def test_single_letters_and_the_identity(self):
         for size in range(1, 4):
             A = words.Alphabet([f"g{i}" for i in range(1, size + 1)])
-            assert towers._conjugacy_class_key(A.identity()) == ()
+            assert towers._class_key_at(A.identity()) == ((), 0, 0)
             for l in A.letters_in_order():
-                assert towers._conjugacy_class_key(A.word([l])) == (l,)
+                assert towers._class_key_at(A.word([l])) == ((l,), 0, 0)
+
+
+class TestConjugatorFromOffsets:
+    @given(abc_letters, st.integers(1, 3), abc_letters, abc_letters, st.integers(0, 29))
+    def test_matches_the_rotation_search(self, us, m, qs, ps, j):
+        # a stored element g0 = q c q^-1 with c = u^m cyclically reduced, so
+        # cores may be periodic, and any conjugate g of it: the build's
+        # conjugator is the one words.conjugacy_witness finds
+        c = words.cyclic_reduce(ABC.word(us) ** m)[0]
+        assume(not c.is_identity)
+        q, p = ABC.word(qs), ABC.word(ps)
+        g0 = c.conjugated_by(q)
+        j %= len(c)
+        g = ABC.word(c.letters[j:] + c.letters[:j]).conjugated_by(p)
+        config = TowerConfig(base=parse_presentation("< a , b , c | >"), representatives=(c,))
+        b = towers.TowerBuild(config)
+        w0 = b.tower.embed(q.inverse())
+        b._remember_witness(towers._class_key_at(g0), g0, 1, w0)
+        ans = b.conjugator_witness(g)
+        assert ans.status == "yes" and ans.class_index == 1 and ans.target == c
+        assert ans.witness == w0 * b.tower.embed(words.conjugacy_witness(g, g0))
 
 
 class TestStageWork:
     def test_build_computes_each_class_key_once(self, monkeypatch):
         keys = []
-        key = towers._conjugacy_class_key
-        monkeypatch.setattr(towers, "_conjugacy_class_key", lambda w: keys.append(w) or key(w))
+        key_at = towers._class_key_at
+        monkeypatch.setattr(towers, "_class_key_at", lambda w: keys.append(w) or key_at(w))
         config = ncc_config(3, 300)
         build = build_tower(config)
         # once per stage, plus once per representative
