@@ -10,7 +10,11 @@ over F(x1, x2)) and times each phase apart:
   conjugator by Britton reduction;
 - ``write_s``: ``towers.certificate_to_json_str`` of that build;
 - ``load_s``: ``towers.load_certificate`` of the text;
-- ``replay_s``: ``towers.reverify_certificate`` of the loaded document.
+- ``replay_s``: ``towers.reverify_certificate`` of the loaded document;
+- ``checks_s``: the replay's skip checks alone, each witness read by
+  ``Tower.printed_items`` straight into ``hnn.conjugator_holds`` at the
+  tower of its stage; the towers are rebuilt from the document first,
+  outside the clock.
 
 Each phase reports its best time over ``--repeat`` rounds.  Prints one
 JSON line with the seconds, the sha256 of the certificate file the CLI
@@ -22,9 +26,23 @@ import hashlib
 import json
 import time
 
-from concc import cli, towers
+from concc import cli, hnn, towers, words
 
-PHASES = ("build_s", "write_s", "load_s", "replay_s")
+PHASES = ("build_s", "write_s", "load_s", "replay_s", "checks_s")
+
+
+def skip_checks(doc: dict) -> list[tuple]:
+    """(tower, witness text, element items, target items) of each skip stage
+    with a witness, in stage order, as replay checks it."""
+    base = words.Alphabet(doc["base"])
+    tower, out = hnn.Tower(base), []
+    for s in doc["stages"]:
+        g, target = base.parse_word(s["element"]), base.parse_word(s.get("target", "1"))
+        if s["action"] == "attach":
+            tower = tower.extend(hnn.CyclicAssociation(s["stable"], g, target))
+        elif "witness" in s:
+            out.append((tower, s["witness"], (g.letters,), (target.letters,)))
+    return out
 
 
 def one_round(stages: int) -> tuple[list[float], dict]:
@@ -42,6 +60,12 @@ def one_round(stages: int) -> tuple[list[float], dict]:
     t4 = clock()
     if not report.ok:
         raise SystemExit(f"replay failed: {report.failures}")
+    checks = skip_checks(doc)
+    t5 = clock()
+    for tower, witness, g, target in checks:
+        if not hnn.conjugator_holds(tower, tower.printed_items(witness), g, target):
+            raise SystemExit(f"skip check failed on witness {witness}")
+    t6 = clock()
     attaches = sum(r.action == "attach" for r in build.records)
     out = {
         "stages": len(build.records),
@@ -49,7 +73,7 @@ def one_round(stages: int) -> tuple[list[float], dict]:
         "skips": len(build.records) - attaches,
         "sha256": hashlib.sha256((text + "\n").encode()).hexdigest(),
     }
-    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3], out
+    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t6 - t5], out
 
 
 def main() -> int:

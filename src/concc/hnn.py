@@ -18,19 +18,25 @@ the exhausted bound attached, never as a silent wrong answer.
 
 Towers grow one stage at a time, so ``Tower`` is an append-only chain
 (see its docstring): extending the newest tower is O(1) and validates
-only the new association.  Tower words have one normal form (chunk,
-letter, chunk, ..., chunk, with every chunk freely reduced), and every
-operation keeps it by merging only the chunks at a junction: a product
-merges two, a power one per seam, and an inverse needs none;
-``verify_conjugator`` joins g w g^-1 target^-1 that way in one pass,
-Britton-reduces the joined items and accepts exactly when one empty chunk
-is left, with no ``Verdict3`` made.
+only the new association.  Tower words have one normal form, their
+items: chunk, letter, chunk, ..., chunk.  A chunk is a freely reduced
+tuple of base letters and a letter an ``(index, eps)`` pair, so position
+parity tells them apart: chunks sit at even positions.  ``Word`` appears
+only at the boundary: ``Tower.embed`` takes one and
+``TowerWord.base_word`` gives one.  Every operation keeps the normal form
+by merging only the chunks at a junction (``words.mul_letters``): a
+product merges two, a power one per seam, and an inverse needs none.
+``conjugator_holds`` checks a conjugator claim on items: it joins
+g w g^-1 target^-1 that way in one pass, Britton-reduces the joined items
+and accepts exactly when one empty chunk is left, making no ``Word``,
+``TowerWord`` or ``Verdict3`` on the way.
 They are read in two ways.  ``Tower.parse`` reads any word text
-(``words.read_tokens``), exponents included.  ``Tower.read_printed``
+(``words.read_tokens``), exponents included.  ``Tower.printed_items``
 reads only the printed form, ``str`` of a word: one dictionary lookup per
 token goes straight into the normal items, and any other spelling,
 exponent or text that is not freely reduced is refused before anything
-expands; certificate replay reads witnesses with it.
+expands; certificate replay reads witnesses with it, straight into
+``conjugator_holds``.
 
 Britton reduction keeps the normal form too.  It reads the items once,
 left to right, with the reduced prefix on one stack: kept chunks and
@@ -40,8 +46,8 @@ across the open chunk, since anything longer between them is reduced and
 still carries stable letters, so it is no base element.  When a pinch
 fires, the letter leaves the stack and the chunks on either side merge.
 Each association's primitive roots are computed once, when it is made,
-and a pinch asks ``words.is_power_of`` against them, which needs no root
-of the chunk.
+and a pinch asks ``words.power_exponent`` against their letters, which
+needs no root of the chunk.
 """
 
 from __future__ import annotations
@@ -52,6 +58,9 @@ from typing import Sequence
 
 from . import words as W
 from .words import Alphabet, Word
+
+Chunk = tuple[int, ...]  # a freely reduced run of base letters
+Items = tuple  # normal items: Chunk, (index, eps), Chunk, ..., Chunk
 
 
 class HnnError(ValueError):
@@ -65,17 +74,19 @@ class CyclicAssociation:
     stable: str
     source: Word
     target: Word
-    # W.primitive_root of source and target, for the pinch test
-    source_root: tuple[Word, int] = field(init=False, repr=False, compare=False)
-    target_root: tuple[Word, int] = field(init=False, repr=False, compare=False)
+    # W.primitive_root of source and target as (root letters, exponent),
+    # for the pinch test
+    source_root: tuple[Chunk, int] = field(init=False, repr=False, compare=False)
+    target_root: tuple[Chunk, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source.alphabet != self.target.alphabet:
             raise HnnError("association source and target live over different alphabets")
         if self.source.is_identity or self.target.is_identity:
             raise HnnError(f"association at {self.stable!r} must join nontrivial elements")
-        object.__setattr__(self, "source_root", W.primitive_root(self.source))
-        object.__setattr__(self, "target_root", W.primitive_root(self.target))
+        for end, w in (("source_root", self.source), ("target_root", self.target)):
+            root, e = W.primitive_root(w)
+            object.__setattr__(self, end, (root.letters, e))
 
     def __str__(self) -> str:
         return f"{self.stable}: {self.source} -> {self.target}"
@@ -90,7 +101,7 @@ class Tower:
 
     Towers are an append-only chain.  The towers of one chain share a
     single association list and token table (printed token -> base letter
-    or stable letter, see ``read_printed``), and each knows only the first
+    or stable letter, see ``printed_items``), and each knows only the first
     ``height`` associations: a letter stored at or above its height is
     unknown to it.  ``extend`` on the tip of a chain appends in place, so a
     build of n stages does O(n) work; extending an older tower copies its
@@ -111,7 +122,8 @@ class Tower:
         self.base = base
         self.height = 0
         self._assocs: list[CyclicAssociation] = []
-        self._tokens: dict[str, Item] = {text: l for l, text in base._text.items()}
+        # printed token -> base letter (int) or stable letter (index, eps)
+        self._tokens: dict[str, int | tuple[int, int]] = {text: l for l, text in base._text.items()}
         for a in assocs:
             self._add(a)
 
@@ -174,12 +186,12 @@ class Tower:
         return self.height >= other.height and self._same_prefix(other, other.height)
 
     def identity(self) -> "TowerWord":
-        return TowerWord(self, (self.base.identity(),))
+        return TowerWord(self, ((),))
 
     def embed(self, w: Word) -> "TowerWord":
         if w.alphabet is not self.base and w.alphabet != self.base:
             raise HnnError("cannot embed a word over a different alphabet")
-        return TowerWord(self, (w,))
+        return TowerWord(self, (w.letters,))
 
     def _position(self, name: str) -> int:
         it = self._tokens.get(name)
@@ -191,8 +203,7 @@ class Tower:
         i = self._position(name)
         if eps not in (1, -1):
             raise HnnError("stable letter exponent must be +1 or -1")
-        e = self.base.identity()
-        return TowerWord(self, (e, (i, eps), e))
+        return TowerWord(self, ((), (i, eps), ()))
 
     def parse(self, text: str) -> "TowerWord":
         """Parse word text (``W.read_tokens``) over base and stable letters."""
@@ -200,40 +211,46 @@ class Tower:
             tokens = W.read_tokens(text)
         except W.WordError as e:
             raise HnnError(str(e)) from None
-        base, table, height = self.base, self._tokens, self.height
+        table, height = self._tokens, self.height
         # built alternating as it is read: each run of base letters is
         # freely reduced once, when a stable letter or the end closes it
-        items: list[Item] = []
+        items: list = []
         run: list[int] = []
         for name, exp in tokens:
             it = table.get(name)  # a name holds no ^, so it is no inverse token
             if type(it) is tuple and it[0] < height:
                 letter = (it[0], 1 if exp > 0 else -1)
                 for _ in range(abs(exp)):
-                    items.append(Word(base, W.free_reduce(run)))
+                    items.append(W.free_reduce(run))
                     items.append(letter)
                     run = []
             elif type(it) is int:
                 run.extend([it if exp > 0 else -it] * abs(exp))
             else:
                 raise HnnError(f"unknown token {name!r} (neither base generator nor stable letter)")
-        items.append(Word(base, W.free_reduce(run)))
+        items.append(W.free_reduce(run))
         return TowerWord(self, tuple(items))
 
     def read_printed(self, text: str) -> "TowerWord":
-        """Read the printed form of a tower word and no other spelling.
+        """The tower word whose printed form is text (``printed_items``)."""
+        return TowerWord(self, self.printed_items(text))
+
+    def printed_items(self, text: str) -> Items:
+        """The normal items of the printed form of a tower word, and of no
+        other spelling.
 
         The printed form is what ``str`` gives a normal word: ``1`` alone,
         or tokens ``name`` and ``name^-1`` joined by single spaces, freely
         reduced over the base and stable letters.  Each token is one
         lookup and goes straight into the normal items, so no exponent is
         ever expanded; any other exponent fails with ``W.read_int``'s
-        words.  ``parse`` reads every spelling.
+        words.  Any text this refuses raises ``HnnError``.  ``parse``
+        reads every spelling.
         """
         if text == "1":
-            return self.identity()
-        tokens, height, base = self._tokens, self.height, self.base
-        items: list[Item] = []
+            return ((),)
+        tokens, height = self._tokens, self.height
+        items: list = []
         run: list[int] = []
         for tok in text.split(" "):
             it = tokens.get(tok)
@@ -244,20 +261,17 @@ class Tower:
             elif it is not None and it[0] < height:
                 if not run and items and items[-1] == (it[0], -it[1]):
                     raise HnnError(f"{tok!r} cancels the letter before it; not freely reduced")
-                items.append(Word(base, tuple(run)))
+                items.append(tuple(run))
                 items.append(it)
                 run = []
             else:
                 raise HnnError(_token_problem(tok))
-        items.append(Word(base, tuple(run)))
-        return TowerWord(self, tuple(items))
-
-
-Item = object  # Word or (index, eps) pair
+        items.append(tuple(run))
+        return tuple(items)
 
 
 def _token_problem(tok: str) -> str:
-    """Why ``Tower.read_printed`` cannot read tok."""
+    """Why ``Tower.printed_items`` cannot read tok."""
     name, hat, exp = tok.partition("^")
     if hat:
         try:
@@ -273,23 +287,20 @@ def _token_problem(tok: str) -> str:
     return f"unknown token {name[:24]!r} (neither base generator nor stable letter)"
 
 
-def _is_letter(it: Item) -> bool:
-    return type(it) is tuple
-
-
-def _inverse_items(items: tuple[Item, ...]) -> tuple[Item, ...]:
+def _inverse_items(items: Items) -> Items:
     if len(items) == 1:
-        return (items[0].inverse(),)
+        return (W.inverse_letters(items[0]),)
+    # reversing an odd number of items keeps each one's parity
     return tuple(
-        [(it[0], -it[1]) if type(it) is tuple else it.inverse() for it in reversed(items)]
+        [(it[0], -it[1]) if k & 1 else W.inverse_letters(it) for k, it in enumerate(reversed(items))]
     )
 
 
-def _join(parts: Sequence[tuple[Item, ...]]) -> tuple[Item, ...]:
+def _join(parts: Sequence[Items]) -> Items:
     """Concatenate normal items; only the chunks at each junction merge."""
     items = list(parts[0])
     for part in parts[1:]:
-        items[-1] = items[-1] * part[0]
+        items[-1] = W.mul_letters(items[-1], part[0])
         items.extend(part[1:])
     return tuple(items)
 
@@ -312,14 +323,16 @@ class TowerWord:
 
     Data equality only; group-level questions go through ``britton`` /
     ``is_trivial``.  Instances are immutable, and ``items`` is always
-    normal: freely reduced base chunks alternating with stable letters,
-    starting and ending with a chunk.  Every operation keeps that form by
-    merging only the chunks that meet at a junction.
+    normal: chunks, each a freely reduced tuple of base letters,
+    alternating with stable letters, ``(index, eps)`` pairs, starting and
+    ending with a chunk, so chunks sit at the even positions.  Every
+    operation keeps that form by merging only the chunks that meet at a
+    junction.
     """
 
     __slots__ = ("tower", "items")
 
-    def __init__(self, tower: Tower, items: tuple[Item, ...]):
+    def __init__(self, tower: Tower, items: Items):
         self.tower = tower
         self.items = items
 
@@ -333,9 +346,9 @@ class TowerWord:
         items = (self if n >= 0 else self.inverse()).items
         n = abs(n)
         if n == 0 or len(items) == 1:
-            return TowerWord(self.tower, (items[0] ** n,))
+            return TowerWord(self.tower, (W.power_letters(items[0], n),))
         # c0 L ... L ck repeated: each seam merges ck with c0 once
-        seam = (items[-1] * items[0],) + items[1:-1]
+        seam = (W.mul_letters(items[-1], items[0]),) + items[1:-1]
         return TowerWord(self.tower, items[:-1] + seam * (n - 1) + items[-1:])
 
     def lift_to(self, bigger: Tower) -> "TowerWord":
@@ -360,50 +373,56 @@ class TowerWord:
     def signature(self) -> tuple[tuple[str, int], ...]:
         """Stable letters in order of occurrence, as (name, exponent) pairs."""
         assocs = self.tower._assocs
-        return tuple((assocs[it[0]].stable, it[1]) for it in self.items if _is_letter(it))
+        return tuple((assocs[i].stable, e) for i, e in self.items[1::2])
 
     def base_word(self) -> Word:
         if self.has_stable_letters:
             raise HnnError(f"{self} carries stable letters; not a base word")
-        return self.items[0]
+        return Word(self.tower.base, self.items[0])
 
     def __str__(self) -> str:
-        assocs = self.tower._assocs
-        parts: list[str] = []
-        for it in self.items:
-            if _is_letter(it):
-                name = assocs[it[0]].stable
-                parts.append(name if it[1] > 0 else name + "^-1")
-            elif not it.is_identity:
-                parts.append(str(it))
-        return " ".join(parts) if parts else "1"
+        """Chunks spelled from the base alphabet's token table, as ``Word`` is."""
+        items, assocs, spell = self.items, self.tower._assocs, self.tower.base.spell
+        parts = [spell(items[0])] if items[0] else []
+        for (i, e), chunk in zip(items[1::2], items[2::2]):
+            name = assocs[i].stable
+            parts.append(name if e > 0 else name + "^-1")
+            if chunk:
+                parts.append(spell(chunk))
+        return " ".join(parts) or "1"
 
     def __repr__(self) -> str:
         return f"TowerWord({self})"
 
 
-def _pinch(assoc: CyclicAssociation, eps: int, chunk: Word) -> Word | None:
-    """The base word ``t^eps chunk t^-eps`` is equal to, if that pinch fires."""
-    if eps > 0:
-        m = W.is_power_of(chunk, assoc.source, assoc.source_root)
-        return None if m is None else assoc.target**m
-    m = W.is_power_of(chunk, assoc.target, assoc.target_root)
-    return None if m is None else assoc.source**m
+def _pinch(assoc: CyclicAssociation, eps: int, chunk: Chunk) -> Chunk | None:
+    """The letters of the base word ``t^eps chunk t^-eps`` equals, if that
+    pinch fires.  A chunk that is the association end itself, the power 1
+    every skip check meets, needs no power test."""
+    c, d, root = (
+        (assoc.source, assoc.target, assoc.source_root)
+        if eps > 0
+        else (assoc.target, assoc.source, assoc.target_root)
+    )
+    if chunk == c.letters:
+        return d.letters
+    m = W.power_exponent(chunk, *root)
+    return None if m is None else W.power_letters(d.letters, m)
 
 
-def _britton_items(tower: Tower, items: tuple[Item, ...]) -> tuple[Item, ...]:
+def _britton_items(tower: Tower, items: Items) -> Items:
     """Reduce normal items (chunk, letter, ..., chunk); the result is normal too.
 
     One pass (see the module docstring): ``out`` is the reduced prefix read
-    so far, its last chunk still open.
+    so far, its last chunk still open, so ``out[-2]`` is a letter.
     """
-    assocs = tower._assocs
+    assocs, mul = tower._assocs, W.mul_letters
     out = [items[0]]
     for letter, nxt in zip(items[1::2], items[2::2]):
         i, e = letter
         if len(out) > 1 and out[-2] == (i, -e) and (d := _pinch(assocs[i], -e, out[-1])) is not None:
             del out[-2:]
-            out[-1] = out[-1] * d * nxt
+            out[-1] = mul(mul(out[-1], d), nxt)
         else:
             out += (letter, nxt)
     return tuple(out)
@@ -427,7 +446,7 @@ def find_pinch(w: TowerWord) -> tuple[int, int] | None:
     a power of the right association end, without reusing the reducer's
     bookkeeping.
     """
-    pos = [k for k, it in enumerate(w.items) if _is_letter(it)]
+    pos = range(1, len(w.items), 2)
     for a in range(len(pos)):
         ia, ea = w.items[pos[a]]
         for b in range(a + 1, len(pos)):
@@ -465,7 +484,7 @@ def is_trivial(w: TowerWord) -> Verdict3:
     r = britton_reduce(w)
     if r.has_stable_letters:
         return Verdict3("no", detail=f"reduces to {r}")
-    if r.base_word().is_identity:
+    if not r.items[0]:
         return Verdict3("yes")
     return Verdict3("no", detail=f"reduces to {r.base_word()}")
 
@@ -521,17 +540,22 @@ def cyclic_membership(w: TowerWord, c: TowerWord | Word, bound: int = 64) -> Cyc
     return CyclicMembership("unknown", bound=bound)
 
 
-def verify_conjugator(g: TowerWord, w: TowerWord, target: TowerWord) -> bool:
-    """Check the claim g w g^-1 = target by Britton reduction.
+def conjugator_holds(tower: Tower, g: Items, w: Items, target: Items) -> bool:
+    """The claim g w g^-1 = target, for normal items of words in ``tower``,
+    by Britton reduction.
 
     The items of g w g^-1 target^-1 are joined in one pass, where only the
     chunks that meet at a junction merge, and reduced as they stand; the
-    claim holds exactly when the reduced items are one empty chunk.
+    claim holds exactly when the reduced items are one empty chunk.  The
+    build's skip checks and the replay's are this one call.
     """
-    tower = _common_tower((g, w, target))
-    items = _join((g.items, w.items, _inverse_items(g.items), _inverse_items(target.items)))
-    out = _britton_items(tower, items)
-    return len(out) == 1 and not out[0].letters
+    out = _britton_items(tower, _join((g, w, _inverse_items(g), _inverse_items(target))))
+    return len(out) == 1 and not out[0]
+
+
+def verify_conjugator(g: TowerWord, w: TowerWord, target: TowerWord) -> bool:
+    """Check the claim g w g^-1 = target by Britton reduction (``conjugator_holds``)."""
+    return conjugator_holds(_common_tower((g, w, target)), g.items, w.items, target.items)
 
 
 def klein_bottle_tower() -> Tower:

@@ -33,7 +33,8 @@ exactly the keys ``StageRecord.fields`` gives its kind; ``load_certificate``
 refuses a repeated key.  Every word is printed form: tokens ``name`` or
 ``name^-1`` joined by single spaces and freely reduced, or ``1`` alone.
 So replay compares words as text, parsing one only to say why it differs,
-and reads witnesses with ``Tower.read_printed``, which expands no exponent.
+and reads witnesses with ``Tower.printed_items``, which expands no exponent,
+straight into the one conjugator check, ``hnn.conjugator_holds``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import hnn, words as W
 from .hnn import CyclicAssociation, HnnError, Tower, TowerWord
@@ -79,8 +80,11 @@ def _class_key_at(w: Word) -> tuple[tuple, int, int]:
 _KNOWN_CONJUGATOR = "conjugator-to-representative-known"  # the skip reason of the skip rule
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
+    """One stage of a build.  A named tuple, since a build makes one a stage
+    and a frozen dataclass costs about three times as much to make; its
+    field ``index`` shadows ``tuple.index``."""
+
     index: int
     element: Word
     action: str  # "attach" | "skip"
@@ -356,11 +360,12 @@ class TowerBuild:
         self.config = config
         self.tower = Tower(config.base.alphabet)
         self.records: list[StageRecord] = []
-        # conjugacy-class key -> (class index, stored element, witness onto rep,
-        # and the element's i and k from _class_key_at, and the key's period)
-        self.witnesses: dict[tuple, tuple[int, Word, TowerWord, int, int, int]] = {}
-        # every later tower of the chain extends this one, so each target is embedded once
-        self._targets = tuple(self.tower.embed(r) for r in config.representatives)
+        # conjugacy-class key -> (class index, stored element, the items of
+        # its witness onto rep, the element's i and k from _class_key_at,
+        # and the key's period)
+        self.witnesses: dict[tuple, tuple[int, Word, tuple, int, int, int]] = {}
+        # the representatives as tower word items, for the conjugator check
+        self._targets = tuple((r.letters,) for r in config.representatives)
 
     # -- conjugator witnesses ---------------------------------------------
 
@@ -371,7 +376,7 @@ class TowerBuild:
         if key not in self.witnesses:
             n = len(key)  # g is no identity, so n > 0
             period = next(p for p in range(1, n + 1) if n % p == 0 and key[p:] + key[:p] == key)
-            self.witnesses[key] = (ci, g, witness, i, k, period)
+            self.witnesses[key] = (ci, g, witness.items, i, k, period)
 
     def conjugator_witness(self, g: Word, at: tuple | None = None) -> ConjugatorAnswer:
         """Conjugator taking g onto its class representative, if derivable.
@@ -390,16 +395,17 @@ class TowerBuild:
         ci, g0, w0, i0, k0, period = hit
         # both keys are rotations of the one core, at k and k0, so rotating
         # g's core by r gives g0's core, and this r is the least such, the
-        # one W.conjugacy_witness(g, g0) finds: h is the conjugator it returns
+        # one W.conjugacy_witness(g, g0) finds: h is the conjugator it
+        # returns, g0's first i0 letters times the inverse of g's first i + r
         r = (k - k0) % period
-        ls, A = g.letters, g.alphabet
-        h = Word(A, g0.letters[:i0]) * Word(A, ls[i : i + r]).inverse() * Word(A, ls[:i]).inverse()
-        tower = self.tower
-        full = w0 * tower.embed(h)  # w0 lifted to the tip: a product lives in the taller tower
-        if not hnn.verify_conjugator(full, tower.embed(g), self._targets[ci - 1]):
+        ls = g.letters
+        h = W.mul_letters(g0.letters[:i0], W.inverse_letters(ls[: i + r]))
+        # w0 h; every stored witness lives in a tower the tip extends
+        full = w0[:-1] + (W.mul_letters(w0[-1], h),)
+        if not hnn.conjugator_holds(self.tower, full, (ls,), self._targets[ci - 1]):
             raise TowerBuildError(f"stored conjugator for {g} failed verification")
         target = self.config.representatives[ci - 1]
-        return ConjugatorAnswer("yes", class_index=ci, target=target, witness=full)
+        return ConjugatorAnswer("yes", class_index=ci, target=target, witness=TowerWord(self.tower, full))
 
     # -- serialization -----------------------------------------------------
 
@@ -561,9 +567,10 @@ def reverify_certificate(doc) -> ReverifyReport:
     One stage loop holds each record to ``_StageRule``: its kind, exactly
     the keys ``StageRecord.fields`` writes for it, its case, class, image,
     target and stable letter ``t{height}``, and each conjugator, read by
-    ``Tower.read_printed``, by Britton reduction; an element that is its own
-    target has the witness ``1``.  It reports ``replay`` and
-    ``independence`` (ncc), or ``images`` and ``stage-relations`` (coset).
+    ``Tower.printed_items``, by Britton reduction (``hnn.conjugator_holds``);
+    an element that is its own target has the witness ``1``.  It reports
+    ``replay`` and ``independence`` (ncc), or ``images`` and
+    ``stage-relations`` (coset).
     What replay cannot read fails ``well-formed``.  A failure's detail is
     cut to ``_QUOTE`` characters.
     """
@@ -709,8 +716,7 @@ def _reverify(doc, rep: ReverifyReport) -> None:
     rep_texts = [str(r) for r in reps]
     check, relations = ("images", "stage-relations") if coset else ("replay", "replay")
     tower = Tower(base)
-    # every later tower of the chain extends this one, so each target is embedded once
-    targets = [tower.embed(r) for r in reps]
+    targets = [(r.letters,) for r in reps]  # as tower word items
     for i, (s, g) in enumerate(zip(stages, elements), start=1):
         at = f"stage {i}"
         img, ci, kinds = rule.choice(g)
@@ -756,10 +762,11 @@ def _reverify(doc, rep: ReverifyReport) -> None:
                     why = f"stable letter {s['stable']!r} is not t{tower.height}, the next letter"
                     raise _Failed(check, f"{at}: {why}")
                 continue
-            w = tower.read_printed(_text(s, "witness", at))
-            if g == target and w != tower.identity():  # the writer's witness for it is 1
-                raise _Failed(relations, f"{at}: {g} is its own target: its witness is 1, not {w}")
-            good = hnn.verify_conjugator(w, tower.embed(g), targets[ci - 1])
+            text = _text(s, "witness", at)
+            w = tower.printed_items(text)  # text is w's printed form
+            if g == target and w != ((),):  # the writer's witness for it is 1
+                raise _Failed(relations, f"{at}: {g} is its own target: its witness is 1, not {text}")
+            good = hnn.conjugator_holds(tower, w, (g.letters,), targets[ci - 1])
         except HnnError as e:
             raise _Failed("well-formed" if kind == "attach" else relations, f"{at}: {e}") from None
         if not good:

@@ -9,8 +9,11 @@ be re-multiplied and checked.
 Because words are kept reduced, arithmetic re-reduces nothing: a product
 cancels only at the junction (the suffix of the left factor that mirrors
 the prefix of the right one), and a power repeats the cyclically reduced
-core between the conjugating prefix and its inverse.  A word's hash is
-computed the first time it is asked for, not at construction.
+core between the conjugating prefix and its inverse.  Both work on letter
+tuples (``mul_letters``, ``power_letters``), and so does the power test
+(``power_exponent``), so the tower words of ``hnn``, whose chunks are
+letter tuples, share them with ``Word``.  A word's hash is computed the
+first time it is asked for, not at construction.
 
 The letter order used everywhere is
 
@@ -139,7 +142,8 @@ class Alphabet:
             raise WordError(f"duplicate generator names in {names}")
         self.names = names
         self._index = {n: i + 1 for i, n in enumerate(names)}
-        self._text: dict[int, str] = {}  # letter -> its printed token
+        # letter -> its printed token; a letter outside the alphabet has none
+        self._text: dict[int, str] = {}
         # letter -> letter_code(letter); a letter outside the alphabet has no code
         self.codes: dict[int, int] = {}
         for i, n in enumerate(names, start=1):
@@ -174,6 +178,20 @@ class Alphabet:
         if text is None:
             raise WordError(f"letter {letter} outside alphabet of size {self.size}")
         return text
+
+    def spell(self, letters: tuple[int, ...]) -> str:
+        """The printed tokens of ``letters`` joined by single spaces; "" for none.
+
+        A letter outside the alphabet, of either sign, has no entry in the
+        token table, so it raises ``WordError`` and never prints as another
+        letter's token.  (A list indexed by the letter looks up faster, but
+        a negative index wraps around, and checking the range first costs
+        more than it saves.)
+        """
+        try:
+            return " ".join(map(self._text.__getitem__, letters))
+        except KeyError as e:
+            raise WordError(f"letter {e.args[0]} outside alphabet of size {self.size}") from None
 
     def letters_in_order(self) -> tuple[int, ...]:
         """All 2n letters sorted by letter_code."""
@@ -268,53 +286,71 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise WordError("cannot multiply words over different alphabets")
-        a, b = self.letters, other.letters
-        if not a:
+        if not self.letters:
             return other
-        if not b:
+        if not other.letters:
             return self
-        if a[-1] != -b[0]:
-            return Word(self.alphabet, a + b)
-        # both factors are reduced: only a suffix of a can cancel a prefix of b
-        n, k, m = len(a), 1, min(len(a), len(b))
-        while k < m and a[n - 1 - k] == -b[k]:
-            k += 1
-        return Word(self.alphabet, a[: n - k] + b[k:])
+        return Word(self.alphabet, mul_letters(self.letters, other.letters))
 
     def inverse(self) -> "Word":
         if not self.letters:
             return self
-        return Word(self.alphabet, tuple([-l for l in reversed(self.letters)]))
+        return Word(self.alphabet, inverse_letters(self.letters))
 
     def __pow__(self, n: int) -> "Word":
         if n == 1:
             return self
-        base = self if n >= 0 else self.inverse()
-        if n == -1:
-            return base
-        ls = base.letters
-        if n == 0 or not ls:
-            return Word(self.alphabet, ())
-        # base = p core p^-1 with core cyclically reduced, so the power
-        # p core^|n| p^-1 is reduced as written
-        core, p = cyclic_reduce(base)
-        k = len(p)
-        return Word(self.alphabet, ls[:k] + core.letters * abs(n) + ls[len(ls) - k :])
+        return Word(self.alphabet, power_letters(self.letters, n))
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g * self * g^-1."""
         return g * self * g.inverse()
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        try:
-            return " ".join(map(self.alphabet._text.__getitem__, self.letters))
-        except KeyError as e:
-            raise WordError(f"letter {e.args[0]} outside alphabet of size {self.alphabet.size}") from None
+        return self.alphabet.spell(self.letters) if self.letters else "1"
 
     def __repr__(self) -> str:
         return f"Word({self})"
+
+
+def mul_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of the product of two freely reduced words, given by theirs.
+
+    Both factors are reduced, so only the junction cancels: the suffix of
+    ``a`` that mirrors the prefix of ``b``.  ``Word.__mul__`` and the chunks
+    of tower words (``hnn``) multiply through this one helper.
+    """
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-1] != -b[0]:
+        return a + b
+    n, k, m = len(a), 1, min(len(a), len(b))
+    while k < m and a[n - 1 - k] == -b[k]:
+        k += 1
+    return a[: n - k] + b[k:]
+
+
+def inverse_letters(ls: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of the inverse of the word with letters ``ls``."""
+    return tuple([-l for l in reversed(ls)])
+
+
+def power_letters(ls: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The letters of w^n for the freely reduced word w with letters ``ls``.
+
+    w = p core p^-1 with core cyclically reduced, so the power
+    p core^|n| p^-1 is reduced as written.
+    """
+    if n < 0:
+        ls, n = inverse_letters(ls), -n
+    if n == 1:
+        return ls
+    if n == 0 or not ls:
+        return ()
+    k = _peel(ls)
+    return ls[:k] + ls[k : len(ls) - k] * n + ls[len(ls) - k :]
 
 
 def _least_rotation(codes: Sequence[int]) -> int:
@@ -534,29 +570,34 @@ def commensurable(u: Word, v: Word) -> Commensuration:
     return Commensuration(False, u, v)
 
 
-def is_power_of(w: Word, c: Word, c_root: tuple[Word, int] | None = None) -> int | None:
-    """m with w = c^m, or None.  w identity gives 0; c must be nontrivial.
-
-    ``c_root`` is ``primitive_root(c)`` when the caller already has it.
-    With c = rc^ec and rc = p r p^-1, r cyclically reduced, the powers
-    rc^k = p r^k p^-1 (k > 0) and p (r^-1)^|k| p^-1 (k < 0) are reduced as
-    written, so w's length fixes |k|, its letter after p fixes the sign,
-    and one compare decides; w = c^m exactly when ec divides k.
-    """
+def is_power_of(w: Word, c: Word) -> int | None:
+    """m with w = c^m, or None.  w identity gives 0; c must be nontrivial."""
     if not c.letters:
         raise WordError("powers of the identity are degenerate")
-    if not w.letters:
+    root, e = primitive_root(c)
+    return power_exponent(w.letters, root.letters, e)
+
+
+def power_exponent(ls: tuple[int, ...], r: tuple[int, ...], e: int) -> int | None:
+    """m with ls = c^m for c = rc^e, or None; ``r`` holds the letters of rc,
+    which is not a proper power (``primitive_root(c)``), ``ls`` those of a
+    freely reduced word.  No letters give 0.
+
+    With rc = p q p^-1, q cyclically reduced, the powers rc^k = p q^k p^-1
+    (k > 0) and p (q^-1)^|k| p^-1 (k < 0) are reduced as written, so the
+    length of ``ls`` fixes |k|, its letter after p fixes the sign, and one
+    compare decides; ls = c^m exactly when e divides k.
+    """
+    if not ls:
         return 0
-    rc, ec = c_root if c_root is not None else primitive_root(c)
-    r, ls = rc.letters, w.letters
     n, i = len(r), _peel(r)
     core = r[i : n - i]
     k, rem = divmod(len(ls) - 2 * i, len(core))
-    if rem or k <= 0 or k % ec:
+    if rem or k <= 0 or k % e:
         return None
     if ls[i] != core[0]:  # a negative power, if any
-        core, k = tuple(-l for l in reversed(core)), -k
-    return k // ec if ls == r[:i] + core * abs(k) + r[n - i :] else None
+        core, k = inverse_letters(core), -k
+    return k // e if ls == r[:i] + core * abs(k) + r[n - i :] else None
 
 
 def shortlex_words(alphabet: Alphabet, max_length: int | None = None) -> Iterator[Word]:

@@ -551,7 +551,8 @@ class TestTowerPhases:
         assert row["repeat"] == 2 and row["stages"] == 300
         assert row["attaches"] + row["skips"] == 300 and row["attaches"] > 0 and row["skips"] > 0
         assert re.fullmatch("[0-9a-f]{64}", row["sha256"])
-        assert all(row[p] > 0 for p in ("build_s", "write_s", "load_s", "replay_s"))
+        assert all(row[p] > 0 for p in ("build_s", "write_s", "load_s", "replay_s", "checks_s"))
+        assert row["checks_s"] < row["replay_s"]
 
 
 class TestRelpathsPhases:

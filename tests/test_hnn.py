@@ -1,11 +1,12 @@
 import random
 import re
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from concc import hnn
+from concc import hnn, words as W
 from concc.hnn import (
     CyclicAssociation,
     HnnError,
@@ -20,9 +21,16 @@ from concc.hnn import (
     klein_bottle_tower,
     verify_conjugator,
 )
-from concc.words import Alphabet
+from concc.words import Alphabet, Word
 
 import oracles
+
+
+def oracle_view(w):
+    """w as tests/oracles.py reads tower words: ``tower``, and items whose chunks are ``Word``s."""
+    return SimpleNamespace(
+        tower=w.tower, items=tuple(it if k & 1 else Word(w.tower.base, it) for k, it in enumerate(w.items))
+    )
 
 
 def rand_tower_word(tower, rng, n=8):
@@ -52,7 +60,7 @@ class TestKleinBottle:
         rng = random.Random(3)
         for _ in range(300):
             w = rand_tower_word(tower, rng)
-            flat = oracles.flatten_one_level(w)
+            flat = oracles.flatten_one_level(oracle_view(w))
             assert is_trivial(w).is_yes == (oracles.klein_pair(flat) == (0, 0))
 
 
@@ -72,7 +80,7 @@ class TestBS12:
         rng = random.Random(4)
         for _ in range(300):
             w = rand_tower_word(tower, rng)
-            flat = oracles.flatten_one_level(w)
+            flat = oracles.flatten_one_level(oracle_view(w))
             s, m = oracles.bs12_affine(flat)
             assert is_trivial(w).is_yes == (s == 1 and m == 0)
 
@@ -93,10 +101,10 @@ class TestBritton:
             w = rand_tower_word(tower, rng)
             r, r_inv = britton_reduce(w), britton_reduce(w.inverse())
             assert len(r.signature()) == len(r_inv.signature())
-            trivial = oracles.klein_pair(oracles.flatten_one_level(w)) == (0, 0)
+            trivial = oracles.klein_pair(oracles.flatten_one_level(oracle_view(w))) == (0, 0)
             assert is_trivial(r).is_yes == is_trivial(r_inv).is_yes == trivial
             for x in (r, r_inv):
-                assert plain(x) == oracles.tower_normal_form(item_symbols(x))
+                assert x.items == oracles.tower_normal_form(item_symbols(x))
                 assert find_pinch(x) is None
 
     def test_pinch_example(self):
@@ -218,7 +226,7 @@ def test_klein_normal_forms_multiply(p, q):
     w1 = tower.parse(f"a^{p} t^{q}") if p or q else tower.identity()
     w2 = tower.parse("a t")
     prod = w1 * w2
-    np_, nq = oracles.klein_pair(oracles.flatten_one_level(prod))
+    np_, nq = oracles.klein_pair(oracles.flatten_one_level(oracle_view(prod)))
     expect = (p + (1 if q % 2 == 0 else -1), q + 1)
     assert (np_, nq) == expect
 
@@ -251,13 +259,9 @@ def inverse_symbols(symbols):
     return [(s[0], -s[1]) if isinstance(s, tuple) else -s for s in reversed(symbols)]
 
 
-def plain(w):
-    return tuple(it if isinstance(it, tuple) else it.letters for it in w.items)
-
-
 def item_symbols(w):
-    """Oracle symbols of a tower word as it is stored."""
-    return [s for it in w.items for s in ((it,) if isinstance(it, tuple) else it.letters)]
+    """Oracle symbols of a tower word as it is stored: chunks at even positions."""
+    return [s for k, it in enumerate(w.items) for s in ((it,) if k & 1 else it)]
 
 
 # snippets that pinch in two_level_tower()
@@ -283,7 +287,7 @@ class TestBrittonNormalForm:
     def test_output_is_normal_and_pinch_free(self, text):
         w = two_level_tower().parse(text)
         for r in (britton_reduce(w), britton_reduce(w.inverse())):
-            assert plain(r) == oracles.tower_normal_form(item_symbols(r))
+            assert r.items == oracles.tower_normal_form(item_symbols(r))
             assert find_pinch(r) is None
 
     @given(PINCHY)
@@ -309,9 +313,9 @@ class TestBrittonNormalForm:
     def test_nested_pinches_fire(self):
         T = two_level_tower()
         # t a t^-1 = b, then s a b s^-1 = b^2: both levels pinch away
-        assert plain(britton_reduce(T.parse("s a t a t^-1 s^-1 b^-2"))) == ((),)
+        assert britton_reduce(T.parse("s a t a t^-1 s^-1 b^-2")).items == ((),)
         # s a b s^-1 = b^2 leaves t^-1 b^2 t = a^2 behind the pinch
-        assert plain(britton_reduce(T.parse("t^-1 s a b s^-1 t a^-2"))) == ((),)
+        assert britton_reduce(T.parse("t^-1 s a b s^-1 t a^-2")).items == ((),)
 
 
 def four_level_tower():
@@ -352,8 +356,8 @@ class TestBrittonOracle:
         T = four_level_tower()
         w = T.parse(text)
         for x in (w, w.inverse()):
-            r = britton_reduce(x)
-            assert r.items == oracles.rescan_britton(T, x.items)
+            r = TowerWord(T, hnn._britton_items(T, x.items))
+            assert oracle_view(r).items == oracles.rescan_britton(T, oracle_view(x).items)
             assert find_pinch(r) is None
 
     def test_five_thousand_heights_reduce(self):
@@ -373,7 +377,7 @@ def cancels(w):
     """Some stable letter of w meets its inverse across an empty chunk."""
     its = w.items
     return any(
-        its[k] == (its[k + 2][0], -its[k + 2][1]) and not its[k + 1].letters
+        its[k] == (its[k + 2][0], -its[k + 2][1]) and not its[k + 1]
         for k in range(1, len(its) - 2, 2)
     )
 
@@ -440,16 +444,68 @@ class TestJunctionArithmetic:
     def test_parse_and_mul(self, u, v):
         T = two_level_tower()
         x, y = T.parse(tokens_text(u)), T.parse(tokens_text(v))
-        assert plain(x) == oracles.tower_normal_form(tokens_symbols(u))
-        assert plain(x * y) == oracles.tower_normal_form(tokens_symbols(u) + tokens_symbols(v))
+        assert x.items == oracles.tower_normal_form(tokens_symbols(u))
+        assert (x * y).items == oracles.tower_normal_form(tokens_symbols(u) + tokens_symbols(v))
 
     @given(TOKENS, st.integers(min_value=-4, max_value=4))
     def test_inverse_and_pow(self, u, k):
         x = two_level_tower().parse(tokens_text(u))
         syms = tokens_symbols(u)
         inv = inverse_symbols(syms)
-        assert plain(x.inverse()) == oracles.tower_normal_form(inv)
-        assert plain(x**k) == oracles.tower_normal_form((syms if k >= 0 else inv) * abs(k))
+        assert x.inverse().items == oracles.tower_normal_form(inv)
+        assert (x**k).items == oracles.tower_normal_form((syms if k >= 0 else inv) * abs(k))
+
+
+class TestConjugatorCheck:
+    """``conjugator_holds`` on items against ``is_trivial`` and the rescanning oracle."""
+
+    @settings(max_examples=300)
+    @given(PINCHY4, PINCHY4, PINCHY4, st.booleans())
+    def test_agrees_with_the_word_problem(self, gt, wt, tt, conjugate):
+        T = four_level_tower()
+        g, w = T.parse(gt), T.parse(wt)
+        # a conjugate, reduced so it is not spelled as g w g^-1, or any word
+        t = britton_reduce(g * w * g.inverse()) if conjugate else T.parse(tt)
+        holds = hnn.conjugator_holds(T, g.items, w.items, t.items)
+        claim = g * w * g.inverse() * t.inverse()
+        assert holds == is_trivial(claim).is_yes == verify_conjugator(g, w, t)
+        assert holds == (oracles.rescan_britton(T, oracle_view(claim).items) == (T.base.identity(),))
+        assert holds or not conjugate
+
+    def test_refuses_a_conjugator_of_the_wrong_power(self):
+        T = bs12_tower()
+        t, a = T.parse("t"), T.parse("a")
+        assert hnn.conjugator_holds(T, t.items, a.items, T.parse("a^2").items)
+        for target in ("a", "a^-2", "a^4", "t a", "1"):
+            assert not hnn.conjugator_holds(T, t.items, a.items, T.parse(target).items)
+
+
+def assert_normal(w):
+    """w's items are tuples, chunk first and last, alternating with letters."""
+    its = w.items
+    assert type(its) is tuple and len(its) % 2 == 1
+    for k, it in enumerate(its):
+        assert type(it) is tuple  # no Word
+        if k & 1:
+            i, e = it
+            assert type(i) is int and 0 <= i < w.tower.height and e in (1, -1)
+        else:
+            assert all(type(l) is int and 1 <= abs(l) <= w.tower.base.size for l in it)
+            assert W.free_reduce(it) == it
+
+
+class TestRepresentation:
+    """Every operation leaves letter-tuple chunks alternating with letters."""
+
+    @given(PINCHY4, PINCHY4, st.integers(-3, 3))
+    def test_operations_keep_letter_tuples(self, ut, vt, k):
+        T = four_level_tower()
+        u, v = T.parse(ut), T.parse(vt)
+        made = [u, v, T.embed(T.base.parse_word("a b^-1")), T.identity(), T.stable("u", -1)]
+        made += [u * v, u.inverse(), u**k, britton_reduce(u * v)]
+        made += [T.read_printed(str(x)) for x in made if not cancels(x)]
+        for x in made:
+            assert_normal(x)
 
 
 class TestAppendOnlyChain:

@@ -24,9 +24,11 @@ KEPT = {
     "freeprod.hyperbolicity_report": "paper table: hyperbolicity classification; acceptance test 8",
     "freeprod.parse_path": "paper table: syllable normal forms, read back from the path text `str` prints",
     "freeprod.path_components": "paper table: path components",
+    "hnn.Tower.read_printed": "differential-test reader: printed words read back to the words str printed",
     "hnn.TowerWord.signature": "differential-test reader: a word and its inverse reduce to mirrored signatures",
     "hnn.cyclic_membership": "paper table: cyclic membership",
     "hnn.find_pinch": "paper table: Britton pinch detection",
+    "hnn.verify_conjugator": "differential-test reader: conjugator claims on tower words, against is_trivial",
     "presentations.NonConjugacyCertificate.from_json": "differential-test reader: forged and round-tripped certificates",
     "smallcanc.word_family_w": "paper table: the scaled relator family",
     "substrings.SuffixAutomaton.matching_statistics":

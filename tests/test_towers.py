@@ -205,14 +205,48 @@ class TestStageWork:
 
     def test_one_conjugator_check_per_skip(self, monkeypatch):
         checks = []
-        verify = hnn.verify_conjugator
-        monkeypatch.setattr(hnn, "verify_conjugator", lambda *a: checks.append(a) or verify(*a))
+        holds = hnn.conjugator_holds
+        monkeypatch.setattr(hnn, "conjugator_holds", lambda *a: checks.append(a) or holds(*a))
         build = build_tower(ncc_config(3, 300))
         skips = sum(r.action == "skip" for r in build.records)
         assert skips > 200 and len(checks) == skips
         checks.clear()
         assert reverify_certificate(json.loads(certificate_to_json_str(build))).ok
         assert len(checks) == skips
+
+
+class TestSkipChecks:
+    """The replay's check of every skip witness, with and without a letter appended."""
+
+    @pytest.mark.parametrize(
+        "config", [lambda: ncc_config(3, 2000), lambda: gadget_config(4, 400)], ids=["ncc-2000", "gadget-4"]
+    )
+    def test_every_witness_passes_and_no_appended_one(self, config, monkeypatch):
+        build = build_tower(config())
+        doc = json.loads(certificate_to_json_str(build))
+        calls = []
+        holds = hnn.conjugator_holds
+        monkeypatch.setattr(hnn, "conjugator_holds", lambda *a: calls.append(a) or holds(*a))
+        assert reverify_certificate(doc).ok
+        skips = [s for s in doc["stages"] if "witness" in s]
+        assert len(calls) == len(skips) > 50
+        A = build.config.base.alphabet
+        x = A.names[0]  # x1 over the ncc base
+        refused = 0
+        for (tower, w, g, target), s in zip(calls, skips):
+            text = s["witness"]
+            assert str(hnn.TowerWord(tower, w)) == text and g == (A.parse_word(s["element"]).letters,)
+            assert holds(tower, w, g, target)
+            try:
+                ok = holds(tower, tower.printed_items(f"{text} {x}"), g, target)
+            except hnn.HnnError:  # "1 x1", or x1 after x1^-1
+                ok = False
+            # w x1 conjugates g onto the target too exactly when x1 commutes
+            # with g, which in the free base means g is a power of x1
+            valid = words.is_power_of(words.Word(A, g[0]), A.gen(x)) is not None
+            assert ok == (valid and text != "1" and not text.endswith(f"{x}^-1"))
+            refused += not ok
+        assert refused > len(skips) // 2
 
 
 class TestReverify:

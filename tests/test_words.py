@@ -22,6 +22,7 @@ from concc.words import (
     is_cyclically_reduced,
     is_power_of,
     letter_code,
+    power_exponent,
     primitive_root,
     read_int,
     read_tokens,
@@ -103,6 +104,24 @@ class TestReduction:
         assert [A.codes[l] for l in letters] == [letter_code(l) for l in letters]
         assert list(map(A.codes.__getitem__, letters)) == list(range(2 * size))
         assert sorted(A.codes) == sorted(letters)  # no code for 0 or a letter past the alphabet
+
+    @pytest.mark.parametrize("size", range(1, 5))
+    def test_letters_past_the_alphabet_do_not_print(self, size):
+        # the token table is indexed by the letter itself, so without the
+        # range check -(size + 1) would read the last generator's token
+        A = Alphabet([f"g{i}" for i in range(1, size + 1)])
+        assert str(Word(A, A.letters_in_order())) == " ".join(
+            f"g{i}{s}" for i in range(1, size + 1) for s in ("", "^-1")
+        )
+        for bad in (size + 1, -(size + 1), 2 * size + 1, -(2 * size + 1), 0):
+            for ls in ((bad,), (1, bad), (bad, -1)):
+                with pytest.raises(WordError, match=f"letter {bad} outside alphabet of size {size}"):
+                    str(Word(A, ls))
+            with pytest.raises(WordError, match=f"letter {bad} outside"):
+                A.letter_str(bad)
+        tower = hnn.Tower(A)
+        with pytest.raises(WordError, match=f"letter {-(size + 1)} outside"):
+            str(hnn.TowerWord(tower, ((1, -(size + 1)),)))
 
 
 class TestCyclic:
@@ -206,7 +225,8 @@ class TestPrimitiveRoot:
         c = r**e  # not its own root when e > 1
         for u in (c**k, r**k, Word(AB, free_reduce(tuple(other)))):
             brute = [m for m in range(-8, 9) if c**m == u]
-            for got in (is_power_of(u, c), is_power_of(u, c, primitive_root(c))):
+            rc, ec = primitive_root(c)
+            for got in (is_power_of(u, c), power_exponent(u.letters, rc.letters, ec)):
                 if got is None:
                     assert brute == []
                 else:
