@@ -107,8 +107,9 @@ class TestReduction:
 
     @pytest.mark.parametrize("size", range(1, 5))
     def test_letters_past_the_alphabet_do_not_print(self, size):
-        # the token table is indexed by the letter itself, so without the
-        # range check -(size + 1) would read the last generator's token
+        # a letter past the alphabet has no token, of either sign; a list
+        # table indexed by the letter would print -(size + 1) as the last
+        # generator's token
         A = Alphabet([f"g{i}" for i in range(1, size + 1)])
         assert str(Word(A, A.letters_in_order())) == " ".join(
             f"g{i}{s}" for i in range(1, size + 1) for s in ("", "^-1")
